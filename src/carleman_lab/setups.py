@@ -11,7 +11,7 @@ holds with margin; the poincare module verifies it at run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -186,7 +186,12 @@ class TwinSolve:
     y: SpaceTimeField          # d_t u
 
 
-def twin_solve(setup: ExperimentSetup, gamma: np.ndarray) -> TwinSolve:
+def twin_solve(setup: ExperimentSetup, gamma: np.ndarray,
+               c_tilde: np.ndarray | None = None) -> TwinSolve:
+    """Solves for ctilde and ctilde + gamma; ctilde defaults to the base
+    problem's conductivity."""
+    if c_tilde is not None:
+        setup = replace(setup, base=replace(setup.base, c=c_tilde))
     q = solve_heat(perturbed_problem(setup, gamma), setup.grid, setup.timegrid)
     q_tilde = solve_heat(setup.base, setup.grid, setup.timegrid)
     u = SpaceTimeField(values=q.values - q_tilde.values, grid=setup.grid,

@@ -29,10 +29,8 @@ from .forward import (
     CrankNicolsonStepper,
     HeatProblem,
     SolverError,
-    SpaceTimeField,
     solve_heat,
     snapshot_package,
-    time_derivative,
 )
 from .grid import (
     Grid,
@@ -51,7 +49,7 @@ from .observe import (
 )
 from .poincare import build_transport_base, _require_nondegenerate
 from .report import EstimateReport
-from .setups import ExperimentSetup
+from .setups import ExperimentSetup, twin_solve
 from .weights import WeightSet
 
 _FACE_STENCIL = (3.0, -4.0, 1.0)  # one-sided derivative layers, over 2h
@@ -128,24 +126,11 @@ class StabilityReport:
         return self.plain.ratio
 
 
-def _twin_fields(pair: CoefficientPair, setup: ExperimentSetup):
-    base = setup.base
-    q_tilde = solve_heat(
-        HeatProblem(c=pair.c_tilde, g=base.g, q0=base.q0, r=base.r),
-        setup.grid, setup.timegrid)
-    q = solve_heat(
-        HeatProblem(c=pair.c, g=base.g, q0=base.q0, r=base.r),
-        setup.grid, setup.timegrid)
-    u = SpaceTimeField(values=q.values - q_tilde.values,
-                       grid=setup.grid, timegrid=setup.timegrid)
-    y = time_derivative(u)
-    return q_tilde, q, u, y
-
-
 def stability_sides(pair: CoefficientPair, setup: ExperimentSetup,
                     ws: WeightSet) -> StabilityReport:
     grid, window = setup.grid, setup.window
-    q_tilde, q, u, y = _twin_fields(pair, setup)
+    twin = twin_solve(setup, pair.gamma, pair.c_tilde)
+    q, q_tilde, u, y = twin.q, twin.q_tilde, twin.u, twin.y
     base = build_transport_base(q_tilde.at_time(window.t_mid), ws)
     _require_nondegenerate(base)
 
@@ -443,8 +428,7 @@ def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
 
     # adjoint sweep: B lam_M = -G_M, B lam_k = E lam_{k+1} - G_k
     stepper = CrankNicolsonStepper(c_current, grid, tg.dt)
-    lam = np.zeros(interior.size)
-    lam = stepper.solve_B(-source[steps_total][interior], lam)
+    lam = stepper.solve_B(-source[steps_total][interior])
     grad_c = np.zeros(n_nodes)
     lam_full = np.zeros(n_nodes)
     for i in range(steps_total - 1, -1, -1):
@@ -453,7 +437,7 @@ def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
         _coefficient_accumulate(lam_full, s_full, grid, grad_c)
         if i > 0:
             rhs = lam + 0.5 * tg.dt * (stepper.A @ lam) - source[i][interior]
-            lam = stepper.solve_B(rhs, lam)
+            lam = stepper.solve_B(rhs)
     grad_c *= -0.5 * tg.dt
     grad_c += config.alpha * _h1_apply(shift, grid)
     grad_c = admissible_projection(grad_c, grid)

@@ -16,6 +16,7 @@ from carleman_lab.forward import (
     solve_heat,
     time_derivative,
 )
+from carleman_lab.setups import default_setup
 
 
 def decaying_sine_problem(grid):
@@ -104,6 +105,14 @@ def test_compatibility_checked():
     )
     with pytest.raises(GridError, match="boundary"):
         solve_heat(prob, g, tg)
+
+
+def test_compatibility_checked_at_grid_start():
+    # q0 matches g(0) = 2 at x = 1, but the grid starts at t = 0.5 where
+    # the drive reads 2 + 0.5 sin(pi/4)
+    setup = default_setup(dimension=1, n=32)
+    with pytest.raises(GridError, match="boundary"):
+        solve_heat(setup.base, setup.grid, TimeGrid(0.5, 2.0, 96))
 
 
 def test_discrete_maximum_principle():
