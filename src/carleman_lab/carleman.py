@@ -40,7 +40,7 @@ def conjugate(q_values: np.ndarray, ws: WeightSet) -> np.ndarray:
     return psi
 
 
-def _zero_order_factors(c: np.ndarray, ws: WeightSet):
+def _zero_order_factors(ws: WeightSet):
     grad_b2 = np.sum(ws.grad_beta_tilde**2, axis=1)
     phi = np.exp(ws.log_phi)
     return grad_b2, phi
@@ -49,32 +49,26 @@ def _zero_order_factors(c: np.ndarray, ws: WeightSet):
 def apply_M1(psi: np.ndarray, c: np.ndarray, ws: WeightSet) -> np.ndarray:
     """Interior-row values of div(c grad psi) + s^2 lam^2 c |grad beta|^2
     phi^2 psi + s (d_t eta) psi."""
-    grad_b2, phi = _zero_order_factors(c, ws)
+    grad_b2, phi = _zero_order_factors(ws)
     zero_order = (ws.s**2 * ws.lam**2) * c[None, :] * grad_b2[None, :] * phi**2
     zero_order = zero_order + ws.s * ws.dt_eta
-    out = np.empty_like(psi[1:-1])
-    for i, row in enumerate(psi[1:-1]):
-        out[i] = divergence_flux(c, row, ws.grid)
-    return out + zero_order * psi[1:-1]
+    return divergence_flux(c, psi[1:-1], ws.grid) + zero_order * psi[1:-1]
 
 
 def apply_M2(psi: np.ndarray, c: np.ndarray, ws: WeightSet,
              sign: float = 1.0) -> np.ndarray:
     """Interior-row values of d_t psi +- 2 s lam phi c grad(beta).grad(psi)
     - 2 s lam^2 phi c |grad beta|^2 psi."""
-    grad_b2, phi = _zero_order_factors(c, ws)
+    grad_b2, phi = _zero_order_factors(ws)
     dt = ws.timegrid.dt
     dpsi_dt = (psi[2:] - psi[:-2]) / (2.0 * dt)
-    out = np.empty_like(psi[1:-1])
-    for i, row in enumerate(psi[1:-1]):
-        grad_psi = discrete_gradient(row, ws.grid)
-        advect = np.sum(ws.grad_beta_tilde * grad_psi, axis=1)
-        out[i] = (
-            dpsi_dt[i]
-            + sign * 2.0 * ws.s * ws.lam * phi[i] * c * advect
-            - 2.0 * ws.s * ws.lam**2 * phi[i] * c * grad_b2 * psi[1:-1][i]
-        )
-    return out
+    grad_psi = discrete_gradient(psi[1:-1], ws.grid)
+    advect = np.sum(ws.grad_beta_tilde * grad_psi, axis=-1)
+    return (
+        dpsi_dt
+        + sign * 2.0 * ws.s * ws.lam * phi * c * advect
+        - 2.0 * ws.s * ws.lam**2 * phi * c * grad_b2 * psi[1:-1]
+    )
 
 
 def _plain_st_sq(rows: np.ndarray, grid: Grid, dt: float) -> float:
@@ -94,21 +88,13 @@ def carleman_sides(q_values: np.ndarray, c: np.ndarray, ws: WeightSet,
     m1 = apply_M1(psi, c, ws)
     m2 = apply_M2(psi, c, ws, sign=m2_sign)
 
-    grad_q = np.stack([discrete_gradient(row, grid) for row in q_values])
-    dt_q = np.empty_like(q_values)
+    grad_q = discrete_gradient(q_values, grid)
     dt = window.dt
-    dt_q[1:-1] = (q_values[2:] - q_values[:-2]) / (2.0 * dt)
-    dt_q[0] = dt_q[-1] = 0.0  # endpoint rows never integrated
-    resid = np.zeros_like(q_values)
-    for j in range(1, window.steps):
-        resid[j] = dt_q[j] - divergence_flux(c, q_values[j], grid)
-
-    trace = {}
-    for face in grid.gamma0_faces:
-        trace[face] = np.array(
-            [normal_derivative(q_values[j], grid, face)
-             for j in range(1, window.steps)]
-        )
+    resid = np.zeros_like(q_values)  # endpoint rows never integrated
+    resid[1:-1] = ((q_values[2:] - q_values[:-2]) / (2.0 * dt)
+                   - divergence_flux(c, q_values[1:-1], grid))
+    trace = {face: normal_derivative(q_values[1:-1], grid, face)
+             for face in grid.gamma0_faces}
 
     lhs = {
         "m1_sq": _plain_st_sq(m1, grid, dt),

@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,7 +27,13 @@ from .forward import HeatProblem, SolverError, dump_field_csv, solve_heat
 from .grid import GridError
 from .observe import extract_observations, observations_to_csv
 from .poincare import proposition_sides, proposition_to_csv
-from .report import fmt, report_to_csv
+from .report import (
+    carleman_summary_to_csv,
+    carleman_sweep_to_csv,
+    fmt,
+    report_to_csv,
+    stability_to_csv,
+)
 from .setups import (
     ExperimentSetup,
     default_setup,
@@ -66,13 +71,13 @@ SEED_ENV = "CARLEMAN_LAB_SEED"
 
 
 class RunContext:
-    """Config plus the objects every pipeline shares."""
+    """Config plus the objects every pipeline shares.  jobs is accepted
+    for compatibility and ignored: the pipelines run in one thread."""
 
     def __init__(self, cfg, out_dir, plot, jobs):
         self.cfg = cfg
         self.out_dir = out_dir
         self.plot = plot
-        self.jobs = jobs
         base = default_setup(cfg.dimension, cfg.n, cfg.t0, cfg.t_end,
                              cfg.steps)
         self.background = evaluate_field(cfg.background, base.grid,
@@ -117,41 +122,17 @@ def cmd_verify_carleman(ctx: RunContext):
     cfg, setup = ctx.cfg, ctx.setup
     suite = make_test_suite(setup.grid, setup.window, count=20,
                             seed=cfg.seed)
-    cells = [(s, lam) for s in cfg.s_values for lam in cfg.lambdas]
-
-    def one_cell(cell):
-        s, lam = cell
-        return carleman_sweep(ctx.background, suite, [s], [lam],
-                              setup.grid, setup.window, cfg.m_weight, cfg.x0)
-
-    if ctx.jobs > 1:
-        with ThreadPoolExecutor(max_workers=ctx.jobs) as pool:
-            results = list(pool.map(one_cell, cells))
-    else:
-        results = [one_cell(cell) for cell in cells]
-
-    records, summary = [], {}
-    for recs, summ in results:
-        records.extend(recs)
-        summary.update(summ)
+    records, summary = carleman_sweep(ctx.background, suite, cfg.s_values,
+                                      cfg.lambdas, setup.grid, setup.window,
+                                      cfg.m_weight, cfg.x0)
     for test_id, s, lam, rep in records:
         if not math.isfinite(rep.ratio):
             raise SolverError(
                 f"non-finite ratio for {test_id} at s={s}, lam={lam}")
 
-    sweep_path = ctx.path("carleman_sweep.csv")
-    with open(sweep_path, "w") as fh:
-        fh.write("test_id,s,lambda,term_name,value\n")
-        for test_id, s, lam, rep in records:
-            for term, value in rep.rows():
-                fh.write(f"{test_id},{fmt(s)},{fmt(lam)},{term},"
-                         f"{fmt(value)}\n")
-    summary_path = ctx.path("carleman_summary.csv")
-    with open(summary_path, "w") as fh:
-        fh.write("s,lambda,max_ratio\n")
-        for (s, lam), worst in summary.items():
-            fh.write(f"{fmt(s)},{fmt(lam)},{fmt(worst)}\n")
-    files = [sweep_path, summary_path]
+    files = [ctx.path("carleman_sweep.csv"), ctx.path("carleman_summary.csv")]
+    carleman_sweep_to_csv(records, files[0])
+    carleman_summary_to_csv(summary, files[1])
 
     if ctx.plot:
         series = []
@@ -222,11 +203,7 @@ def cmd_verify_stability(ctx: RunContext):
     pair = make_pair(ctx.background, ctx.gamma, ctx.setup.grid)
     rep = stability_sides(pair, ctx.setup, ctx.weights_ref())
     path = ctx.path("stability.csv")
-    with open(path, "w") as fh:
-        fh.write("side,term_name,value\n")
-        for side in (rep.weighted, rep.plain):
-            for term, value in side.rows():
-                fh.write(f"{side.name},{term},{fmt(value)}\n")
+    stability_to_csv(rep, path)
     return [path]
 
 
@@ -256,8 +233,7 @@ def cmd_reconstruct(ctx: RunContext):
     inv = inversion_setup(cfg.dimension, cfg.n)
     truth = make_pair(ctx.background, ctx.gamma, inv.grid).c
     data = make_observations(inv, truth, sigma=cfg.sigma, seed=cfg.seed)
-    icfg = InverseConfig(prior=ctx.background, sigma=cfg.sigma,
-                         seed=cfg.seed)
+    icfg = InverseConfig(prior=ctx.background)
     result = reconstruct(data, inv, icfg, truth=truth)
     if result.message == "line search failed":
         raise SolverError("reconstruction line search failed")
@@ -313,7 +289,7 @@ def run(command, config_path=None, plot=False, jobs=1, out=None) -> int:
         os.makedirs(out_dir, exist_ok=True)
         if not os.access(out_dir, os.W_OK):
             raise ConfigError(f"output directory {out_dir!r} is not writable")
-        ctx = RunContext(cfg, out_dir, plot, max(1, jobs))
+        ctx = RunContext(cfg, out_dir, plot, jobs)
     except (ConfigError, GridError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -339,7 +315,8 @@ def main(argv=None) -> int:
     parser.add_argument("--plot", action="store_true",
                         help="also emit SVG line plots")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="bound on worker threads for parameter sweeps")
+                        help="accepted for compatibility and ignored: "
+                             "every pipeline runs in one thread")
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="output directory (overrides the config)")
     args = parser.parse_args(argv)

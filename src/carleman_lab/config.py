@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .grid import Grid, GridError
+from .grid import Grid
 
 
 class ConfigError(ValueError):

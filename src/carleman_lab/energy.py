@@ -26,7 +26,7 @@ from .observe import (
     weighted_norm_spacetime,
 )
 from .poincare import check_flat_boundary
-from .report import EstimateReport
+from .report import EstimateReport, write_csv
 from .weights import WeightSet
 
 BOUNDARY_TRACE_TOL = 1e-10
@@ -43,13 +43,7 @@ class EnergyCurve:
     e_tprime: float
 
     def to_csv(self, path):
-        from .report import fmt
-
-        lines = ["t,E"]
-        for t, e in zip(self.times, self.values):
-            lines.append(f"{fmt(t)},{fmt(e)}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, ["t", "E"], zip(self.times, self.values))
 
 
 def _window_rows(y: SpaceTimeField, ws: WeightSet) -> np.ndarray:
@@ -64,13 +58,9 @@ def energy(y: SpaceTimeField, c: np.ndarray, ws: WeightSet) -> EnergyCurve:
     c = np.asarray(c, dtype=float)
     if c.shape != (grid.n_nodes,):
         raise GridError(f"conductivity shape {c.shape}")
-    rows = _window_rows(y, ws)[1:-1]
-    weight = ws.weight_st(-1)
-    sw = space_weights(grid)
-    values = np.empty(rows.shape[0])
-    for j, row in enumerate(rows):
-        grad = discrete_gradient(row, grid)
-        values[j] = float(sw @ (c * weight[j] * np.sum(grad**2, axis=1)))
+    grad = discrete_gradient(_window_rows(y, ws)[1:-1], grid)
+    density = c * ws.weight_st(-1) * np.sum(grad**2, axis=-1)
+    values = density @ space_weights(grid)
     if not np.all(np.isfinite(values)):
         raise GridError("non-finite energy value")
     curve = EnergyCurve(
@@ -94,15 +84,9 @@ def energy_tprime_direct(y: SpaceTimeField, c: np.ndarray,
 
 
 def _boundary_traces(y: SpaceTimeField, ws: WeightSet) -> dict:
-    rows = _window_rows(y, ws)
-    grid = ws.grid
-    steps = ws.timegrid.steps
-    return {
-        face: np.array([
-            normal_derivative(rows[j], grid, face) for j in range(1, steps)
-        ])
-        for face in grid.gamma0_faces
-    }
+    rows = _window_rows(y, ws)[1:-1]
+    return {face: normal_derivative(rows, ws.grid, face)
+            for face in ws.grid.gamma0_faces}
 
 
 def _coeff_mass(gamma: np.ndarray, ws: WeightSet) -> float:
@@ -158,9 +142,7 @@ def forcing_field(gamma: np.ndarray, q_tilde: SpaceTimeField) -> SpaceTimeField:
     drives the rate equation; never used by the bound checks themselves."""
     check_flat_boundary(gamma, q_tilde.grid)
     rate = time_derivative(q_tilde)
-    vals = np.empty_like(rate.values)
-    for j, row in enumerate(rate.values):
-        vals[j] = divergence_flux(gamma, row, q_tilde.grid, positive=False)
+    vals = divergence_flux(gamma, rate.values, q_tilde.grid, positive=False)
     if not np.all(np.isfinite(vals)):
         raise GridError("non-finite forcing value")
     return SpaceTimeField(values=vals, grid=q_tilde.grid,

@@ -24,6 +24,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .grid import Grid, GridError, TimeGrid, divergence_flux
+from .report import write_csv
 
 
 class SolverError(RuntimeError):
@@ -245,9 +246,5 @@ def snapshot_package(field: SpaceTimeField, grid: Grid, window: TimeGrid,
 
 
 def dump_field_csv(field: SpaceTimeField, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("t_index,node,value\n")
-        for j in range(field.values.shape[0]):
-            row = field.values[j]
-            for i in range(row.shape[0]):
-                fh.write(f"{j},{i},{row[i]:.17g}\n")
+    write_csv(path, ["t_index", "node", "value"],
+              ((j, i, v) for (j, i), v in np.ndenumerate(field.values)))

@@ -5,6 +5,12 @@ Fields live on nodes and are stored as flat float arrays of length
 All discrete calculus (gradient, laplacian, conductivity flux form,
 trapezoid quadrature, boundary traces) is centralized here so that
 every consumer differentiates and integrates the same way.
+
+Batch convention: every stencil indexes the spatial axes from the end,
+so a field may carry leading batch axes, typically a (time, node) stack
+of shape (T, n_nodes).  The stencils act elementwise along the batch,
+so one call on a stack equals the per-row calls stacked, bit for bit.
+Only the conductivity c is a single nodal field.
 """
 
 from __future__ import annotations
@@ -156,7 +162,9 @@ class Grid:
         return _axis_weights(self.n, self.h)
 
     def reshape(self, flat: np.ndarray) -> np.ndarray:
-        return np.asarray(flat).reshape(self.shape)
+        """(..., n_nodes) -> (..., *shape); leading axes are kept."""
+        flat = np.asarray(flat)
+        return flat.reshape(flat.shape[:-1] + self.shape)
 
     def node_index(self, *multi: int) -> int:
         return int(np.ravel_multi_index(multi, self.shape))
@@ -182,13 +190,14 @@ def _axis_weights(n: int, h: float) -> np.ndarray:
 
 
 def _d1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Centered first derivative, second-order one-sided at the ends."""
-    v = np.moveaxis(values, axis, 0)
+    """Centered first derivative, second-order one-sided at the ends.
+    axis is negative: spatial axes count from the end."""
+    v = np.moveaxis(values, axis, -1)
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+    out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
+    out[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
+    out[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
+    return np.moveaxis(out, -1, axis)
 
 
 def _d2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -199,90 +208,113 @@ def _d2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     so that divergence_flux with unit conductivity reproduces it bit for
     bit, not just to round-off.
     """
-    v = np.moveaxis(values, axis, 0)
+    v = np.moveaxis(values, axis, -1)
     out = np.empty_like(v)
-    d = v[1:] - v[:-1]
-    out[1:-1] = (d[1:] - d[:-1]) / h**2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
-    return np.moveaxis(out, 0, axis)
+    d = v[..., 1:] - v[..., :-1]
+    out[..., 1:-1] = (d[..., 1:] - d[..., :-1]) / h**2
+    out[..., 0] = (2.0 * v[..., 0] - 5.0 * v[..., 1] + 4.0 * v[..., 2]
+                   - v[..., 3]) / h**2
+    out[..., -1] = (2.0 * v[..., -1] - 5.0 * v[..., -2] + 4.0 * v[..., -3]
+                    - v[..., -4]) / h**2
+    return np.moveaxis(out, -1, axis)
 
 
 def _flux_axis(c: np.ndarray, values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """d/dx (c d/dx) along one axis: conservative face-mean form at
     interior nodes, c*f'' + c'*f' with one-sided stencils at the ends.
+    c carries no batch axes; values may.
 
     With c identically 1 this reproduces _d2 exactly at every node, so
     the laplacian really is the unit-conductivity special case.
     """
-    cm = np.moveaxis(c, axis, 0)
-    v = np.moveaxis(values, axis, 0)
+    cm = np.moveaxis(c, axis, -1)
+    v = np.moveaxis(values, axis, -1)
     out = np.empty_like(v)
-    cf = 0.5 * (cm[1:] + cm[:-1])  # conductivity on cell faces
-    flux = cf * (v[1:] - v[:-1])
-    out[1:-1] = (flux[1:] - flux[:-1]) / h**2
+    cf = 0.5 * (cm[..., 1:] + cm[..., :-1])  # conductivity on cell faces
+    flux = cf * (v[..., 1:] - v[..., :-1])
+    out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) / h**2
 
     def closure(i0, i1, i2, i3, sgn):
-        d1 = sgn * (-3.0 * v[i0] + 4.0 * v[i1] - v[i2]) / (2.0 * h)
-        dc = sgn * (-3.0 * cm[i0] + 4.0 * cm[i1] - cm[i2]) / (2.0 * h)
-        d2 = (2.0 * v[i0] - 5.0 * v[i1] + 4.0 * v[i2] - v[i3]) / h**2
-        return cm[i0] * d2 + dc * d1
+        d1 = sgn * (-3.0 * v[..., i0] + 4.0 * v[..., i1] - v[..., i2]) / (2.0 * h)
+        dc = sgn * (-3.0 * cm[..., i0] + 4.0 * cm[..., i1] - cm[..., i2]) / (2.0 * h)
+        d2 = (2.0 * v[..., i0] - 5.0 * v[..., i1] + 4.0 * v[..., i2]
+              - v[..., i3]) / h**2
+        return cm[..., i0] * d2 + dc * d1
 
-    out[0] = closure(0, 1, 2, 3, 1.0)
-    out[-1] = closure(-1, -2, -3, -4, -1.0)
-    return np.moveaxis(out, 0, axis)
+    out[..., 0] = closure(0, 1, 2, 3, 1.0)
+    out[..., -1] = closure(-1, -2, -3, -4, -1.0)
+    return np.moveaxis(out, -1, axis)
 
 
 def discrete_gradient(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Nodal gradient, shape (n_nodes, dim)."""
+    """Nodal gradient, shape (..., n_nodes, dim)."""
+    f = np.asarray(f)
     v = grid.reshape(f)
-    comps = [_d1(v, a, grid.h).ravel() for a in range(grid.dimension)]
-    return np.column_stack(comps)
+    d = grid.dimension
+    return np.stack([_d1(v, a - d, grid.h).reshape(f.shape)
+                     for a in range(d)], axis=-1)
 
 
 def discrete_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
+    f = np.asarray(f)
     v = grid.reshape(f)
-    out = np.zeros(grid.shape)
+    out = np.zeros(v.shape)
     for a in range(grid.dimension):
-        out += _d2(v, a, grid.h)
-    return out.ravel()
+        out += _d2(v, a - grid.dimension, grid.h)
+    return out.reshape(f.shape)
 
 
 def divergence_flux(c: np.ndarray, f: np.ndarray, grid: Grid,
                     positive: bool = True) -> np.ndarray:
-    """div(c grad f) on nodes. c must be strictly positive unless the
-    caller opts out (coefficient differences are sign-indefinite)."""
+    """div(c grad f) on nodes, for f of shape (..., n_nodes). c must be
+    strictly positive unless the caller opts out (coefficient
+    differences are sign-indefinite)."""
     c = np.asarray(c, dtype=float)
     if c.shape != (grid.n_nodes,):
         raise GridError(f"conductivity shape {c.shape} != ({grid.n_nodes},)")
     if not np.all(np.isfinite(c)) or (positive and np.any(c <= 0.0)):
         raise GridError("conductivity must be finite and strictly positive")
+    f = np.asarray(f)
     cv = grid.reshape(c)
     v = grid.reshape(f)
-    out = np.zeros(grid.shape)
+    out = np.zeros(v.shape)
     for a in range(grid.dimension):
-        out += _flux_axis(cv, v, a, grid.h)
-    return out.ravel()
+        out += _flux_axis(cv, v, a - grid.dimension, grid.h)
+    return out.reshape(f.shape)
 
 
 def discrete_divergence(vec: np.ndarray, grid: Grid) -> np.ndarray:
-    """Divergence of a nodal vector field (n_nodes, dim), same stencils
-    as discrete_gradient componentwise."""
-    out = np.zeros(grid.shape)
+    """Divergence of a nodal vector field (..., n_nodes, dim), same
+    stencils as discrete_gradient componentwise."""
+    vec = np.asarray(vec)
+    out = np.zeros(vec.shape[:-2] + grid.shape)
     for a in range(grid.dimension):
-        out += _d1(grid.reshape(vec[:, a]), a, grid.h)
-    return out.ravel()
+        out += _d1(grid.reshape(vec[..., a]), a - grid.dimension, grid.h)
+    return out.reshape(vec.shape[:-1])
+
+
+# second-order one-sided outward derivative, over 2h, on face_layers rows
+FACE_STENCIL = (3.0, -4.0, 1.0)
+
+
+def face_layers(grid: Grid, face: str) -> np.ndarray:
+    """(3, face_nodes) flat indices of the face layer and the two inward
+    layers, in FACE_STENCIL order.  The adjoint of normal_derivative
+    scatters through the same table."""
+    axis, side = _FACES[grid.dimension][face]
+    ia = np.moveaxis(np.arange(grid.n_nodes).reshape(grid.shape), axis, 0)
+    layers = (ia[-1], ia[-2], ia[-3]) if side else (ia[0], ia[1], ia[2])
+    return np.array([np.atleast_1d(layer).ravel() for layer in layers])
 
 
 def normal_derivative(f: np.ndarray, grid: Grid, face: str) -> np.ndarray:
-    """Outward normal derivative on the nodes of one face."""
-    axis, side = _FACES[grid.dimension][face]
-    v = np.moveaxis(grid.reshape(f), axis, 0)
-    if side:
-        vals = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * grid.h)
-    else:
-        vals = -(-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * grid.h)
-    return np.atleast_1d(np.asarray(vals)).ravel()
+    """Outward normal derivative on the nodes of one face, shape
+    (..., face_nodes)."""
+    # take, unlike f[..., idx], returns C order, so BLAS reductions over
+    # a trace stack see the same layout as stacked per-row traces
+    v0, v1, v2 = (np.take(f, layer, axis=-1) for layer in face_layers(grid, face))
+    w0, w1, w2 = FACE_STENCIL
+    return (w0 * v0 + w1 * v1 + w2 * v2) / (2.0 * grid.h)
 
 
 # -- quadrature -----------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 
 from .forward import SpaceTimeField, snapshot_package, time_derivative
 from .grid import Grid, GridError, TimeGrid, normal_derivative, space_weights
+from .report import write_csv
 from .weights import WeightSet
 
 
@@ -48,12 +49,9 @@ def extract_observations(field: SpaceTimeField, grid: Grid, window: TimeGrid,
                          c: np.ndarray) -> ObservationSet:
     y = time_derivative(field)
     off = field.timegrid.index_of(window.t0)
-    flux = {}
-    for face in grid.gamma0_faces:
-        rows = []
-        for j in range(1, window.steps):
-            rows.append(normal_derivative(y.values[off + j], grid, face))
-        flux[face] = np.array(rows)
+    rows = y.values[off + 1 : off + window.steps]
+    flux = {face: normal_derivative(rows, grid, face)
+            for face in grid.gamma0_faces}
     snap = snapshot_package(field, grid, window, c)
     obs = ObservationSet(
         faces=tuple(grid.gamma0_faces),
@@ -161,15 +159,6 @@ def norm_space_plain(field: np.ndarray, grid: Grid) -> float:
     return float(space_weights(grid) @ vals)
 
 
-def norm_spacetime_plain(values: np.ndarray, grid: Grid, window: TimeGrid) -> float:
-    values = np.asarray(values, dtype=float)
-    if values.shape != (window.steps + 1, grid.n_nodes):
-        raise GridError(f"window field has shape {values.shape}")
-    vals = values[1:-1] ** 2
-    _check_finite(vals, "space-time")
-    return float(window.dt * np.sum(vals @ space_weights(grid)))
-
-
 def boundary_norm_plain(trace_by_face: dict, grid: Grid, window: TimeGrid) -> float:
     total = 0.0
     for face, trace in trace_by_face.items():
@@ -199,23 +188,19 @@ def observation_distance_plain(a: ObservationSet, b: ObservationSet,
 
 
 def observations_to_csv(obs: ObservationSet, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("kind,index1,index2,value\n")
+    def rows():
         for face in obs.faces:
-            arr = obs.flux[face]
-            for ti in range(arr.shape[0]):
-                for ni in range(arr.shape[1]):
-                    fh.write(f"flux:{face},{ni},{ti},{arr[ti, ni]:.17g}\n")
+            for (ti, ni), v in np.ndenumerate(obs.flux[face]):
+                yield f"flux:{face}", ni, ti, v
         for name in ("q", "lap_q"):
-            arr = getattr(obs, name)
-            for ni in range(arr.shape[0]):
-                fh.write(f"{name},{ni},0,{arr[ni]:.17g}\n")
+            for ni, v in enumerate(getattr(obs, name)):
+                yield name, ni, 0, v
         for name in ("grad_q", "grad_lap_q"):
-            arr = getattr(obs, name)
-            for ni in range(arr.shape[0]):
-                for comp in range(arr.shape[1]):
-                    fh.write(f"{name},{ni},{comp},{arr[ni, comp]:.17g}\n")
-        fh.write(f"t_prime,0,0,{obs.t_prime:.17g}\n")
+            for (ni, comp), v in np.ndenumerate(getattr(obs, name)):
+                yield name, ni, comp, v
+        yield "t_prime", 0, 0, obs.t_prime
+
+    write_csv(path, ["kind", "index1", "index2", "value"], rows())
 
 
 def observations_from_csv(path, grid: Grid, window: TimeGrid) -> ObservationSet:

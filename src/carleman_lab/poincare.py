@@ -26,10 +26,9 @@ from .grid import (
     discrete_gradient,
     divergence_flux,
     normal_derivative,
-    space_weights,
 )
 from .observe import norm_space_plain, weighted_norm_space
-from .report import EstimateReport
+from .report import EstimateReport, write_csv
 from .weights import WeightSet
 
 DEGENERACY_FLOOR = 1e-12
@@ -246,11 +245,7 @@ def coefficient_lower_bound(gamma: np.ndarray, ws: WeightSet) -> tuple:
 
 def proposition_to_csv(report: PropositionReport, path):
     """One row per (part, term): part,term,value."""
-    from .report import fmt
-
-    lines = ["part,term,value"]
-    for part_name, rep in report.parts().items():
-        for term, value in rep.rows():
-            lines.append(f"{part_name},{term},{fmt(value)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ["part", "term", "value"],
+              ((part_name, term, value)
+               for part_name, rep in report.parts().items()
+               for term, value in rep.rows()))

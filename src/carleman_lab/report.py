@@ -63,27 +63,44 @@ class EstimateReport:
         return out
 
 
+def write_csv(path, header, rows):
+    """The one CSV writer: a header line, then one line per row.  Text
+    and integer cells are written as they are, every other cell through
+    fmt."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, (str, int)) else fmt(v)
+                              for v in row) + "\n")
+
+
 def report_to_csv(report: EstimateReport, path):
     """Single-row CSV: parameters first, then every named term."""
     keys = list(report.params)
     rows = report.rows()
     header = ["name"] + keys + [name for name, _ in rows]
-    values = [report.name] + [fmt(report.params[k]) if isinstance(report.params[k], float)
-                              else str(report.params[k]) for k in keys]
-    values += [fmt(v) for _, v in rows]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(",".join(values) + "\n")
+    values = [report.name] + [report.params[k] for k in keys]
+    write_csv(path, header, [values + [v for _, v in rows]])
 
 
-def reports_to_term_csv(reports, path, id_columns):
-    """Long-format CSV: one row per (report, term).
+def carleman_sweep_to_csv(records, path):
+    """Long format, one row per (test, s, lambda, term)."""
+    write_csv(path, ["test_id", "s", "lambda", "term_name", "value"],
+              ((test_id, s, lam, term, value)
+               for test_id, s, lam, rep in records
+               for term, value in rep.rows()))
 
-    id_columns maps column name to a function of the report.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(list(id_columns) + ["term_name", "value"]) + "\n")
-        for rep in reports:
-            prefix = [str(fn(rep)) for fn in id_columns.values()]
-            for term, value in rep.rows():
-                fh.write(",".join(prefix + [term, fmt(value)]) + "\n")
+
+def carleman_summary_to_csv(summary, path):
+    """summary maps (s, lambda) to the max ratio over the test suite."""
+    write_csv(path, ["s", "lambda", "max_ratio"],
+              ((s, lam, worst) for (s, lam), worst in summary.items()))
+
+
+def stability_to_csv(report, path):
+    """The weighted and the plain side of a stability.StabilityReport,
+    one row per (side, term)."""
+    write_csv(path, ["side", "term_name", "value"],
+              ((side.name, term, value)
+               for side in (report.weighted, report.plain)
+               for term, value in side.rows()))

@@ -28,15 +28,15 @@ import scipy.linalg
 from .forward import (
     CrankNicolsonStepper,
     HeatProblem,
-    SolverError,
     solve_heat,
     snapshot_package,
 )
 from .grid import (
+    FACE_STENCIL,
     Grid,
     GridError,
-    TimeGrid,
     discrete_gradient,
+    face_layers,
     normal_derivative,
     space_weights,
 )
@@ -48,12 +48,9 @@ from .observe import (
     weighted_norm_space,
 )
 from .poincare import build_transport_base, _require_nondegenerate
-from .report import EstimateReport
+from .report import EstimateReport, write_csv
 from .setups import ExperimentSetup, twin_solve
 from .weights import WeightSet
-
-_FACE_STENCIL = (3.0, -4.0, 1.0)  # one-sided derivative layers, over 2h
-
 
 # -- admissible set -------------------------------------------------------
 
@@ -140,12 +137,9 @@ def stability_sides(pair: CoefficientPair, setup: ExperimentSetup,
         "grad_coeff": weighted_norm_space(grad_gamma, ws, 1),
     }
 
-    rows = y.window_values(window)
-    traces = {
-        face: np.array([normal_derivative(rows[j], grid, face)
-                        for j in range(1, window.steps)])
-        for face in grid.gamma0_faces
-    }
+    rows = y.window_values(window)[1:-1]
+    traces = {face: normal_derivative(rows, grid, face)
+              for face in grid.gamma0_faces}
     u_snap = snapshot_package(u, grid, window, pair.c)
     weighted = EstimateReport(
         name="stability_weighted",
@@ -238,16 +232,14 @@ class InverseConfig:
     metric: str = "h1"      # descent metric; "l2" for the raw gradient
     memory: int = 25        # nonmonotone line-search reference; 1 = monotone
     grad_tol: float = 1e-10
-    sigma: float = 0.0
-    seed: int = 0
     c_min: float = 1e-3
 
     def validate(self, grid: Grid):
         prior = np.asarray(self.prior, dtype=float)
         if prior.shape != (grid.n_nodes,):
             raise GridError(f"prior shape {prior.shape}")
-        if self.alpha < 0.0 or self.sigma < 0.0:
-            raise GridError("alpha and sigma must be nonnegative")
+        if self.alpha < 0.0:
+            raise GridError("alpha must be nonnegative")
         if not (0.0 < self.shrink < 1.0 and 0.0 < self.armijo < 1.0):
             raise GridError("bad line-search parameters")
         if self.max_iters < 1 or self.grad_tol <= 0.0 or self.step0 <= 0.0:
@@ -338,21 +330,6 @@ def make_observations(setup: ExperimentSetup, c_true: np.ndarray,
     return obs
 
 
-def _face_layers(grid: Grid, face: str) -> np.ndarray:
-    """(3, face_nodes) flat indices of the face layer and the two inward
-    layers, matching the one-sided derivative stencil order."""
-    from .grid import _FACES
-
-    axis, side = _FACES[grid.dimension][face]
-    idx = np.arange(grid.n_nodes).reshape(grid.shape)
-    ia = np.moveaxis(idx, axis, 0)
-    if side:
-        layers = [ia[-1], ia[-2], ia[-3]]
-    else:
-        layers = [ia[0], ia[1], ia[2]]
-    return np.array([np.atleast_1d(np.asarray(l)).ravel() for l in layers])
-
-
 def _coefficient_accumulate(lmb_full: np.ndarray, s_full: np.ndarray,
                             grid: Grid, out: np.ndarray):
     """out_m += sum over lattice faces at m of
@@ -390,16 +367,13 @@ def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
 
     # flux residuals on the window interior rows, via the same centered
     # difference and face trace used to build the data
+    k = off + np.arange(1, window.steps)  # window interior rows
+    dt_rows = (fieldvals[k + 1] - fieldvals[k - 1]) * half
     residual = {}
     j_mis = 0.0
     for face in grid.gamma0_faces:
         wface = grid.face_axis_weights(face)
-        rows = np.empty_like(data.flux[face])
-        for j in range(1, window.steps):
-            k = off + j
-            dt_row = (fieldvals[k + 1] - fieldvals[k - 1]) * half
-            rows[j - 1] = normal_derivative(dt_row, grid, face)
-        rows -= data.flux[face]
+        rows = normal_derivative(dt_rows, grid, face) - data.flux[face]
         residual[face] = rows
         j_mis += 0.5 * dt * float(np.sum(rows**2 @ wface))
 
@@ -416,14 +390,12 @@ def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
     source = np.zeros((steps_total + 1, n_nodes))
     inv2h = 1.0 / (2.0 * grid.h)
     for face in grid.gamma0_faces:
-        wface = grid.face_axis_weights(face)
-        layers = _face_layers(grid, face)
-        for j in range(1, window.steps):
-            k = off + j
-            weighted = dt * wface * residual[face][j - 1]
-            for layer, coeff in zip(layers, _FACE_STENCIL):
-                np.add.at(source[k + 1], layer, coeff * inv2h * half * weighted)
-                np.add.at(source[k - 1], layer, -coeff * inv2h * half * weighted)
+        weighted = dt * grid.face_axis_weights(face) * residual[face]
+        # each (row, node) pair appears once per index set, and the +
+        # part lands before the - part, as in a per-row scatter
+        for layer, coeff in zip(face_layers(grid, face), FACE_STENCIL):
+            source[np.ix_(k + 1, layer)] += coeff * inv2h * half * weighted
+            source[np.ix_(k - 1, layer)] -= coeff * inv2h * half * weighted
     source[:, grid.boundary_mask] = 0.0  # boundary values carry data, not c
 
     # adjoint sweep: B lam_M = -G_M, B lam_k = E lam_{k+1} - G_k
@@ -453,13 +425,7 @@ class ReconstructionResult:
     message: str = ""
 
     def log_to_csv(self, path):
-        from .report import fmt
-
-        lines = ["iter,J,grad_norm,h1_error"]
-        for it, j, gn, err in self.log:
-            lines.append(f"{it},{fmt(j)},{fmt(gn)},{fmt(err)}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, ["iter", "J", "grad_norm", "h1_error"], self.log)
 
 
 def _project(c: np.ndarray, config: InverseConfig, grid: Grid) -> np.ndarray:
@@ -576,14 +542,5 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
 
 
 def sweep_to_csv(records, path):
-    from .report import fmt
-
-    lines = ["member,eps,lhs,rhs_weighted,rhs_plain,ratio"]
-    for rec in records:
-        lines.append(
-            f"{rec['member']},{fmt(rec['eps'])},{fmt(rec['lhs'])},"
-            f"{fmt(rec['rhs_weighted'])},{fmt(rec['rhs_plain'])},"
-            f"{fmt(rec['ratio'])}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = ["member", "eps", "lhs", "rhs_weighted", "rhs_plain", "ratio"]
+    write_csv(path, columns, ([rec[k] for k in columns] for rec in records))

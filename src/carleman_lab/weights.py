@@ -26,7 +26,7 @@ zero at every node for all interesting parameter choices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,14 +79,6 @@ class WeightSet:
     @property
     def phi(self) -> np.ndarray:
         return np.exp(self.log_phi)
-
-    @property
-    def phi_tprime(self) -> np.ndarray:
-        return np.exp(self.log_phi[self.tprime_row])
-
-    @property
-    def eta_tprime(self) -> np.ndarray:
-        return self.eta[self.tprime_row]
 
     @property
     def dt_eta(self) -> np.ndarray:

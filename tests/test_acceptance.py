@@ -229,7 +229,7 @@ def test_acceptance_7_inverse_solver():
             noisy = make_observations(inv, truth, sigma=sigma, seed=0)
             res = reconstruct(
                 noisy, inv,
-                InverseConfig(prior=prior, alpha=1e-8, sigma=sigma),
+                InverseConfig(prior=prior, alpha=1e-8),
                 truth=truth)
             errs.append(res.log[-1][3])
         for lo, hi in zip(errs, errs[1:]):

@@ -7,6 +7,7 @@ from carleman_lab.grid import (
     TimeGrid,
     boundary_quadrature,
     build_grid,
+    discrete_divergence,
     discrete_gradient,
     discrete_laplacian,
     divergence_flux,
@@ -235,3 +236,38 @@ def test_conservativity_summation_by_parts():
         errs.append(abs(vol - bnd))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.5
+
+
+def _conductivity(g):
+    return 1.0 + 0.4 * g.coords[:, 0] + 0.2 * g.coords[:, -1] ** 2
+
+
+STACK_STENCILS = {
+    "gradient": discrete_gradient,
+    "laplacian": discrete_laplacian,
+    "divergence_flux": lambda f, g: divergence_flux(_conductivity(g), f, g),
+    "divergence": lambda f, g: discrete_divergence(discrete_gradient(f, g), g),
+}
+STACK_CASES = [
+    (dim, name)
+    for dim, faces in ((1, ("left", "right")),
+                       (2, ("west", "east", "south", "north")))
+    for name in list(STACK_STENCILS) + [f"normal:{face}" for face in faces]
+]
+
+
+@pytest.mark.parametrize("dim,stencil", STACK_CASES)
+def test_stencil_on_time_stack_equals_stacked_rows(dim, stencil):
+    # one call on a (T, n_nodes) stack must give the per-row results,
+    # stacked, bit for bit
+    g = build_grid(dim, 7, ["right"] if dim == 1 else ["north", "east"])
+    if stencil.startswith("normal:"):
+        face = stencil.split(":")[1]
+        fn = lambda f, grid: normal_derivative(f, grid, face)
+    else:
+        fn = STACK_STENCILS[stencil]
+    stack = np.random.default_rng(dim).standard_normal((5, g.n_nodes))
+    batched = fn(stack, g)
+    rows = np.stack([fn(row, g) for row in stack])
+    assert batched.shape == rows.shape
+    np.testing.assert_array_equal(batched, rows)

@@ -291,7 +291,7 @@ def test_reconstruct_noise_monotone():
     for sigma in (1e-4, 1e-3, 1e-2):
         data = make_observations(inv, truth, sigma=sigma, seed=0)
         res = reconstruct(data, inv,
-                          InverseConfig(prior=prior, alpha=1e-8, sigma=sigma),
+                          InverseConfig(prior=prior, alpha=1e-8),
                           truth=truth)
         errs.append(res.log[-1][3])
     assert errs[1] >= 0.8 * errs[0]
