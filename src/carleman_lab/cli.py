@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -89,6 +90,13 @@ class RunContext:
         self.setup = ExperimentSetup(grid=base.grid, timegrid=base.timegrid,
                                      window=base.window, base=problem)
 
+    @functools.cached_property
+    def twin(self):
+        """The configured twin problem, solved on first use and shared by
+        the poincare, snapshot and energy pipelines (none writes into
+        it)."""
+        return twin_solve(self.setup, self.gamma)
+
     def weights(self, lam, s):
         return build_weights(self.setup.grid, self.setup.window, lam=lam,
                              s=s, m=self.cfg.m_weight, x0=self.cfg.x0)
@@ -148,7 +156,7 @@ def cmd_verify_carleman(ctx: RunContext):
 
 
 def cmd_verify_poincare(ctx: RunContext):
-    twin = twin_solve(ctx.setup, ctx.gamma)
+    twin = ctx.twin
     rep = proposition_sides(ctx.gamma, ctx.background, twin.q_tilde,
                             twin.u, twin.y, ctx.weights_ref())
     path = ctx.path("poincare.csv")
@@ -157,8 +165,7 @@ def cmd_verify_poincare(ctx: RunContext):
 
 
 def cmd_verify_snapshot(ctx: RunContext):
-    twin = twin_solve(ctx.setup, ctx.gamma)
-    rep = snapshot_bound_sides(twin.y, ctx.gamma,
+    rep = snapshot_bound_sides(ctx.twin.y, ctx.gamma,
                                ctx.background + ctx.gamma,
                                ctx.weights_energy())
     path = ctx.path("snapshot.csv")
@@ -167,7 +174,7 @@ def cmd_verify_snapshot(ctx: RunContext):
 
 
 def cmd_verify_energy(ctx: RunContext):
-    twin = twin_solve(ctx.setup, ctx.gamma)
+    twin = ctx.twin
     ws = ctx.weights_energy()
     c = ctx.background + ctx.gamma
     curve = energy(twin.y, c, ws)

@@ -136,6 +136,7 @@ class CrankNicolsonStepper:
     """
 
     def __init__(self, c: np.ndarray, grid: Grid, dt: float):
+        self.c = np.array(c, dtype=float)
         self.dt = dt
         self.A, self.Bbd, self.interior, self.boundary = flux_matrices(c, grid)
         n = self.A.shape[0]
@@ -173,10 +174,18 @@ def _drive_table(g: Callable[[float], np.ndarray],
     return table
 
 
-def solve_heat(problem: HeatProblem, grid: Grid, timegrid: TimeGrid) -> SpaceTimeField:
+def solve_heat(problem: HeatProblem, grid: Grid, timegrid: TimeGrid, *,
+               stepper: CrankNicolsonStepper | None = None) -> SpaceTimeField:
+    """CN solution on the whole time grid.  A caller that also needs the
+    factor (the reconstruction adjoint) may pass a stepper built for
+    problem.c and timegrid.dt; one built for another conductivity or
+    step raises GridError."""
     problem.validate(grid)
     c = np.asarray(problem.c, dtype=float)
-    stepper = CrankNicolsonStepper(c, grid, timegrid.dt)
+    if stepper is None:
+        stepper = CrankNicolsonStepper(c, grid, timegrid.dt)
+    elif stepper.dt != timegrid.dt or not np.array_equal(stepper.c, c):
+        raise GridError("stepper was built for another conductivity or step")
     interior, boundary = stepper.interior, stepper.boundary
     drive = _drive_table(problem.g, timegrid)[:, boundary]
     q0 = np.asarray(problem.q0, dtype=float)

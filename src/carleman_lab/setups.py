@@ -187,13 +187,16 @@ class TwinSolve:
 
 
 def twin_solve(setup: ExperimentSetup, gamma: np.ndarray,
-               c_tilde: np.ndarray | None = None) -> TwinSolve:
+               c_tilde: np.ndarray | None = None,
+               q_tilde: SpaceTimeField | None = None) -> TwinSolve:
     """Solves for ctilde and ctilde + gamma; ctilde defaults to the base
-    problem's conductivity."""
+    problem's conductivity.  A caller holding the ctilde solution already
+    passes it as q_tilde, and only the perturbed problem is solved."""
     if c_tilde is not None:
         setup = replace(setup, base=replace(setup.base, c=c_tilde))
     q = solve_heat(perturbed_problem(setup, gamma), setup.grid, setup.timegrid)
-    q_tilde = solve_heat(setup.base, setup.grid, setup.timegrid)
+    if q_tilde is None:
+        q_tilde = solve_heat(setup.base, setup.grid, setup.timegrid)
     u = SpaceTimeField(values=q.values - q_tilde.values, grid=setup.grid,
                        timegrid=setup.timegrid)
     return TwinSolve(gamma=np.asarray(gamma, dtype=float), q=q,

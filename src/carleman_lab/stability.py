@@ -28,6 +28,7 @@ import scipy.linalg
 from .forward import (
     CrankNicolsonStepper,
     HeatProblem,
+    SpaceTimeField,
     solve_heat,
     snapshot_package,
 )
@@ -124,9 +125,12 @@ class StabilityReport:
 
 
 def stability_sides(pair: CoefficientPair, setup: ExperimentSetup,
-                    ws: WeightSet) -> StabilityReport:
+                    ws: WeightSet,
+                    q_tilde: SpaceTimeField | None = None) -> StabilityReport:
+    """Both reports for one pair; q_tilde, when given, is the solution
+    for pair.c_tilde and is not solved again."""
     grid, window = setup.grid, setup.window
-    twin = twin_solve(setup, pair.gamma, pair.c_tilde)
+    twin = twin_solve(setup, pair.gamma, pair.c_tilde, q_tilde)
     q, q_tilde, u, y = twin.q, twin.q_tilde, twin.u, twin.y
     base = build_transport_base(q_tilde.at_time(window.t_mid), ws)
     _require_nondegenerate(base)
@@ -173,12 +177,14 @@ def stability_sweep(family, setup: ExperimentSetup, ws: WeightSet) -> tuple:
     observation distance, and per-shape slopes over amplitude scalings."""
     records = []
     excluded = []
+    # every member shares the base coefficient, so its field is solved once
+    q_tilde = solve_heat(setup.base, setup.grid, setup.timegrid)
     for label, eps, gamma in family:
         if eps == 0.0 or float(np.max(np.abs(gamma))) == 0.0:
             excluded.append(label)
             continue
         pair = make_pair(setup.c_tilde, gamma, setup.grid)
-        rep = stability_sides(pair, setup, ws)
+        rep = stability_sides(pair, setup, ws, q_tilde)
         records.append({
             "member": label,
             "eps": float(eps),
@@ -330,22 +336,29 @@ def make_observations(setup: ExperimentSetup, c_true: np.ndarray,
     return obs
 
 
-def _coefficient_accumulate(lmb_full: np.ndarray, s_full: np.ndarray,
-                            grid: Grid, out: np.ndarray):
-    """out_m += sum over lattice faces at m of
-    (lmb_p - lmb_q)(s_q - s_p) / (2 h^2); the transpose of the face-mean
-    flux assembly with respect to the coefficient."""
-    lg = grid.reshape(lmb_full)
-    sg = grid.reshape(s_full)
-    og = out.reshape(grid.shape)
+def _coefficient_accumulate(lmb: np.ndarray, s: np.ndarray,
+                            grid: Grid) -> np.ndarray:
+    """Sum over the rows of (T, n_nodes) stacks and over the lattice
+    faces at m of (lmb_p - lmb_q)(s_q - s_p) / (2 h^2); the transpose of
+    the face-mean flux assembly with respect to the coefficient.  The
+    terms are added one after another, last row first and within a row
+    axis by axis, lower node before upper node, so the sum is bitwise
+    that of the adjoint sweep accumulating row by row."""
+    lg = grid.reshape(lmb[::-1])
+    sg = grid.reshape(s[::-1])
+    dim = grid.dimension
+    # zero-padded terms: (row, axis, lower/upper node of the face, *shape)
+    terms = np.zeros((lmb.shape[0], dim, 2) + grid.shape)
     inv = 1.0 / (2.0 * grid.h**2)
-    for a in range(grid.dimension):
-        la = np.moveaxis(lg, a, 0)
-        sa = np.moveaxis(sg, a, 0)
-        oa = np.moveaxis(og, a, 0)
+    for a in range(dim):
+        la = np.moveaxis(lg, a + 1, 0)
+        sa = np.moveaxis(sg, a + 1, 0)
         val = (la[:-1] - la[1:]) * (sa[1:] - sa[:-1]) * inv
-        oa[:-1] += val
-        oa[1:] += val
+        np.moveaxis(terms[:, a, 0], a + 1, 0)[:-1] = val
+        np.moveaxis(terms[:, a, 1], a + 1, 0)[1:] = val
+    # add.reduce over the leading axis of a C-ordered stack adds its
+    # rows in sequence (no pairwise regrouping)
+    return np.add.reduce(terms.reshape(-1, grid.n_nodes), axis=0)
 
 
 def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
@@ -360,7 +373,10 @@ def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
 
     prob = HeatProblem(c=c_current, g=setup.base.g, q0=setup.base.q0,
                        r=setup.base.r)
-    fieldvals = solve_heat(prob, grid, tg).values
+    prob.validate(grid)  # before the factor, which would fail less clearly
+    # one factor of B = I - dt/2 A serves the forward solve and the adjoint
+    stepper = CrankNicolsonStepper(c_current, grid, tg.dt)
+    fieldvals = solve_heat(prob, grid, tg, stepper=stepper).values
     off = tg.index_of(window.t0)
     dt = window.dt
     half = 1.0 / (2.0 * tg.dt)
@@ -398,18 +414,17 @@ def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
             source[np.ix_(k - 1, layer)] -= coeff * inv2h * half * weighted
     source[:, grid.boundary_mask] = 0.0  # boundary values carry data, not c
 
-    # adjoint sweep: B lam_M = -G_M, B lam_k = E lam_{k+1} - G_k
-    stepper = CrankNicolsonStepper(c_current, grid, tg.dt)
+    # adjoint sweep: B lam_M = -G_M, B lam_k = E lam_{k+1} - G_k; row i
+    # of lam_rows pairs with the step from time i to i + 1
     lam = stepper.solve_B(-source[steps_total][interior])
-    grad_c = np.zeros(n_nodes)
-    lam_full = np.zeros(n_nodes)
+    lam_rows = np.zeros((steps_total, n_nodes))
     for i in range(steps_total - 1, -1, -1):
-        lam_full[interior] = lam
-        s_full = fieldvals[i] + fieldvals[i + 1]
-        _coefficient_accumulate(lam_full, s_full, grid, grad_c)
+        lam_rows[i, interior] = lam
         if i > 0:
             rhs = lam + 0.5 * tg.dt * (stepper.A @ lam) - source[i][interior]
             lam = stepper.solve_B(rhs)
+    grad_c = _coefficient_accumulate(lam_rows, fieldvals[:-1] + fieldvals[1:],
+                                     grid)
     grad_c *= -0.5 * tg.dt
     grad_c += config.alpha * _h1_apply(shift, grid)
     grad_c = admissible_projection(grad_c, grid)
@@ -445,8 +460,9 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
     cannot see), the trial step alternates the two Barzilai-Borwein
     formulas, and the Armijo test compares against the worst of the last
     `memory` objective values so the spectral steps are not truncated.
-    The logged error is that of the recovered perturbation
-    c_hat - prior, relative to truth - prior."""
+    Every trial point is evaluated together with its gradient, so an
+    accepted trial is never solved again.  The logged error is that of
+    the recovered perturbation c_hat - prior, relative to truth - prior."""
     grid = setup.grid
     config.validate(grid)
     prior = np.asarray(config.prior, dtype=float)
@@ -492,8 +508,8 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
         while t > 1e-16:
             trial = _project(c - t * desc, config, grid)
             decrease = float(grad @ (c - trial))
-            j_trial, _ = misfit_and_gradient(trial, data, setup, config,
-                                             need_gradient=False)
+            j_trial, grad_trial = misfit_and_gradient(trial, data, setup,
+                                                      config)
             if j_trial <= reference - config.armijo * decrease:
                 accepted = True
                 break
@@ -511,8 +527,8 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
         c_prev, grad_prev = c, grad
         c = trial
         j_val = j_trial
+        grad = grad_trial
         history.append(j_val)
-        _, grad = misfit_and_gradient(c, data, setup, config)
         step = t * config.growth
         if config.step_rule == "bb":
             # alternate BB1 and BB2, both taken in the descent metric

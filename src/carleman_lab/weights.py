@@ -77,10 +77,6 @@ class WeightSet:
         return np.exp(self.log_weight(k)[self.tprime_row])
 
     @property
-    def phi(self) -> np.ndarray:
-        return np.exp(self.log_phi)
-
-    @property
     def dt_eta(self) -> np.ndarray:
         """Closed-form time derivative of eta; exactly zero on the T' row."""
         return -self.eta * (self.w_prime / self.w)[:, None]

@@ -7,7 +7,15 @@ import re
 import numpy as np
 import pytest
 
-from carleman_lab.cli import main, run
+from carleman_lab import setups
+from carleman_lab.cli import (
+    RunContext,
+    cmd_verify_energy,
+    cmd_verify_poincare,
+    cmd_verify_snapshot,
+    main,
+    run,
+)
 from carleman_lab.config import (
     ConfigError,
     evaluate_field,
@@ -156,6 +164,21 @@ def test_verify_snapshot_single_row(tmp_path):
     header = lines[0].split(",")
     assert header[0] == "name"
     assert "ratio" in header
+
+
+def test_twin_pipelines_share_one_twin_solve(tmp_path, monkeypatch):
+    calls = []
+    original = setups.solve_heat
+
+    def recording(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(setups, "solve_heat", recording)
+    ctx = RunContext(load_config(None), str(tmp_path), False, 1)
+    for cmd in (cmd_verify_poincare, cmd_verify_snapshot, cmd_verify_energy):
+        cmd(ctx)
+    assert len(calls) == 2       # the perturbed and the base problem
 
 
 def test_sweep_stability_with_plot(tmp_path):

@@ -8,6 +8,7 @@ from carleman_lab.grid import (
     divergence_flux,
 )
 from carleman_lab.forward import (
+    CrankNicolsonStepper,
     HeatProblem,
     SpaceTimeField,
     dump_field_csv,
@@ -171,6 +172,22 @@ def test_twin_solves_identical_coefficient():
     q1 = solve_heat(prob, g, tg)
     q2 = solve_heat(prob, g, tg)
     assert np.max(np.abs(q1.values - q2.values)) < 1e-12
+
+
+def test_solve_heat_uses_a_matching_stepper_and_rejects_others():
+    g = build_grid(1, 16, ["right"])
+    tg = TimeGrid(0.0, 2.0, 32)
+    c = 1.0 + 0.5 * g.coords[:, 0] ** 2
+    prob = HeatProblem(c=c, g=lambda t: 1.0 + 0.1 * t * np.ones(g.n_nodes),
+                       q0=np.ones(g.n_nodes), r=1.0)
+    own = solve_heat(prob, g, tg).values
+    shared = CrankNicolsonStepper(c, g, tg.dt)
+    np.testing.assert_array_equal(
+        solve_heat(prob, g, tg, stepper=shared).values, own)
+    for other in (CrankNicolsonStepper(c + 1e-9, g, tg.dt),
+                  CrankNicolsonStepper(c, g, 0.5 * tg.dt)):
+        with pytest.raises(GridError, match="stepper"):
+            solve_heat(prob, g, tg, stepper=other)
 
 
 def test_flux_matrices_match_operator():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from carleman_lab import forward, setups, stability
 from carleman_lab.forward import CrankNicolsonStepper
 from carleman_lab.grid import GridError
 from carleman_lab.setups import (
@@ -14,6 +15,7 @@ from carleman_lab.setups import (
 )
 from carleman_lab.stability import (
     InverseConfig,
+    _coefficient_accumulate,
     _h1_gram,
     admissible_mask,
     admissible_projection,
@@ -161,6 +163,24 @@ def test_stability_sweep_excludes_zero_member():
     assert summary["excluded"] == ["zero"]
 
 
+def test_stability_sweep_solves_base_field_once(monkeypatch):
+    solved = []
+    original = stability.solve_heat
+
+    def recording(problem, *args, **kwargs):
+        solved.append(np.asarray(problem.c, dtype=float).copy())
+        return original(problem, *args, **kwargs)
+
+    monkeypatch.setattr(stability, "solve_heat", recording)
+    monkeypatch.setattr(setups, "solve_heat", recording)
+    setup = default_setup(dimension=1, n=32)
+    fam = perturbation_family(setup.grid)[:3]
+    records, _ = stability_sweep(fam, setup, default_weights(setup))
+    assert len(records) == 3
+    assert len(solved) == len(records) + 1
+    assert sum(np.array_equal(c, setup.c_tilde) for c in solved) == 1
+
+
 def test_sweep_to_csv(tmp_path):
     setup = default_setup(dimension=1, n=32)
     ws = default_weights(setup)
@@ -193,6 +213,67 @@ def test_one_step_adjoint_identity(dimension):
         by = st.solve_B(yv)
         rhs = float(xv @ (by + 0.5 * dt * (st.A @ by)))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_coefficient_accumulate_matches_row_by_row_sweep(dimension):
+    # reference: the sum taken row by row, last time row first, as the
+    # adjoint recursion visits the rows; the batched sum must match it
+    # bit for bit
+    grid = default_setup(dimension=dimension, n=32 if dimension == 1 else 16,
+                         steps=64).grid
+    rng = np.random.default_rng(8)
+    lam = rng.standard_normal((64, grid.n_nodes))
+    s = rng.standard_normal((64, grid.n_nodes))
+    inv = 1.0 / (2.0 * grid.h**2)
+
+    def row_by_row(rows):
+        out = np.zeros(grid.n_nodes)
+        og = out.reshape(grid.shape)
+        for i in rows:
+            lg, sg = grid.reshape(lam[i]), grid.reshape(s[i])
+            for a in range(dimension):
+                la, sa, oa = (np.moveaxis(v, a, 0) for v in (lg, sg, og))
+                val = (la[:-1] - la[1:]) * (sa[1:] - sa[:-1]) * inv
+                oa[:-1] += val
+                oa[1:] += val
+        return out
+
+    batched = _coefficient_accumulate(lam, s, grid)
+    np.testing.assert_array_equal(batched, row_by_row(range(63, -1, -1)))
+    # the order is pinned: summing first row first changes the bits
+    assert not np.array_equal(batched, row_by_row(range(64)))
+
+
+def test_reconstruct_evaluates_each_point_once_with_one_factor(monkeypatch):
+    inv = inversion_setup(dimension=1, n=32)
+    truth = bump_truth(inv.grid)
+    data = make_observations(inv, truth)
+    built = []
+
+    class CountingStepper(CrankNicolsonStepper):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    points, factors = [], []
+    original = stability.misfit_and_gradient
+
+    def recording(c, *args, **kwargs):
+        points.append(np.asarray(c, dtype=float).tobytes())
+        before = len(built)
+        out = original(c, *args, **kwargs)
+        factors.append(len(built) - before)
+        return out
+
+    monkeypatch.setattr(forward, "CrankNicolsonStepper", CountingStepper)
+    monkeypatch.setattr(stability, "CrankNicolsonStepper", CountingStepper)
+    monkeypatch.setattr(stability, "misfit_and_gradient", recording)
+    cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes), max_iters=5)
+    res = reconstruct(data, inv, cfg, truth=truth)
+    assert res.iterations == 5
+    assert factors == [1] * len(points)
+    assert len(set(points)) == len(points)
 
 
 def test_misfit_zero_at_truth():
