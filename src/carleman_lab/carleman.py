@@ -144,10 +144,9 @@ def make_test_suite(grid: Grid, window: TimeGrid, count: int = 20,
 
 
 def carleman_sweep(c: np.ndarray, suite: list, s_list, lam_list, grid: Grid,
-                   window: TimeGrid, m_weight: float, x0,
-                   m2_sign: float = 1.0) -> tuple:
-    """One report per (test, s, lam); summary maps (s, lam) to the max
-    ratio over the suite."""
+                   window: TimeGrid, m_weight: float, x0) -> tuple:
+    """One report per (test, s, lam) with the default M2 sign; summary
+    maps (s, lam) to the max ratio over the suite."""
     from .weights import build_weights
 
     if not suite or not list(s_list) or not list(lam_list):
@@ -159,7 +158,7 @@ def carleman_sweep(c: np.ndarray, suite: list, s_list, lam_list, grid: Grid,
             ws = build_weights(grid, window, lam=lam, s=s, m=m_weight, x0=x0)
             worst = 0.0
             for test_id, q_values in suite:
-                rep = carleman_sides(q_values, c, ws, m2_sign=m2_sign)
+                rep = carleman_sides(q_values, c, ws)
                 records.append((test_id, float(s), float(lam), rep))
                 worst = max(worst, rep.ratio)
             summary[(float(s), float(lam))] = worst

@@ -63,11 +63,12 @@ class ExperimentConfig:
     base_dir: str = "."   # directory CSV field paths resolve against
 
     def validate(self) -> "ExperimentConfig":
-        if self.dimension not in (1, 2):
-            raise ConfigError(f"dimension must be 1 or 2, got {self.dimension}")
-        if not (isinstance(self.n, int) and self.n >= 4):
+        if not (_is_int(self.dimension) and self.dimension in (1, 2)):
+            raise ConfigError(
+                f"dimension must be 1 or 2, got {self.dimension!r}")
+        if not (_is_int(self.n) and self.n >= 4):
             raise ConfigError(f"n must be an integer >= 4, got {self.n!r}")
-        if not isinstance(self.steps, int):
+        if not _is_int(self.steps):
             raise ConfigError(f"steps must be an integer, got {self.steps!r}")
         for name in ("lambdas", "s_values"):
             vals = getattr(self, name)
@@ -81,9 +82,14 @@ class ExperimentConfig:
                 f"{self.dimension}")
         if self.sigma < 0.0:
             raise ConfigError("sigma must be nonnegative")
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         return self
+
+
+def _is_int(raw) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(raw, int) and not isinstance(raw, bool)
 
 
 def _number(raw, key) -> float:

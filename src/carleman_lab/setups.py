@@ -55,10 +55,8 @@ def base_initial_state(grid: Grid) -> np.ndarray:
 
 
 def default_setup(dimension: int = 1, n: int = 32, t0: float = 0.5,
-                  t_end: float = 2.0, steps: int = 128,
-                  gamma0_faces=None) -> ExperimentSetup:
-    if gamma0_faces is None:
-        gamma0_faces = ("right",) if dimension == 1 else ("north", "east")
+                  t_end: float = 2.0, steps: int = 128) -> ExperimentSetup:
+    gamma0_faces = ("right",) if dimension == 1 else ("north", "east")
     grid = build_grid(dimension, n, gamma0_faces)
     timegrid = TimeGrid(0.0, t_end, steps)
     window, _ = timegrid.window(t0)
@@ -108,13 +106,12 @@ def probing_boundary_data(grid: Grid):
     return g
 
 
-def inversion_setup(dimension: int = 1, n: int = 32, t0: float = 0.0625,
-                    t_end: float = 2.0, steps: int = 128,
-                    gamma0_faces=None) -> ExperimentSetup:
+def inversion_setup(dimension: int = 1, n: int = 32) -> ExperimentSetup:
     """Like default_setup but driven by the probing boundary data and
     observed over a window that opens early enough to catch the
-    transient; use this for reconstruction experiments."""
-    setup = default_setup(dimension, n, t0, t_end, steps, gamma0_faces)
+    transient (t0 = 1/16 on (0, 2) with 128 steps); use this for
+    reconstruction experiments."""
+    setup = default_setup(dimension, n, t0=0.0625, t_end=2.0, steps=128)
     base = HeatProblem(
         c=setup.base.c,
         g=probing_boundary_data(setup.grid),
@@ -150,16 +147,13 @@ def bump_shape(grid: Grid, k: int = 0) -> np.ndarray:
     return out / peak
 
 
-def perturbation_family(grid: Grid, shapes=(0, 1, 2),
-                        amplitudes=None) -> list:
-    """Named (label, eps, field) perturbations spanning shapes and
-    amplitudes; eps is the sup norm of the member."""
-    if amplitudes is None:
-        amplitudes = np.logspace(-3.0, -1.0, 4)
+def perturbation_family(grid: Grid) -> list:
+    """Named (label, eps, field) perturbations: bump shapes k = 0, 1, 2
+    at four sup norms eps from 1e-3 to 1e-1, evenly spaced in log."""
     fam = []
-    for k in shapes:
+    for k in (0, 1, 2):
         base = bump_shape(grid, k)
-        for eps in amplitudes:
+        for eps in np.logspace(-3.0, -1.0, 4):
             fam.append((f"shape{k}_eps{eps:.0e}", float(eps), eps * base))
     return fam
 

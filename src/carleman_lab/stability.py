@@ -55,6 +55,8 @@ from .weights import WeightSet
 
 # -- admissible set -------------------------------------------------------
 
+C_MIN = 1e-3  # positivity floor of every coefficient pair, prior and iterate
+
 
 def admissible_mask(grid: Grid) -> np.ndarray:
     """Interior nodes whose perturbations keep the coefficient boundary
@@ -89,16 +91,16 @@ class CoefficientPair:
     gamma: np.ndarray
 
 
-def make_pair(c_tilde: np.ndarray, gamma: np.ndarray, grid: Grid,
-              c_min: float = 1e-3) -> CoefficientPair:
+def make_pair(c_tilde: np.ndarray, gamma: np.ndarray,
+              grid: Grid) -> CoefficientPair:
     """Projects the difference onto the admissible set, then validates
-    positivity of both coefficients."""
+    that both coefficients stay above C_MIN."""
     c_tilde = np.asarray(c_tilde, dtype=float)
     if c_tilde.shape != (grid.n_nodes,):
         raise GridError(f"coefficient shape {c_tilde.shape}")
     gamma = admissible_projection(gamma, grid)
     c = c_tilde + gamma
-    if np.any(c_tilde < c_min) or np.any(c < c_min):
+    if np.any(c_tilde < C_MIN) or np.any(c < C_MIN):
         raise GridError("coefficient pair dips below the positivity floor")
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(c_tilde))):
         raise GridError("non-finite coefficient")
@@ -223,22 +225,24 @@ def stability_sweep(family, setup: ExperimentSetup, ws: WeightSet) -> tuple:
 # -- misfit, adjoint gradient, reconstruction -----------------------------
 
 
+# fixed controls of the descent in reconstruct
+ARMIJO = 1e-4      # sufficient-decrease fraction of the Armijo test
+SHRINK = 0.5       # backtracking factor of a rejected trial step
+GROWTH = 2.0       # trial-step growth when the BB quotients are unusable
+STEP0 = 1.0        # first trial step
+MEMORY = 25        # the Armijo reference is the worst of this many J values
+GRAD_TOL = 1e-10   # gradient-norm stop
+
+
 @dataclass
 class InverseConfig:
-    """Tuning knobs of the output-least-squares solve."""
+    """The prior and Tikhonov weight alpha of J, and the iteration
+    budget.  The descent's controls are the constants ARMIJO, SHRINK,
+    GROWTH, STEP0, MEMORY and GRAD_TOL; C_MIN floors every iterate."""
 
     prior: np.ndarray
     alpha: float = 1e-8
     max_iters: int = 200
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    growth: float = 2.0
-    step0: float = 1.0
-    step_rule: str = "bb"   # spectral trial step; "double" for plain growth
-    metric: str = "h1"      # descent metric; "l2" for the raw gradient
-    memory: int = 25        # nonmonotone line-search reference; 1 = monotone
-    grad_tol: float = 1e-10
-    c_min: float = 1e-3
 
     def validate(self, grid: Grid):
         prior = np.asarray(self.prior, dtype=float)
@@ -246,17 +250,9 @@ class InverseConfig:
             raise GridError(f"prior shape {prior.shape}")
         if self.alpha < 0.0:
             raise GridError("alpha must be nonnegative")
-        if not (0.0 < self.shrink < 1.0 and 0.0 < self.armijo < 1.0):
-            raise GridError("bad line-search parameters")
-        if self.max_iters < 1 or self.grad_tol <= 0.0 or self.step0 <= 0.0:
-            raise GridError("bad iteration controls")
-        if self.step_rule not in ("bb", "double"):
-            raise GridError(f"unknown step rule {self.step_rule!r}")
-        if self.metric not in ("h1", "l2"):
-            raise GridError(f"unknown descent metric {self.metric!r}")
-        if self.memory < 1:
-            raise GridError("nonmonotone memory must be at least 1")
-        if np.any(prior < self.c_min):
+        if self.max_iters < 1:
+            raise GridError("max_iters must be at least 1")
+        if np.any(prior < C_MIN):
             raise GridError("prior dips below the positivity floor")
 
 
@@ -290,7 +286,7 @@ def _h1_apply(v: np.ndarray, grid: Grid) -> np.ndarray:
 
 def _h1_gram(grid: Grid, idx: np.ndarray) -> np.ndarray:
     """Dense H1 Gram matrix restricted to the nodes in idx; the
-    preconditioner of the "h1" descent metric."""
+    preconditioner of the descent metric."""
     pos = -np.ones(grid.n_nodes, dtype=int)
     pos[idx] = np.arange(idx.size)
     gram = np.diag(space_weights(grid)[idx])
@@ -362,13 +358,12 @@ def _coefficient_accumulate(lmb: np.ndarray, s: np.ndarray,
 
 
 def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
-                        setup: ExperimentSetup, config: InverseConfig,
-                        need_gradient: bool = True):
-    """J and its exact discrete gradient (None when not requested)."""
+                        setup: ExperimentSetup, config: InverseConfig):
+    """J and its exact discrete gradient."""
     grid, tg, window = setup.grid, setup.timegrid, setup.window
     config.validate(grid)
     c_current = np.asarray(c_current, dtype=float)
-    if np.any(c_current < config.c_min):
+    if np.any(c_current < C_MIN):
         raise GridError("coefficient below the positivity floor")
 
     prob = HeatProblem(c=c_current, g=setup.base.g, q0=setup.base.q0,
@@ -395,8 +390,6 @@ def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
 
     shift = c_current - config.prior
     j_total = j_mis + 0.5 * config.alpha * h1_norm_sq(shift, grid)
-    if not need_gradient:
-        return j_total, None
 
     # source term of the adjoint: scatter the weighted residuals through
     # the trace stencil and the centered time difference
@@ -446,7 +439,7 @@ class ReconstructionResult:
 def _project(c: np.ndarray, config: InverseConfig, grid: Grid) -> np.ndarray:
     prior = np.asarray(config.prior, dtype=float)
     shifted = prior + admissible_projection(c - prior, grid)
-    return np.maximum(shifted, config.c_min)
+    return np.maximum(shifted, C_MIN)
 
 
 def reconstruct(data: ObservationSet, setup: ExperimentSetup,
@@ -458,29 +451,29 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
     direction is the H1 Riesz representative of the gradient (raw
     gradient flow dumps near-boundary roughness into modes the data
     cannot see), the trial step alternates the two Barzilai-Borwein
-    formulas, and the Armijo test compares against the worst of the last
-    `memory` objective values so the spectral steps are not truncated.
-    Every trial point is evaluated together with its gradient, so an
-    accepted trial is never solved again.  The logged error is that of
-    the recovered perturbation c_hat - prior, relative to truth - prior."""
+    formulas (else GROWTH times the accepted step; STEP0 at first), and
+    the Armijo test (fraction ARMIJO, backtracking by SHRINK) compares
+    against the worst of the last MEMORY objective values so the
+    spectral steps are not truncated.  It stops at gradient norm
+    GRAD_TOL, on a failed line search, after 10 accepted steps without
+    decrease, or after config.max_iters iterations.  Every trial point
+    is evaluated together with its gradient, so an accepted trial is
+    never solved again.  The logged error is that of the recovered
+    perturbation c_hat - prior, relative to truth - prior."""
     grid = setup.grid
     config.validate(grid)
     prior = np.asarray(config.prior, dtype=float)
     c = _project(prior.copy(), config, grid)
     j_val, grad = misfit_and_gradient(c, data, setup, config)
-    step = config.step0
+    step = STEP0
     result = ReconstructionResult(c_hat=c)
     flat_run = 0
 
     idx = np.flatnonzero(admissible_mask(grid))
-    gram = chol = None
-    if config.metric == "h1":
-        gram = _h1_gram(grid, idx)
-        chol = scipy.linalg.cho_factor(gram.copy())
+    gram = _h1_gram(grid, idx)
+    chol = scipy.linalg.cho_factor(gram.copy())
 
     def direction(g):
-        if chol is None:
-            return g
         d = np.zeros_like(g)
         d[idx] = scipy.linalg.cho_solve(chol, g[idx])
         return d
@@ -497,12 +490,12 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
     result.log.append((0, j_val, gnorm, h1_err(c)))
     history = [j_val]
     for it in range(1, config.max_iters + 1):
-        if gnorm <= config.grad_tol:
+        if gnorm <= GRAD_TOL:
             result.converged = True
             result.message = "gradient tolerance reached"
             break
         desc = direction(grad)
-        reference = max(history[-config.memory:])
+        reference = max(history[-MEMORY:])
         accepted = False
         t = step
         while t > 1e-16:
@@ -510,10 +503,10 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
             decrease = float(grad @ (c - trial))
             j_trial, grad_trial = misfit_and_gradient(trial, data, setup,
                                                       config)
-            if j_trial <= reference - config.armijo * decrease:
+            if j_trial <= reference - ARMIJO * decrease:
                 accepted = True
                 break
-            t *= config.shrink
+            t *= SHRINK
         if not accepted:
             result.message = "line search failed"
             break
@@ -529,25 +522,19 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
         j_val = j_trial
         grad = grad_trial
         history.append(j_val)
-        step = t * config.growth
-        if config.step_rule == "bb":
-            # alternate BB1 and BB2, both taken in the descent metric
-            s_vec = c - c_prev
-            y_vec = grad - grad_prev
-            sy = float(s_vec @ y_vec)
-            if sy > 0.0:
-                if it % 2 == 1:
-                    if gram is None:
-                        num = float(s_vec @ s_vec)
-                    else:
-                        sa = s_vec[idx]
-                        num = float(sa @ (gram @ sa))
-                    step = min(num / sy, 1e12)
-                else:
-                    yd = direction(y_vec)
-                    yy = float(y_vec @ yd)
-                    if yy > 0.0:
-                        step = min(sy / yy, 1e12)
+        step = t * GROWTH
+        # alternate BB1 and BB2, both taken in the H1 metric
+        s_vec = c - c_prev
+        y_vec = grad - grad_prev
+        sy = float(s_vec @ y_vec)
+        if sy > 0.0:
+            if it % 2 == 1:
+                sa = s_vec[idx]
+                step = min(float(sa @ (gram @ sa)) / sy, 1e12)
+            else:
+                yy = float(y_vec @ direction(y_vec))
+                if yy > 0.0:
+                    step = min(sy / yy, 1e12)
         gnorm = float(np.linalg.norm(grad))
         result.iterations = it
         result.log.append((it, j_val, gnorm, h1_err(c)))

@@ -17,8 +17,9 @@ Two evaluation rules keep this representable in float64:
     exponentiated once;
   * exp(-2 s eta) is always used in the normalized form
     exp(-2 s (eta - eta_ref)) with eta_ref = min tabulated eta.  Ratios
-    of two integrals carrying the same weight are unchanged; reports
-    record eta_ref so absolute scales remain reconstructible on paper.
+    of two integrals carrying the same weight are unchanged.  Report
+    params carry eta_ref so absolute scales remain reconstructible, but
+    of the CSV files only the snapshot report writes it out.
 
 Without the normalization the raw factor exp(-2 s eta) underflows to
 zero at every node for all interesting parameter choices.

@@ -213,10 +213,8 @@ def test_acceptance_7_inverse_solver():
             d = admissible_projection(rng.standard_normal(inv.grid.n_nodes),
                                       inv.grid)
             d /= np.linalg.norm(d)
-            jp, _ = misfit_and_gradient(c0 + tau * d, data, inv, icfg,
-                                        need_gradient=False)
-            jm, _ = misfit_and_gradient(c0 - tau * d, data, inv, icfg,
-                                        need_gradient=False)
+            jp, _ = misfit_and_gradient(c0 + tau * d, data, inv, icfg)
+            jm, _ = misfit_and_gradient(c0 - tau * d, data, inv, icfg)
             fd = (jp - jm) / (2.0 * tau)
             assert abs(fd - float(grad @ d)) <= 1e-5 * abs(fd)
 

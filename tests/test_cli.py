@@ -64,6 +64,10 @@ def test_config_rejects_unknown_keys(tmp_path):
     ({"seed": 1.5}, "seed"),
     ({"gamma": {"kind": "cube"}}, "cube"),
     ({"gamma": {"kind": "sin"}}, "sin"),
+    ({"dimension": True}, "dimension"),
+    ({"dimension": 1.0}, "dimension"),
+    ({"steps": True}, "steps"),
+    ({"seed": True}, "seed"),
 ])
 def test_config_rejects_bad_values(tmp_path, overrides, needle):
     with pytest.raises(ConfigError, match=needle):
