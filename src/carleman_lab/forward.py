@@ -1,8 +1,10 @@
 """Crank-Nicolson solver for d_t q = div(c(x) grad q) with Dirichlet data.
 
 The semidiscrete operator is the flux-form stencil from the grid module,
-assembled once as sparse matrices split into interior and boundary
-columns.  Each step solves the symmetric positive definite system
+split into interior and boundary columns.  Its sparse structure depends
+only on the grid, so it is worked out once per (dimension, n) as a
+read-only pattern, and each conductivity fills in only the values.
+Each step solves the symmetric positive definite system
 (I - dt/2 A) v = rhs with one banded Cholesky factor per stepper: the
 interior nodes are numbered row-major, so the band is tridiagonal in 1D
 and n - 1 wide in 2D.  The boundary drive is tabulated once per (drive,
@@ -17,11 +19,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+# the kernels behind scipy's CSR @ vector and @ matrix; private, so
+# tests/test_forward.py::test_stepper_kernel_matvec_is_bitwise_a_matvec
+# guards the import and the bits on every supported scipy
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .grid import Grid, GridError, TimeGrid, divergence_flux
 from .report import write_csv
@@ -29,6 +36,10 @@ from .report import write_csv
 
 class SolverError(RuntimeError):
     """Linear-solver stall or non-finite state during time stepping."""
+
+
+_pbtrf, _pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"),
+                                               dtype=np.float64)
 
 
 @dataclass
@@ -88,6 +99,111 @@ class SpaceTimeField:
         return self.values[off : off + window.steps + 1]
 
 
+@functools.lru_cache(maxsize=16)
+def _flux_pattern(dimension: int, n: int) -> SimpleNamespace:
+    """Structure of the flux-form operator on a (dimension, n) grid,
+    shared read-only by every conductivity on it.
+
+    Faces are numbered axis by axis, lo[f] and hi[f] being the lower
+    and upper node of face f.  The COO assembly lists, per axis,
+    (lo, hi, c_f), (lo, lo, -c_f), (hi, lo, c_f), (hi, hi, -c_f), and
+    coo -> csr sorts that stably by (row, col) and sums each run of
+    duplicates in sequence.  Fields: interior, boundary; lo, hi;
+    diag_faces, the (2 dim, n_interior) faces whose -c_f sum to each
+    diagonal entry, in that sequence (axis by axis, the face where the
+    node is lower first); a_indptr, a_indices and a_gather (into the
+    face values followed by the diagonal) of A_int; b_indptr, b_indices
+    and b_faces of B_bd; band_shape, band_rows, band_cols, band_entries
+    (positions in A_int's data) and band_eye (I's entries there) of the
+    upper band storage of B = I - dt/2 A_int."""
+    shape = (n + 1,) * dimension
+    idx = np.arange((n + 1) ** dimension).reshape(shape)
+    ijk = np.indices(shape)
+    inside = np.all((ijk > 0) & (ijk < n), axis=0).ravel()
+    lo, hi, rows, cols, faces = [], [], [], [], []
+    for a in range(dimension):
+        ia = np.moveaxis(idx, a, 0)
+        i0, i1 = ia[:-1].ravel(), ia[1:].ravel()
+        f = a * i0.size + np.arange(i0.size)  # every axis has n (n+1)^(d-1)
+        lo.append(i0)
+        hi.append(i1)
+        rows.extend([i0, i0, i1, i1])
+        cols.extend([i1, i0, i0, i1])
+        faces.extend([f] * 4)
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    rows, cols, faces = (np.concatenate(x) for x in (rows, cols, faces))
+    order = np.lexsort((cols, rows))
+    order = order[inside[rows[order]]]  # interior rows only
+    rows, cols, faces = rows[order], cols[order], faces[order]
+    on_diag = rows == cols
+    diag_faces = faces[on_diag].reshape(-1, 2 * dimension).T.copy()
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    rows, cols, faces, on_diag = (x[first] for x in (rows, cols, faces,
+                                                      on_diag))
+    interior, boundary = np.flatnonzero(inside), np.flatnonzero(~inside)
+    number = np.empty(idx.size, dtype=np.int32)
+    number[interior] = np.arange(interior.size)
+    number[boundary] = np.arange(boundary.size)
+    ri, ci = number[rows], number[cols]
+
+    def indptr(in_block):
+        counts = np.bincount(ri[in_block], minlength=interior.size)
+        return np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+
+    in_a = inside[cols]
+    a_rows, a_cols = ri[in_a], ci[in_a]
+    upper = np.flatnonzero(a_cols >= a_rows)
+    u = int(np.max(a_cols[upper] - a_rows[upper]))
+    pattern = SimpleNamespace(
+        interior=interior, boundary=boundary, lo=lo, hi=hi,
+        diag_faces=diag_faces, a_indptr=indptr(in_a), a_indices=a_cols,
+        a_gather=np.where(on_diag[in_a], lo.size + a_rows, faces[in_a]),
+        b_indptr=indptr(~in_a), b_indices=ci[~in_a], b_faces=faces[~in_a],
+        band_shape=(u + 1, interior.size),
+        band_rows=u + a_rows[upper] - a_cols[upper],
+        band_cols=a_cols[upper], band_entries=upper,
+        band_eye=on_diag[in_a][upper].astype(float),
+    )
+    for value in vars(pattern).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return pattern
+
+
+def _flux_values(c: np.ndarray, grid: Grid):
+    """The pattern of grid and the CSR values of A_int and B_bd for c:
+    face means c_f / h^2 off the diagonal, the negated face values at
+    each node summed in coo -> csr's order on it."""
+    pattern = _flux_pattern(grid.dimension, grid.n)
+    cf = (0.5 * (c[pattern.lo] + c[pattern.hi])) * (1.0 / grid.h**2)
+    neg = -cf
+    diag = neg[pattern.diag_faces[0]]
+    for faces in pattern.diag_faces[1:]:
+        diag += neg[faces]
+    a_data = np.concatenate((cf, diag))[pattern.a_gather]
+    return pattern, a_data, cf[pattern.b_faces]
+
+
+def _upper_band(pattern: SimpleNamespace, a_data: np.ndarray,
+                dt: float) -> np.ndarray:
+    """ab[u + i - j, j] = B[i, j] for i <= j, B = I - dt/2 A_int formed
+    entry by entry as scipy's I - (dt/2) A does; Fortran-ordered, so
+    pbtrf factors it in place."""
+    ab = np.zeros(pattern.band_shape, order="F")
+    ab[pattern.band_rows, pattern.band_cols] = (
+        pattern.band_eye - 0.5 * dt * a_data[pattern.band_entries])
+    return ab
+
+
+def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+         n_cols: int) -> scipy.sparse.csr_matrix:
+    # the copies leave the caller a matrix it may modify without
+    # touching the shared pattern
+    return scipy.sparse.csr_matrix((data, indices.copy(), indptr.copy()),
+                                   shape=(indptr.size - 1, n_cols))
+
+
 def flux_matrices(c: np.ndarray, grid: Grid):
     """Sparse interior rows of the flux-form operator.
 
@@ -99,67 +215,70 @@ def flux_matrices(c: np.ndarray, grid: Grid):
 
     up to round-off (interior rows share the face-mean formula exactly).
     """
-    c = np.asarray(c, dtype=float)
-    cg = grid.reshape(c)
-    idx = np.arange(grid.n_nodes).reshape(grid.shape)
-    rows, cols, vals = [], [], []
-    inv_h2 = 1.0 / grid.h**2
-    for a in range(grid.dimension):
-        ia = np.moveaxis(idx, a, 0)
-        ca = np.moveaxis(cg, a, 0)
-        i0 = ia[:-1].ravel()
-        i1 = ia[1:].ravel()
-        cf = (0.5 * (ca[:-1] + ca[1:])).ravel() * inv_h2
-        rows.extend([i0, i0, i1, i1])
-        cols.extend([i1, i0, i0, i1])
-        vals.extend([cf, -cf, cf, -cf])
-    A = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.n_nodes, grid.n_nodes),
-    ).tocsr()
-    interior = np.flatnonzero(grid.interior_mask)
-    boundary = np.flatnonzero(grid.boundary_mask)
-    rows_int = A[interior]
-    return (
-        rows_int[:, interior].tocsr(),
-        rows_int[:, boundary].tocsr(),
-        interior,
-        boundary,
-    )
+    p, a_data, b_data = _flux_values(np.asarray(c, dtype=float), grid)
+    return (_csr(a_data, p.a_indices, p.a_indptr, p.interior.size),
+            _csr(b_data, p.b_indices, p.b_indptr, p.boundary.size),
+            p.interior, p.boundary)
 
 
 class CrankNicolsonStepper:
     """One-step map of the CN scheme for fixed conductivity.
 
-    Exposes the pieces (A matvec, boundary matrix, B solve) so the
-    reconstruction adjoint can transpose the exact discrete forward map.
+    The values of A_int, B_bd and the band of B = I - dt/2 A_int are
+    filled into the grid's shared pattern; B is factored once with
+    LAPACK pbtrf.  Exposes the pieces (A matvec, boundary right-hand
+    sides, B solve) so the reconstruction adjoint can transpose the
+    exact discrete forward map.  A matvec calls the CSR kernel that
+    scipy's A @ v dispatches to, on the stored arrays: the same sums in
+    the same order, without the per-call dispatch, which costs more than
+    the product at these sizes.  .A is the same operator as a scipy
+    CSR matrix, built on first use.
     """
 
     def __init__(self, c: np.ndarray, grid: Grid, dt: float):
         self.c = np.array(c, dtype=float)
         self.dt = dt
-        self.A, self.Bbd, self.interior, self.boundary = flux_matrices(c, grid)
-        n = self.A.shape[0]
-        B = scipy.sparse.identity(n, format="csr") - 0.5 * dt * self.A
-        # upper band storage of the symmetric B: ab[u + i - j, j] = B[i, j]
-        upper = scipy.sparse.triu(B, format="coo")
-        u = int(np.max(upper.col - upper.row, initial=0))
-        ab = np.zeros((u + 1, n))
-        ab[u + upper.row - upper.col, upper.col] = upper.data
-        self.chol = scipy.linalg.cholesky_banded(ab)
-        # raw LAPACK: cho_solve_banded's argument checks cost ten times
-        # the solve itself at these sizes
-        (self._pbtrs,) = scipy.linalg.get_lapack_funcs(("pbtrs",),
-                                                       (self.chol,))
+        self._half_dt = 0.5 * dt
+        self._pattern, self._a_data, self._b_data = _flux_values(self.c, grid)
+        self.interior = self._pattern.interior
+        self.boundary = self._pattern.boundary
+        self._n = self.interior.size
+        # raw LAPACK: cholesky_banded and cho_solve_banded's argument
+        # checks cost more than the factor and the solve at these sizes
+        self.chol, info = _pbtrf(_upper_band(self._pattern, self._a_data, dt),
+                                 lower=0, overwrite_ab=1)
+        if info != 0:
+            raise SolverError(f"banded Cholesky factor failed (info={info})")
+
+    @functools.cached_property
+    def A(self) -> scipy.sparse.csr_matrix:
+        p = self._pattern
+        return _csr(self._a_data, p.a_indices, p.a_indptr, self._n)
+
+    def apply_A(self, v: np.ndarray) -> np.ndarray:
+        out = np.zeros(self._n)
+        csr_matvec(self._n, self._n, self._pattern.a_indptr,
+                   self._pattern.a_indices, self._a_data, v, out)
+        return out
+
+    def boundary_rhs(self, drive: np.ndarray) -> np.ndarray:
+        """B_bd b for every row b of drive, (rows, n_interior); bitwise
+        (B_bd @ drive.T).T, through the kernel that product calls."""
+        rows = drive.shape[0]
+        out = np.zeros((self._n, rows))
+        csr_matvecs(self._n, self.boundary.size, rows, self._pattern.b_indptr,
+                    self._pattern.b_indices, self._b_data, drive.T.ravel(),
+                    out.ravel())
+        return out.T
 
     def solve_B(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = self._pbtrs(self.chol, rhs)
+        x, info = _pbtrs(self.chol, rhs)
         if info != 0:
             raise SolverError(f"banded Cholesky solve failed (info={info})")
         return x
 
     def step(self, v: np.ndarray, b_old: np.ndarray, b_new: np.ndarray) -> np.ndarray:
-        rhs = v + 0.5 * self.dt * (self.A @ v + b_old + b_new)
+        rhs = v + self._half_dt * (self.apply_A(v) + b_old + b_new)
         return self.solve_B(rhs)
 
 
@@ -198,14 +317,15 @@ def solve_heat(problem: HeatProblem, grid: Grid, timegrid: TimeGrid, *,
             t = timegrid.times[1 + int(np.argmax(low))]
             raise GridError(f"boundary data violates the positivity floor at t={t}")
 
-    values = np.empty((timegrid.steps + 1, grid.n_nodes))
+    steps = timegrid.steps
+    rhs_bd = stepper.boundary_rhs(drive)
+    inner = np.empty((steps + 1, interior.size))
+    v = inner[0] = q0[interior]
+    for j in range(1, steps + 1):
+        v = inner[j] = stepper.step(v, rhs_bd[j - 1], rhs_bd[j])
+    values = np.empty((steps + 1, grid.n_nodes))
     values[:, boundary] = drive
-    v = q0[interior]
-    values[0, interior] = v
-    rhs_bd = (stepper.Bbd @ drive.T).T
-    for j in range(1, timegrid.steps + 1):
-        v = stepper.step(v, rhs_bd[j - 1], rhs_bd[j])
-        values[j, interior] = v
+    values[:, interior] = inner
     if not np.all(np.isfinite(values)):
         raise SolverError("non-finite state produced by time stepping")
     return SpaceTimeField(values=values, grid=grid, timegrid=timegrid)

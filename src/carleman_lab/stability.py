@@ -19,6 +19,7 @@ assembly node for node.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -63,17 +64,24 @@ def admissible_mask(grid: Grid) -> np.ndarray:
     layer flat: the two end nodes are pinned in 1D, the outer two rings
     in 2D.  (In 1D, pinning the first interior node as well would bias
     any reconstruction of a quartic-flat bump by more than the target
-    accuracy, so only the trace is enforced there.)"""
-    n = grid.n
-    depth = 1 if grid.dimension == 1 else 2
-    keep = np.ones(grid.shape, dtype=bool)
-    for a in range(grid.dimension):
+    accuracy, so only the trace is enforced there.)  Read-only, shared
+    by every caller on a grid of the same dimension and n."""
+    return _admissible_mask(grid.dimension, grid.n)
+
+
+@functools.lru_cache(maxsize=16)
+def _admissible_mask(dimension: int, n: int) -> np.ndarray:
+    depth = 1 if dimension == 1 else 2
+    keep = np.ones((n + 1,) * dimension, dtype=bool)
+    for a in range(dimension):
         ax = np.arange(n + 1)
         close = (ax <= depth - 1) | (ax >= n + 1 - depth)
-        shape = [1] * grid.dimension
+        shape = [1] * dimension
         shape[a] = n + 1
         keep &= ~close.reshape(shape)
-    return keep.ravel()
+    keep = keep.ravel()
+    keep.flags.writeable = False
+    return keep
 
 
 def admissible_projection(v: np.ndarray, grid: Grid) -> np.ndarray:
@@ -395,7 +403,6 @@ def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
     # the trace stencil and the centered time difference
     steps_total = tg.steps
     n_nodes = grid.n_nodes
-    interior = np.flatnonzero(grid.interior_mask)
     source = np.zeros((steps_total + 1, n_nodes))
     inv2h = 1.0 / (2.0 * grid.h)
     for face in grid.gamma0_faces:
@@ -405,17 +412,20 @@ def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
         for layer, coeff in zip(face_layers(grid, face), FACE_STENCIL):
             source[np.ix_(k + 1, layer)] += coeff * inv2h * half * weighted
             source[np.ix_(k - 1, layer)] -= coeff * inv2h * half * weighted
-    source[:, grid.boundary_mask] = 0.0  # boundary values carry data, not c
+    # boundary values carry data, not c: only interior columns drive lam
+    source = source[:, stepper.interior]
 
     # adjoint sweep: B lam_M = -G_M, B lam_k = E lam_{k+1} - G_k; row i
     # of lam_rows pairs with the step from time i to i + 1
-    lam = stepper.solve_B(-source[steps_total][interior])
+    half_dt = 0.5 * tg.dt
+    lam = stepper.solve_B(-source[steps_total])
+    lam_int = np.empty((steps_total, lam.size))
+    lam_int[-1] = lam
+    for i in range(steps_total - 1, 0, -1):
+        rhs = lam + half_dt * stepper.apply_A(lam) - source[i]
+        lam = lam_int[i - 1] = stepper.solve_B(rhs)
     lam_rows = np.zeros((steps_total, n_nodes))
-    for i in range(steps_total - 1, -1, -1):
-        lam_rows[i, interior] = lam
-        if i > 0:
-            rhs = lam + 0.5 * tg.dt * (stepper.A @ lam) - source[i][interior]
-            lam = stepper.solve_B(rhs)
+    lam_rows[:, stepper.interior] = lam_int
     grad_c = _coefficient_accumulate(lam_rows, fieldvals[:-1] + fieldvals[1:],
                                      grid)
     grad_c *= -0.5 * tg.dt

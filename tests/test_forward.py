@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
+from carleman_lab import forward, stability
 from carleman_lab.grid import (
     GridError,
     TimeGrid,
@@ -17,7 +20,7 @@ from carleman_lab.forward import (
     solve_heat,
     time_derivative,
 )
-from carleman_lab.setups import default_setup
+from carleman_lab.setups import default_setup, inversion_setup
 
 
 def decaying_sine_problem(grid):
@@ -290,3 +293,138 @@ def test_dump_field_csv(tmp_path):
     assert lines[0] == "t_index,node,value"
     assert lines[1] == "0,0,0"
     assert len(lines) == 1 + 15
+
+
+# -- bitwise pins of the pattern assembly and the kernel matvec ------------
+
+PIN_GRIDS = [(1, 32), (2, 16)]
+
+
+def pin_grid(dimension, n):
+    return build_grid(dimension, n, ["right"] if dimension == 1 else ["east"])
+
+
+def reference_assembly(c, grid, dt):
+    """A_int, B_bd, the upper band of B = I - dt/2 A_int and its factor
+    as the COO -> CSR assembly, triu and cholesky_banded formed them
+    before the pattern fill replaced them."""
+    cg = grid.reshape(c)
+    idx = np.arange(grid.n_nodes).reshape(grid.shape)
+    rows, cols, vals = [], [], []
+    inv_h2 = 1.0 / grid.h**2
+    for a in range(grid.dimension):
+        ia, ca = np.moveaxis(idx, a, 0), np.moveaxis(cg, a, 0)
+        i0, i1 = ia[:-1].ravel(), ia[1:].ravel()
+        cf = (0.5 * (ca[:-1] + ca[1:])).ravel() * inv_h2
+        rows.extend([i0, i0, i1, i1])
+        cols.extend([i1, i0, i0, i1])
+        vals.extend([cf, -cf, cf, -cf])
+    A = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(grid.n_nodes, grid.n_nodes),
+    ).tocsr()
+    interior = np.flatnonzero(grid.interior_mask)
+    rows_int = A[interior]
+    A_int = rows_int[:, interior].tocsr()
+    B_bd = rows_int[:, np.flatnonzero(grid.boundary_mask)].tocsr()
+    B = scipy.sparse.identity(interior.size, format="csr") - 0.5 * dt * A_int
+    upper = scipy.sparse.triu(B, format="coo")
+    u = int(np.max(upper.col - upper.row, initial=0))
+    ab = np.zeros((u + 1, interior.size))
+    ab[u + upper.row - upper.col, upper.col] = upper.data
+    return A_int, B_bd, ab, scipy.linalg.cholesky_banded(ab)
+
+
+class ReferenceStepper(CrankNicolsonStepper):
+    """The stepper's interface on the reference assembly, scipy's
+    A @ v and the reference factor."""
+
+    def __init__(self, c, grid, dt):
+        super().__init__(c, grid, dt)
+        self.ref_A, self.ref_Bbd, _, self.chol = reference_assembly(
+            self.c, grid, dt)
+
+    def apply_A(self, v):
+        return self.ref_A @ v
+
+    def boundary_rhs(self, drive):
+        return (self.ref_Bbd @ drive.T).T
+
+    def step(self, v, b_old, b_new):
+        return self.solve_B(v + 0.5 * self.dt * (self.ref_A @ v + b_old
+                                                 + b_new))
+
+
+@pytest.mark.parametrize("dimension,n", PIN_GRIDS)
+def test_stepper_kernel_matvec_is_bitwise_a_matvec(dimension, n):
+    grid = pin_grid(dimension, n)
+    rng = np.random.default_rng(21)
+    c = 0.5 + 2.0 * rng.random(grid.n_nodes)
+    st = CrankNicolsonStepper(c, grid, 2.0 / 128)
+    A_ref, B_ref, _, _ = reference_assembly(c, grid, 2.0 / 128)
+    for _ in range(5):
+        v = rng.standard_normal(st.interior.size)
+        np.testing.assert_array_equal(st.apply_A(v), st.A @ v)
+        np.testing.assert_array_equal(st.apply_A(v), A_ref @ v)
+    drive = rng.standard_normal((9, st.boundary.size))
+    np.testing.assert_array_equal(st.boundary_rhs(drive),
+                                  (B_ref @ drive.T).T)
+
+
+@pytest.mark.parametrize("dimension,n", PIN_GRIDS)
+def test_pattern_assembly_matches_coo_reference(dimension, n):
+    grid, dt = pin_grid(dimension, n), 2.0 / 128
+    rng = np.random.default_rng(22)
+    for _ in range(5):
+        c = 0.5 + 2.0 * rng.random(grid.n_nodes)
+        A_ref, B_ref, ab_ref, chol_ref = reference_assembly(c, grid, dt)
+        A, B, interior, boundary = flux_matrices(c, grid)
+        st = CrankNicolsonStepper(c, grid, dt)
+        for got, ref in ((A, A_ref), (st.A, A_ref), (B, B_ref)):
+            assert got.shape == ref.shape
+            np.testing.assert_array_equal(got.indptr, ref.indptr)
+            np.testing.assert_array_equal(got.indices, ref.indices)
+            np.testing.assert_array_equal(got.data, ref.data)
+        np.testing.assert_array_equal(interior,
+                                      np.flatnonzero(grid.interior_mask))
+        np.testing.assert_array_equal(boundary,
+                                      np.flatnonzero(grid.boundary_mask))
+        pattern, a_data, _ = forward._flux_values(c, grid)
+        np.testing.assert_array_equal(
+            forward._upper_band(pattern, a_data, dt), ab_ref)
+        np.testing.assert_array_equal(st.chol, chol_ref)
+
+
+@pytest.mark.parametrize("dimension,n", PIN_GRIDS)
+def test_solve_heat_and_gradient_match_reference_recurrence(dimension, n,
+                                                            monkeypatch):
+    inv = inversion_setup(dimension, n)
+    grid, tg, dt = inv.grid, inv.timegrid, inv.timegrid.dt
+    rng = np.random.default_rng(23)
+    c = 1.0 + stability.admissible_projection(0.3 * rng.random(grid.n_nodes),
+                                              grid)
+    prob = HeatProblem(c=c, g=inv.base.g, q0=inv.base.q0, r=inv.base.r)
+
+    # the forward recurrence as the stepper formed it with scipy's A @ v
+    A, Bbd, _, chol = reference_assembly(c, grid, dt)
+    interior = np.flatnonzero(grid.interior_mask)
+    boundary = np.flatnonzero(grid.boundary_mask)
+    drive = np.array([inv.base.g(t) for t in tg.times])[:, boundary]
+    rhs_bd = (Bbd @ drive.T).T
+    v = inv.base.q0[interior]
+    rows = [v]
+    for j in range(1, tg.steps + 1):
+        rhs = v + 0.5 * dt * (A @ v + rhs_bd[j - 1] + rhs_bd[j])
+        v = scipy.linalg.cho_solve_banded((chol, False), rhs)
+        rows.append(v)
+    values = solve_heat(prob, grid, tg).values
+    np.testing.assert_array_equal(values[:, interior], np.array(rows))
+    np.testing.assert_array_equal(values[:, boundary], drive)
+
+    data = stability.make_observations(inv, c + 0.01 * (c - 1.0))
+    cfg = stability.InverseConfig(prior=np.ones(grid.n_nodes), alpha=1e-8)
+    j_val, grad = stability.misfit_and_gradient(c, data, inv, cfg)
+    monkeypatch.setattr(stability, "CrankNicolsonStepper", ReferenceStepper)
+    j_ref, grad_ref = stability.misfit_and_gradient(c, data, inv, cfg)
+    assert j_val == j_ref
+    np.testing.assert_array_equal(grad, grad_ref)

@@ -276,6 +276,40 @@ def test_reconstruct_evaluates_each_point_once_with_one_factor(monkeypatch):
     assert len(set(points)) == len(points)
 
 
+def test_reconstruct_builds_one_read_only_pattern_per_grid():
+    forward._flux_pattern.cache_clear()
+    inv = inversion_setup(dimension=1, n=32)
+    truth = bump_truth(inv.grid)
+    data = make_observations(inv, truth)
+    cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes), max_iters=5)
+    assert reconstruct(data, inv, cfg, truth=truth).iterations == 5
+    assert forward._flux_pattern.cache_info().misses == 1
+    pattern = forward._flux_pattern(1, 32)
+    arrays = [v for v in vars(pattern).values() if isinstance(v, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+
+    other = inversion_setup(dimension=1, n=16)
+    st = CrankNicolsonStepper(np.ones(other.grid.n_nodes), other.grid,
+                              other.timegrid.dt)
+    assert forward._flux_pattern.cache_info().misses == 2
+    assert st.interior.size == 15
+    assert forward._flux_pattern(1, 16) is not pattern
+    with pytest.raises(ValueError, match="read-only"):
+        st.interior[0] = 0
+    st.A.indices[:] = -1  # the scipy matrix owns its index arrays
+    assert forward._flux_pattern(1, 16).a_indices.min() == 0
+
+
+def test_admissible_mask_is_cached_read_only():
+    grid = inversion_setup(dimension=2, n=16).grid
+    mask = admissible_mask(grid)
+    assert admissible_mask(default_setup(dimension=2, n=16).grid) is mask
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0] = True
+    assert admissible_mask(inversion_setup(dimension=2, n=8).grid).size == 81
+
+
 def test_misfit_zero_at_truth():
     inv = inversion_setup(dimension=1, n=32)
     truth = bump_truth(inv.grid)
