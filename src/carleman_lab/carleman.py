@@ -18,6 +18,9 @@ standard conjugation, and reports record which sign ran).
 from __future__ import annotations
 
 import numpy as np
+# make_test_suite's generator; imported with the module so that a
+# pipeline imports nothing that start-up has not
+import numpy.random  # noqa: F401
 
 from .grid import (
     Grid,
@@ -36,20 +39,14 @@ from .weights import WeightSet
 def conjugate(q_values: np.ndarray, ws: WeightSet) -> np.ndarray:
     """psi = e^{-s(eta - eta_ref)} q on the window, zero endpoint rows."""
     psi = np.zeros_like(q_values)
-    psi[1:-1] = np.exp(-ws.s * (ws.eta - ws.eta_ref)) * q_values[1:-1]
+    psi[1:-1] = ws.conjugation * q_values[1:-1]
     return psi
-
-
-def _zero_order_factors(ws: WeightSet):
-    grad_b2 = np.sum(ws.grad_beta_tilde**2, axis=1)
-    phi = np.exp(ws.log_phi)
-    return grad_b2, phi
 
 
 def apply_M1(psi: np.ndarray, c: np.ndarray, ws: WeightSet) -> np.ndarray:
     """Interior-row values of div(c grad psi) + s^2 lam^2 c |grad beta|^2
     phi^2 psi + s (d_t eta) psi."""
-    grad_b2, phi = _zero_order_factors(ws)
+    grad_b2, phi = ws.grad_beta_sq, ws.phi
     zero_order = (ws.s**2 * ws.lam**2) * c[None, :] * grad_b2[None, :] * phi**2
     zero_order = zero_order + ws.s * ws.dt_eta
     return divergence_flux(c, psi[1:-1], ws.grid) + zero_order * psi[1:-1]
@@ -59,7 +56,7 @@ def apply_M2(psi: np.ndarray, c: np.ndarray, ws: WeightSet,
              sign: float = 1.0) -> np.ndarray:
     """Interior-row values of d_t psi +- 2 s lam phi c grad(beta).grad(psi)
     - 2 s lam^2 phi c |grad beta|^2 psi."""
-    grad_b2, phi = _zero_order_factors(ws)
+    grad_b2, phi = ws.grad_beta_sq, ws.phi
     dt = ws.timegrid.dt
     dpsi_dt = (psi[2:] - psi[:-2]) / (2.0 * dt)
     grad_psi = discrete_gradient(psi[1:-1], ws.grid)

@@ -18,17 +18,15 @@ in every dimension.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-# the kernels behind scipy's CSR @ vector and @ matrix; private, so
-# tests/test_forward.py::test_stepper_kernel_matvec_is_bitwise_a_matvec
-# guards the import and the bits on every supported scipy
-from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+import scipy
 
 from .grid import Grid, GridError, TimeGrid, divergence_flux
 from .report import write_csv
@@ -38,8 +36,38 @@ class SolverError(RuntimeError):
     """Linear-solver stall or non-finite state during time stepping."""
 
 
-_pbtrf, _pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"),
-                                               dtype=np.float64)
+def _scipy_extension(package: str, name: str):
+    """scipy's compiled module package.name, loaded from its file so that
+    the package's __init__ never runs: importing scipy.linalg or
+    scipy.sparse costs more start-up time than every solve of a short
+    run, for a handful of routines."""
+    parent, spec = importlib.util.find_spec(package), None
+    if parent is not None:
+        finder = importlib.machinery.FileFinder(
+            parent.submodule_search_locations[0],
+            (importlib.machinery.ExtensionFileLoader,
+             importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(f"{package}.{name}")
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled "
+                          f"module {package}.{name}", name=f"{package}.{name}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # CPython files the module in sys.modules as it creates it; a later
+    # import of the package then loads it the ordinary way instead, and
+    # binds it on the package
+    sys.modules.pop(spec.name, None)
+    return module
+
+
+# Private modules: the LAPACK wrappers scipy.linalg.get_lapack_funcs
+# hands out, and the kernels behind scipy's CSR @ vector and @ matrix.
+# tests/test_forward.py guards their names and bits on every supported
+# scipy, tests/test_cli.py that the two packages stay unimported.
+_flapack = _scipy_extension("scipy.linalg", "_flapack")
+_sparsetools = _scipy_extension("scipy.sparse", "_sparsetools")
+_pbtrf, _pbtrs = _flapack.dpbtrf, _flapack.dpbtrs
+csr_matvec, csr_matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
 
 
 @dataclass
@@ -197,9 +225,13 @@ def _upper_band(pattern: SimpleNamespace, a_data: np.ndarray,
 
 
 def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
-         n_cols: int) -> scipy.sparse.csr_matrix:
-    # the copies leave the caller a matrix it may modify without
-    # touching the shared pattern
+         n_cols: int):
+    """A scipy CSR matrix on the values; scipy.sparse is imported here
+    because only callers of flux_matrices and .A, none of them in a
+    pipeline, need it.  The copies leave the caller a matrix it may
+    modify without touching the shared pattern."""
+    import scipy.sparse
+
     return scipy.sparse.csr_matrix((data, indices.copy(), indptr.copy()),
                                    shape=(indptr.size - 1, n_cols))
 
@@ -251,7 +283,7 @@ class CrankNicolsonStepper:
             raise SolverError(f"banded Cholesky factor failed (info={info})")
 
     @functools.cached_property
-    def A(self) -> scipy.sparse.csr_matrix:
+    def A(self):
         p = self._pattern
         return _csr(self._a_data, p.a_indices, p.a_indptr, self._n)
 
@@ -298,10 +330,11 @@ def solve_heat(problem: HeatProblem, grid: Grid, timegrid: TimeGrid, *,
     """CN solution on the whole time grid.  A caller that also needs the
     factor (the reconstruction adjoint) may pass a stepper built for
     problem.c and timegrid.dt; one built for another conductivity or
-    step raises GridError."""
-    problem.validate(grid)
+    step raises GridError.  Such a caller validates problem itself,
+    before it builds the factor, and solve_heat does not repeat it."""
     c = np.asarray(problem.c, dtype=float)
     if stepper is None:
+        problem.validate(grid)
         stepper = CrankNicolsonStepper(c, grid, timegrid.dt)
     elif stepper.dt != timegrid.dt or not np.array_equal(stepper.c, c):
         raise GridError("stepper was built for another conductivity or step")

@@ -140,7 +140,7 @@ def weighted_boundary_norm(trace_by_face: dict, ws: WeightSet,
                 f"trace on face {face!r} has shape {trace.shape}, expected "
                 f"({ws.timegrid.steps - 1}, {nodes.size})"
             )
-        factor = np.exp(ws.log_weight(1.0)[:, nodes])
+        factor = ws.boundary_weight(face)
         if normal_beta_factor:
             factor = factor * ws.normal_beta(face)[None, :]
         vals = factor * trace**2

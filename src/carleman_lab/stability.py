@@ -24,12 +24,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+# make_observations' generator; imported with the module so that a
+# pipeline imports nothing that start-up has not
+import numpy.random  # noqa: F401
 
 from .forward import (
     CrankNicolsonStepper,
     HeatProblem,
     SpaceTimeField,
+    _flapack,
     solve_heat,
     snapshot_package,
 )
@@ -314,6 +317,25 @@ def _h1_gram(grid: Grid, idx: np.ndarray) -> np.ndarray:
     return gram
 
 
+def _cho_factor(gram: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of an SPD matrix, the other triangle left
+    as it was: the LAPACK call scipy.linalg.cho_factor makes, and its
+    error on a matrix that is not positive definite."""
+    chol, info = _flapack.dpotrf(gram, lower=0, clean=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    return chol
+
+
+def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a _cho_factor factor: scipy.linalg.cho_solve's LAPACK
+    call, and its error on a non-finite right-hand side."""
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("array must not contain infs or NaNs")
+    return _flapack.dpotrs(chol, rhs, lower=0)[0]
+
+
 def relative_h1_error(estimate: np.ndarray, truth: np.ndarray,
                       grid: Grid) -> float:
     denom = h1_norm_sq(truth, grid)
@@ -376,7 +398,9 @@ def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
 
     prob = HeatProblem(c=c_current, g=setup.base.g, q0=setup.base.q0,
                        r=setup.base.r)
-    prob.validate(grid)  # before the factor, which would fail less clearly
+    # validated here, before the factor, which would fail less clearly;
+    # solve_heat does not repeat it for a caller's stepper
+    prob.validate(grid)
     # one factor of B = I - dt/2 A serves the forward solve and the adjoint
     stepper = CrankNicolsonStepper(c_current, grid, tg.dt)
     fieldvals = solve_heat(prob, grid, tg, stepper=stepper).values
@@ -481,17 +505,19 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
 
     idx = np.flatnonzero(admissible_mask(grid))
     gram = _h1_gram(grid, idx)
-    chol = scipy.linalg.cho_factor(gram.copy())
+    chol = _cho_factor(gram)
 
     def direction(g):
         d = np.zeros_like(g)
-        d[idx] = scipy.linalg.cho_solve(chol, g[idx])
+        d[idx] = _cho_solve(chol, g[idx])
         return d
 
+    gap = (None if truth is None
+           else h1_norm_sq(np.asarray(truth, dtype=float) - prior, grid))
+
     def h1_err(current):
-        if truth is None:
+        if gap is None:
             return math.nan
-        gap = h1_norm_sq(np.asarray(truth, dtype=float) - prior, grid)
         if gap == 0.0:
             return math.sqrt(h1_norm_sq(current - truth, grid))
         return math.sqrt(h1_norm_sq(current - truth, grid) / gap)

@@ -8,6 +8,8 @@ stability once the weight layer is mesh-resolved) were measured first
 and then frozen.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from carleman_lab.grid import (
     discrete_laplacian,
     space_weights,
 )
-from carleman_lab.weights import build_weights
+from carleman_lab.weights import WeightSet, build_weights
 
 S_LIST = [1.0, 2.0, 4.0, 8.0]
 LAM_LIST = [1.0, 2.0]
@@ -265,3 +267,53 @@ def test_sweep_rejects_empty_inputs():
         carleman_sweep(c, [], S_LIST, LAM_LIST, grid, window, 1.1, [-0.1])
     with pytest.raises(GridError, match="empty"):
         carleman_sweep(c, suite, [], LAM_LIST, grid, window, 1.1, [-0.1])
+
+
+class UncachedWeights(WeightSet):
+    """A WeightSet that forms every table anew on each use, with the
+    formulas the cached tables are made by."""
+
+    def weight_st(self, k):
+        return np.exp(self.log_weight(k))
+
+    def weight_tprime(self, k):
+        return np.exp(self.log_weight(k)[self.tprime_row])
+
+    def boundary_weight(self, face):
+        return np.exp(self.log_weight(1.0)[:, self.grid.face_nodes(face)])
+
+    phi = property(lambda self: np.exp(self.log_phi))
+    grad_beta_sq = property(
+        lambda self: np.sum(self.grad_beta_tilde**2, axis=1))
+    conjugation = property(
+        lambda self: np.exp(-self.s * (self.eta - self.eta_ref)))
+    dt_eta = property(
+        lambda self: -self.eta * (self.w_prime / self.w)[:, None])
+
+
+def test_cached_weight_tables_are_read_only_and_change_no_report():
+    grid, window = setup_1d()
+    c = variable_c(grid)
+    suite = make_test_suite(grid, window, count=20, seed=5)
+    records, _ = carleman_sweep(c, suite, [4.0], [2.0], grid, window, 1.1,
+                                [-0.1])
+    ws = default_ws(grid, window, lam=2.0, s=4.0)
+    reference = UncachedWeights(**{f.name: getattr(ws, f.name)
+                                   for f in dataclasses.fields(ws)})
+    for (_, q), (_, _, _, rep) in zip(suite, records, strict=True):
+        ref = carleman_sides(q, c, reference)
+        assert rep.lhs_terms == ref.lhs_terms
+        assert rep.rhs_terms == ref.rhs_terms
+
+    carleman_sides(suite[0][1], c, ws)
+    tables = [ws.weight_st(k) for k in (0, 1, 3)]
+    tables += [ws.weight_tprime(k) for k in (0, 1)]
+    tables += [ws.boundary_weight(face) for face in grid.gamma0_faces]
+    tables += [ws.phi, ws.grad_beta_sq, ws.conjugation, ws.dt_eta]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    assert ws.weight_st(3) is tables[2]
+    assert ws.weight_st(3.0) is tables[2]
+    assert ws.conjugation is tables[-2]

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import carleman_lab
 from carleman_lab import setups
 from carleman_lab.cli import (
     RunContext,
@@ -306,3 +310,33 @@ def test_line_plot_writes_one_polyline_per_series(tmp_path):
     svg = path.read_text()
     assert svg.count("<polyline") == 2
     assert svg.count("</svg>") == 1
+
+
+START_UP_AND_PIPELINES = """
+import sys
+from carleman_lab import cli
+ctx = cli.RunContext(cli.load_config(None), sys.argv[1], False, 1)
+after_start_up = set(sys.modules)
+for fn in (cli.cmd_verify_carleman, cli.cmd_verify_poincare,
+           cli.cmd_verify_energy, cli.cmd_sweep_stability,
+           cli.cmd_reconstruct):
+    fn(ctx)
+print(sorted(set(sys.modules) - after_start_up))
+print(sorted(m for m in sys.modules
+             if m.split(".")[:2] in (["scipy", "linalg"], ["scipy", "sparse"])))
+"""
+
+
+def test_pipelines_import_neither_scipy_linalg_nor_sparse(tmp_path):
+    """A fresh interpreter, as one CLI run: scipy's LAPACK and CSR
+    routines are loaded without scipy.linalg or scipy.sparse, and the
+    pipelines of `all` import nothing that start-up did not, so start-up
+    time holds every import."""
+    src = os.path.dirname(os.path.dirname(carleman_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", START_UP_AND_PIPELINES, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True).stdout
+    new_modules, scipy_packages = out.splitlines()[-2:]
+    assert new_modules == "[]"
+    assert scipy_packages == "[]"

@@ -428,3 +428,58 @@ def test_solve_heat_and_gradient_match_reference_recurrence(dimension, n,
     j_ref, grad_ref = stability.misfit_and_gradient(c, data, inv, cfg)
     assert j_val == j_ref
     np.testing.assert_array_equal(grad, grad_ref)
+
+
+@pytest.mark.parametrize("dimension,n", PIN_GRIDS)
+def test_loaded_lapack_matches_scipy_linalg(dimension, n):
+    """forward loads scipy's LAPACK wrappers from their compiled module;
+    they must be the routines, and give the bits, that scipy.linalg's
+    lookups and Cholesky wrappers give."""
+    grid = pin_grid(dimension, n)
+    rng = np.random.default_rng(24)
+    pbtrf, pbtrs, potrf, potrs = scipy.linalg.get_lapack_funcs(
+        ("pbtrf", "pbtrs", "potrf", "potrs"), dtype=np.float64)
+    # random diagonally dominant bands as wide as the stepper's
+    width, size = CrankNicolsonStepper(np.ones(grid.n_nodes), grid,
+                                       2.0 / 128).chol.shape
+    for _ in range(3):
+        ab = rng.uniform(-1.0, 1.0, (width, size))
+        ab[-1] = 2.0 * width + rng.random(size)
+        chol, info = forward._pbtrf(np.asfortranarray(ab), lower=0)
+        chol_ref, info_ref = pbtrf(ab, lower=0)
+        assert info == info_ref == 0
+        np.testing.assert_array_equal(chol, chol_ref)
+        np.testing.assert_array_equal(chol, scipy.linalg.cholesky_banded(ab))
+        rhs = rng.standard_normal(size)
+        np.testing.assert_array_equal(forward._pbtrs(chol, rhs)[0],
+                                      pbtrs(chol_ref, rhs)[0])
+        np.testing.assert_array_equal(
+            forward._pbtrs(chol, rhs)[0],
+            scipy.linalg.cho_solve_banded((chol_ref, False), rhs))
+
+    # the H1 Gram matrix of the reconstruction's preconditioner
+    inv_grid = inversion_setup(dimension, n).grid
+    idx = np.flatnonzero(stability.admissible_mask(inv_grid))
+    gram = stability._h1_gram(inv_grid, idx)
+    spd = rng.standard_normal((idx.size, idx.size))
+    for matrix in (gram, spd @ spd.T + idx.size * np.eye(idx.size)):
+        chol = stability._cho_factor(matrix)
+        chol_ref, lower = scipy.linalg.cho_factor(matrix)
+        assert not lower
+        np.testing.assert_array_equal(chol, chol_ref)
+        np.testing.assert_array_equal(chol, potrf(matrix, lower=0,
+                                                  clean=0)[0])
+        for _ in range(3):
+            rhs = rng.standard_normal(idx.size)
+            x = stability._cho_solve(chol, rhs)
+            np.testing.assert_array_equal(
+                x, scipy.linalg.cho_solve((chol_ref, False), rhs))
+            np.testing.assert_array_equal(x, potrs(chol_ref, rhs,
+                                                   lower=0)[0])
+
+
+def test_missing_scipy_extension_names_module_and_version():
+    with pytest.raises(ImportError) as err:
+        forward._scipy_extension("scipy.linalg", "_no_such_module")
+    assert "scipy.linalg._no_such_module" in str(err.value)
+    assert scipy.__version__ in str(err.value)

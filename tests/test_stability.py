@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from carleman_lab import forward, setups, stability
-from carleman_lab.forward import CrankNicolsonStepper
+from carleman_lab.forward import CrankNicolsonStepper, HeatProblem
 from carleman_lab.grid import GridError
 from carleman_lab.setups import (
     bump_shape,
@@ -471,3 +471,55 @@ def test_inverse_config_rejects_bad_fields():
                 InverseConfig(prior=1e-4 * prior)):
         with pytest.raises(GridError):
             bad.validate(setup.grid)
+
+
+def test_misfit_validates_once_and_before_the_factor(monkeypatch):
+    inv = inversion_setup(dimension=1, n=32)
+    data = make_observations(inv, bump_truth(inv.grid))
+    cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes))
+    built, checked = [], []
+
+    class CountingStepper(CrankNicolsonStepper):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    validate = HeatProblem.validate
+
+    def counting_validate(self, grid):
+        checked.append(1)
+        return validate(self, grid)
+
+    monkeypatch.setattr(stability, "CrankNicolsonStepper", CountingStepper)
+    monkeypatch.setattr(HeatProblem, "validate", counting_validate)
+    misfit_and_gradient(bump_truth(inv.grid), data, inv, cfg)
+    assert (len(checked), len(built)) == (1, 1)
+    node = inv.grid.n_nodes // 2
+    for bad in (np.nan, np.inf, 0.5 * stability.C_MIN, -1.0):
+        c = np.ones(inv.grid.n_nodes)
+        c[node] = bad
+        with pytest.raises(GridError):
+            misfit_and_gradient(c, data, inv, cfg)
+    assert len(built) == 1  # no factor of an invalid coefficient
+
+
+def test_preconditioner_rejects_nonfinite_gradient_and_non_spd_gram(
+        monkeypatch):
+    inv = inversion_setup(dimension=1, n=32)
+    data = make_observations(inv, bump_truth(inv.grid))
+    cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes), max_iters=3)
+
+    gram = stability._h1_gram
+    with monkeypatch.context() as patch:
+        patch.setattr(stability, "_h1_gram",
+                      lambda grid, idx: -gram(grid, idx))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="not positive definite"):
+            reconstruct(data, inv, cfg)
+
+    def nan_gradient(c, *args):
+        return 1.0, np.full(inv.grid.n_nodes, np.nan)
+
+    monkeypatch.setattr(stability, "misfit_and_gradient", nan_gradient)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        reconstruct(data, inv, cfg)
