@@ -13,6 +13,12 @@ psi = e^{-s(eta - eta_ref)} q (endpoint slices zero by weight decay):
 with the first-order factor of M2 carrying a sign switch (the source
 text is typographically ambiguous there; the default follows the
 standard conjugation, and reports record which sign ran).
+
+The operators index time as axis -2 and act on (test, time, node)
+stacks: carleman_sweep checks its suite once and evaluates it in stacks
+of at most CHUNK_VALUES node values, carleman_sides is the one-test
+stack, and each quadrature keeps its per-test order, so no report
+depends on the stacking.
 """
 
 from __future__ import annotations
@@ -31,15 +37,19 @@ from .grid import (
     normal_derivative,
     space_weights,
 )
-from .observe import weighted_boundary_norm, weighted_norm_spacetime
+from .observe import window_sum
 from .report import EstimateReport
 from .weights import WeightSet
+
+
+# node values per stacked window field in one carleman_sweep chunk
+CHUNK_VALUES = 2**15
 
 
 def conjugate(q_values: np.ndarray, ws: WeightSet) -> np.ndarray:
     """psi = e^{-s(eta - eta_ref)} q on the window, zero endpoint rows."""
     psi = np.zeros_like(q_values)
-    psi[1:-1] = ws.conjugation * q_values[1:-1]
+    psi[..., 1:-1, :] = ws.conjugation * q_values[..., 1:-1, :]
     return psi
 
 
@@ -49,7 +59,8 @@ def apply_M1(psi: np.ndarray, c: np.ndarray, ws: WeightSet) -> np.ndarray:
     grad_b2, phi = ws.grad_beta_sq, ws.phi
     zero_order = (ws.s**2 * ws.lam**2) * c[None, :] * grad_b2[None, :] * phi**2
     zero_order = zero_order + ws.s * ws.dt_eta
-    return divergence_flux(c, psi[1:-1], ws.grid) + zero_order * psi[1:-1]
+    inner = psi[..., 1:-1, :]
+    return divergence_flux(c, inner, ws.grid) + zero_order * inner
 
 
 def apply_M2(psi: np.ndarray, c: np.ndarray, ws: WeightSet,
@@ -58,60 +69,69 @@ def apply_M2(psi: np.ndarray, c: np.ndarray, ws: WeightSet,
     - 2 s lam^2 phi c |grad beta|^2 psi."""
     grad_b2, phi = ws.grad_beta_sq, ws.phi
     dt = ws.timegrid.dt
-    dpsi_dt = (psi[2:] - psi[:-2]) / (2.0 * dt)
-    grad_psi = discrete_gradient(psi[1:-1], ws.grid)
+    inner = psi[..., 1:-1, :]
+    dpsi_dt = (psi[..., 2:, :] - psi[..., :-2, :]) / (2.0 * dt)
+    grad_psi = discrete_gradient(inner, ws.grid)
     advect = np.sum(ws.grad_beta_tilde * grad_psi, axis=-1)
     return (
         dpsi_dt
         + sign * 2.0 * ws.s * ws.lam * phi * c * advect
-        - 2.0 * ws.s * ws.lam**2 * phi * c * grad_b2 * psi[1:-1]
+        - 2.0 * ws.s * ws.lam**2 * phi * c * grad_b2 * inner
     )
 
 
-def _plain_st_sq(rows: np.ndarray, grid: Grid, dt: float) -> float:
-    return float(dt * np.sum(rows**2 @ space_weights(grid)))
+def _checked(test_id, q_values, grid: Grid, window: TimeGrid) -> np.ndarray:
+    q_values = np.asarray(q_values, dtype=float)
+    if q_values.shape != (window.steps + 1, grid.n_nodes):
+        raise GridError(f"test function {test_id} has shape {q_values.shape}, "
+                        f"expected {(window.steps + 1, grid.n_nodes)}")
+    if np.max(np.abs(q_values[:, grid.boundary_mask])) > 1e-14:
+        raise GridError(
+            f"test function {test_id} must vanish on the lateral boundary")
+    return q_values
+
+
+def _stacked_sides(q: np.ndarray, c: np.ndarray, ws: WeightSet,
+                   m2_sign: float = 1.0) -> list:
+    """One report per test of a checked (K, steps+1, n_nodes) stack: each
+    stencil and quadrature runs once on the whole stack."""
+    grid, window = ws.grid, ws.timegrid
+    dt, sw = window.dt, space_weights(grid)
+    psi = conjugate(q, ws)
+    inner = q[:, 1:-1]
+    # endpoint rows carry zero weight and are never integrated
+    resid = ((q[:, 2:] - q[:, :-2]) / (2.0 * dt)
+             - divergence_flux(c, inner, grid))
+    grad2 = np.sum(discrete_gradient(inner, grid) ** 2, axis=-1)
+    boundary = sum(window_sum(ws.boundary_weight(face)
+                              * normal_derivative(inner, grid, face) ** 2,
+                              grid.face_axis_weights(face), dt)
+                   for face in grid.gamma0_faces)
+    lhs = {
+        "m1_sq": window_sum(apply_M1(psi, c, ws) ** 2, sw, dt),
+        "m2_sq": window_sum(apply_M2(psi, c, ws, sign=m2_sign) ** 2, sw, dt),
+        "grad": ws.s * ws.lam**2 * window_sum(grad2 * ws.weight_st(1), sw, dt),
+        "zero": ws.s**3 * ws.lam**4 * window_sum(inner**2 * ws.weight_st(3),
+                                                 sw, dt),
+    }
+    rhs = {
+        "boundary": ws.s * ws.lam * boundary,
+        "residual": window_sum(resid**2 * ws.weight_st(0), sw, dt),
+    }
+    return [EstimateReport(
+        name="carleman",
+        lhs_terms={key: float(v[i]) for key, v in lhs.items()},
+        rhs_terms={key: float(v[i]) for key, v in rhs.items()},
+        params={"s": ws.s, "lam": ws.lam, "n": grid.n, "steps": window.steps,
+                "eta_ref": ws.eta_ref, "m2_sign": m2_sign},
+    ).validate() for i in range(len(q))]
 
 
 def carleman_sides(q_values: np.ndarray, c: np.ndarray, ws: WeightSet,
                    m2_sign: float = 1.0) -> EstimateReport:
-    grid, window = ws.grid, ws.timegrid
-    q_values = np.asarray(q_values, dtype=float)
-    if q_values.shape != (window.steps + 1, grid.n_nodes):
-        raise GridError(f"test function has shape {q_values.shape}")
-    if np.max(np.abs(q_values[:, grid.boundary_mask])) > 1e-14:
-        raise GridError("test function must vanish on the lateral boundary")
-
-    psi = conjugate(q_values, ws)
-    m1 = apply_M1(psi, c, ws)
-    m2 = apply_M2(psi, c, ws, sign=m2_sign)
-
-    grad_q = discrete_gradient(q_values, grid)
-    dt = window.dt
-    resid = np.zeros_like(q_values)  # endpoint rows never integrated
-    resid[1:-1] = ((q_values[2:] - q_values[:-2]) / (2.0 * dt)
-                   - divergence_flux(c, q_values[1:-1], grid))
-    trace = {face: normal_derivative(q_values[1:-1], grid, face)
-             for face in grid.gamma0_faces}
-
-    lhs = {
-        "m1_sq": _plain_st_sq(m1, grid, dt),
-        "m2_sq": _plain_st_sq(m2, grid, dt),
-        "grad": ws.s * ws.lam**2 * weighted_norm_spacetime(grad_q, ws, 1),
-        "zero": ws.s**3 * ws.lam**4 * weighted_norm_spacetime(q_values, ws, 3),
-    }
-    rhs = {
-        "boundary": ws.s * ws.lam * weighted_boundary_norm(trace, ws),
-        "residual": weighted_norm_spacetime(resid, ws, 0),
-    }
-    return EstimateReport(
-        name="carleman",
-        lhs_terms=lhs,
-        rhs_terms=rhs,
-        params={
-            "s": ws.s, "lam": ws.lam, "n": grid.n, "steps": window.steps,
-            "eta_ref": ws.eta_ref, "m2_sign": m2_sign,
-        },
-    ).validate()
+    """Both sides for one test function: the one-test stack."""
+    q_values = _checked("q_values", q_values, ws.grid, ws.timegrid)
+    return _stacked_sides(q_values[None], c, ws, m2_sign)[0]
 
 
 # -- test-function suite --------------------------------------------------
@@ -143,20 +163,24 @@ def make_test_suite(grid: Grid, window: TimeGrid, count: int = 20,
 def carleman_sweep(c: np.ndarray, suite: list, s_list, lam_list, grid: Grid,
                    window: TimeGrid, m_weight: float, x0) -> tuple:
     """One report per (test, s, lam) with the default M2 sign; summary
-    maps (s, lam) to the max ratio over the suite."""
+    maps (s, lam) to the max ratio over the suite.  The suite is checked
+    once and evaluated in stacks of at most CHUNK_VALUES node values."""
     from .weights import build_weights
 
     if not suite or not list(s_list) or not list(lam_list):
         raise GridError("empty suite or parameter list")
+    tests = [_checked(test_id, q, grid, window) for test_id, q in suite]
+    size = max(1, CHUNK_VALUES // tests[0].size)
     records = []
     summary = {}
     for s in s_list:
         for lam in lam_list:
             ws = build_weights(grid, window, lam=lam, s=s, m=m_weight, x0=x0)
-            worst = 0.0
-            for test_id, q_values in suite:
-                rep = carleman_sides(q_values, c, ws)
-                records.append((test_id, float(s), float(lam), rep))
-                worst = max(worst, rep.ratio)
-            summary[(float(s), float(lam))] = worst
+            reports = []
+            for i in range(0, len(tests), size):
+                reports += _stacked_sides(np.stack(tests[i:i + size]), c, ws)
+            cell = (float(s), float(lam))
+            records += [(test_id, *cell, rep)
+                        for (test_id, _), rep in zip(suite, reports)]
+            summary[cell] = max([0.0] + [rep.ratio for rep in reports])
     return records, summary

@@ -96,6 +96,13 @@ def _check_finite(integrand: np.ndarray, what: str):
         raise GridError(f"non-finite {what} integrand at index {tuple(where)}")
 
 
+def window_sum(integrand: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
+    """dt * sum over the interior window rows of the spatial quadrature
+    with weights w: one value per leading index of a (..., rows, nodes)
+    stack, each reduced as its own (rows, nodes) array would be."""
+    return dt * np.sum(integrand @ w, axis=-1)
+
+
 def weighted_norm_space(field: np.ndarray, ws: WeightSet, k: float) -> float:
     """integral of phi^k e^{-2s(eta - eta_ref)} |field|^2 at the T' slice."""
     vals = _square(field) * ws.weight_tprime(k)
@@ -121,8 +128,7 @@ def weighted_norm_spacetime(values: np.ndarray, ws: WeightSet, k: float) -> floa
         sq = values[1:-1] ** 2
     vals = sq * ws.weight_st(k)
     _check_finite(vals, "weighted space-time")
-    slice_ints = vals @ space_weights(ws.grid)
-    return float(ws.timegrid.dt * slice_ints.sum())
+    return float(window_sum(vals, space_weights(ws.grid), ws.timegrid.dt))
 
 
 def weighted_boundary_norm(trace_by_face: dict, ws: WeightSet,
@@ -145,8 +151,8 @@ def weighted_boundary_norm(trace_by_face: dict, ws: WeightSet,
             factor = factor * ws.normal_beta(face)[None, :]
         vals = factor * trace**2
         _check_finite(vals, "weighted boundary")
-        w_face = grid.face_axis_weights(face)
-        total += float(ws.timegrid.dt * np.sum(vals @ w_face))
+        total += float(window_sum(vals, grid.face_axis_weights(face),
+                                  ws.timegrid.dt))
     return total
 
 
@@ -164,8 +170,8 @@ def boundary_norm_plain(trace_by_face: dict, grid: Grid, window: TimeGrid) -> fl
     for face, trace in trace_by_face.items():
         trace = np.asarray(trace, dtype=float)
         _check_finite(trace, "boundary trace")
-        w_face = grid.face_axis_weights(face)
-        total += float(window.dt * np.sum(trace**2 @ w_face))
+        total += float(window_sum(trace**2, grid.face_axis_weights(face),
+                                  window.dt))
     return total
 
 

@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from carleman_lab import carleman
 from carleman_lab.carleman import (
     apply_M1,
     apply_M2,
@@ -267,6 +268,82 @@ def test_sweep_rejects_empty_inputs():
         carleman_sweep(c, [], S_LIST, LAM_LIST, grid, window, 1.1, [-0.1])
     with pytest.raises(GridError, match="empty"):
         carleman_sweep(c, suite, [], LAM_LIST, grid, window, 1.1, [-0.1])
+
+
+def stack_case(dimension):
+    """A grid, window, conductivity, weights and suite whose sweep spans
+    several stacked chunks, the last one short."""
+    if dimension == 1:
+        grid, window = setup_1d()
+        count = 25
+    else:
+        grid = build_grid(2, 8, ["north", "east"])
+        window, _ = TimeGrid(0.0, 2.0, 64).window(0.5)
+        count = 20
+    c = 1.0 + 0.5 * grid.coords[:, 0] + 0.25 * grid.coords[:, -1] ** 2
+    x0 = [-0.1] * dimension
+    suite = make_test_suite(grid, window, count=count, seed=9)
+    per_chunk = carleman.CHUNK_VALUES // suite[0][1].size
+    assert 1 < per_chunk < count and count % per_chunk != 0
+    ws = build_weights(grid, window, lam=2.0, s=4.0, m=1.1, x0=x0)
+    return grid, window, c, x0, ws, suite
+
+
+def assert_bitwise(got, expected):
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_operators_on_a_stack_equal_the_per_test_results(dimension):
+    # one call on a (test, time, node) stack is the per-test calls
+    # stacked, bit for bit
+    _, _, c, _, ws, suite = stack_case(dimension)
+    q = np.stack([vals for _, vals in suite[:7]])
+    psi = conjugate(q, ws)
+    assert_bitwise(psi, np.stack([conjugate(row, ws) for row in q]))
+    assert_bitwise(apply_M1(psi, c, ws),
+                   np.stack([apply_M1(row, c, ws) for row in psi]))
+    for sign in (1.0, -1.0):
+        assert_bitwise(apply_M2(psi, c, ws, sign=sign),
+                       np.stack([apply_M2(row, c, ws, sign=sign)
+                                 for row in psi]))
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_sweep_records_equal_the_one_test_sides(dimension):
+    grid, window, c, x0, _, suite = stack_case(dimension)
+    s_list, lam_list = [1.0, 8.0], [1.0, 2.0]
+    records, summary = carleman_sweep(c, suite, s_list, lam_list, grid,
+                                      window, 1.1, x0)
+    assert len(records) == len(suite) * len(s_list) * len(lam_list)
+    cells = [(s, lam) for s in s_list for lam in lam_list]
+    for k, (s, lam) in enumerate(cells):
+        ws = build_weights(grid, window, lam=lam, s=s, m=1.1, x0=x0)
+        cell = records[k * len(suite):(k + 1) * len(suite)]
+        for (test_id, q), (rec_id, rec_s, rec_lam, rep) in zip(suite, cell,
+                                                               strict=True):
+            ref = carleman_sides(q, c, ws)
+            assert (rec_id, rec_s, rec_lam) == (test_id, s, lam)
+            assert rep.lhs_terms == ref.lhs_terms
+            assert rep.rhs_terms == ref.rhs_terms
+            assert rep.params == ref.params
+        assert summary[(s, lam)] == max(rep.ratio for *_, rep in cell)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_sweep_names_the_inadmissible_test(dimension):
+    grid, window, c, x0, _, suite = stack_case(dimension)
+    suite = list(suite[:4])
+    short = (suite[2][0], suite[2][1][:-1])
+    with pytest.raises(GridError, match=r"test02 has shape"):
+        carleman_sweep(c, suite[:2] + [short] + suite[3:], [1.0], [1.0],
+                       grid, window, 1.1, x0)
+    leaky = suite[3][1].copy()
+    leaky[5, np.flatnonzero(grid.boundary_mask)[0]] = 1e-3
+    with pytest.raises(GridError, match=r"test03 must vanish"):
+        carleman_sweep(c, suite[:3] + [(suite[3][0], leaky)], [1.0], [1.0],
+                       grid, window, 1.1, x0)
 
 
 class UncachedWeights(WeightSet):
