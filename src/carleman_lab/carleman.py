@@ -18,7 +18,9 @@ The operators index time as axis -2 and act on (test, time, node)
 stacks: carleman_sweep checks its suite once and evaluates it in stacks
 of at most CHUNK_VALUES node values, carleman_sides is the one-test
 stack, and each quadrature keeps its per-test order, so no report
-depends on the stacking.
+depends on the stacking.  The weight-free fields depend on the tests
+alone: the sweep forms them once per chunk and keeps them across its
+(s, lam) cells within KEEP_VALUES node values.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ from .weights import WeightSet
 
 # node values per stacked window field in one carleman_sweep chunk
 CHUNK_VALUES = 2**15
+# node values of weight-free terms carleman_sweep keeps across its cells
+KEEP_VALUES = 2**18
 
 
 def conjugate(q_values: np.ndarray, ws: WeightSet) -> np.ndarray:
@@ -91,32 +95,41 @@ def _checked(test_id, q_values, grid: Grid, window: TimeGrid) -> np.ndarray:
     return q_values
 
 
-def _stacked_sides(q: np.ndarray, c: np.ndarray, ws: WeightSet,
+def _test_terms(q: np.ndarray, c: np.ndarray, grid: Grid,
+                window: TimeGrid) -> tuple:
+    """The weight-free fields of a checked (K, steps+1, n_nodes) stack on
+    its interior rows (the endpoint rows carry zero weight): the squared
+    residual d_t q - div(c grad q), |grad q|^2, q^2, |d_nu q|^2 by face."""
+    inner = q[:, 1:-1]
+    resid = ((q[:, 2:] - q[:, :-2]) / (2.0 * window.dt)
+             - divergence_flux(c, inner, grid))
+    grad2 = np.sum(discrete_gradient(inner, grid) ** 2, axis=-1)
+    flux2 = {face: normal_derivative(inner, grid, face) ** 2
+             for face in grid.gamma0_faces}
+    return resid**2, grad2, inner**2, flux2
+
+
+def _stacked_sides(q: np.ndarray, terms: tuple, c: np.ndarray, ws: WeightSet,
                    m2_sign: float = 1.0) -> list:
-    """One report per test of a checked (K, steps+1, n_nodes) stack: each
-    stencil and quadrature runs once on the whole stack."""
+    """One report per test of a checked (K, steps+1, n_nodes) stack and its
+    _test_terms: each stencil and quadrature runs once on the stack."""
     grid, window = ws.grid, ws.timegrid
     dt, sw = window.dt, space_weights(grid)
     psi = conjugate(q, ws)
-    inner = q[:, 1:-1]
-    # endpoint rows carry zero weight and are never integrated
-    resid = ((q[:, 2:] - q[:, :-2]) / (2.0 * dt)
-             - divergence_flux(c, inner, grid))
-    grad2 = np.sum(discrete_gradient(inner, grid) ** 2, axis=-1)
-    boundary = sum(window_sum(ws.boundary_weight(face)
-                              * normal_derivative(inner, grid, face) ** 2,
+    resid2, grad2, zero2, flux2 = terms
+    boundary = sum(window_sum(ws.boundary_weight(face) * flux2[face],
                               grid.face_axis_weights(face), dt)
                    for face in grid.gamma0_faces)
     lhs = {
         "m1_sq": window_sum(apply_M1(psi, c, ws) ** 2, sw, dt),
         "m2_sq": window_sum(apply_M2(psi, c, ws, sign=m2_sign) ** 2, sw, dt),
         "grad": ws.s * ws.lam**2 * window_sum(grad2 * ws.weight_st(1), sw, dt),
-        "zero": ws.s**3 * ws.lam**4 * window_sum(inner**2 * ws.weight_st(3),
+        "zero": ws.s**3 * ws.lam**4 * window_sum(zero2 * ws.weight_st(3),
                                                  sw, dt),
     }
     rhs = {
         "boundary": ws.s * ws.lam * boundary,
-        "residual": window_sum(resid**2 * ws.weight_st(0), sw, dt),
+        "residual": window_sum(resid2 * ws.weight_st(0), sw, dt),
     }
     return [EstimateReport(
         name="carleman",
@@ -130,8 +143,9 @@ def _stacked_sides(q: np.ndarray, c: np.ndarray, ws: WeightSet,
 def carleman_sides(q_values: np.ndarray, c: np.ndarray, ws: WeightSet,
                    m2_sign: float = 1.0) -> EstimateReport:
     """Both sides for one test function: the one-test stack."""
-    q_values = _checked("q_values", q_values, ws.grid, ws.timegrid)
-    return _stacked_sides(q_values[None], c, ws, m2_sign)[0]
+    q = _checked("q_values", q_values, ws.grid, ws.timegrid)[None]
+    terms = _test_terms(q, c, ws.grid, ws.timegrid)
+    return _stacked_sides(q, terms, c, ws, m2_sign)[0]
 
 
 # -- test-function suite --------------------------------------------------
@@ -164,13 +178,16 @@ def carleman_sweep(c: np.ndarray, suite: list, s_list, lam_list, grid: Grid,
                    window: TimeGrid, m_weight: float, x0) -> tuple:
     """One report per (test, s, lam) with the default M2 sign; summary
     maps (s, lam) to the max ratio over the suite.  The suite is checked
-    once and evaluated in stacks of at most CHUNK_VALUES node values."""
+    once and evaluated in stacks of at most CHUNK_VALUES node values; a
+    stack's _test_terms are kept for the later cells while all kept
+    terms fit in KEEP_VALUES node values, and formed anew otherwise."""
     from .weights import build_weights
 
     if not suite or not list(s_list) or not list(lam_list):
         raise GridError("empty suite or parameter list")
     tests = [_checked(test_id, q, grid, window) for test_id, q in suite]
     size = max(1, CHUNK_VALUES // tests[0].size)
+    kept, room = {}, KEEP_VALUES
     records = []
     summary = {}
     for s in s_list:
@@ -178,7 +195,15 @@ def carleman_sweep(c: np.ndarray, suite: list, s_list, lam_list, grid: Grid,
             ws = build_weights(grid, window, lam=lam, s=s, m=m_weight, x0=x0)
             reports = []
             for i in range(0, len(tests), size):
-                reports += _stacked_sides(np.stack(tests[i:i + size]), c, ws)
+                q = np.stack(tests[i:i + size])
+                terms = kept.get(i)
+                if terms is None:
+                    terms = _test_terms(q, c, grid, window)
+                    values = sum(a.size for a in (*terms[:3],
+                                                  *terms[3].values()))
+                    if values <= room:
+                        kept[i], room = terms, room - values
+                reports += _stacked_sides(q, terms, c, ws)
             cell = (float(s), float(lam))
             records += [(test_id, *cell, rep)
                         for (test_id, _), rep in zip(suite, reports)]

@@ -89,6 +89,7 @@ class RunContext:
         problem.validate(base.grid)
         self.setup = ExperimentSetup(grid=base.grid, timegrid=base.timegrid,
                                      window=base.window, base=problem)
+        self._weights = {}
 
     @functools.cached_property
     def twin(self):
@@ -98,8 +99,13 @@ class RunContext:
         return twin_solve(self.setup, self.gamma)
 
     def weights(self, lam, s):
-        return build_weights(self.setup.grid, self.setup.window, lam=lam,
-                             s=s, m=self.cfg.m_weight, x0=self.cfg.x0)
+        """Built on first use, then shared (its tables are read-only)."""
+        key = (float(lam), float(s))
+        if key not in self._weights:
+            self._weights[key] = build_weights(
+                self.setup.grid, self.setup.window, lam=lam, s=s,
+                m=self.cfg.m_weight, x0=self.cfg.x0)
+        return self._weights[key]
 
     def weights_ref(self):
         return self.weights(self.cfg.lambdas[0], self.cfg.s_values[0])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 # make_observations' generator; imported with the module so that a
@@ -31,7 +31,6 @@ import numpy.random  # noqa: F401
 from .forward import (
     CrankNicolsonStepper,
     HeatProblem,
-    SpaceTimeField,
     _flapack,
     solve_heat,
     snapshot_package,
@@ -137,16 +136,25 @@ class StabilityReport:
         return self.plain.ratio
 
 
-def stability_sides(pair: CoefficientPair, setup: ExperimentSetup,
-                    ws: WeightSet,
-                    q_tilde: SpaceTimeField | None = None) -> StabilityReport:
-    """Both reports for one pair; q_tilde, when given, is the solution
-    for pair.c_tilde and is not solved again."""
+def _base_terms(c_tilde: np.ndarray, setup: ExperimentSetup,
+                ws: WeightSet) -> tuple:
+    """What every pair on c_tilde shares: its solution, the transport base
+    at T' (checked nondegenerate) and the solution's observations."""
     grid, window = setup.grid, setup.window
-    twin = twin_solve(setup, pair.gamma, pair.c_tilde, q_tilde)
-    q, q_tilde, u, y = twin.q, twin.q_tilde, twin.u, twin.y
+    q_tilde = solve_heat(replace(setup.base, c=c_tilde), grid, setup.timegrid)
     base = build_transport_base(q_tilde.at_time(window.t_mid), ws)
     _require_nondegenerate(base)
+    return q_tilde, base, extract_observations(q_tilde, grid, window, c_tilde)
+
+
+def stability_sides(pair: CoefficientPair, setup: ExperimentSetup,
+                    ws: WeightSet, shared=None) -> StabilityReport:
+    """Both reports for one pair; shared, when given, is _base_terms of
+    pair.c_tilde under ws and is not formed again."""
+    grid, window = setup.grid, setup.window
+    q_tilde, base, obs_tilde = shared or _base_terms(pair.c_tilde, setup, ws)
+    twin = twin_solve(setup, pair.gamma, pair.c_tilde, q_tilde)
+    q, u, y = twin.q, twin.u, twin.y
 
     grad_gamma = discrete_gradient(pair.gamma, grid)
     lhs = {
@@ -173,7 +181,6 @@ def stability_sides(pair: CoefficientPair, setup: ExperimentSetup,
     ).validate()
 
     obs = extract_observations(q, grid, window, pair.c)
-    obs_tilde = extract_observations(q_tilde, grid, window, pair.c_tilde)
     dist = observation_distance_plain(obs, obs_tilde, grid, window)
     plain = EstimateReport(
         name="stability_plain",
@@ -187,17 +194,19 @@ def stability_sides(pair: CoefficientPair, setup: ExperimentSetup,
 def stability_sweep(family, setup: ExperimentSetup, ws: WeightSet) -> tuple:
     """Per-member reports plus the sweep summary: the empirical constant
     with its argmax member, a global log-log slope of LHS against plain
-    observation distance, and per-shape slopes over amplitude scalings."""
+    observation distance, and per-shape slopes over amplitude scalings.
+    The members share the base's _base_terms, formed once; a member is
+    excluded when eps is 0 or its admissible projection vanishes."""
     records = []
     excluded = []
-    # every member shares the base coefficient, so its field is solved once
-    q_tilde = solve_heat(setup.base, setup.grid, setup.timegrid)
+    shared = _base_terms(setup.c_tilde, setup, ws)
     for label, eps, gamma in family:
-        if eps == 0.0 or float(np.max(np.abs(gamma))) == 0.0:
+        pair = None if eps == 0.0 else make_pair(setup.c_tilde, gamma,
+                                                 setup.grid)
+        if pair is None or not np.any(pair.gamma):
             excluded.append(label)
             continue
-        pair = make_pair(setup.c_tilde, gamma, setup.grid)
-        rep = stability_sides(pair, setup, ws, q_tilde)
+        rep = stability_sides(pair, setup, ws, shared)
         records.append({
             "member": label,
             "eps": float(eps),

@@ -9,6 +9,7 @@ and then frozen.
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -310,13 +311,49 @@ def test_operators_on_a_stack_equal_the_per_test_results(dimension):
                                  for row in psi]))
 
 
-@pytest.mark.parametrize("dimension", [1, 2])
-def test_sweep_records_equal_the_one_test_sides(dimension):
+def term_values(terms):
+    resid2, grad2, zero2, flux2 = terms
+    return resid2.size + grad2.size + zero2.size + sum(
+        f.size for f in flux2.values())
+
+
+def assert_sweep_records_equal_the_one_test_sides(dimension, keep,
+                                                  monkeypatch):
+    # each record is carleman_sides of its test alone, the kept terms fit
+    # the budget, and a chunk's terms are formed once if kept and once per
+    # cell if not
     grid, window, c, x0, _, suite = stack_case(dimension)
+    per_chunk = carleman.CHUNK_VALUES // suite[0][1].size
+    first = np.stack([q for _, q in suite[:per_chunk]])
+    chunk_values = term_values(carleman._test_terms(first, c, grid, window))
+    budget = {"none": 0, "one_chunk": chunk_values,
+              "default": carleman.KEEP_VALUES}[keep]
+    monkeypatch.setattr(carleman, "KEEP_VALUES", budget)
+    formed, used = [], []
+    test_terms, stacked_sides = carleman._test_terms, carleman._stacked_sides
+
+    def forming(*args):
+        formed.append(test_terms(*args))
+        return formed[-1]
+
+    def using(q, terms, *args):
+        used.append(terms)
+        return stacked_sides(q, terms, *args)
+
+    monkeypatch.setattr(carleman, "_test_terms", forming)
+    monkeypatch.setattr(carleman, "_stacked_sides", using)
     s_list, lam_list = [1.0, 8.0], [1.0, 2.0]
     records, summary = carleman_sweep(c, suite, s_list, lam_list, grid,
                                       window, 1.1, x0)
-    assert len(records) == len(suite) * len(s_list) * len(lam_list)
+    n_cells = len(s_list) * len(lam_list)
+    n_chunks = -(-len(suite) // per_chunk)
+    kept = [t for t in formed if sum(u is t for u in used) > 1]
+    assert all(sum(u is t for u in used) in (1, n_cells) for t in formed)
+    assert sum(term_values(t) for t in kept) <= budget
+    assert len(kept) == {"none": 0, "one_chunk": 1, "default": n_chunks}[keep]
+    assert len(formed) == len(kept) + n_cells * (n_chunks - len(kept))
+    monkeypatch.undo()
+    assert len(records) == len(suite) * n_cells
     cells = [(s, lam) for s in s_list for lam in lam_list]
     for k, (s, lam) in enumerate(cells):
         ws = build_weights(grid, window, lam=lam, s=s, m=1.1, x0=x0)
@@ -329,6 +366,41 @@ def test_sweep_records_equal_the_one_test_sides(dimension):
             assert rep.rhs_terms == ref.rhs_terms
             assert rep.params == ref.params
         assert summary[(s, lam)] == max(rep.ratio for *_, rep in cell)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_sweep_records_equal_the_one_test_sides(dimension, monkeypatch):
+    assert_sweep_records_equal_the_one_test_sides(dimension, "default",
+                                                  monkeypatch)
+
+
+@pytest.mark.parametrize("keep", ["none", "one_chunk"])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_sweep_records_equal_the_one_test_sides_at_small_keep_budgets(
+        dimension, keep, monkeypatch):
+    assert_sweep_records_equal_the_one_test_sides(dimension, keep,
+                                                  monkeypatch)
+
+
+def test_sweep_forms_the_residual_once_per_chunk(monkeypatch):
+    # the default 1D sweep: two chunks of ten tests in eight cells; the
+    # residual's divergence runs once per chunk, M1's once per cell and
+    # chunk
+    grid, window = setup_1d()
+    suite = make_test_suite(grid, window, count=20, seed=42)
+    callers = []
+    original = carleman.divergence_flux
+
+    def recording(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args)
+
+    monkeypatch.setattr(carleman, "divergence_flux", recording)
+    carleman_sweep(variable_c(grid), suite, S_LIST, LAM_LIST, grid, window,
+                   1.1, [-0.1])
+    assert callers.count("_test_terms") == 2
+    assert callers.count("apply_M1") == 16
+    assert len(callers) == 18
 
 
 @pytest.mark.parametrize("dimension", [1, 2])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import carleman_lab
-from carleman_lab import setups
+from carleman_lab import cli, setups
 from carleman_lab.cli import (
     RunContext,
     cmd_verify_energy,
@@ -187,6 +187,23 @@ def test_twin_pipelines_share_one_twin_solve(tmp_path, monkeypatch):
     for cmd in (cmd_verify_poincare, cmd_verify_snapshot, cmd_verify_energy):
         cmd(ctx)
     assert len(calls) == 2       # the perturbed and the base problem
+
+
+def test_run_context_builds_each_weight_set_once(tmp_path, monkeypatch):
+    built = []
+    original = cli.build_weights
+
+    def recording(*args, **kwargs):
+        built.append((kwargs["lam"], kwargs["s"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_weights", recording)
+    ctx = RunContext(load_config(None), str(tmp_path), False, 1)
+    assert ctx.weights_ref() is ctx.weights_ref()
+    assert ctx.weights(1, 1) is ctx.weights_ref()
+    assert ctx.weights_energy() is ctx.weights_energy()
+    assert ctx.weights_energy() is not ctx.weights_ref()
+    assert built == [(1.0, 1.0), (1.0, 4.0)]
 
 
 def test_sweep_stability_with_plot(tmp_path):

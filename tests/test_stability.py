@@ -181,6 +181,65 @@ def test_stability_sweep_solves_base_field_once(monkeypatch):
     assert sum(np.array_equal(c, setup.c_tilde) for c in solved) == 1
 
 
+def sweep_case(dimension):
+    if dimension == 1:
+        setup = default_setup(dimension=1, n=32)
+    else:
+        setup = default_setup(dimension=2, n=16, steps=64)
+    return setup, default_weights(setup)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_stability_sweep_excludes_members_that_project_to_zero(dimension):
+    # supported on the pinned end nodes (1D) or outer two rings (2D), the
+    # member projects to gamma = 0, and left in it would put log(0) into
+    # the slope fit
+    setup, ws = sweep_case(dimension)
+    fam = perturbation_family(setup.grid)[:3]
+    pinned = np.where(admissible_mask(setup.grid), 0.0, 1e-2)
+    fam.insert(1, ("pinned", 1e-2, pinned))
+    records, summary = stability_sweep(fam, setup, ws)
+    assert [r["member"] for r in records] == [fam[i][0] for i in (0, 2, 3)]
+    assert summary["excluded"] == ["pinned"]
+    assert np.isfinite(summary["global_slope"])
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_stability_sweep_records_equal_the_one_pair_sides(dimension):
+    setup, ws = sweep_case(dimension)
+    fam = perturbation_family(setup.grid)[::4]
+    records, _ = stability_sweep(fam, setup, ws)
+    for (label, eps, gamma), rec in zip(fam, records, strict=True):
+        rep = stability_sides(make_pair(setup.c_tilde, gamma, setup.grid),
+                              setup, ws)
+        assert rec == {
+            "member": label,
+            "eps": eps,
+            "lhs": rep.weighted.lhs_total,
+            "rhs_weighted": rep.weighted.rhs_total,
+            "rhs_plain": rep.plain.rhs_total,
+            "ratio": rep.ratio_weighted,
+            "ratio_plain": rep.ratio_plain,
+        }
+
+
+def test_stability_sweep_extracts_base_observations_once(monkeypatch):
+    extracted = []
+    original = stability.extract_observations
+
+    def recording(field, grid, window, c):
+        extracted.append(np.asarray(c, dtype=float).copy())
+        return original(field, grid, window, c)
+
+    monkeypatch.setattr(stability, "extract_observations", recording)
+    setup = default_setup(dimension=1, n=32)
+    fam = perturbation_family(setup.grid)[:3]
+    records, _ = stability_sweep(fam, setup, default_weights(setup))
+    assert len(records) == 3
+    assert len(extracted) == len(records) + 1
+    assert sum(np.array_equal(c, setup.c_tilde) for c in extracted) == 1
+
+
 def test_sweep_to_csv(tmp_path):
     setup = default_setup(dimension=1, n=32)
     ws = default_weights(setup)
