@@ -72,10 +72,10 @@ SEED_ENV = "CARLEMAN_LAB_SEED"
 
 
 class RunContext:
-    """Config plus the objects every pipeline shares.  jobs is accepted
-    for compatibility and ignored: the pipelines run in one thread."""
+    """Config plus the objects every pipeline shares.  The fourth
+    argument is ignored; bench/child.py still passes it."""
 
-    def __init__(self, cfg, out_dir, plot, jobs):
+    def __init__(self, cfg, out_dir, plot, _ignored=None):
         self.cfg = cfg
         self.out_dir = out_dir
         self.plot = plot
@@ -126,8 +126,7 @@ def cmd_forward(ctx: RunContext):
     field = solve_heat(setup.base, setup.grid, setup.timegrid)
     files = [ctx.path("field.csv"), ctx.path("observations.csv")]
     dump_field_csv(field, files[0])
-    obs = extract_observations(field, setup.grid, setup.window,
-                               setup.base.c)
+    obs = extract_observations(field, setup.grid, setup.window)
     observations_to_csv(obs, files[1])
     return files
 
@@ -163,17 +162,15 @@ def cmd_verify_carleman(ctx: RunContext):
 
 def cmd_verify_poincare(ctx: RunContext):
     twin = ctx.twin
-    rep = proposition_sides(ctx.gamma, ctx.background, twin.q_tilde,
-                            twin.u, twin.y, ctx.weights_ref())
+    rep = proposition_sides(ctx.gamma, twin.q_tilde, twin.u, twin.y,
+                            ctx.weights_ref())
     path = ctx.path("poincare.csv")
     proposition_to_csv(rep, path)
     return [path]
 
 
 def cmd_verify_snapshot(ctx: RunContext):
-    rep = snapshot_bound_sides(ctx.twin.y, ctx.gamma,
-                               ctx.background + ctx.gamma,
-                               ctx.weights_energy())
+    rep = snapshot_bound_sides(ctx.twin.y, ctx.gamma, ctx.weights_energy())
     path = ctx.path("snapshot.csv")
     report_to_csv(rep, path)
     return [path]
@@ -197,7 +194,7 @@ def cmd_verify_energy(ctx: RunContext):
                 raise SolverError(
                     f"energy at the window {label} is not suppressed: "
                     f"{value} vs midpoint {curve.e_tprime}")
-    snapshot_bound_sides(twin.y, ctx.gamma, c, ws)
+    snapshot_bound_sides(twin.y, ctx.gamma, ws)
     energy_bound_sides(twin.y, ctx.gamma, c, ws)
 
     path = ctx.path("energy_curve.csv")
@@ -289,7 +286,7 @@ _DISPATCH = {
 }
 
 
-def run(command, config_path=None, plot=False, jobs=1, out=None) -> int:
+def run(command, config_path=None, plot=False, out=None) -> int:
     try:
         cfg = load_config(config_path)
         if SEED_ENV in os.environ:
@@ -302,7 +299,7 @@ def run(command, config_path=None, plot=False, jobs=1, out=None) -> int:
         os.makedirs(out_dir, exist_ok=True)
         if not os.access(out_dir, os.W_OK):
             raise ConfigError(f"output directory {out_dir!r} is not writable")
-        ctx = RunContext(cfg, out_dir, plot, jobs)
+        ctx = RunContext(cfg, out_dir, plot)
     except (ConfigError, GridError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -327,14 +324,11 @@ def main(argv=None) -> int:
                              "default.json")
     parser.add_argument("--plot", action="store_true",
                         help="also emit SVG line plots")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="accepted for compatibility and ignored: "
-                             "every pipeline runs in one thread")
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="output directory (overrides the config)")
     args = parser.parse_args(argv)
     return run(args.command, config_path=args.config, plot=args.plot,
-               jobs=args.jobs, out=args.out)
+               out=args.out)
 
 
 if __name__ == "__main__":

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import SpaceTimeField, time_derivative
+from .forward import SpaceTimeField
 from .grid import (
     GridError,
     discrete_gradient,
-    divergence_flux,
     normal_derivative,
     space_weights,
 )
@@ -95,7 +94,7 @@ def _coeff_mass(gamma: np.ndarray, ws: WeightSet) -> float:
             + weighted_norm_spacetime(grad, ws, 0))
 
 
-def snapshot_bound_sides(y: SpaceTimeField, gamma: np.ndarray, c: np.ndarray,
+def snapshot_bound_sides(y: SpaceTimeField, gamma: np.ndarray,
                          ws: WeightSet) -> EstimateReport:
     """Midpoint mass of the rate field against boundary flux plus the
     fractional-power coefficient mass."""
@@ -135,15 +134,3 @@ def energy_bound_sides(y: SpaceTimeField, gamma: np.ndarray, c: np.ndarray,
         params={"s": ws.s, "lam": ws.lam, "n": ws.grid.n,
                 "eta_ref": ws.eta_ref},
     ).validate()
-
-
-def forcing_field(gamma: np.ndarray, q_tilde: SpaceTimeField) -> SpaceTimeField:
-    """Diagnostic: the explicit forcing div(gamma grad d_t q_tilde) that
-    drives the rate equation; never used by the bound checks themselves."""
-    check_flat_boundary(gamma, q_tilde.grid)
-    rate = time_derivative(q_tilde)
-    vals = divergence_flux(gamma, rate.values, q_tilde.grid, positive=False)
-    if not np.all(np.isfinite(vals)):
-        raise GridError("non-finite forcing value")
-    return SpaceTimeField(values=vals, grid=q_tilde.grid,
-                          timegrid=q_tilde.timegrid)

@@ -28,7 +28,8 @@ from typing import Callable
 import numpy as np
 import scipy
 
-from .grid import Grid, GridError, TimeGrid, divergence_flux
+from .grid import (Grid, GridError, TimeGrid, discrete_gradient,
+                   discrete_laplacian)
 from .report import write_csv
 
 
@@ -387,13 +388,10 @@ class SnapshotPackage:
     grad_q: np.ndarray
     lap_q: np.ndarray
     grad_lap_q: np.ndarray
-    divflux_q: np.ndarray
 
 
-def snapshot_package(field: SpaceTimeField, grid: Grid, window: TimeGrid,
-                     c: np.ndarray) -> SnapshotPackage:
-    from .grid import discrete_gradient, discrete_laplacian
-
+def snapshot_package(field: SpaceTimeField, grid: Grid,
+                     window: TimeGrid) -> SnapshotPackage:
     t_prime = window.t_mid
     q = field.at_time(t_prime)
     lap = discrete_laplacian(q, grid)
@@ -403,7 +401,6 @@ def snapshot_package(field: SpaceTimeField, grid: Grid, window: TimeGrid,
         grad_q=discrete_gradient(q, grid),
         lap_q=lap,
         grad_lap_q=discrete_gradient(lap, grid),
-        divflux_q=divergence_flux(np.asarray(c, dtype=float), q, grid),
     )
 
 

@@ -133,19 +133,6 @@ class Grid:
             nu[a] = 1.0 if side else -1.0
             self._face_normals[name] = nu
 
-        g0 = np.zeros(self.n_nodes, dtype=bool)
-        for f in gamma0_faces:
-            g0[self._face_nodes[f]] = True
-        self.gamma0_mask = g0
-
-        # outward normal per boundary node; a corner keeps the normal of
-        # the first face that lists it (boundary integrals iterate faces
-        # and use face normals, so corners are never read ambiguously)
-        nrm = np.zeros((self.n_nodes, dimension))
-        for name in reversed(self.face_names):
-            nrm[self._face_nodes[name]] = self._face_normals[name]
-        self.node_normals = nrm
-
     # -- structure queries ------------------------------------------------
 
     def face_nodes(self, face: str) -> np.ndarray:
@@ -165,9 +152,6 @@ class Grid:
         """(..., n_nodes) -> (..., *shape); leading axes are kept."""
         flat = np.asarray(flat)
         return flat.reshape(flat.shape[:-1] + self.shape)
-
-    def node_index(self, *multi: int) -> int:
-        return int(np.ravel_multi_index(multi, self.shape))
 
     def __repr__(self):
         return (
@@ -283,16 +267,6 @@ def divergence_flux(c: np.ndarray, f: np.ndarray, grid: Grid,
     return out.reshape(f.shape)
 
 
-def discrete_divergence(vec: np.ndarray, grid: Grid) -> np.ndarray:
-    """Divergence of a nodal vector field (..., n_nodes, dim), same
-    stencils as discrete_gradient componentwise."""
-    vec = np.asarray(vec)
-    out = np.zeros(vec.shape[:-2] + grid.shape)
-    for a in range(grid.dimension):
-        out += _d1(grid.reshape(vec[..., a]), a - grid.dimension, grid.h)
-    return out.reshape(vec.shape[:-1])
-
-
 # second-order one-sided outward derivative, over 2h, on face_layers rows
 FACE_STENCIL = (3.0, -4.0, 1.0)
 
@@ -325,36 +299,3 @@ def space_weights(grid: Grid) -> np.ndarray:
     if grid.dimension == 1:
         return w
     return np.multiply.outer(w, w).ravel()
-
-
-def quadrature_space(f: np.ndarray, grid: Grid) -> float:
-    f = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise GridError("non-finite values in quadrature")
-    return float(space_weights(grid) @ f)
-
-
-def quadrature_spacetime(values: np.ndarray, grid: Grid, tg: TimeGrid) -> float:
-    """Trapezoid in time of trapezoid in space; values has shape
-    (steps+1, n_nodes)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (tg.steps + 1, grid.n_nodes):
-        raise GridError(
-            f"space-time shape {values.shape} != ({tg.steps + 1}, {grid.n_nodes})"
-        )
-    if not np.all(np.isfinite(values)):
-        raise GridError("non-finite values in quadrature")
-    slice_ints = values @ space_weights(grid)
-    tw = np.full(tg.steps + 1, tg.dt)
-    tw[0] = tw[-1] = 0.5 * tg.dt
-    return float(tw @ slice_ints)
-
-
-def boundary_quadrature(trace_by_face: dict, grid: Grid) -> float:
-    """Sum of per-face trapezoid integrals; trace_by_face maps face name
-    to nodal values along that face."""
-    total = 0.0
-    for face, vals in trace_by_face.items():
-        w = grid.face_axis_weights(face)
-        total += float(w @ np.asarray(vals, dtype=float))
-    return total

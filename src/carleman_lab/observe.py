@@ -45,14 +45,14 @@ class ObservationSet:
                 raise GridError(f"non-finite snapshot {name}")
 
 
-def extract_observations(field: SpaceTimeField, grid: Grid, window: TimeGrid,
-                         c: np.ndarray) -> ObservationSet:
+def extract_observations(field: SpaceTimeField, grid: Grid,
+                         window: TimeGrid) -> ObservationSet:
     y = time_derivative(field)
     off = field.timegrid.index_of(window.t0)
     rows = y.values[off + 1 : off + window.steps]
     flux = {face: normal_derivative(rows, grid, face)
             for face in grid.gamma0_faces}
-    snap = snapshot_package(field, grid, window, c)
+    snap = snapshot_package(field, grid, window)
     obs = ObservationSet(
         faces=tuple(grid.gamma0_faces),
         flux=flux,
@@ -111,24 +111,15 @@ def weighted_norm_space(field: np.ndarray, ws: WeightSet, k: float) -> float:
 
 
 def weighted_norm_spacetime(values: np.ndarray, ws: WeightSet, k: float) -> float:
-    """Same weight over the whole window; values is (steps+1, nodes) on the
-    window or a static field broadcast in time."""
+    """Same weight over the whole window for a static field, (nodes,) or
+    (nodes, dim), held constant in time."""
     values = np.asarray(values, dtype=float)
-    if values.ndim == 1 or (values.ndim == 2 and values.shape[0] == ws.grid.n_nodes
-                            and values.shape[1] == ws.grid.dimension):
-        sq = _square(values)[None, :]
-    elif values.ndim == 3:  # time-dependent vector field
-        if values.shape != (ws.timegrid.steps + 1, ws.grid.n_nodes,
-                            ws.grid.dimension):
-            raise GridError(f"window vector field has shape {values.shape}")
-        sq = np.sum(values[1:-1] ** 2, axis=2)
-    else:
-        if values.shape != (ws.timegrid.steps + 1, ws.grid.n_nodes):
-            raise GridError(f"window field has shape {values.shape}")
-        sq = values[1:-1] ** 2
-    vals = sq * ws.weight_st(k)
+    grid = ws.grid
+    if values.shape not in ((grid.n_nodes,), (grid.n_nodes, grid.dimension)):
+        raise GridError(f"static field has shape {values.shape}")
+    vals = _square(values)[None, :] * ws.weight_st(k)
     _check_finite(vals, "weighted space-time")
-    return float(window_sum(vals, space_weights(ws.grid), ws.timegrid.dt))
+    return float(window_sum(vals, space_weights(grid), ws.timegrid.dt))
 
 
 def weighted_boundary_norm(trace_by_face: dict, ws: WeightSet,
@@ -190,7 +181,7 @@ def observation_distance_plain(a: ObservationSet, b: ObservationSet,
     return terms
 
 
-# -- CSV round trip -------------------------------------------------------
+# -- CSV output -----------------------------------------------------------
 
 
 def observations_to_csv(obs: ObservationSet, path):
@@ -207,46 +198,3 @@ def observations_to_csv(obs: ObservationSet, path):
         yield "t_prime", 0, 0, obs.t_prime
 
     write_csv(path, ["kind", "index1", "index2", "value"], rows())
-
-
-def observations_from_csv(path, grid: Grid, window: TimeGrid) -> ObservationSet:
-    flux = {
-        face: np.zeros((window.steps - 1, grid.face_nodes(face).size))
-        for face in grid.gamma0_faces
-    }
-    n = grid.n_nodes
-    dim = grid.dimension
-    q = np.zeros(n)
-    lap_q = np.zeros(n)
-    grad_q = np.zeros((n, dim))
-    grad_lap_q = np.zeros((n, dim))
-    t_prime = None
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "kind,index1,index2,value":
-            raise GridError(f"unexpected observation CSV header: {header!r}")
-        for line in fh:
-            kind, i1, i2, val = line.strip().split(",")
-            i1, i2, val = int(i1), int(i2), float(val)
-            if kind.startswith("flux:"):
-                flux[kind[5:]][i2, i1] = val
-            elif kind == "q":
-                q[i1] = val
-            elif kind == "lap_q":
-                lap_q[i1] = val
-            elif kind == "grad_q":
-                grad_q[i1, i2] = val
-            elif kind == "grad_lap_q":
-                grad_lap_q[i1, i2] = val
-            elif kind == "t_prime":
-                t_prime = val
-            else:
-                raise GridError(f"unknown observation kind {kind!r}")
-    if t_prime is None:
-        raise GridError("observation CSV missing the t_prime record")
-    obs = ObservationSet(
-        faces=tuple(grid.gamma0_faces), flux=flux, q=q, grad_q=grad_q,
-        lap_q=lap_q, grad_lap_q=grad_lap_q, t_prime=t_prime,
-    )
-    obs.validate()
-    return obs

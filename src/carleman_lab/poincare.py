@@ -40,10 +40,9 @@ FLATNESS_TOL = 0.5
 
 @dataclass(frozen=True)
 class TransportBase:
-    """Base field for the first-order operator, with its gradient and the
+    """Gradient of the base field of the first-order operator and the
     nodal minimum of |grad beta . grad base|."""
 
-    field: np.ndarray
     gradient: np.ndarray
     min_transport: float
 
@@ -54,11 +53,7 @@ def build_transport_base(b: np.ndarray, ws: WeightSet) -> TransportBase:
         raise GridError(f"base field has shape {b.shape}")
     grad = discrete_gradient(b, ws.grid)
     transport = np.abs(np.sum(ws.grad_beta_tilde * grad, axis=1))
-    return TransportBase(
-        field=b.copy(),
-        gradient=grad,
-        min_transport=float(np.min(transport)),
-    )
+    return TransportBase(gradient=grad, min_transport=float(np.min(transport)))
 
 
 def apply_P0(g: np.ndarray, base: TransportBase, grid: Grid) -> np.ndarray:
@@ -82,7 +77,8 @@ def _require_nondegenerate(base: TransportBase):
 
 def lemma_sides(g: np.ndarray, base: TransportBase,
                 ws: WeightSet) -> EstimateReport:
-    """Weighted mass of g at T' against the weighted transport image."""
+    """Weighted mass of g at T' against the weighted transport image: the
+    paper's Poincare-type lemma, kept for the tests that check it."""
     _require_nondegenerate(base)
     p0g = apply_P0(g, base, ws.grid)
     lhs = {
@@ -129,7 +125,8 @@ def cit_residual(gamma: np.ndarray, c: np.ndarray, q_tilde: SpaceTimeField,
                  u: SpaceTimeField, y: SpaceTimeField,
                  window: TimeGrid) -> np.ndarray:
     """Defect of the midpoint-slice decomposition of y into the
-    coefficient-difference flux plus the background flux of u."""
+    coefficient-difference flux plus the background flux of u; acceptance
+    4 checks that it vanishes at first order under refinement."""
     grid = q_tilde.grid
     check_flat_boundary(gamma, grid)
     t_prime = window.t_mid
@@ -162,9 +159,9 @@ class PropositionReport:
         }
 
 
-def proposition_sides(gamma: np.ndarray, c: np.ndarray,
-                      q_tilde: SpaceTimeField, u: SpaceTimeField,
-                      y: SpaceTimeField, ws: WeightSet) -> PropositionReport:
+def proposition_sides(gamma: np.ndarray, q_tilde: SpaceTimeField,
+                      u: SpaceTimeField, y: SpaceTimeField,
+                      ws: WeightSet) -> PropositionReport:
     """Both sides of the coefficient snapshot estimate, with the scalar
     and gradient halves reported separately (their right-hand sides
     carry different weight powers in the source argument; each half is
@@ -175,7 +172,7 @@ def proposition_sides(gamma: np.ndarray, c: np.ndarray,
     _require_nondegenerate(base)
 
     grad_gamma = discrete_gradient(gamma, grid)
-    u_snap = snapshot_package(u, grid, window, c)
+    u_snap = snapshot_package(u, grid, window)
     yt = y.at_time(window.t_mid)
     grad_y = discrete_gradient(yt, grid)
 
@@ -232,7 +229,8 @@ def proposition_sides(gamma: np.ndarray, c: np.ndarray,
 
 def coefficient_lower_bound(gamma: np.ndarray, ws: WeightSet) -> tuple:
     """Computable chain: the weighted LHS dominates the plain first-order
-    mass of gamma times the worst-case nodal weight factor."""
+    mass of gamma times the worst-case nodal weight factor, the step from
+    the weighted estimate to a plain H1 bound; kept for its tests."""
     grid = ws.grid
     grad_gamma = discrete_gradient(gamma, grid)
     s2l2 = ws.s**2 * ws.lam**2

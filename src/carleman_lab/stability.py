@@ -32,6 +32,7 @@ from .forward import (
     CrankNicolsonStepper,
     HeatProblem,
     _flapack,
+    _flux_pattern,
     solve_heat,
     snapshot_package,
 )
@@ -144,7 +145,7 @@ def _base_terms(c_tilde: np.ndarray, setup: ExperimentSetup,
     q_tilde = solve_heat(replace(setup.base, c=c_tilde), grid, setup.timegrid)
     base = build_transport_base(q_tilde.at_time(window.t_mid), ws)
     _require_nondegenerate(base)
-    return q_tilde, base, extract_observations(q_tilde, grid, window, c_tilde)
+    return q_tilde, base, extract_observations(q_tilde, grid, window)
 
 
 def stability_sides(pair: CoefficientPair, setup: ExperimentSetup,
@@ -165,7 +166,7 @@ def stability_sides(pair: CoefficientPair, setup: ExperimentSetup,
     rows = y.window_values(window)[1:-1]
     traces = {face: normal_derivative(rows, grid, face)
               for face in grid.gamma0_faces}
-    u_snap = snapshot_package(u, grid, window, pair.c)
+    u_snap = snapshot_package(u, grid, window)
     weighted = EstimateReport(
         name="stability_weighted",
         lhs_terms=lhs,
@@ -180,7 +181,7 @@ def stability_sides(pair: CoefficientPair, setup: ExperimentSetup,
                 "eta_ref": ws.eta_ref, "min_transport": base.min_transport},
     ).validate()
 
-    obs = extract_observations(q, grid, window, pair.c)
+    obs = extract_observations(q, grid, window)
     dist = observation_distance_plain(obs, obs_tilde, grid, window)
     plain = EstimateReport(
         name="stability_plain",
@@ -306,23 +307,22 @@ def _h1_apply(v: np.ndarray, grid: Grid) -> np.ndarray:
 
 def _h1_gram(grid: Grid, idx: np.ndarray) -> np.ndarray:
     """Dense H1 Gram matrix restricted to the nodes in idx; the
-    preconditioner of the descent metric."""
-    pos = -np.ones(grid.n_nodes, dtype=int)
+    preconditioner of the descent metric.  Every lattice edge adds coef
+    to the diagonal at each end in idx, and subtracts it off the diagonal
+    when both ends are; all addends are equal, so their order does not
+    change the bits."""
+    pos = np.full(grid.n_nodes, -1)
     pos[idx] = np.arange(idx.size)
-    gram = np.diag(space_weights(grid)[idx])
+    edges = _flux_pattern(grid.dimension, grid.n)
+    lo, hi = pos[edges.lo], pos[edges.hi]
     coef = grid.h**grid.dimension / grid.h**2
-    node = np.arange(grid.n_nodes).reshape(grid.shape)
-    for a in range(grid.dimension):
-        na = np.moveaxis(node, a, 0)
-        for i, j in zip(na[:-1].ravel(), na[1:].ravel()):
-            pi, pj = pos[i], pos[j]
-            if pi >= 0:
-                gram[pi, pi] += coef
-            if pj >= 0:
-                gram[pj, pj] += coef
-            if pi >= 0 and pj >= 0:
-                gram[pi, pj] -= coef
-                gram[pj, pi] -= coef
+    diag = space_weights(grid)[idx]
+    ends = np.concatenate((lo, hi))
+    np.add.at(diag, ends[ends >= 0], coef)
+    gram = np.diag(diag)
+    both = (lo >= 0) & (hi >= 0)
+    gram[lo[both], hi[both]] -= coef
+    gram[hi[both], lo[both]] -= coef
     return gram
 
 
@@ -346,11 +346,13 @@ def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def relative_h1_error(estimate: np.ndarray, truth: np.ndarray,
-                      grid: Grid) -> float:
-    denom = h1_norm_sq(truth, grid)
-    if denom == 0.0:
-        return math.nan
-    return math.sqrt(h1_norm_sq(estimate - truth, grid) / denom)
+                      prior: np.ndarray, grid: Grid) -> float:
+    """H1 norm of estimate - truth relative to that of truth - prior, the
+    error reconstruct logs; the absolute norm when truth is the prior."""
+    truth = np.asarray(truth, dtype=float)
+    gap = h1_norm_sq(truth - prior, grid)
+    err = h1_norm_sq(estimate - truth, grid)
+    return math.sqrt(err if gap == 0.0 else err / gap)
 
 
 def make_observations(setup: ExperimentSetup, c_true: np.ndarray,
@@ -360,7 +362,7 @@ def make_observations(setup: ExperimentSetup, c_true: np.ndarray,
     prob = HeatProblem(c=c_true, g=setup.base.g, q0=setup.base.q0,
                        r=setup.base.r)
     field = solve_heat(prob, setup.grid, setup.timegrid)
-    obs = extract_observations(field, setup.grid, setup.window, c_true)
+    obs = extract_observations(field, setup.grid, setup.window)
     if sigma > 0.0:
         rng = np.random.default_rng(seed)
         noisy = {face: vals + sigma * rng.standard_normal(vals.shape)
@@ -521,15 +523,10 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
         d[idx] = _cho_solve(chol, g[idx])
         return d
 
-    gap = (None if truth is None
-           else h1_norm_sq(np.asarray(truth, dtype=float) - prior, grid))
-
     def h1_err(current):
-        if gap is None:
+        if truth is None:
             return math.nan
-        if gap == 0.0:
-            return math.sqrt(h1_norm_sq(current - truth, grid))
-        return math.sqrt(h1_norm_sq(current - truth, grid) / gap)
+        return relative_h1_error(current, truth, prior, grid)
 
     gnorm = float(np.linalg.norm(grad))
     result.log.append((0, j_val, gnorm, h1_err(c)))

@@ -126,10 +126,6 @@ class WeightSet:
         return self._table(
             "dt_eta", lambda: -self.eta * (self.w_prime / self.w)[:, None])
 
-    @property
-    def dt_phi(self) -> np.ndarray:
-        return -np.exp(self.log_phi) * (self.w_prime / self.w)[:, None]
-
     def normal_beta(self, face: str) -> np.ndarray:
         """d_nu beta on one face (beta and beta_tilde share gradients)."""
         nu = self.grid.face_normal(face)
@@ -208,13 +204,10 @@ class TimeProfile:
     min_value: float
 
 
-def time_profile_value(t: float, t0: float, t_end: float) -> float:
-    return 1.0 / ((t - t0) * (t_end - t))
-
-
 def weight_time_profile(timegrid: TimeGrid) -> TimeProfile:
     """Tabulate 1/w on interior nodes and locate its minimum, which must
-    be the window midpoint."""
+    be the window midpoint: the T' the weighted estimates are stated at,
+    which acceptance 2 checks."""
     t = timegrid.times[1:-1]
     vals = 1.0 / ((t - timegrid.t0) * (timegrid.t_end - t))
     k = int(np.argmin(vals))
@@ -238,8 +231,9 @@ class WeightBoundsReport:
 
 def weight_bounds_check(ws: WeightSet) -> WeightBoundsReport:
     """Empirical suprema of the pointwise ratios the proofs bound by
-    constants.  Evaluated in log space; the T' row contributes zero to
-    the time-derivative ratios because w' vanishes there."""
+    constants, kept for the tests that check them finite.  Evaluated in
+    log space; the T' row contributes zero to the time-derivative ratios
+    because w' vanishes there."""
     log_phi = ws.log_phi
     log_w = np.log(ws.w)[:, None]
     with np.errstate(divide="ignore"):

@@ -24,7 +24,6 @@ from carleman_lab.poincare import cit_residual, proposition_sides
 from carleman_lab.setups import (
     bump_shape,
     default_setup,
-    default_weights,
     inversion_setup,
     perturbation_family,
     twin_solve,
@@ -38,6 +37,7 @@ from carleman_lab.stability import (
     stability_sweep,
 )
 from carleman_lab.weights import weight_time_profile
+from helpers import default_weights
 
 
 VERDICTS = []
@@ -121,10 +121,9 @@ def test_acceptance_4_poincare_lemma_proposition():
     with verdict(4, "poincare lemma and proposition"):
         setup = default_setup()
         ws = default_weights(setup)
-        c = setup.c_tilde
         for _, _, gam in perturbation_family(setup.grid):
             tw = twin_solve(setup, gam)
-            rep = proposition_sides(gam, c, tw.q_tilde, tw.u, tw.y, ws)
+            rep = proposition_sides(gam, tw.q_tilde, tw.u, tw.y, ws)
             for part in rep.parts().values():
                 assert np.isfinite(part.ratio)
 
@@ -142,11 +141,11 @@ def test_acceptance_4_poincare_lemma_proposition():
 
         bump = 0.05 * bump_shape(setup.grid)
         tw_bump = twin_solve(setup, bump)
-        scale = proposition_sides(bump, c, tw_bump.q_tilde, tw_bump.u,
+        scale = proposition_sides(bump, tw_bump.q_tilde, tw_bump.u,
                                   tw_bump.y, ws).combined
         zero = np.zeros(setup.grid.n_nodes)
         tw0 = twin_solve(setup, zero)
-        rep0 = proposition_sides(zero, c, tw0.q_tilde, tw0.u, tw0.y,
+        rep0 = proposition_sides(zero, tw0.q_tilde, tw0.u, tw0.y,
                                  ws).combined
         assert rep0.lhs_total <= 1e-12 * scale.lhs_total
         assert rep0.rhs_total <= 1e-12 * scale.rhs_total
@@ -159,7 +158,7 @@ def test_acceptance_5_snapshot_and_energy_bounds():
         tw = twin_solve(setup, gam)
         c = setup.c_tilde + gam
         ws = default_weights(setup, s=4.0)
-        assert np.isfinite(snapshot_bound_sides(tw.y, gam, c, ws).ratio)
+        assert np.isfinite(snapshot_bound_sides(tw.y, gam, ws).ratio)
         assert np.isfinite(energy_bound_sides(tw.y, gam, c, ws).ratio)
         curve = energy(tw.y, c, ws)
         assert np.all(curve.values >= 0.0)

@@ -28,11 +28,11 @@ from carleman_lab.grid import (
     GridError,
     TimeGrid,
     build_grid,
-    discrete_divergence,
     discrete_laplacian,
     space_weights,
 )
 from carleman_lab.weights import WeightSet, build_weights
+from helpers import discrete_divergence
 
 S_LIST = [1.0, 2.0, 4.0, 8.0]
 LAM_LIST = [1.0, 2.0]

@@ -183,7 +183,7 @@ def test_twin_pipelines_share_one_twin_solve(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(setups, "solve_heat", recording)
-    ctx = RunContext(load_config(None), str(tmp_path), False, 1)
+    ctx = RunContext(load_config(None), str(tmp_path), False)
     for cmd in (cmd_verify_poincare, cmd_verify_snapshot, cmd_verify_energy):
         cmd(ctx)
     assert len(calls) == 2       # the perturbed and the base problem
@@ -198,7 +198,7 @@ def test_run_context_builds_each_weight_set_once(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cli, "build_weights", recording)
-    ctx = RunContext(load_config(None), str(tmp_path), False, 1)
+    ctx = RunContext(load_config(None), str(tmp_path), False)
     assert ctx.weights_ref() is ctx.weights_ref()
     assert ctx.weights(1, 1) is ctx.weights_ref()
     assert ctx.weights_energy() is ctx.weights_energy()
@@ -244,14 +244,6 @@ def test_all_is_byte_deterministic(tmp_path):
     assert run("all", out=str(b)) == 0
     for path in sorted(a.iterdir()):
         assert path.read_bytes() == (b / path.name).read_bytes()
-
-
-def test_jobs_flag_does_not_change_output(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run("verify-carleman", jobs=1, out=str(a)) == 0
-    assert run("verify-carleman", jobs=3, out=str(b)) == 0
-    assert (a / "carleman_sweep.csv").read_bytes() == \
-        (b / "carleman_sweep.csv").read_bytes()
 
 
 def test_env_seed_overrides_config(tmp_path, monkeypatch):
@@ -332,7 +324,7 @@ def test_line_plot_writes_one_polyline_per_series(tmp_path):
 START_UP_AND_PIPELINES = """
 import sys
 from carleman_lab import cli
-ctx = cli.RunContext(cli.load_config(None), sys.argv[1], False, 1)
+ctx = cli.RunContext(cli.load_config(None), sys.argv[1], False)
 after_start_up = set(sys.modules)
 for fn in (cli.cmd_verify_carleman, cli.cmd_verify_poincare,
            cli.cmd_verify_energy, cli.cmd_sweep_stability,

@@ -7,17 +7,13 @@ from carleman_lab.energy import (
     energy,
     energy_bound_sides,
     energy_tprime_direct,
-    forcing_field,
     snapshot_bound_sides,
 )
-from carleman_lab.forward import SpaceTimeField
-from carleman_lab.grid import GridError
-from carleman_lab.setups import (
-    bump_shape,
-    default_setup,
-    default_weights,
-    twin_solve,
-)
+from carleman_lab.forward import SpaceTimeField, time_derivative
+from carleman_lab.grid import GridError, divergence_flux
+from carleman_lab.poincare import check_flat_boundary
+from carleman_lab.setups import bump_shape, default_setup, twin_solve
+from helpers import default_weights
 
 
 def default_twin(eps=0.05, **kwargs):
@@ -102,7 +98,7 @@ def test_snapshot_bound_zero_gamma():
     zero = np.zeros(setup.grid.n_nodes)
     tw = twin_solve(setup, zero)
     ws = default_weights(setup, s=4.0)
-    rep = snapshot_bound_sides(tw.y, zero, setup.c_tilde, ws)
+    rep = snapshot_bound_sides(tw.y, zero, ws)
     assert rep.lhs_total == 0.0
     assert rep.rhs_total == 0.0
     assert rep.ratio == 0.0
@@ -110,11 +106,10 @@ def test_snapshot_bound_zero_gamma():
 
 def test_snapshot_bound_default_and_s_trend():
     setup, gam, tw = default_twin()
-    c = setup.c_tilde + gam
     ratios = {}
     for s in (4.0, 8.0):
         ws = default_weights(setup, s=s)
-        rep = snapshot_bound_sides(tw.y, gam, c, ws)
+        rep = snapshot_bound_sides(tw.y, gam, ws)
         assert np.isfinite(rep.ratio)
         ratios[s] = rep.ratio
     assert ratios[4.0] == pytest.approx(2.636e-11, rel=1e-2)
@@ -154,13 +149,20 @@ def test_energy_quadratic_in_perturbation():
 
 
 def test_forcing_diagnostic():
+    # the forcing div(gamma grad d_t q_tilde) of the rate equation, on
+    # the sign-indefinite coefficient path of divergence_flux
     setup, gam, tw = default_twin()
-    f = forcing_field(gam, tw.q_tilde)
-    assert np.all(np.isfinite(f.values))
-    sup = np.max(np.abs(f.values))
+    check_flat_boundary(gam, setup.grid)
+    rate = time_derivative(tw.q_tilde).values
+
+    def forcing(gamma):
+        return divergence_flux(gamma, rate, setup.grid, positive=False)
+
+    f = forcing(gam)
+    assert np.all(np.isfinite(f))
+    sup = np.max(np.abs(f))
     assert 0.01 < sup < 10.0
-    np.testing.assert_array_equal(forcing_field(2.0 * gam, tw.q_tilde).values,
-                                  2.0 * f.values)
+    np.testing.assert_array_equal(forcing(2.0 * gam), 2.0 * f)
 
 
 def test_energy_curve_csv(tmp_path):

@@ -39,7 +39,7 @@ def test_decaying_sine_pointwise():
     g = build_grid(1, 32, ["right"])
     tg = TimeGrid(0.0, 2.0, 128)  # dt = 1/64
     q = solve_heat(decaying_sine_problem(g), g, tg)
-    node = g.node_index(16)  # x = 0.5
+    node = 16  # x = 0.5
     got = q.at_time(1.0)[node]
     assert abs(got - np.exp(-1.0)) < 1e-3
 
@@ -207,7 +207,7 @@ def test_flux_matrices_match_operator():
 
 def test_time_derivative_analytic():
     g = build_grid(1, 32, ["right"])
-    node = g.node_index(16)
+    node = 16  # x = 0.5
     errs = []
     for steps in (64, 128, 256):
         tg = TimeGrid(0.0, 2.0, steps)
@@ -242,7 +242,7 @@ def test_snapshot_package_sine():
     x = g.coords[:, 0]
     vals = np.tile(np.sin(np.pi * x), (9, 1))
     f = SpaceTimeField(values=vals, grid=g, timegrid=tg)
-    snap = snapshot_package(f, g, win, np.ones(g.n_nodes))
+    snap = snapshot_package(f, g, win)
     assert snap.t_prime == 1.25
     interior = g.interior_mask
     lap_err = np.abs(snap.lap_q + np.pi**2 * np.sin(np.pi * x))
@@ -260,7 +260,7 @@ def test_snapshot_package_constant():
     win = TimeGrid(0.5, 2.0, 6)
     vals = np.full((9, g.n_nodes), 3.0)
     f = SpaceTimeField(values=vals, grid=g, timegrid=tg)
-    snap = snapshot_package(f, g, win, np.ones(g.n_nodes))
+    snap = snapshot_package(f, g, win)
     assert np.max(np.abs(snap.grad_q)) < 1e-12
     assert np.max(np.abs(snap.lap_q)) < 1e-11
     assert np.max(np.abs(snap.grad_lap_q)) < 1e-10
@@ -275,7 +275,7 @@ def test_snapshot_package_2d_refinement():
         x, y = g.coords[:, 0], g.coords[:, 1]
         base = np.sin(np.pi * x) * np.sin(np.pi * y)
         f = SpaceTimeField(values=np.tile(base, (9, 1)), grid=g, timegrid=tg)
-        snap = snapshot_package(f, g, win, np.ones(g.n_nodes))
+        snap = snapshot_package(f, g, win)
         err = np.abs(snap.lap_q + 2.0 * np.pi**2 * base)[g.interior_mask]
         errs.append(np.max(err))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]

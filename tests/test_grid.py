@@ -5,16 +5,15 @@ from carleman_lab.grid import (
     Grid,
     GridError,
     TimeGrid,
-    boundary_quadrature,
     build_grid,
-    discrete_divergence,
     discrete_gradient,
     discrete_laplacian,
     divergence_flux,
     normal_derivative,
-    quadrature_space,
-    quadrature_spacetime,
+    space_weights,
 )
+from carleman_lab.observe import norm_space_plain, window_sum
+from helpers import discrete_divergence
 
 
 def test_build_1d_basic():
@@ -22,8 +21,8 @@ def test_build_1d_basic():
     assert g.n_nodes == 11
     assert g.h == pytest.approx(0.1)
     assert g.boundary_mask.sum() == 2
-    assert g.gamma0_mask.sum() == 1
-    assert g.gamma0_mask[10]
+    assert g.gamma0_faces == ("right",)
+    assert list(g.face_nodes("right")) == [10]
     assert g.face_normal("right")[0] == 1.0
     assert g.face_normal("left")[0] == -1.0
 
@@ -33,14 +32,14 @@ def test_build_2d_east_face():
     assert g.n_nodes == 81
     # 4 faces of 9 nodes, 4 shared corners
     assert g.boundary_mask.sum() == 32
-    assert g.gamma0_mask.sum() == 9
-    assert np.all(g.coords[g.gamma0_mask, 0] == 1.0)
+    assert g.face_nodes("east").size == 9
+    assert np.all(g.coords[g.face_nodes("east"), 0] == 1.0)
 
 
 def test_build_2d_corner_pair():
     g = build_grid(2, 8, ["north", "east"])
     # two faces of 9 sharing one corner node
-    assert g.gamma0_mask.sum() == 17
+    assert np.union1d(g.face_nodes("north"), g.face_nodes("east")).size == 17
 
 
 def test_build_rejects_small_n():
@@ -58,11 +57,13 @@ def test_build_rejects_unknown_face():
         build_grid(2, 8, ["up"])
 
 
-def test_node_normals_unit_axis_vectors():
+def test_face_normals_unit_axis_vectors():
     g = build_grid(2, 8, ["east"])
-    nn = g.node_normals[g.boundary_mask]
-    assert np.all(np.abs(nn).sum(axis=1) == 1.0)
-    assert np.all(g.node_normals[~g.boundary_mask] == 0.0)
+    for face in g.face_names:
+        nu = g.face_normal(face)
+        assert np.abs(nu).sum() == 1.0
+        # outward: from the face's nodes the normal leaves the square
+        assert np.all((g.coords[g.face_nodes(face)] @ nu) == max(nu.sum(), 0))
 
 
 def test_timegrid_midpoint_on_grid():
@@ -169,36 +170,41 @@ def test_divflux_bilinear():
 
 def test_quadrature_space_exact_cases():
     g = build_grid(1, 10, ["right"])
-    assert quadrature_space(np.ones(g.n_nodes), g) == pytest.approx(1.0, abs=1e-14)
-    assert quadrature_space(g.coords[:, 0], g) == pytest.approx(0.5, abs=1e-14)
+    assert space_weights(g) @ np.ones(g.n_nodes) == pytest.approx(1.0, abs=1e-14)
+    assert space_weights(g) @ g.coords[:, 0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_quadrature_space_sin():
     g = build_grid(1, 32, ["right"])
-    val = quadrature_space(np.sin(np.pi * g.coords[:, 0]), g)
+    val = space_weights(g) @ np.sin(np.pi * g.coords[:, 0])
     assert abs(val - 2.0 / np.pi) < 2e-3
 
 
 def test_quadrature_2d_constant():
     g = build_grid(2, 8, ["east"])
-    assert quadrature_space(np.ones(g.n_nodes), g) == pytest.approx(1.0, abs=1e-13)
+    assert space_weights(g) @ np.ones(g.n_nodes) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_quadrature_rejects_nonfinite():
+    # the plain norms are the quadratures that check their integrand
     g = build_grid(1, 8, ["right"])
     f = np.ones(g.n_nodes)
     f[2] = np.nan
     with pytest.raises(GridError):
-        quadrature_space(f, g)
+        norm_space_plain(f, g)
 
 
 def test_quadrature_spacetime_linear_exact():
+    # window_sum is the trapezoid in time of the trapezoid in space for
+    # an integrand that vanishes on the endpoint rows, which it omits:
+    # exact for (x + 1) times the hat in t peaking at t = 1
     g = build_grid(1, 8, ["right"])
     tg = TimeGrid(0.0, 2.0, 8)
     x = g.coords[:, 0]
-    vals = np.array([x + t for t in tg.times])
-    # integral of (x + t) over (0,1) x (0,2) = 1 + 2
-    assert quadrature_spacetime(vals, g, tg) == pytest.approx(3.0, abs=1e-12)
+    vals = np.array([(x + 1.0) * (1.0 - abs(t - 1.0)) for t in tg.times])
+    # integral of (x + 1) over (0,1) times the hat's area 1
+    assert window_sum(vals[1:-1], space_weights(g), tg.dt) == pytest.approx(
+        1.5, abs=1e-12)
 
 
 def test_normal_derivative_quadratic():
@@ -227,12 +233,10 @@ def test_conservativity_summation_by_parts():
         x, y = g.coords[:, 0], g.coords[:, 1]
         f = np.sin(np.pi * x) * np.sin(np.pi * y)
         c = 1.0 + 0.4 * x + 0.2 * y * y
-        vol = quadrature_space(divergence_flux(c, f, g), g)
-        trace = {}
-        for face in g.face_names:
-            nodes = g.face_nodes(face)
-            trace[face] = c[nodes] * normal_derivative(f, g, face)
-        bnd = boundary_quadrature(trace, g)
+        vol = space_weights(g) @ divergence_flux(c, f, g)
+        bnd = sum(g.face_axis_weights(face)
+                  @ (c[g.face_nodes(face)] * normal_derivative(f, g, face))
+                  for face in g.face_names)
         errs.append(abs(vol - bnd))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.5

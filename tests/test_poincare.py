@@ -16,12 +16,8 @@ from carleman_lab.poincare import (
     proposition_to_csv,
 )
 from carleman_lab.forward import HeatProblem
-from carleman_lab.setups import (
-    bump_shape,
-    default_setup,
-    default_weights,
-    twin_solve,
-)
+from carleman_lab.setups import bump_shape, default_setup, twin_solve
+from helpers import default_weights
 
 import dataclasses
 
@@ -201,7 +197,7 @@ def test_proposition_zero_gamma():
     zero = np.zeros(setup.grid.n_nodes)
     tw = twin_solve(setup, zero)
     ws = default_weights(setup, s=4.0)
-    rep = proposition_sides(zero, setup.c_tilde, tw.q_tilde, tw.u, tw.y, ws)
+    rep = proposition_sides(zero, tw.q_tilde, tw.u, tw.y, ws)
     for part in rep.parts().values():
         assert part.lhs_total == 0.0
     assert rep.combined.ratio == 0.0
@@ -214,7 +210,7 @@ def test_proposition_amplitude_stability():
     for eps in (0.01, 0.05, 0.1):
         gam = eps * bump_shape(setup.grid)
         tw = twin_solve(setup, gam)
-        rep = proposition_sides(gam, setup.c_tilde, tw.q_tilde, tw.u, tw.y, ws)
+        rep = proposition_sides(gam, tw.q_tilde, tw.u, tw.y, ws)
         for part in rep.parts().values():
             assert np.isfinite(part.ratio) and part.ratio >= 0.0
         ratios[eps] = rep.combined.ratio
@@ -231,7 +227,7 @@ def test_proposition_2d_smoke():
     gam = 0.05 * bump_shape(setup.grid)
     tw = twin_solve(setup, gam)
     ws = default_weights(setup, lam=1.0, s=4.0)
-    rep = proposition_sides(gam, setup.c_tilde, tw.q_tilde, tw.u, tw.y, ws)
+    rep = proposition_sides(gam, tw.q_tilde, tw.u, tw.y, ws)
     for name, part in rep.parts().items():
         assert np.isfinite(part.ratio) and part.ratio >= 0.0
     assert set(rep.parts()) == {"scalar", "gradient", "combined"}
@@ -251,7 +247,7 @@ def test_proposition_csv(tmp_path):
     gam = 0.05 * bump_shape(setup.grid)
     tw = twin_solve(setup, gam)
     ws = default_weights(setup, s=4.0)
-    rep = proposition_sides(gam, setup.c_tilde, tw.q_tilde, tw.u, tw.y, ws)
+    rep = proposition_sides(gam, tw.q_tilde, tw.u, tw.y, ws)
     out = tmp_path / "prop.csv"
     proposition_to_csv(rep, out)
     lines = out.read_text().strip().split("\n")

@@ -5,11 +5,10 @@ import pytest
 
 from carleman_lab import forward, setups, stability
 from carleman_lab.forward import CrankNicolsonStepper, HeatProblem
-from carleman_lab.grid import GridError
+from carleman_lab.grid import GridError, space_weights
 from carleman_lab.setups import (
     bump_shape,
     default_setup,
-    default_weights,
     inversion_setup,
     perturbation_family,
 )
@@ -29,6 +28,7 @@ from carleman_lab.stability import (
     stability_sweep,
     sweep_to_csv,
 )
+from helpers import default_weights
 
 
 def bump_truth(grid, eps=0.05):
@@ -227,9 +227,9 @@ def test_stability_sweep_extracts_base_observations_once(monkeypatch):
     extracted = []
     original = stability.extract_observations
 
-    def recording(field, grid, window, c):
-        extracted.append(np.asarray(c, dtype=float).copy())
-        return original(field, grid, window, c)
+    def recording(field, grid, window):
+        extracted.append(field.values.copy())
+        return original(field, grid, window)
 
     monkeypatch.setattr(stability, "extract_observations", recording)
     setup = default_setup(dimension=1, n=32)
@@ -237,7 +237,8 @@ def test_stability_sweep_extracts_base_observations_once(monkeypatch):
     records, _ = stability_sweep(fam, setup, default_weights(setup))
     assert len(records) == 3
     assert len(extracted) == len(records) + 1
-    assert sum(np.array_equal(c, setup.c_tilde) for c in extracted) == 1
+    base = forward.solve_heat(setup.base, setup.grid, setup.timegrid).values
+    assert sum(np.array_equal(v, base) for v in extracted) == 1
 
 
 def test_sweep_to_csv(tmp_path):
@@ -425,6 +426,31 @@ def test_h1_gram_matches_quadratic_form():
     assert quad == pytest.approx(h1_norm_sq(v, setup.grid), rel=1e-12)
 
 
+@pytest.mark.parametrize("dimension,n", [(1, 20), (1, 32), (2, 13), (2, 16)])
+def test_h1_gram_equals_edge_loop(dimension, n):
+    # the Gram matrix as a double loop over lattice edges fills it,
+    # bit for bit: the preconditioner's factor depends on its bits
+    grid = default_setup(dimension=dimension, n=n).grid
+    idx = np.flatnonzero(admissible_mask(grid))
+    pos = -np.ones(grid.n_nodes, dtype=int)
+    pos[idx] = np.arange(idx.size)
+    loop = np.diag(space_weights(grid)[idx])
+    coef = grid.h**grid.dimension / grid.h**2
+    node = np.arange(grid.n_nodes).reshape(grid.shape)
+    for a in range(grid.dimension):
+        na = np.moveaxis(node, a, 0)
+        for i, j in zip(na[:-1].ravel(), na[1:].ravel()):
+            pi, pj = pos[i], pos[j]
+            if pi >= 0:
+                loop[pi, pi] += coef
+            if pj >= 0:
+                loop[pj, pj] += coef
+            if pi >= 0 and pj >= 0:
+                loop[pi, pj] -= coef
+                loop[pj, pi] -= coef
+    np.testing.assert_array_equal(_h1_gram(grid, idx), loop)
+
+
 # -- reconstruction --------------------------------------------------------
 
 
@@ -518,8 +544,9 @@ def test_reconstruction_log_csv(tmp_path):
 def test_relative_h1_error_endpoints():
     setup = default_setup(dimension=1, n=32)
     v = bump_shape(setup.grid)
-    assert relative_h1_error(v, v, setup.grid) == 0.0
-    assert relative_h1_error(np.zeros_like(v), v, setup.grid) == 1.0
+    zero = np.zeros_like(v)
+    assert relative_h1_error(v, v, zero, setup.grid) == 0.0
+    assert relative_h1_error(zero, v, zero, setup.grid) == 1.0
 
 
 def test_inverse_config_rejects_bad_fields():

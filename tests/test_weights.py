@@ -5,10 +5,14 @@ from carleman_lab.grid import TimeGrid, build_grid
 from carleman_lab.weights import (
     WeightError,
     build_weights,
-    time_profile_value,
     weight_bounds_check,
     weight_time_profile,
 )
+
+
+def dt_phi(ws):
+    """Closed-form time derivative of phi: -phi w'/w, zero on the T' row."""
+    return -ws.phi * (ws.w_prime / ws.w)[:, None]
 
 
 def ref_setup(lam=1.0, s=1.0, steps=16):
@@ -111,7 +115,7 @@ def test_monotonicity_in_K_and_lambda():
 def test_time_derivatives_vanish_at_midpoint_exactly():
     g, tg, ws = ref_setup()
     assert np.all(ws.dt_eta[ws.tprime_row] == 0.0)
-    assert np.all(ws.dt_phi[ws.tprime_row] == 0.0)
+    assert np.all(dt_phi(ws)[ws.tprime_row] == 0.0)
 
 
 def test_closed_form_time_derivatives_match_differences():
@@ -127,7 +131,7 @@ def test_closed_form_time_derivatives_match_differences():
         t_mid = ws.times_interior[1:-1]
         sel = (t_mid > 1.0) & (t_mid < 1.5)
         worst = 0.0
-        for tab, closed in ((ws.eta, ws.dt_eta), (np.exp(ws.log_phi), ws.dt_phi)):
+        for tab, closed in ((ws.eta, ws.dt_eta), (np.exp(ws.log_phi), dt_phi(ws))):
             diff = (tab[2:] - tab[:-2]) / (2.0 * dt)
             resid = np.abs(diff - closed[1:-1])[sel]
             scale = np.max(np.abs(closed[1:-1][sel]))
@@ -138,9 +142,13 @@ def test_closed_form_time_derivatives_match_differences():
 
 
 def test_time_profile_examples():
-    assert time_profile_value(1.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-14)
-    assert time_profile_value(0.5, 0.0, 2.0) == pytest.approx(4.0 / 3.0, abs=1e-14)
-    assert time_profile_value(0.5, 0.0, 1.0) == pytest.approx(4.0, abs=1e-14)
+    def value(t, t0, t_end):
+        tg = TimeGrid(t0, t_end, 16)
+        return weight_time_profile(tg).values[tg.index_of(t) - 1]
+
+    assert value(1.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-14)
+    assert value(0.5, 0.0, 2.0) == pytest.approx(4.0 / 3.0, abs=1e-14)
+    assert value(0.5, 0.0, 1.0) == pytest.approx(4.0, abs=1e-14)
 
     tg = TimeGrid(0.0, 2.0, 16)
     prof = weight_time_profile(tg)
