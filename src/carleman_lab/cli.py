@@ -56,18 +56,6 @@ from .weights import build_weights
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 2, 3
 
-COMMANDS = (
-    "forward",
-    "verify-carleman",
-    "verify-poincare",
-    "verify-snapshot",
-    "verify-energy",
-    "verify-stability",
-    "sweep-stability",
-    "reconstruct",
-    "all",
-)
-
 SEED_ENV = "CARLEMAN_LAB_SEED"
 
 
@@ -318,7 +306,7 @@ def main(argv=None) -> int:
         prog="carleman-lab",
         description="Weighted-estimate verifiers and conductivity "
                     "reconstruction for a heat equation testbed.")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--config", default=None, metavar="PATH",
                         help="JSON config; defaults to the packaged "
                              "default.json")

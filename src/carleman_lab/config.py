@@ -1,8 +1,8 @@
 """Strict JSON experiment configuration.
 
-Every physical default lives in the packaged default.json; a user file
-overrides keys and anything unrecognized is an error, so typos cannot
-silently fall back to defaults.  Nodal fields are given either as a
+Every default and every key lives in the packaged default.json; a user
+file is laid over it, and a key default.json lacks is an error, so typos
+cannot silently fall back to defaults.  Nodal fields are given either as a
 small expression tree or as a per-node CSV.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -22,10 +22,10 @@ class ConfigError(ValueError):
     """Configuration that fails to parse or validate."""
 
 
-_TOP_KEYS = {
-    "dimension", "n", "t0", "t_end", "steps", "lambda", "s", "m_weight",
-    "x0", "background", "gamma", "sigma", "seed", "out_dir",
-}
+DEFAULT_JSON = resources.files("carleman_lab") / "default.json"
+
+# the default.json keys whose field has another name
+_FIELD_NAMES = {"lambda": "lambdas", "s": "s_values"}
 
 # expression node kind -> required keys besides "kind"
 _NODE_KEYS = {
@@ -41,26 +41,23 @@ _NODE_KEYS = {
 
 @dataclass
 class ExperimentConfig:
-    """Validated run parameters; defaults mirror default.json."""
+    """Validated run parameters, one field per default.json key."""
 
-    dimension: int = 1
-    n: int = 32
-    t0: float = 0.5
-    t_end: float = 2.0
-    steps: int = 128
-    lambdas: tuple = (1.0, 2.0)
-    s_values: tuple = (1.0, 2.0, 4.0, 8.0)
-    m_weight: float = 1.1
-    x0: tuple = (-0.1,)
-    background: object = field(
-        default_factory=lambda: {"kind": "const", "value": 1.0})
-    gamma: object = field(default_factory=lambda: {
-        "kind": "polynomial", "child": {"kind": "x"},
-        "coeffs": [0.0, 0.0, 0.05, -0.1, 0.05]})
-    sigma: float = 0.0
-    seed: int = 42
-    out_dir: str = "reports"
-    base_dir: str = "."   # directory CSV field paths resolve against
+    dimension: int
+    n: int
+    t0: float
+    t_end: float
+    steps: int
+    lambdas: tuple
+    s_values: tuple
+    m_weight: float
+    x0: tuple
+    background: object
+    gamma: object
+    sigma: float
+    seed: int
+    out_dir: str
+    base_dir: str   # directory CSV field paths resolve against
 
     def validate(self) -> "ExperimentConfig":
         if not (_is_int(self.dimension) and self.dimension in (1, 2)):
@@ -84,6 +81,8 @@ class ExperimentConfig:
             raise ConfigError("sigma must be nonnegative")
         if not _is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError("out_dir must be a string")
         return self
 
 
@@ -104,61 +103,42 @@ def _number_list(raw, key) -> tuple:
     return tuple(_number(v, key) for v in raw)
 
 
-def load_config(path=None) -> ExperimentConfig:
-    """Parse and validate; path=None loads the packaged default.json."""
-    if path is None:
-        text = resources.files("carleman_lab").joinpath(
-            "default.json").read_text()
-        base_dir = "."
-    else:
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        base_dir = os.path.dirname(os.path.abspath(path))
+def _read_json(text) -> dict:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    return raw
 
-    cfg = ExperimentConfig(base_dir=base_dir)
-    if "dimension" in raw:
-        cfg.dimension = raw["dimension"]
-    if "n" in raw:
-        cfg.n = raw["n"]
-    if "steps" in raw:
-        cfg.steps = raw["steps"]
-    if "t0" in raw:
-        cfg.t0 = _number(raw["t0"], "t0")
-    if "t_end" in raw:
-        cfg.t_end = _number(raw["t_end"], "t_end")
-    if "lambda" in raw:
-        cfg.lambdas = _number_list(raw["lambda"], "lambda")
-    if "s" in raw:
-        cfg.s_values = _number_list(raw["s"], "s")
-    if "m_weight" in raw:
-        cfg.m_weight = _number(raw["m_weight"], "m_weight")
-    if "x0" in raw:
-        cfg.x0 = _number_list(raw["x0"], "x0")
-    if "sigma" in raw:
-        cfg.sigma = _number(raw["sigma"], "sigma")
-    if "seed" in raw:
-        cfg.seed = raw["seed"]
-    if "out_dir" in raw:
-        if not isinstance(raw["out_dir"], str):
-            raise ConfigError("out_dir must be a string")
-        cfg.out_dir = raw["out_dir"]
-    for key in ("background", "gamma"):
-        if key in raw:
-            _check_field_spec(raw[key], key)
-            setattr(cfg, key, raw[key])
-    return cfg.validate()
+
+def load_config(path=None) -> ExperimentConfig:
+    """Parse and validate path laid over the packaged default.json;
+    path=None loads default.json alone."""
+    raw = _read_json(DEFAULT_JSON.read_text())
+    base_dir = "."
+    if path is not None:
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
+        base_dir = os.path.dirname(os.path.abspath(path))
+        user = _read_json(text)
+        unknown = set(user) - set(raw)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raw.update(user)
+    # parsers by field annotation; validate() checks ints and strings
+    parse = {"float": _number, "tuple": _number_list,
+             "object": _check_field_spec}
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
+    values = {}
+    for key, val in raw.items():
+        name = _FIELD_NAMES.get(key, key)
+        values[name] = parse.get(types[name], lambda v, k: v)(val, key)
+    return ExperimentConfig(base_dir=base_dir, **values).validate()
 
 
 def _check_field_spec(spec, key):
@@ -166,8 +146,9 @@ def _check_field_spec(spec, key):
     if isinstance(spec, dict) and set(spec) == {"csv"}:
         if not isinstance(spec["csv"], str):
             raise ConfigError(f"{key}: csv must be a path string")
-        return
-    _check_expression(spec, key)
+    else:
+        _check_expression(spec, key)
+    return spec
 
 
 def _check_expression(node, key):

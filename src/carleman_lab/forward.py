@@ -225,35 +225,6 @@ def _upper_band(pattern: SimpleNamespace, a_data: np.ndarray,
     return ab
 
 
-def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
-         n_cols: int):
-    """A scipy CSR matrix on the values; scipy.sparse is imported here
-    because only callers of flux_matrices and .A, none of them in a
-    pipeline, need it.  The copies leave the caller a matrix it may
-    modify without touching the shared pattern."""
-    import scipy.sparse
-
-    return scipy.sparse.csr_matrix((data, indices.copy(), indptr.copy()),
-                                   shape=(indptr.size - 1, n_cols))
-
-
-def flux_matrices(c: np.ndarray, grid: Grid):
-    """Sparse interior rows of the flux-form operator.
-
-    Returns (A_int, B_bd, interior_idx, boundary_idx): A_int acts on
-    interior values, B_bd on boundary values, and for any full field f
-    with interior part v and boundary part b,
-
-        divergence_flux(c, f)[interior] == A_int v + B_bd b
-
-    up to round-off (interior rows share the face-mean formula exactly).
-    """
-    p, a_data, b_data = _flux_values(np.asarray(c, dtype=float), grid)
-    return (_csr(a_data, p.a_indices, p.a_indptr, p.interior.size),
-            _csr(b_data, p.b_indices, p.b_indptr, p.boundary.size),
-            p.interior, p.boundary)
-
-
 class CrankNicolsonStepper:
     """One-step map of the CN scheme for fixed conductivity.
 
@@ -264,8 +235,7 @@ class CrankNicolsonStepper:
     exact discrete forward map.  A matvec calls the CSR kernel that
     scipy's A @ v dispatches to, on the stored arrays: the same sums in
     the same order, without the per-call dispatch, which costs more than
-    the product at these sizes.  .A is the same operator as a scipy
-    CSR matrix, built on first use.
+    the product at these sizes.
     """
 
     def __init__(self, c: np.ndarray, grid: Grid, dt: float):
@@ -282,11 +252,6 @@ class CrankNicolsonStepper:
                                  lower=0, overwrite_ab=1)
         if info != 0:
             raise SolverError(f"banded Cholesky factor failed (info={info})")
-
-    @functools.cached_property
-    def A(self):
-        p = self._pattern
-        return _csr(self._a_data, p.a_indices, p.a_indptr, self._n)
 
     def apply_A(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros(self._n)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import SpaceTimeField, snapshot_package, time_derivative
+from .forward import (SnapshotPackage, SpaceTimeField, snapshot_package,
+                      time_derivative)
 from .grid import Grid, GridError, TimeGrid, normal_derivative, space_weights
 from .report import write_csv
 from .weights import WeightSet
@@ -25,23 +26,18 @@ from .weights import WeightSet
 
 @dataclass
 class ObservationSet:
-    """flux[face] has shape (window interior nodes, face nodes); the
-    snapshots are nodal fields at T'."""
+    """flux[face] has shape (window interior nodes, face nodes), one entry
+    per observed face in the grid's order; snapshot is the field at T'."""
 
-    faces: tuple
     flux: dict
-    q: np.ndarray
-    grad_q: np.ndarray
-    lap_q: np.ndarray
-    grad_lap_q: np.ndarray
-    t_prime: float
+    snapshot: SnapshotPackage
 
     def validate(self):
         for face, arr in self.flux.items():
             if not np.all(np.isfinite(arr)):
                 raise GridError(f"non-finite flux trace on face {face!r}")
         for name in ("q", "grad_q", "lap_q", "grad_lap_q"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.all(np.isfinite(getattr(self.snapshot, name))):
                 raise GridError(f"non-finite snapshot {name}")
 
 
@@ -52,32 +48,10 @@ def extract_observations(field: SpaceTimeField, grid: Grid,
     rows = y.values[off + 1 : off + window.steps]
     flux = {face: normal_derivative(rows, grid, face)
             for face in grid.gamma0_faces}
-    snap = snapshot_package(field, grid, window)
-    obs = ObservationSet(
-        faces=tuple(grid.gamma0_faces),
-        flux=flux,
-        q=snap.q,
-        grad_q=snap.grad_q,
-        lap_q=snap.lap_q,
-        grad_lap_q=snap.grad_lap_q,
-        t_prime=snap.t_prime,
-    )
+    obs = ObservationSet(flux=flux,
+                         snapshot=snapshot_package(field, grid, window))
     obs.validate()
     return obs
-
-
-def observation_difference(a: ObservationSet, b: ObservationSet) -> ObservationSet:
-    if a.faces != b.faces:
-        raise GridError("observation sets cover different faces")
-    return ObservationSet(
-        faces=a.faces,
-        flux={f: a.flux[f] - b.flux[f] for f in a.faces},
-        q=a.q - b.q,
-        grad_q=a.grad_q - b.grad_q,
-        lap_q=a.lap_q - b.lap_q,
-        grad_lap_q=a.grad_lap_q - b.grad_lap_q,
-        t_prime=a.t_prime,
-    )
 
 
 # -- weighted norms -------------------------------------------------------
@@ -170,12 +144,15 @@ def observation_distance_plain(a: ObservationSet, b: ObservationSet,
                                grid: Grid, window: TimeGrid) -> dict:
     """The four-term unweighted data distance: boundary flux difference
     over the window plus the three T'-snapshot derivative differences."""
-    d = observation_difference(a, b)
+    if tuple(a.flux) != tuple(b.flux):
+        raise GridError("observation sets cover different faces")
+    sa, sb = a.snapshot, b.snapshot
     terms = {
-        "flux": boundary_norm_plain(d.flux, grid, window),
-        "grad_lap": norm_space_plain(d.grad_lap_q, grid),
-        "lap": norm_space_plain(d.lap_q, grid),
-        "grad": norm_space_plain(d.grad_q, grid),
+        "flux": boundary_norm_plain({f: a.flux[f] - b.flux[f] for f in a.flux},
+                                    grid, window),
+        "grad_lap": norm_space_plain(sa.grad_lap_q - sb.grad_lap_q, grid),
+        "lap": norm_space_plain(sa.lap_q - sb.lap_q, grid),
+        "grad": norm_space_plain(sa.grad_q - sb.grad_q, grid),
     }
     terms["total"] = sum(terms.values())
     return terms
@@ -186,15 +163,16 @@ def observation_distance_plain(a: ObservationSet, b: ObservationSet,
 
 def observations_to_csv(obs: ObservationSet, path):
     def rows():
-        for face in obs.faces:
-            for (ti, ni), v in np.ndenumerate(obs.flux[face]):
+        for face, trace in obs.flux.items():
+            for (ti, ni), v in np.ndenumerate(trace):
                 yield f"flux:{face}", ni, ti, v
+        snap = obs.snapshot
         for name in ("q", "lap_q"):
-            for ni, v in enumerate(getattr(obs, name)):
+            for ni, v in enumerate(getattr(snap, name)):
                 yield name, ni, 0, v
         for name in ("grad_q", "grad_lap_q"):
-            for (ni, comp), v in np.ndenumerate(getattr(obs, name)):
+            for (ni, comp), v in np.ndenumerate(getattr(snap, name)):
                 yield name, ni, comp, v
-        yield "t_prime", 0, 0, obs.t_prime
+        yield "t_prime", 0, 0, snap.t_prime
 
     write_csv(path, ["kind", "index1", "index2", "value"], rows())

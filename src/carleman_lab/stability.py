@@ -367,9 +367,7 @@ def make_observations(setup: ExperimentSetup, c_true: np.ndarray,
         rng = np.random.default_rng(seed)
         noisy = {face: vals + sigma * rng.standard_normal(vals.shape)
                  for face, vals in obs.flux.items()}
-        obs = ObservationSet(faces=obs.faces, flux=noisy, q=obs.q,
-                             grad_q=obs.grad_q, lap_q=obs.lap_q,
-                             grad_lap_q=obs.grad_lap_q, t_prime=obs.t_prime)
+        obs = replace(obs, flux=noisy)
     return obs
 
 

@@ -51,7 +51,6 @@ class WeightSet:
     timegrid: TimeGrid
     lam: float
     s: float
-    m: float
     x0: tuple
     beta_tilde: np.ndarray
     beta: np.ndarray
@@ -186,7 +185,7 @@ def build_weights(grid: Grid, timegrid: TimeGrid, lam: float, s: float,
     eta_ref = float(eta.min())
 
     return WeightSet(
-        grid=grid, timegrid=timegrid, lam=float(lam), s=float(s), m=float(m),
+        grid=grid, timegrid=timegrid, lam=float(lam), s=float(s),
         x0=tuple(x0.tolist()), beta_tilde=beta_tilde, beta=beta,
         grad_beta_tilde=grad_bt, K=K, C0=C0, times_interior=t, w=w,
         w_prime=w_prime, log_phi=log_phi, eta=eta, eta_ref=eta_ref,

@@ -1,17 +1,19 @@
 """JSON configuration, field expressions, and the command-line driver."""
 
+import dataclasses
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
 
 import carleman_lab
-from carleman_lab import cli, setups
+from carleman_lab import cli, config, setups
 from carleman_lab.cli import (
     RunContext,
     cmd_verify_energy,
@@ -51,6 +53,26 @@ def test_default_config_values():
     assert cfg.x0 == (-0.1,)
     assert cfg.sigma == 0.0
     assert cfg.seed == 42
+
+
+def test_config_file_is_laid_over_the_packaged_defaults(tmp_path,
+                                                        monkeypatch):
+    packaged = json.loads(resources.files("carleman_lab").joinpath(
+        "default.json").read_text())
+    swapped = tmp_path / "default.json"
+    swapped.write_text(json.dumps(dict(packaged, n=16)))
+    # load_config reads the packaged file through config.DEFAULT_JSON
+    monkeypatch.setattr(config, "DEFAULT_JSON", swapped, raising=False)
+    cfg = load_config(write_config(tmp_path, steps=64))
+    assert (cfg.n, cfg.steps) == (16, 64)
+    assert load_config(None).n == 16
+
+
+def test_empty_config_file_loads_the_defaults(tmp_path):
+    empty, packaged = load_config(write_config(tmp_path)), load_config(None)
+    for f in dataclasses.fields(packaged):
+        if f.name != "base_dir":
+            assert getattr(empty, f.name) == getattr(packaged, f.name), f.name
 
 
 def test_config_rejects_unknown_keys(tmp_path):

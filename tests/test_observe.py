@@ -181,9 +181,10 @@ def test_observation_csv_round_trip(tmp_path):
     observations_to_csv(obs, path)
     loaded = read_observations(path, g, win)
     np.testing.assert_array_equal(loaded["flux:right"], obs.flux["right"])
-    np.testing.assert_array_equal(loaded["q"], obs.q)
-    np.testing.assert_array_equal(loaded["grad_lap_q"], obs.grad_lap_q)
-    assert loaded["t_prime"] == obs.t_prime
+    np.testing.assert_array_equal(loaded["q"], obs.snapshot.q)
+    np.testing.assert_array_equal(loaded["grad_lap_q"],
+                                  obs.snapshot.grad_lap_q)
+    assert loaded["t_prime"] == obs.snapshot.t_prime
 
 
 def test_observation_csv_2d_two_faces(tmp_path):

@@ -1,15 +1,19 @@
 """Every name the package defines has a reader.
 
 A module-level function or class of src/carleman_lab, or a method or
-property of one of its classes, must appear as a word somewhere in
-src/ or bench/ outside its own definition, or stand on KEEP with the
-reason it stays.  Tests do not count as readers: a name only tests call
-is a test helper and belongs in tests/.
+property of one of its classes, must be referred to by code in src/ or
+bench/ outside its own definition, or stand on KEEP with the reason it
+stays.  Code means the syntax tree: a name, an attribute, an import or
+a keyword argument.  The (module, function) and (module, class, method)
+tables FUNCTIONS and METHODS of bench/tracer.py count too, because the
+tracer looks their names up with getattr.  Docstrings and comments do
+not count, and neither do tests: a name only tests call is a test
+helper and belongs in tests/.
 """
 
 import ast
 import pathlib
-import re
+from collections import defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "carleman_lab"
@@ -30,10 +34,33 @@ KEEP = {
 }
 
 
-def _sources() -> dict:
-    return {path: path.read_text().splitlines()
+def _trees() -> dict:
+    return {path: ast.parse(path.read_text())
             for top in ("src", "bench")
             for path in sorted((ROOT / top).rglob("*.py"))}
+
+
+def _references(path, tree):
+    """(name, line) of every name, attribute, imported name and keyword
+    argument in tree; for bench/tracer.py also every name in its
+    FUNCTIONS and METHODS tables."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            for name in (*node.name.split("."), node.asname):
+                yield name, node.lineno
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            yield node.arg, node.value.lineno
+    if path == ROOT / "bench" / "tracer.py":
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and node.targets[0].id in ("FUNCTIONS", "METHODS")):
+                for key in ast.literal_eval(node.value):
+                    for name in key[1:]:
+                        yield name, node.lineno
 
 
 def _definitions(tree):
@@ -48,37 +75,33 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
-def _package_definitions(sources):
+def _package_definitions(trees):
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse("\n".join(sources[path]))
-        for qualified, name, node in _definitions(tree):
+        for qualified, name, node in _definitions(trees[path]):
             if not (name.startswith("__") and name.endswith("__")):
                 yield path, qualified, name, node
 
 
-def _read_elsewhere(name, path, node, sources) -> bool:
-    word = re.compile(rf"\b{re.escape(name)}\b")
-    for other, lines in sources.items():
-        for number, line in enumerate(lines, start=1):
-            if other == path and node.lineno <= number <= node.end_lineno:
-                continue
-            if word.search(line):
-                return True
-    return False
+def _unread(trees) -> list:
+    where = defaultdict(list)   # name -> [(path, line)] of its references
+    for path, tree in trees.items():
+        for name, line in _references(path, tree):
+            where[name].append((path, line))
+    return [f"{path.stem}.{qualified}"
+            for path, qualified, name, node in _package_definitions(trees)
+            if name not in KEEP
+            and all(other == path and node.lineno <= line <= node.end_lineno
+                    for other, line in where[name])]
 
 
 def test_every_name_has_a_reader():
-    sources = _sources()
-    unread = [f"{path.stem}.{qualified}"
-              for path, qualified, name, node in _package_definitions(sources)
-              if name not in KEEP
-              and not _read_elsewhere(name, path, node, sources)]
+    unread = _unread(_trees())
     assert unread == [], (
         "no reader in src/ or bench/; delete these, move them into tests/ "
         "or give them a KEEP reason: " + ", ".join(unread))
 
 
 def test_keep_list_names_are_defined():
-    defined = {name for _, _, name, _ in _package_definitions(_sources())}
+    defined = {name for _, _, name, _ in _package_definitions(_trees())}
     assert sorted(set(KEEP) - defined) == []
     assert all(reason.strip() for reason in KEEP.values())
