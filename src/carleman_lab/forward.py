@@ -10,9 +10,9 @@ interior nodes are numbered row-major, so the band is tridiagonal in 1D
 and n - 1 wide in 2D.  The boundary drive is tabulated once per (drive,
 time grid) and its contribution to every step formed in one product.
 
-The same factor drives the discrete adjoint in the reconstruction
-module, so the forward map and its transpose agree to machine precision
-in every dimension.
+The stepper's adjoint sweep runs the transposed recurrence on the same
+factor for the reconstruction gradient, so the forward map and its
+transpose agree to machine precision in every dimension.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import os
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from .grid import (Grid, GridError, TimeGrid, discrete_gradient,
                    discrete_laplacian)
@@ -39,18 +39,20 @@ class SolverError(RuntimeError):
 
 def _scipy_extension(package: str, name: str):
     """scipy's compiled module package.name, loaded from its file so that
-    the package's __init__ never runs: importing scipy.linalg or
-    scipy.sparse costs more start-up time than every solve of a short
-    run, for a handful of routines."""
-    parent, spec = importlib.util.find_spec(package), None
-    if parent is not None:
+    no scipy __init__ runs, scipy's own included (find_spec of a top-level
+    name imports nothing): importing scipy.linalg or scipy.sparse costs
+    more start-up time than every solve of a short run."""
+    root, spec = importlib.util.find_spec("scipy"), None
+    if root is not None:
         finder = importlib.machinery.FileFinder(
-            parent.submodule_search_locations[0],
+            os.path.join(root.submodule_search_locations[0],
+                         *package.split(".")[1:]),
             (importlib.machinery.ExtensionFileLoader,
              importlib.machinery.EXTENSION_SUFFIXES))
         spec = finder.find_spec(f"{package}.{name}")
     if spec is None:
-        raise ImportError(f"scipy {scipy.__version__} has no compiled "
+        from importlib.metadata import version
+        raise ImportError(f"scipy {version('scipy')} has no compiled "
                           f"module {package}.{name}", name=f"{package}.{name}")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -226,16 +228,15 @@ def _upper_band(pattern: SimpleNamespace, a_data: np.ndarray,
 
 
 class CrankNicolsonStepper:
-    """One-step map of the CN scheme for fixed conductivity.
+    """CN time sweeps for fixed conductivity, forward and adjoint.
 
     The values of A_int, B_bd and the band of B = I - dt/2 A_int are
     filled into the grid's shared pattern; B is factored once with
-    LAPACK pbtrf.  Exposes the pieces (A matvec, boundary right-hand
-    sides, B solve) so the reconstruction adjoint can transpose the
-    exact discrete forward map.  A matvec calls the CSR kernel that
-    scipy's A @ v dispatches to, on the stored arrays: the same sums in
-    the same order, without the per-call dispatch, which costs more than
-    the product at these sizes.
+    LAPACK pbtrf.  Each step's A v calls the CSR kernel that scipy's
+    A @ v dispatches to, on the stored arrays: the same sums in the same
+    order, without the per-call dispatch, which costs more than the
+    product.  The sweeps keep every step's grouping: the reconstruction
+    amplifies a one-rounding change.
     """
 
     def __init__(self, c: np.ndarray, grid: Grid, dt: float):
@@ -252,12 +253,7 @@ class CrankNicolsonStepper:
                                  lower=0, overwrite_ab=1)
         if info != 0:
             raise SolverError(f"banded Cholesky factor failed (info={info})")
-
-    def apply_A(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self._n)
-        csr_matvec(self._n, self._n, self._pattern.a_indptr,
-                   self._pattern.a_indices, self._a_data, v, out)
-        return out
+        self._ldab = self.chol.shape[0]
 
     def boundary_rhs(self, drive: np.ndarray) -> np.ndarray:
         """B_bd b for every row b of drive, (rows, n_interior); bitwise
@@ -270,14 +266,51 @@ class CrankNicolsonStepper:
         return out.T
 
     def solve_B(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = _pbtrs(self.chol, rhs)
+        """B^-1 rhs, solved into rhs itself.  f2py would solve into a
+        copy of a strided or non-float64 rhs, which a sweep would then
+        drop, so that raises."""
+        x, info = _pbtrs(self.chol, rhs, 0, self._ldab, 1)
+        if x is not rhs:
+            raise ValueError("solve_B solves in place: rhs must be a "
+                             "contiguous float64 array")
         if info != 0:
             raise SolverError(f"banded Cholesky solve failed (info={info})")
         return x
 
-    def step(self, v: np.ndarray, b_old: np.ndarray, b_new: np.ndarray) -> np.ndarray:
-        rhs = v + self._half_dt * (self.apply_A(v) + b_old + b_new)
-        return self.solve_B(rhs)
+    def sweep(self, rows: np.ndarray, rhs_bd: np.ndarray) -> None:
+        """Fill rows[1:] from rows[0]: row j is B^-1 (v + dt/2 ((A v +
+        rhs_bd[j-1]) + rhs_bd[j])) for v = rows[j-1].  Each step writes
+        A v into one scratch vector and the rest into rows."""
+        n, p, a_data, half_dt = (self._n, self._pattern, self._a_data,
+                                 self._half_dt)
+        av = np.empty(n)
+        add, mul = np.add, np.multiply
+        for v, out, b_old, b_new in zip(rows[:-1], rows[1:], rhs_bd[:-1],
+                                        rhs_bd[1:]):
+            av.fill(0.0)   # csr_matvec adds A v into av
+            csr_matvec(n, n, p.a_indptr, p.a_indices, a_data, v, av)
+            add(av, b_old, out=av)
+            add(av, b_new, out=av)
+            add(v, mul(av, half_dt, out=av), out=out)
+            self.solve_B(out)
+
+    def adjoint_sweep(self, source: np.ndarray) -> np.ndarray:
+        """The transpose of sweep, driven by the (M + 1, n_interior)
+        source: B lam_M = -source[M], then B lam_i = (lam_{i+1} + dt/2
+        (A lam_{i+1})) - source[i] for i = M - 1, ..., 1.  Returns the
+        rows lam_1 .. lam_M, filled backwards in place."""
+        n, p, a_data, half_dt = (self._n, self._pattern, self._a_data,
+                                 self._half_dt)
+        av = np.empty(n)
+        add, mul, sub = np.add, np.multiply, np.subtract
+        lam = np.empty((source.shape[0] - 1, n))
+        self.solve_B(np.negative(source[-1], out=lam[-1]))
+        for v, out, src in zip(lam[:0:-1], lam[-2::-1], source[-2:0:-1]):
+            av.fill(0.0)
+            csr_matvec(n, n, p.a_indptr, p.a_indices, a_data, v, av)
+            sub(add(v, mul(av, half_dt, out=av), out=out), src, out=out)
+            self.solve_B(out)
+        return lam
 
 
 @functools.lru_cache(maxsize=8)
@@ -319,9 +352,8 @@ def solve_heat(problem: HeatProblem, grid: Grid, timegrid: TimeGrid, *,
     steps = timegrid.steps
     rhs_bd = stepper.boundary_rhs(drive)
     inner = np.empty((steps + 1, interior.size))
-    v = inner[0] = q0[interior]
-    for j in range(1, steps + 1):
-        v = inner[j] = stepper.step(v, rhs_bd[j - 1], rhs_bd[j])
+    inner[0] = q0[interior]
+    stepper.sweep(inner, rhs_bd)
     values = np.empty((steps + 1, grid.n_nodes))
     values[:, boundary] = drive
     values[:, interior] = inner

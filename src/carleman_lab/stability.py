@@ -11,8 +11,9 @@ The inverse side minimizes
 
 by projected gradient descent.  The gradient transposes the exact
 Crank-Nicolson update, so the finite-difference check is sharp: the
-adjoint recursion reuses the same prefactored B = I - dt/2 A (symmetric,
-so B and its transpose share the factorization), and the coefficient
+adjoint sweep, which lives in the forward module next to the map it
+transposes, reuses the same prefactored B = I - dt/2 A (symmetric, so B
+and its transpose share the factorization), and the coefficient
 derivative accumulates over lattice faces, mirroring the face-mean flux
 assembly node for node.
 """
@@ -438,27 +439,22 @@ def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
     n_nodes = grid.n_nodes
     source = np.zeros((steps_total + 1, n_nodes))
     inv2h = 1.0 / (2.0 * grid.h)
+    ahead = slice(off + 2, off + window.steps + 1)   # rows k + 1
+    behind = slice(off, off + window.steps - 1)     # rows k - 1
     for face in grid.gamma0_faces:
         weighted = dt * grid.face_axis_weights(face) * residual[face]
         # each (row, node) pair appears once per index set, and the +
         # part lands before the - part, as in a per-row scatter
         for layer, coeff in zip(face_layers(grid, face), FACE_STENCIL):
-            source[np.ix_(k + 1, layer)] += coeff * inv2h * half * weighted
-            source[np.ix_(k - 1, layer)] -= coeff * inv2h * half * weighted
+            part = coeff * inv2h * half * weighted
+            source[ahead, layer] += part
+            source[behind, layer] -= part
     # boundary values carry data, not c: only interior columns drive lam
     source = source[:, stepper.interior]
 
-    # adjoint sweep: B lam_M = -G_M, B lam_k = E lam_{k+1} - G_k; row i
-    # of lam_rows pairs with the step from time i to i + 1
-    half_dt = 0.5 * tg.dt
-    lam = stepper.solve_B(-source[steps_total])
-    lam_int = np.empty((steps_total, lam.size))
-    lam_int[-1] = lam
-    for i in range(steps_total - 1, 0, -1):
-        rhs = lam + half_dt * stepper.apply_A(lam) - source[i]
-        lam = lam_int[i - 1] = stepper.solve_B(rhs)
+    # row i of lam_rows pairs with the step from time i to i + 1
     lam_rows = np.zeros((steps_total, n_nodes))
-    lam_rows[:, stepper.interior] = lam_int
+    lam_rows[:, stepper.interior] = stepper.adjoint_sweep(source)
     grad_c = _coefficient_accumulate(lam_rows, fieldvals[:-1] + fieldvals[1:],
                                      grid)
     grad_c *= -0.5 * tg.dt

@@ -5,10 +5,13 @@ import scipy.sparse
 
 from carleman_lab import forward, stability
 from carleman_lab.grid import (
+    FACE_STENCIL,
     GridError,
     TimeGrid,
     build_grid,
     divergence_flux,
+    face_layers,
+    normal_derivative,
 )
 from carleman_lab.forward import (
     CrankNicolsonStepper,
@@ -335,37 +338,15 @@ def reference_assembly(c, grid, dt):
     return A_int, B_bd, ab, scipy.linalg.cholesky_banded(ab)
 
 
-class ReferenceStepper(CrankNicolsonStepper):
-    """The stepper's interface on the reference assembly, scipy's
-    A @ v and the reference factor."""
-
-    def __init__(self, c, grid, dt):
-        super().__init__(c, grid, dt)
-        self.ref_A, self.ref_Bbd, _, self.chol = reference_assembly(
-            self.c, grid, dt)
-
-    def apply_A(self, v):
-        return self.ref_A @ v
-
-    def boundary_rhs(self, drive):
-        return (self.ref_Bbd @ drive.T).T
-
-    def step(self, v, b_old, b_new):
-        return self.solve_B(v + 0.5 * self.dt * (self.ref_A @ v + b_old
-                                                 + b_new))
-
-
 @pytest.mark.parametrize("dimension,n", PIN_GRIDS)
 def test_stepper_kernel_matvec_is_bitwise_a_matvec(dimension, n):
     grid = pin_grid(dimension, n)
     rng = np.random.default_rng(21)
     c = 0.5 + 2.0 * rng.random(grid.n_nodes)
     st = CrankNicolsonStepper(c, grid, 2.0 / 128)
-    A_ref, B_ref, _, _ = reference_assembly(c, grid, 2.0 / 128)
-    for _ in range(5):
-        v = rng.standard_normal(st.interior.size)
-        np.testing.assert_array_equal(st.apply_A(v), stepper_matrix(st) @ v)
-        np.testing.assert_array_equal(st.apply_A(v), A_ref @ v)
+    _, B_ref, _, _ = reference_assembly(c, grid, 2.0 / 128)
+    # the sweeps' A v, through csr_matvec, is pinned by the recurrence
+    # pins below
     drive = rng.standard_normal((9, st.boundary.size))
     np.testing.assert_array_equal(st.boundary_rhs(drive),
                                   (B_ref @ drive.T).T)
@@ -397,10 +378,9 @@ def test_pattern_assembly_matches_coo_reference(dimension, n):
 
 
 @pytest.mark.parametrize("dimension,n", PIN_GRIDS)
-def test_solve_heat_and_gradient_match_reference_recurrence(dimension, n,
-                                                            monkeypatch):
+def test_solve_heat_and_gradient_match_reference_recurrence(dimension, n):
     inv = inversion_setup(dimension, n)
-    grid, tg, dt = inv.grid, inv.timegrid, inv.timegrid.dt
+    grid, tg, dt, window = inv.grid, inv.timegrid, inv.timegrid.dt, inv.window
     rng = np.random.default_rng(23)
     c = 1.0 + stability.admissible_projection(0.3 * rng.random(grid.n_nodes),
                                               grid)
@@ -422,13 +402,67 @@ def test_solve_heat_and_gradient_match_reference_recurrence(dimension, n,
     np.testing.assert_array_equal(values[:, interior], np.array(rows))
     np.testing.assert_array_equal(values[:, boundary], drive)
 
+    # the adjoint recurrence as misfit_and_gradient formed it with
+    # scipy's A @ lam, driven by the flux residuals scattered row by row
     data = stability.make_observations(inv, c + 0.01 * (c - 1.0))
     cfg = stability.InverseConfig(prior=np.ones(grid.n_nodes), alpha=1e-8)
+    off = tg.index_of(window.t0)
+    k = off + np.arange(1, window.steps)
+    half = 1.0 / (2.0 * dt)
+    source = np.zeros_like(values)
+    j_ref = 0.0
+    for face in grid.gamma0_faces:
+        w = grid.face_axis_weights(face)
+        res = (normal_derivative((values[k + 1] - values[k - 1]) * half,
+                                 grid, face) - data.flux[face])
+        j_ref += 0.5 * window.dt * float(np.sum(res**2 @ w))
+        weighted = window.dt * w * res
+        for layer, coeff in zip(face_layers(grid, face), FACE_STENCIL):
+            part = coeff * (1.0 / (2.0 * grid.h)) * half * weighted
+            for row, part_row in zip(k, part):
+                source[row + 1, layer] += part_row
+                source[row - 1, layer] -= part_row
+    source = source[:, interior]
+    lam = scipy.linalg.cho_solve_banded((chol, False), -source[tg.steps])
+    lams = [lam]
+    for i in range(tg.steps - 1, 0, -1):
+        rhs = lam + 0.5 * dt * (A @ lam) - source[i]
+        lam = scipy.linalg.cho_solve_banded((chol, False), rhs)
+        lams.append(lam)
+    lam_rows = np.zeros((tg.steps, grid.n_nodes))
+    lam_rows[:, interior] = lams[::-1]
+    shift = c - cfg.prior
+    grad_ref = stability._coefficient_accumulate(lam_rows,
+                                                 values[:-1] + values[1:],
+                                                 grid)
+    grad_ref *= -0.5 * dt
+    grad_ref += cfg.alpha * stability._h1_apply(shift, grid)
+    grad_ref = stability.admissible_projection(grad_ref, grid)
+    j_ref += 0.5 * cfg.alpha * stability.h1_norm_sq(shift, grid)
+
     j_val, grad = stability.misfit_and_gradient(c, data, inv, cfg)
-    monkeypatch.setattr(stability, "CrankNicolsonStepper", ReferenceStepper)
-    j_ref, grad_ref = stability.misfit_and_gradient(c, data, inv, cfg)
     assert j_val == j_ref
     np.testing.assert_array_equal(grad, grad_ref)
+
+
+@pytest.mark.parametrize("dimension,n", PIN_GRIDS)
+def test_solve_B_solves_in_place_and_refuses_a_copy(dimension, n):
+    grid = pin_grid(dimension, n)
+    st = CrankNicolsonStepper(np.ones(grid.n_nodes), grid, 2.0 / 128)
+    rng = np.random.default_rng(25)
+    block = rng.standard_normal((3, st.interior.size))
+    expect = scipy.linalg.cho_solve_banded((st.chol, False), block[1])
+    row = block[1]
+    assert st.solve_B(row) is row
+    np.testing.assert_array_equal(block[1], expect)
+    # f2py would solve these into a copy and leave the argument as it was
+    column = rng.standard_normal((st.interior.size, 2))[:, 0]
+    single = rng.standard_normal(st.interior.size).astype(np.float32)
+    for rhs in (column, single):
+        before = rhs.copy()
+        with pytest.raises(ValueError, match="in place"):
+            st.solve_B(rhs)
+        np.testing.assert_array_equal(rhs, before)
 
 
 @pytest.mark.parametrize("dimension,n", PIN_GRIDS)
