@@ -52,7 +52,7 @@ from .stability import (
     sweep_to_csv,
 )
 from .svg import PlotError, line_plot
-from .weights import build_weights
+from .weights import WeightError, build_weights
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 2, 3
 
@@ -293,6 +293,10 @@ def run(command, config_path=None, plot=False, out=None) -> int:
         return EXIT_CONFIG
     try:
         files = _DISPATCH[command](ctx)
+    except WeightError as exc:
+        # built on first use, it states a lambda, s, m or x0 condition
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (GridError, SolverError, PlotError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

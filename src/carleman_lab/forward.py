@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import (Grid, GridError, TimeGrid, discrete_gradient,
+from .grid import (Grid, GridError, TimeGrid, _d1, discrete_gradient,
                    discrete_laplacian)
 from .report import write_csv
 
@@ -363,17 +363,10 @@ def solve_heat(problem: HeatProblem, grid: Grid, timegrid: TimeGrid, *,
 
 
 def time_derivative(field: SpaceTimeField) -> SpaceTimeField:
-    """Centered time differences, second-order one-sided at the ends.
-    A field vanishing on the boundary stays exactly zero there."""
-    v = field.values
-    if v.shape[0] < 3:
-        raise GridError("need at least 3 time slices")
-    dt = field.timegrid.dt
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
-    return SpaceTimeField(values=out, grid=field.grid, timegrid=field.timegrid)
+    """The grid's _d1 stencil on the time axis.  A field vanishing on
+    the boundary stays exactly zero there."""
+    return SpaceTimeField(values=_d1(field.values, -2, field.timegrid.dt),
+                          grid=field.grid, timegrid=field.timegrid)
 
 
 @dataclass

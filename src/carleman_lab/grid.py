@@ -4,7 +4,8 @@ Fields live on nodes and are stored as flat float arrays of length
 (n+1)**dim; in 2D the node (ix, iy) sits at flat index ix*(n+1)+iy.
 All discrete calculus (gradient, laplacian, conductivity flux form,
 trapezoid quadrature, boundary traces) is centralized here so that
-every consumer differentiates and integrates the same way.
+every consumer differentiates and integrates the same way; the
+laplacian is the unit-conductivity flux form.
 
 Batch convention: every stencil indexes the spatial axes from the end,
 so a field may carry leading batch axes, typically a (time, node) stack
@@ -184,32 +185,11 @@ def _d1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
-def _d2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Centered second derivative; one-sided 4-point closure at the ends
-    (first-order there, which is all the boundary snapshots need).
-
-    The interior stencil is written as a difference of first differences
-    so that divergence_flux with unit conductivity reproduces it bit for
-    bit, not just to round-off.
-    """
-    v = np.moveaxis(values, axis, -1)
-    out = np.empty_like(v)
-    d = v[..., 1:] - v[..., :-1]
-    out[..., 1:-1] = (d[..., 1:] - d[..., :-1]) / h**2
-    out[..., 0] = (2.0 * v[..., 0] - 5.0 * v[..., 1] + 4.0 * v[..., 2]
-                   - v[..., 3]) / h**2
-    out[..., -1] = (2.0 * v[..., -1] - 5.0 * v[..., -2] + 4.0 * v[..., -3]
-                    - v[..., -4]) / h**2
-    return np.moveaxis(out, -1, axis)
-
-
 def _flux_axis(c: np.ndarray, values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """d/dx (c d/dx) along one axis: conservative face-mean form at
-    interior nodes, c*f'' + c'*f' with one-sided stencils at the ends.
-    c carries no batch axes; values may.
-
-    With c identically 1 this reproduces _d2 exactly at every node, so
-    the laplacian really is the unit-conductivity special case.
+    interior nodes, c*f'' + c'*f' with one-sided stencils at the ends
+    (the 4-point closure of f'' is first-order there, which is all the
+    boundary snapshots need).  c carries no batch axes; values may.
     """
     cm = np.moveaxis(c, axis, -1)
     v = np.moveaxis(values, axis, -1)
@@ -240,12 +220,8 @@ def discrete_gradient(f: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def discrete_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
-    f = np.asarray(f)
-    v = grid.reshape(f)
-    out = np.zeros(v.shape)
-    for a in range(grid.dimension):
-        out += _d2(v, a - grid.dimension, grid.h)
-    return out.reshape(f.shape)
+    """divergence_flux with unit conductivity."""
+    return divergence_flux(np.ones(grid.n_nodes), f, grid)
 
 
 def divergence_flux(c: np.ndarray, f: np.ndarray, grid: Grid,

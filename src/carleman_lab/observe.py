@@ -3,7 +3,8 @@
 The measured data are the normal flux of the time derivative on the
 observation boundary over the window (t0, T), plus one interior snapshot
 at the window midpoint T' (the field, its gradient, laplacian and
-gradient of laplacian).
+gradient of laplacian).  observed_flux is that flux map, and the data,
+the reconstruction misfit and the stability check all go through it.
 
 Space-time integrals over the window use interior time nodes with
 uniform weight dt: the weighted integrands vanish at the endpoints by
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import (SnapshotPackage, SpaceTimeField, snapshot_package,
-                      time_derivative)
+from .forward import SnapshotPackage, SpaceTimeField, snapshot_package
 from .grid import Grid, GridError, TimeGrid, normal_derivative, space_weights
 from .report import write_csv
 from .weights import WeightSet
@@ -41,15 +41,23 @@ class ObservationSet:
                 raise GridError(f"non-finite snapshot {name}")
 
 
+def observed_flux(values: np.ndarray, grid: Grid, timegrid: TimeGrid,
+                  window: TimeGrid) -> dict:
+    """d_nu d_t of a (time, node) stack on timegrid, as ObservationSet.flux:
+    normal_derivative of the centered time difference on each interior
+    row of the window."""
+    off = timegrid.index_of(window.t0)
+    rows = (values[off + 2 : off + window.steps + 1]
+            - values[off : off + window.steps - 1]) / (2.0 * timegrid.dt)
+    return {face: normal_derivative(rows, grid, face)
+            for face in grid.gamma0_faces}
+
+
 def extract_observations(field: SpaceTimeField, grid: Grid,
                          window: TimeGrid) -> ObservationSet:
-    y = time_derivative(field)
-    off = field.timegrid.index_of(window.t0)
-    rows = y.values[off + 1 : off + window.steps]
-    flux = {face: normal_derivative(rows, grid, face)
-            for face in grid.gamma0_faces}
-    obs = ObservationSet(flux=flux,
-                         snapshot=snapshot_package(field, grid, window))
+    obs = ObservationSet(
+        flux=observed_flux(field.values, grid, field.timegrid, window),
+        snapshot=snapshot_package(field, grid, window))
     obs.validate()
     return obs
 

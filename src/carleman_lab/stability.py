@@ -9,7 +9,9 @@ The inverse side minimizes
 
     J(c) = 1/2 |d_nu d_t q[c] - d|^2 + alpha/2 |c - prior|^2_H1
 
-by projected gradient descent.  The gradient transposes the exact
+by projected gradient descent.  J is computed literally: d_nu d_t is
+observe.observed_flux, which made the data d, and |v|^2_H1 is v H v for
+the one H1 operator H, _h1_apply.  The gradient transposes the exact
 Crank-Nicolson update, so the finite-difference check is sharp: the
 adjoint sweep, which lives in the forward module next to the map it
 transposes, reuses the same prefactored B = I - dt/2 A (symmetric, so B
@@ -43,13 +45,14 @@ from .grid import (
     GridError,
     discrete_gradient,
     face_layers,
-    normal_derivative,
     space_weights,
 )
 from .observe import (
     ObservationSet,
+    boundary_norm_plain,
     extract_observations,
     observation_distance_plain,
+    observed_flux,
     weighted_boundary_norm,
     weighted_norm_space,
 )
@@ -156,7 +159,7 @@ def stability_sides(pair: CoefficientPair, setup: ExperimentSetup,
     grid, window = setup.grid, setup.window
     q_tilde, base, obs_tilde = shared or _base_terms(pair.c_tilde, setup, ws)
     twin = twin_solve(setup, pair.gamma, pair.c_tilde, q_tilde)
-    q, u, y = twin.q, twin.u, twin.y
+    q, u = twin.q, twin.u
 
     grad_gamma = discrete_gradient(pair.gamma, grid)
     lhs = {
@@ -164,9 +167,7 @@ def stability_sides(pair: CoefficientPair, setup: ExperimentSetup,
         "grad_coeff": weighted_norm_space(grad_gamma, ws, 1),
     }
 
-    rows = y.window_values(window)[1:-1]
-    traces = {face: normal_derivative(rows, grid, face)
-              for face in grid.gamma0_faces}
+    traces = observed_flux(u.values, grid, setup.timegrid, window)
     u_snap = snapshot_package(u, grid, window)
     weighted = EstimateReport(
         name="stability_weighted",
@@ -278,40 +279,31 @@ class InverseConfig:
             raise GridError("prior dips below the positivity floor")
 
 
-def h1_norm_sq(v: np.ndarray, grid: Grid) -> float:
-    """Trapezoid mass plus midpoint-rule gradient mass; the quadratic
-    form behind the regularizer and the error metric."""
-    v = np.asarray(v, dtype=float)
-    total = float(space_weights(grid) @ v**2)
-    vg = grid.reshape(v)
-    meas = grid.h**grid.dimension
-    for a in range(grid.dimension):
-        va = np.moveaxis(vg, a, 0)
-        total += meas * float(np.sum((va[1:] - va[:-1]) ** 2)) / grid.h**2
-    return total
-
-
 def _h1_apply(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """Gradient of 1/2 h1_norm_sq."""
+    """H v, the gradient of 1/2 h1_norm_sq: trapezoid mass on the
+    diagonal, and per _flux_pattern edge (lo, hi) coef (v[hi] - v[lo]),
+    coef = h^d / h^2, added at hi and subtracted at lo."""
+    edges = _flux_pattern(grid.dimension, grid.n)
+    d = (v[edges.hi] - v[edges.lo]) * (grid.h**grid.dimension / grid.h**2)
     out = space_weights(grid) * v
-    vg = grid.reshape(v)
-    acc = np.zeros(grid.shape)
-    meas = grid.h**grid.dimension
-    for a in range(grid.dimension):
-        va = np.moveaxis(vg, a, 0)
-        aa = np.moveaxis(acc, a, 0)
-        d = (va[1:] - va[:-1]) * (meas / grid.h**2)
-        aa[1:] += d
-        aa[:-1] -= d
-    return out + acc.ravel()
+    np.add.at(out, edges.hi, d)
+    np.subtract.at(out, edges.lo, d)
+    return out
+
+
+def h1_norm_sq(v: np.ndarray, grid: Grid) -> float:
+    """v H v: trapezoid mass plus midpoint-rule gradient mass; the
+    quadratic form behind the regularizer and the error metric."""
+    v = np.asarray(v, dtype=float)
+    return float(v @ _h1_apply(v, grid))
 
 
 def _h1_gram(grid: Grid, idx: np.ndarray) -> np.ndarray:
-    """Dense H1 Gram matrix restricted to the nodes in idx; the
-    preconditioner of the descent metric.  Every lattice edge adds coef
-    to the diagonal at each end in idx, and subtracts it off the diagonal
-    when both ends are; all addends are equal, so their order does not
-    change the bits."""
+    """The H of _h1_apply as a dense matrix restricted to the nodes in
+    idx; the preconditioner of the descent metric.  Every lattice edge
+    adds coef to the diagonal at each end in idx, and subtracts it off
+    the diagonal when both ends are; all addends are equal, so their
+    order does not change the bits."""
     pos = np.full(grid.n_nodes, -1)
     pos[idx] = np.arange(idx.size)
     edges = _flux_pattern(grid.dimension, grid.n)
@@ -414,30 +406,20 @@ def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
     # one factor of B = I - dt/2 A serves the forward solve and the adjoint
     stepper = CrankNicolsonStepper(c_current, grid, tg.dt)
     fieldvals = solve_heat(prob, grid, tg, stepper=stepper).values
-    off = tg.index_of(window.t0)
-    dt = window.dt
-    half = 1.0 / (2.0 * tg.dt)
-
-    # flux residuals on the window interior rows, via the same centered
-    # difference and face trace used to build the data
-    k = off + np.arange(1, window.steps)  # window interior rows
-    dt_rows = (fieldvals[k + 1] - fieldvals[k - 1]) * half
-    residual = {}
-    j_mis = 0.0
-    for face in grid.gamma0_faces:
-        wface = grid.face_axis_weights(face)
-        rows = normal_derivative(dt_rows, grid, face) - data.flux[face]
-        residual[face] = rows
-        j_mis += 0.5 * dt * float(np.sum(rows**2 @ wface))
+    # the flux map that made the data, so J vanishes at the truth
+    residual = {face: trace - data.flux[face] for face, trace
+                in observed_flux(fieldvals, grid, tg, window).items()}
+    j_mis = 0.5 * boundary_norm_plain(residual, grid, window)
 
     shift = c_current - config.prior
     j_total = j_mis + 0.5 * config.alpha * h1_norm_sq(shift, grid)
 
-    # source term of the adjoint: scatter the weighted residuals through
-    # the trace stencil and the centered time difference
-    steps_total = tg.steps
-    n_nodes = grid.n_nodes
-    source = np.zeros((steps_total + 1, n_nodes))
+    # source term of the adjoint: observed_flux transposed, scattering the
+    # weighted residuals through the trace stencil and the time difference
+    off = tg.index_of(window.t0)
+    dt = window.dt
+    half = 1.0 / (2.0 * tg.dt)
+    source = np.zeros((tg.steps + 1, grid.n_nodes))
     inv2h = 1.0 / (2.0 * grid.h)
     ahead = slice(off + 2, off + window.steps + 1)   # rows k + 1
     behind = slice(off, off + window.steps - 1)     # rows k - 1
@@ -453,7 +435,7 @@ def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
     source = source[:, stepper.interior]
 
     # row i of lam_rows pairs with the step from time i to i + 1
-    lam_rows = np.zeros((steps_total, n_nodes))
+    lam_rows = np.zeros((tg.steps, grid.n_nodes))
     lam_rows[:, stepper.interior] = stepper.adjoint_sweep(source)
     grad_c = _coefficient_accumulate(lam_rows, fieldvals[:-1] + fieldvals[1:],
                                      grid)

@@ -305,6 +305,21 @@ def test_output_path_collision_is_a_config_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("overrides,needle", [
+    ({"lambda": [0.5]}, "lam >= 1"),
+    ({"s": [0.5, 1]}, "s >= 1"),
+    ({"x0": [0.5]}, "inside the closed domain"),
+])
+def test_weight_parameter_is_a_config_error(tmp_path, capsys, overrides,
+                                            needle):
+    # the weight set is built mid-pipeline, and its parameter checks are
+    # still configuration errors
+    cfg = write_config(tmp_path, **overrides)
+    assert run("verify-carleman", config_path=cfg, out=str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and needle in err
+
+
 def test_boundary_supported_gamma_is_a_numerical_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, gamma={"kind": "const", "value": 0.5})
     assert run("verify-poincare", config_path=cfg, out=str(tmp_path)) == 3

@@ -226,6 +226,21 @@ def test_time_derivative_analytic():
     assert min(orders) >= 1.9
 
 
+def test_time_derivative_is_the_three_point_formula():
+    # the grid's first-derivative stencil on the time axis equals the
+    # centered difference with one-sided ends written out, bit for bit
+    g = build_grid(2, 6, ["east"])
+    tg = TimeGrid(0.0, 1.3, 10)
+    v = np.random.default_rng(4).standard_normal((11, g.n_nodes))
+    dt = tg.dt
+    expect = np.empty_like(v)
+    expect[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
+    expect[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
+    expect[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
+    got = time_derivative(SpaceTimeField(values=v, grid=g, timegrid=tg))
+    np.testing.assert_array_equal(got.values, expect)
+
+
 def test_time_derivative_constant_and_boundary_zero():
     g = build_grid(1, 8, ["right"])
     tg = TimeGrid(0.0, 1.0, 8)

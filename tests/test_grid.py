@@ -93,14 +93,35 @@ def test_laplacian_exact_on_quadratic():
     assert np.max(np.abs(lap[g.interior_mask] - 2.0)) < 1e-11
 
 
+def second_difference(v, axis, h):
+    # the plain second-difference laplacian along one axis: a difference
+    # of first differences inside, a 4-point closure at the ends
+    v = np.moveaxis(v, axis, -1)
+    out = np.empty_like(v)
+    d = v[..., 1:] - v[..., :-1]
+    out[..., 1:-1] = (d[..., 1:] - d[..., :-1]) / h**2
+    out[..., 0] = (2.0 * v[..., 0] - 5.0 * v[..., 1] + 4.0 * v[..., 2]
+                   - v[..., 3]) / h**2
+    out[..., -1] = (2.0 * v[..., -1] - 5.0 * v[..., -2] + 4.0 * v[..., -3]
+                    - v[..., -4]) / h**2
+    return np.moveaxis(out, -1, axis)
+
+
 def test_divflux_unit_c_is_laplacian():
+    # the unit-conductivity flux form, which discrete_laplacian is,
+    # reproduces the plain second-difference stencil bit for bit
     rng = np.random.default_rng(3)
     for dim, n in ((1, 12), (2, 8)):
         g = build_grid(dim, n, ["right"] if dim == 1 else ["east"])
         f = rng.standard_normal(g.n_nodes)
+        v = g.reshape(f)
+        expect = np.zeros(v.shape)
+        for a in range(dim):
+            expect += second_difference(v, a - dim, g.h)
         np.testing.assert_array_equal(
-            divergence_flux(np.ones(g.n_nodes), f, g), discrete_laplacian(f, g)
-        )
+            divergence_flux(np.ones(g.n_nodes), f, g), expect.ravel())
+        np.testing.assert_array_equal(discrete_laplacian(f, g),
+                                      expect.ravel())
 
 
 def test_divflux_linear_c_linear_f():

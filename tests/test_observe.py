@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from carleman_lab.forward import HeatProblem, SpaceTimeField, solve_heat
-from carleman_lab.grid import GridError, TimeGrid, build_grid
+from carleman_lab.forward import (HeatProblem, SpaceTimeField, solve_heat,
+                                  time_derivative)
+from carleman_lab.grid import GridError, TimeGrid, build_grid, normal_derivative
 from carleman_lab.observe import (
     boundary_norm_plain,
     extract_observations,
@@ -45,6 +46,24 @@ def test_flux_trace_constant_in_time():
     f = SpaceTimeField(values=np.tile(x**2, (17, 1)), grid=g, timegrid=tg)
     obs = extract_observations(f, g, win)
     assert np.max(np.abs(obs.flux["right"])) == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_flux_is_the_trace_of_the_time_derivative(dim):
+    # observed_flux differences only the window's interior rows, and
+    # gives the trace of the whole field's time derivative on them, bit
+    # for bit (dt = 1.3/30 is not a power of two)
+    g = build_grid(dim, 6, ["right"] if dim == 1 else ["north", "east"])
+    tg = TimeGrid(0.0, 1.3, 30)
+    win, off = tg.window(tg.times[6])
+    vals = np.random.default_rng(dim).standard_normal((31, g.n_nodes))
+    f = SpaceTimeField(values=vals, grid=g, timegrid=tg)
+    rows = time_derivative(f).values[off + 1 : off + win.steps]
+    obs = extract_observations(f, g, win)
+    assert tuple(obs.flux) == g.gamma0_faces
+    for face in g.gamma0_faces:
+        np.testing.assert_array_equal(obs.flux[face],
+                                      normal_derivative(rows, g, face))
 
 
 def test_twin_observation_distance_zero():

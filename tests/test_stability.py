@@ -1,5 +1,7 @@
 """Two-sided stability experiment, the sweep, and the inverse solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -406,6 +408,21 @@ def test_misfit_gradient_matches_finite_differences(dimension):
         assert abs(fd - float(grad @ d)) <= 1e-5 * abs(fd)
 
 
+def test_misfit_vanishes_exactly_at_the_truth():
+    # the data and the misfit share one flux map, so noiseless data and
+    # a prior at the truth give J == 0 exactly, also when dt = 1/30 is
+    # not a power of two
+    base = setups.default_setup(dimension=2, n=8, t0=0.2, t_end=2.0,
+                                steps=60)
+    setup = dataclasses.replace(base, base=dataclasses.replace(
+        base.base, g=setups.probing_boundary_data(base.grid)))
+    truth = bump_truth(setup.grid)
+    data = make_observations(setup, truth)
+    j_val, _ = misfit_and_gradient(truth, data, setup,
+                                   InverseConfig(prior=truth))
+    assert j_val == 0.0
+
+
 def test_misfit_regularizer_vanishes_at_prior():
     inv = inversion_setup(dimension=1, n=32)
     data = make_observations(inv, bump_truth(inv.grid))
@@ -426,6 +443,28 @@ def test_h1_gram_matches_quadratic_form():
                               setup.grid)
     quad = float(v[idx] @ (gram @ v[idx]))
     assert quad == pytest.approx(h1_norm_sq(v, setup.grid), rel=1e-12)
+
+
+@pytest.mark.parametrize("dimension,n", [(1, 20), (1, 32), (2, 13), (2, 16)])
+def test_h1_apply_and_norm_equal_the_per_axis_sums(dimension, n):
+    # H v and v H v against the form written axis by axis: trapezoid
+    # mass plus h^d / h^2 times the squared differences along each axis
+    grid = default_setup(dimension=dimension, n=n).grid
+    v = np.random.default_rng(n).standard_normal(grid.n_nodes)
+    coef = grid.h**grid.dimension / grid.h**2
+    vg = grid.reshape(v)
+    acc = np.zeros(grid.shape)
+    norm = float(space_weights(grid) @ v**2)
+    for a in range(dimension):
+        va, aa = np.moveaxis(vg, a, 0), np.moveaxis(acc, a, 0)
+        d = (va[1:] - va[:-1]) * coef
+        aa[1:] += d
+        aa[:-1] -= d
+        norm += coef * float(np.sum((va[1:] - va[:-1]) ** 2))
+    apply = space_weights(grid) * v + acc.ravel()
+    np.testing.assert_allclose(stability._h1_apply(v, grid), apply,
+                               rtol=1e-13, atol=1e-13 * np.max(np.abs(apply)))
+    assert h1_norm_sq(v, grid) == pytest.approx(norm, rel=1e-13)
 
 
 @pytest.mark.parametrize("dimension,n", [(1, 20), (1, 32), (2, 13), (2, 16)])
