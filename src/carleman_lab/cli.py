@@ -280,9 +280,10 @@ def run(command, config_path=None, plot=False, out=None) -> int:
         if SEED_ENV in os.environ:
             try:
                 cfg.seed = int(os.environ[SEED_ENV])
+                cfg.validate()
             except ValueError:
-                raise ConfigError(
-                    f"{SEED_ENV}={os.environ[SEED_ENV]!r} is not an integer")
+                raise ConfigError(f"{SEED_ENV}={os.environ[SEED_ENV]!r} is "
+                                  "not a non-negative integer")
         out_dir = out if out is not None else cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)
         if not os.access(out_dir, os.W_OK):

@@ -79,8 +79,9 @@ class ExperimentConfig:
                 f"{self.dimension}")
         if self.sigma < 0.0:
             raise ConfigError("sigma must be nonnegative")
-        if not _is_int(self.seed):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.out_dir, str):
             raise ConfigError("out_dir must be a string")
         return self

@@ -79,6 +79,9 @@ class TimeGrid:
         grid. The window must again have an even number of steps.
         """
         offset = self.index_of(t0)
+        if (self.steps - offset) % 2 != 0 or self.steps - offset < 2:
+            raise GridError(f"window ({self.times[offset]}, {self.t_end}) has "
+                            f"{self.steps - offset} steps, not an even number >= 2")
         return TimeGrid(self.times[offset], self.t_end, self.steps - offset), offset
 
 

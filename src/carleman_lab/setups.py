@@ -11,6 +11,7 @@ holds with margin; the poincare module verifies it at run time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -170,7 +171,10 @@ class TwinSolve:
     q: SpaceTimeField          # perturbed coefficient c = ctilde + gamma
     q_tilde: SpaceTimeField    # base coefficient
     u: SpaceTimeField          # q - q_tilde, zero on the boundary
-    y: SpaceTimeField          # d_t u
+
+    @functools.cached_property
+    def y(self) -> SpaceTimeField:    # d_t u, formed on first read
+        return time_derivative(self.u)
 
 
 def twin_solve(setup: ExperimentSetup, gamma: np.ndarray,
@@ -187,4 +191,4 @@ def twin_solve(setup: ExperimentSetup, gamma: np.ndarray,
     u = SpaceTimeField(values=q.values - q_tilde.values, grid=setup.grid,
                        timegrid=setup.timegrid)
     return TwinSolve(gamma=np.asarray(gamma, dtype=float), q=q,
-                     q_tilde=q_tilde, u=u, y=time_derivative(u))
+                     q_tilde=q_tilde, u=u)

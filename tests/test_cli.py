@@ -94,6 +94,7 @@ def test_config_rejects_unknown_keys(tmp_path):
     ({"dimension": 1.0}, "dimension"),
     ({"steps": True}, "steps"),
     ({"seed": True}, "seed"),
+    ({"seed": -1}, "non-negative"),
 ])
 def test_config_rejects_bad_values(tmp_path, overrides, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -290,6 +291,30 @@ def test_odd_steps_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, steps=129)
     assert run("forward", config_path=cfg, out=str(tmp_path)) == 2
     assert "even" in capsys.readouterr().err
+
+
+def test_odd_window_names_the_window(tmp_path, capsys):
+    # 4 steps on (0, 2) put t0 = 0.5 at node 1, leaving the window 3
+    cfg = write_config(tmp_path, steps=4)
+    assert run("forward", config_path=cfg, out=str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "window (0.5, 2.0) has 3 steps" in err
+
+
+@pytest.mark.parametrize("command", ["verify-carleman", "reconstruct"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, seed=-1, sigma=1e-3)
+    assert run(command, config_path=cfg, out=str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed" in err
+
+
+def test_negative_env_seed_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CARLEMAN_LAB_SEED", "-3")
+    assert run("verify-carleman", out=str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "CARLEMAN_LAB_SEED" in err
 
 
 def test_unknown_key_is_a_config_error(tmp_path, capsys):

@@ -460,6 +460,91 @@ def test_solve_heat_and_gradient_match_reference_recurrence(dimension, n):
     np.testing.assert_array_equal(grad, grad_ref)
 
 
+def max_relative(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("dimension,n", PIN_GRIDS)
+def test_sweeps_match_reference_recurrence_where_half_dt_is_inexact(
+        dimension, n):
+    # dt = 2/96: dt/2 is no power of two, so scaling A's entries by it
+    # rounds, and the sweeps regroup the recurrences' last bits
+    inv = inversion_setup(dimension, n)
+    grid, tg = inv.grid, TimeGrid(0.0, 2.0, 96)
+    dt = tg.dt
+    rng = np.random.default_rng(26)
+    c = 1.0 + stability.admissible_projection(0.3 * rng.random(grid.n_nodes),
+                                              grid)
+    A, Bbd, _, chol = reference_assembly(c, grid, dt)
+    interior = np.flatnonzero(grid.interior_mask)
+    boundary = np.flatnonzero(grid.boundary_mask)
+    drive = np.array([inv.base.g(t) for t in tg.times])[:, boundary]
+    rhs_bd = (Bbd @ drive.T).T
+    v = inv.base.q0[interior]
+    rows = [v]
+    for j in range(1, tg.steps + 1):
+        rhs = v + 0.5 * dt * (A @ v + rhs_bd[j - 1] + rhs_bd[j])
+        v = scipy.linalg.cho_solve_banded((chol, False), rhs)
+        rows.append(v)
+    prob = HeatProblem(c=c, g=inv.base.g, q0=inv.base.q0, r=inv.base.r)
+    values = solve_heat(prob, grid, tg).values
+    assert max_relative(values[:, interior], np.array(rows)) <= 1e-14
+
+    source = rng.standard_normal((tg.steps + 1, interior.size))
+    lam = scipy.linalg.cho_solve_banded((chol, False), -source[tg.steps])
+    lams = [lam]
+    for i in range(tg.steps - 1, 0, -1):
+        rhs = lam + 0.5 * dt * (A @ lam) - source[i]
+        lam = scipy.linalg.cho_solve_banded((chol, False), rhs)
+        lams.append(lam)
+    got = CrankNicolsonStepper(c, grid, dt).adjoint_sweep(source)
+    assert max_relative(got, np.array(lams[::-1])) <= 1e-14
+
+
+@pytest.mark.parametrize("dimension,n", PIN_GRIDS)
+def test_step_matrices_extend_A_int_in_stored_order(dimension, n):
+    grid, dt = pin_grid(dimension, n), 2.0 / 96
+    rng = np.random.default_rng(27)
+    st = CrankNicolsonStepper(0.5 + 2.0 * rng.random(grid.n_nodes), grid, dt)
+    p, ni = st._pattern, st.interior.size
+    half = 0.5 * dt
+    # forward rows [dt/2 A | dt/2 I | dt/2 I | I] read [v | b_old | . |
+    # b_new] and v again; adjoint rows [dt/2 A | I | -I] read [src | lam]
+    for (indptr, indices, data), a_shift, cols, eye in (
+            (st._forward_step, 0, (ni, 3 * ni, 0), (half, half, 1.0)),
+            (st._adjoint_step, ni, (ni, 0), (1.0, -1.0))):
+        assert indptr.dtype == indices.dtype == p.a_indptr.dtype
+        a_pos = []
+        for i in range(ni):
+            a = slice(p.a_indptr[i], p.a_indptr[i + 1])
+            row = np.arange(indptr[i], indptr[i + 1])
+            k = p.a_indptr[i + 1] - p.a_indptr[i]
+            np.testing.assert_array_equal(
+                indices[row], np.concatenate((p.a_indices[a] + a_shift,
+                                              np.add(cols, i))))
+            np.testing.assert_array_equal(data[row[k:]], eye)
+            a_pos.extend(row[:k])
+        scaled = data[a_pos]
+        np.testing.assert_array_equal(scaled, half * st._a_data)
+        # the entries the band of B = I - dt/2 A subtracts from I
+        ab = forward._upper_band(p, st._a_data, dt)
+        np.testing.assert_array_equal(
+            ab[p.band_rows, p.band_cols],
+            p.band_eye - scaled[p.band_entries])
+
+
+@pytest.mark.parametrize("dimension,n", PIN_GRIDS)
+def test_sweeps_raise_on_a_failed_solve(dimension, n, monkeypatch):
+    inv = inversion_setup(dimension, n)
+    grid, tg = inv.grid, inv.timegrid
+    st = CrankNicolsonStepper(inv.c_tilde, grid, tg.dt)
+    monkeypatch.setattr(forward, "_pbtrs", lambda ab, b, *args: (b, -1))
+    with pytest.raises(forward.SolverError, match="info=-1"):
+        solve_heat(inv.base, grid, tg)
+    with pytest.raises(forward.SolverError, match="info=-1"):
+        st.adjoint_sweep(np.zeros((tg.steps + 1, st.interior.size)))
+
+
 @pytest.mark.parametrize("dimension,n", PIN_GRIDS)
 def test_solve_B_solves_in_place_and_refuses_a_copy(dimension, n):
     grid = pin_grid(dimension, n)

@@ -183,6 +183,28 @@ def test_stability_sweep_solves_base_field_once(monkeypatch):
     assert sum(np.array_equal(c, setup.c_tilde) for c in solved) == 1
 
 
+def test_twin_derivative_is_formed_on_first_read(monkeypatch):
+    formed = []
+    original = setups.time_derivative
+
+    def recording(field):
+        formed.append(field)
+        return original(field)
+
+    monkeypatch.setattr(setups, "time_derivative", recording)
+    setup = default_setup(dimension=1, n=32)
+    fam = perturbation_family(setup.grid)[:3]
+    records, _ = stability_sweep(fam, setup, default_weights(setup))
+    assert len(records) == 3 and formed == []
+
+    twin = setups.twin_solve(setup, fam[0][2])
+    assert formed == []
+    y = twin.y
+    assert formed == [twin.u] and twin.y is y
+    np.testing.assert_array_equal(y.values,
+                                  forward.time_derivative(twin.u).values)
+
+
 def sweep_case(dimension):
     if dimension == 1:
         setup = default_setup(dimension=1, n=32)
