@@ -13,6 +13,7 @@ import functools
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .energy import (
     energy_tprime_direct,
     snapshot_bound_sides,
 )
-from .forward import HeatProblem, SolverError, dump_field_csv, solve_heat
+from .forward import SolverError, dump_field_csv, solve_heat
 from .grid import GridError
 from .observe import extract_observations, observations_to_csv
 from .poincare import proposition_sides, proposition_to_csv
@@ -36,7 +37,6 @@ from .report import (
     stability_to_csv,
 )
 from .setups import (
-    ExperimentSetup,
     default_setup,
     inversion_setup,
     perturbation_family,
@@ -72,11 +72,8 @@ class RunContext:
         self.background = evaluate_field(cfg.background, base.grid,
                                          cfg.base_dir)
         self.gamma = evaluate_field(cfg.gamma, base.grid, cfg.base_dir)
-        problem = HeatProblem(c=self.background, g=base.base.g,
-                              q0=base.base.q0, r=base.base.r)
-        problem.validate(base.grid)
-        self.setup = ExperimentSetup(grid=base.grid, timegrid=base.timegrid,
-                                     window=base.window, base=problem)
+        self.setup = replace(base, base=replace(base.base, c=self.background))
+        self.setup.base.validate(base.grid)
         self._weights = {}
 
     @functools.cached_property

@@ -231,12 +231,19 @@ def _field_from_csv(path, grid: Grid) -> np.ndarray:
     if not lines or lines[0] != "node,value":
         raise ConfigError(f"{path}: expected header 'node,value'")
     out = np.full(grid.n_nodes, np.nan)
+    seen = set()
     for ln in lines[1:]:
         try:
             node_s, val_s = ln.split(",")
-            out[int(node_s)] = float(val_s)
-        except (ValueError, IndexError) as exc:
+            node, value = int(node_s), float(val_s)
+        except ValueError as exc:
             raise ConfigError(f"{path}: bad row {ln!r}") from exc
+        if not 0 <= node < grid.n_nodes:
+            raise ConfigError(f"{path}: row {ln!r} names no grid node")
+        if node in seen:
+            raise ConfigError(f"{path}: row {ln!r} repeats node {node}")
+        seen.add(node)
+        out[node] = value
     if np.any(np.isnan(out)):
         raise ConfigError(f"{path}: covers {int(np.sum(~np.isnan(out)))} of "
                           f"{grid.n_nodes} nodes")

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import (Grid, GridError, TimeGrid, _d1, discrete_gradient,
-                   discrete_laplacian)
+                   discrete_laplacian, lattice)
 from .report import write_csv
 
 
@@ -134,83 +134,72 @@ class SpaceTimeField:
 @functools.lru_cache(maxsize=16)
 def _flux_pattern(dimension: int, n: int) -> SimpleNamespace:
     """Structure of the flux-form operator on a (dimension, n) grid,
-    shared read-only by every conductivity on it.
+    shared read-only by every conductivity on it.  It is one stencil
+    table: row i is interior node p = interior[i] and lists, in
+    ascending node order, p - s_a for a = 0 .. d-1, p, then p + s_a for
+    a = d-1 .. 0 (s_a = (n+1)^(d-1-a), the node stride of axis a).  An
+    off-diagonal entry carries the grid.lattice face between its nodes,
+    the diagonal its index after the faces.
 
-    Faces are numbered axis by axis, lo[f] and hi[f] being the lower
-    and upper node of face f.  The COO assembly lists, per axis,
-    (lo, hi, c_f), (lo, lo, -c_f), (hi, lo, c_f), (hi, hi, -c_f), and
-    coo -> csr sorts that stably by (row, col) and sums each run of
-    duplicates in sequence.  Fields: interior, boundary; lo, hi;
-    diag_faces, the (2 dim, n_interior) faces whose -c_f sum to each
-    diagonal entry, in that sequence (axis by axis, the face where the
-    node is lower first); a_indptr, a_indices and a_gather (into the
-    face values followed by the diagonal) of A_int; b_indptr, b_indices
-    and b_faces of B_bd; band_shape, band_rows, band_cols, band_entries
+    Fields: interior, boundary; diag_faces, the 2d faces at each node in
+    the order up[0, p], up[0, p - s_0], up[1, p], up[1, p - s_1] that its
+    diagonal sums them in; a_indptr, a_indices and a_gather (into the
+    face values followed by the diagonal) of A_int, the table in interior
+    columns; b_indptr, b_indices and b_faces of B_bd, the table in
+    boundary columns; band_shape, band_rows, band_cols, band_entries
     (positions in A_int's data) and band_eye (I's entries there) of the
     upper band storage of B = I - dt/2 A_int; fwd_ and adj_ indptr,
     indices and gather (into [dt/2 A_int, dt/2, 1, -1]) of the step
     matrices [dt/2 A + I | dt/2 I | 0 | dt/2 I] and [-I | dt/2 A + I] on
-    blocks of n_interior columns, each row A_int's in stored order, then
-    the identity entries."""
-    shape = (n + 1,) * dimension
-    idx = np.arange((n + 1) ** dimension).reshape(shape)
-    ijk = np.indices(shape)
-    inside = np.all((ijk > 0) & (ijk < n), axis=0).ravel()
-    lo, hi, rows, cols, faces = [], [], [], [], []
-    for a in range(dimension):
-        ia = np.moveaxis(idx, a, 0)
-        i0, i1 = ia[:-1].ravel(), ia[1:].ravel()
-        f = a * i0.size + np.arange(i0.size)  # every axis has n (n+1)^(d-1)
-        lo.append(i0)
-        hi.append(i1)
-        rows.extend([i0, i0, i1, i1])
-        cols.extend([i1, i0, i0, i1])
-        faces.extend([f] * 4)
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
-    rows, cols, faces = (np.concatenate(x) for x in (rows, cols, faces))
-    order = np.lexsort((cols, rows))
-    order = order[inside[rows[order]]]  # interior rows only
-    rows, cols, faces = rows[order], cols[order], faces[order]
-    on_diag = rows == cols
-    diag_faces = faces[on_diag].reshape(-1, 2 * dimension).T.copy()
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    rows, cols, faces, on_diag = (x[first] for x in (rows, cols, faces,
-                                                      on_diag))
+    blocks of n_interior columns, A_int's rows with identity entries
+    appended."""
+    lat = lattice(dimension, n)
+    inside = lat.depth > 0
     interior, boundary = np.flatnonzero(inside), np.flatnonzero(~inside)
-    number = np.empty(idx.size, dtype=np.int32)
-    number[interior] = np.arange(interior.size)
-    number[boundary] = np.arange(boundary.size)
-    ri, ci = number[rows], number[cols]
+    ni, axes = interior.size, np.arange(dimension)
+    stride = (n + 1) ** axes[::-1]
+    nodes = interior[:, None] + np.concatenate((-stride, [0], stride[::-1]))
+    faces = np.column_stack((lat.up[axes, nodes[:, :dimension]],
+                             lat.lo.size + np.arange(ni),
+                             lat.up[axes[::-1]][:, interior].T))
+    # a node's number among the interior or among the boundary nodes
+    number = np.where(inside, np.cumsum(inside), np.cumsum(~inside)) - 1
+    cols, in_a = number[nodes].astype(np.int32), inside[nodes]
 
-    def indptr(in_block):
-        counts = np.bincount(ri[in_block], minlength=interior.size)
-        return np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    def csr(keep, *tables):
+        """indptr and the kept entries of each table, row by row."""
+        indptr = np.append(0, np.cumsum(np.sum(keep, axis=1)))
+        return (indptr.astype(np.int32), *(table[keep] for table in tables))
 
-    in_a = inside[cols]
-    a_rows, a_cols, a_indptr = ri[in_a], ci[in_a], indptr(in_a)
+    a_indptr, a_cols, a_gather = csr(in_a, cols, faces)
+    a_rows = np.repeat(np.arange(ni, dtype=np.int32), np.diff(a_indptr))
     upper = np.flatnonzero(a_cols >= a_rows)
     u = int(np.max(a_cols[upper] - a_rows[upper]))
-    ni = interior.size
+    position = np.full(nodes.shape, -1)  # in A_int's data
+    position[in_a] = np.arange(a_cols.size)
 
     def extended(a_block, blocks, values):
-        at = np.repeat(a_indptr[1:], len(blocks))
-        cols = np.add.outer(np.arange(ni), ni * np.array(blocks)).ravel()
-        return (a_indptr + np.arange(ni + 1, dtype=np.int32) * len(blocks),
-                np.insert(a_cols + np.int32(a_block * ni), at, cols),
-                np.insert(np.arange(a_cols.size, dtype=np.int32), at,
-                          np.tile(a_cols.size + np.array(values), ni)))
+        """A_int's rows moved a_block blocks right, then identity entries
+        in the given blocks with the given gather values."""
+        eye = np.ones((ni, len(blocks)), dtype=bool)
+        eye_cols = np.add.outer(np.arange(ni), ni * np.array(blocks))
+        tables = (np.hstack((cols + a_block * ni, eye_cols)),
+                  np.hstack((position, a_cols.size + eye * np.array(values))))
+        return csr(np.hstack((in_a, eye)), *(t.astype(np.int32) for t in tables))
 
     fwd, adj = extended(0, (1, 3, 0), (0, 0, 1)), extended(1, (1, 0), (1, 2))
+    b_indptr, b_indices, b_faces = csr(~in_a, cols, faces)
+    # the columns of up[a, p] and up[a, p - s_a], axis by axis
+    diag_columns = [k for a in axes for k in (2 * dimension - a, a)]
     pattern = SimpleNamespace(
-        interior=interior, boundary=boundary, lo=lo, hi=hi,
-        diag_faces=diag_faces, a_indptr=a_indptr, a_indices=a_cols,
-        a_gather=np.where(on_diag[in_a], lo.size + a_rows, faces[in_a]),
-        b_indptr=indptr(~in_a), b_indices=ci[~in_a], b_faces=faces[~in_a],
+        interior=interior, boundary=boundary,
+        diag_faces=faces[:, diag_columns].T.copy(),
+        a_indptr=a_indptr, a_indices=a_cols, a_gather=a_gather,
+        b_indptr=b_indptr, b_indices=b_indices, b_faces=b_faces,
         band_shape=(u + 1, ni),
         band_rows=u + a_rows[upper] - a_cols[upper],
         band_cols=a_cols[upper], band_entries=upper,
-        band_eye=on_diag[in_a][upper].astype(float),
+        band_eye=(a_cols[upper] == a_rows[upper]).astype(float),
         fwd_indptr=fwd[0], fwd_indices=fwd[1], fwd_gather=fwd[2],
         adj_indptr=adj[0], adj_indices=adj[1], adj_gather=adj[2],
     )
@@ -222,10 +211,10 @@ def _flux_pattern(dimension: int, n: int) -> SimpleNamespace:
 
 def _flux_values(c: np.ndarray, grid: Grid):
     """The pattern of grid and the CSR values of A_int and B_bd for c:
-    face means c_f / h^2 off the diagonal, the negated face values at
-    each node summed in coo -> csr's order on it."""
+    face means c_f / h^2 off the diagonal, and on it the negated face
+    values at the node summed in diag_faces' sequence."""
     pattern = _flux_pattern(grid.dimension, grid.n)
-    cf = (0.5 * (c[pattern.lo] + c[pattern.hi])) * (1.0 / grid.h**2)
+    cf = (0.5 * (c[grid.lattice.lo] + c[grid.lattice.hi])) * (1.0 / grid.h**2)
     neg = -cf
     diag = neg[pattern.diag_faces[0]]
     for faces in pattern.diag_faces[1:]:

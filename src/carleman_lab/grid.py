@@ -16,7 +16,9 @@ Only the conductivity c is a single nodal field.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -119,20 +121,19 @@ class Grid:
             xx, yy = np.meshgrid(axis, axis, indexing="ij")
             self.coords = np.column_stack([xx.ravel(), yy.ravel()])
 
-        idx = np.arange(self.n_nodes).reshape(self.shape)
-        bmask = np.zeros(self.shape, dtype=bool)
-        for a in range(dimension):
-            bmask[(slice(None),) * a + (0,)] = True
-            bmask[(slice(None),) * a + (n,)] = True
-        self.boundary_mask = bmask.ravel()
+        self.lattice = lattice(dimension, n)
+        self.boundary_mask = self.lattice.depth == 0
         self.interior_mask = ~self.boundary_mask
 
+        idx = np.arange(self.n_nodes).reshape(self.shape)
         self.face_names = tuple(known)
-        self._face_nodes = {}
+        self._face_layers = {}
         self._face_normals = {}
         for name, (a, side) in known.items():
-            sl = (slice(None),) * a + (n if side else 0,)
-            self._face_nodes[name] = idx[sl].ravel().copy()
+            rows = [n, n - 1, n - 2] if side else [0, 1, 2]
+            layers = np.moveaxis(idx, a, 0)[rows].reshape(3, -1)
+            layers.flags.writeable = False
+            self._face_layers[name] = layers
             nu = np.zeros(dimension)
             nu[a] = 1.0 if side else -1.0
             self._face_normals[name] = nu
@@ -141,7 +142,7 @@ class Grid:
 
     def face_nodes(self, face: str) -> np.ndarray:
         """Flat indices of the nodes of one closed face, in axis order."""
-        return self._face_nodes[face]
+        return self._face_layers[face][0]
 
     def face_normal(self, face: str) -> np.ndarray:
         return self._face_normals[face]
@@ -166,6 +167,28 @@ class Grid:
 
 def build_grid(dimension: int, n: int, gamma0_faces) -> Grid:
     return Grid(dimension, n, tuple(gamma0_faces))
+
+
+@functools.lru_cache(maxsize=16)
+def lattice(dimension: int, n: int) -> SimpleNamespace:
+    """Read-only index tables of the (dimension, n) node lattice: depth,
+    each node's distance in nodes to the boundary; lo and hi, the lower
+    and upper node of each face (lattice edge), numbered axis by axis
+    with that axis moved first; up[a, node], the face above node along
+    axis a (-1 on the top layer)."""
+    shape, axes = (n + 1,) * dimension, range(dimension)
+    ijk = np.indices(shape).reshape(dimension, -1)
+    ends = [np.moveaxis(np.arange(ijk.shape[1]).reshape(shape), a, 0)
+            for a in axes]
+    lo = np.concatenate([ia[:-1].ravel() for ia in ends])
+    hi = np.concatenate([ia[1:].ravel() for ia in ends])
+    up = np.full(ijk.shape, -1)
+    up[np.repeat(axes, lo.size // dimension), lo] = np.arange(lo.size)
+    tables = SimpleNamespace(depth=np.min(np.minimum(ijk, n - ijk), axis=0),
+                             lo=lo, hi=hi, up=up)
+    for value in vars(tables).values():
+        value.flags.writeable = False
+    return tables
 
 
 # -- stencils -------------------------------------------------------------
@@ -252,12 +275,9 @@ FACE_STENCIL = (3.0, -4.0, 1.0)
 
 def face_layers(grid: Grid, face: str) -> np.ndarray:
     """(3, face_nodes) flat indices of the face layer and the two inward
-    layers, in FACE_STENCIL order.  The adjoint of normal_derivative
-    scatters through the same table."""
-    axis, side = _FACES[grid.dimension][face]
-    ia = np.moveaxis(np.arange(grid.n_nodes).reshape(grid.shape), axis, 0)
-    layers = (ia[-1], ia[-2], ia[-3]) if side else (ia[0], ia[1], ia[2])
-    return np.array([np.atleast_1d(layer).ravel() for layer in layers])
+    layers, in FACE_STENCIL order, read-only.  The adjoint of
+    normal_derivative scatters through the same table."""
+    return grid._face_layers[face]
 
 
 def normal_derivative(f: np.ndarray, grid: Grid, face: str) -> np.ndarray:

@@ -48,12 +48,15 @@ class TransportBase:
 
 
 def build_transport_base(b: np.ndarray, ws: WeightSet) -> TransportBase:
+    """The transport base of b; GridError when it is degenerate."""
     b = np.asarray(b, dtype=float)
     if b.shape != (ws.grid.n_nodes,):
         raise GridError(f"base field has shape {b.shape}")
     grad = discrete_gradient(b, ws.grid)
     transport = np.abs(np.sum(ws.grad_beta_tilde * grad, axis=1))
-    return TransportBase(gradient=grad, min_transport=float(np.min(transport)))
+    base = TransportBase(gradient=grad, min_transport=float(np.min(transport)))
+    _require_nondegenerate(base)
+    return base
 
 
 def apply_P0(g: np.ndarray, base: TransportBase, grid: Grid) -> np.ndarray:
@@ -78,7 +81,8 @@ def _require_nondegenerate(base: TransportBase):
 def lemma_sides(g: np.ndarray, base: TransportBase,
                 ws: WeightSet) -> EstimateReport:
     """Weighted mass of g at T' against the weighted transport image: the
-    paper's Poincare-type lemma, kept for the tests that check it."""
+    paper's Poincare-type lemma, kept for the tests that check it.  base
+    is checked again here, since a caller may build it by hand."""
     _require_nondegenerate(base)
     p0g = apply_P0(g, base, ws.grid)
     lhs = {
@@ -169,7 +173,6 @@ def proposition_sides(gamma: np.ndarray, q_tilde: SpaceTimeField,
     grid, window = ws.grid, ws.timegrid
     check_flat_boundary(gamma, grid)
     base = build_transport_base(q_tilde.at_time(window.t_mid), ws)
-    _require_nondegenerate(base)
 
     grad_gamma = discrete_gradient(gamma, grid)
     u_snap = snapshot_package(u, grid, window)

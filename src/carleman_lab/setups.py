@@ -113,14 +113,8 @@ def inversion_setup(dimension: int = 1, n: int = 32) -> ExperimentSetup:
     transient (t0 = 1/16 on (0, 2) with 128 steps); use this for
     reconstruction experiments."""
     setup = default_setup(dimension, n, t0=0.0625, t_end=2.0, steps=128)
-    base = HeatProblem(
-        c=setup.base.c,
-        g=probing_boundary_data(setup.grid),
-        q0=setup.base.q0,
-        r=setup.base.r,
-    )
-    return ExperimentSetup(grid=setup.grid, timegrid=setup.timegrid,
-                           window=setup.window, base=base)
+    return replace(setup, base=replace(
+        setup.base, g=probing_boundary_data(setup.grid)))
 
 
 # -- perturbations --------------------------------------------------------
@@ -156,8 +150,7 @@ def perturbed_problem(setup: ExperimentSetup, gamma: np.ndarray) -> HeatProblem:
     c = setup.c_tilde + gamma
     if np.any(c <= 0.0):
         raise GridError("perturbation destroys positivity of the conductivity")
-    return HeatProblem(c=c, g=setup.base.g, q0=setup.base.q0, r=setup.base.r,
-                       verification_mode=setup.base.verification_mode)
+    return replace(setup.base, c=c)
 
 
 # -- twin solves ----------------------------------------------------------

@@ -33,9 +33,7 @@ import numpy.random  # noqa: F401
 
 from .forward import (
     CrankNicolsonStepper,
-    HeatProblem,
     _flapack,
-    _flux_pattern,
     solve_heat,
     snapshot_package,
 )
@@ -45,6 +43,7 @@ from .grid import (
     GridError,
     discrete_gradient,
     face_layers,
+    lattice,
     space_weights,
 )
 from .observe import (
@@ -56,7 +55,7 @@ from .observe import (
     weighted_boundary_norm,
     weighted_norm_space,
 )
-from .poincare import build_transport_base, _require_nondegenerate
+from .poincare import build_transport_base
 from .report import EstimateReport, write_csv
 from .setups import ExperimentSetup, twin_solve
 from .weights import WeightSet
@@ -78,15 +77,7 @@ def admissible_mask(grid: Grid) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _admissible_mask(dimension: int, n: int) -> np.ndarray:
-    depth = 1 if dimension == 1 else 2
-    keep = np.ones((n + 1,) * dimension, dtype=bool)
-    for a in range(dimension):
-        ax = np.arange(n + 1)
-        close = (ax <= depth - 1) | (ax >= n + 1 - depth)
-        shape = [1] * dimension
-        shape[a] = n + 1
-        keep &= ~close.reshape(shape)
-    keep = keep.ravel()
+    keep = lattice(dimension, n).depth >= (1 if dimension == 1 else 2)
     keep.flags.writeable = False
     return keep
 
@@ -144,11 +135,11 @@ class StabilityReport:
 def _base_terms(c_tilde: np.ndarray, setup: ExperimentSetup,
                 ws: WeightSet) -> tuple:
     """What every pair on c_tilde shares: its solution, the transport base
-    at T' (checked nondegenerate) and the solution's observations."""
+    at T' (nondegenerate, or build_transport_base raises) and the
+    solution's observations."""
     grid, window = setup.grid, setup.window
     q_tilde = solve_heat(replace(setup.base, c=c_tilde), grid, setup.timegrid)
     base = build_transport_base(q_tilde.at_time(window.t_mid), ws)
-    _require_nondegenerate(base)
     return q_tilde, base, extract_observations(q_tilde, grid, window)
 
 
@@ -281,13 +272,13 @@ class InverseConfig:
 
 def _h1_apply(v: np.ndarray, grid: Grid) -> np.ndarray:
     """H v, the gradient of 1/2 h1_norm_sq: trapezoid mass on the
-    diagonal, and per _flux_pattern edge (lo, hi) coef (v[hi] - v[lo]),
+    diagonal, and per lattice face (lo, hi) coef (v[hi] - v[lo]),
     coef = h^d / h^2, added at hi and subtracted at lo."""
-    edges = _flux_pattern(grid.dimension, grid.n)
-    d = (v[edges.hi] - v[edges.lo]) * (grid.h**grid.dimension / grid.h**2)
+    lat = grid.lattice
+    d = (v[lat.hi] - v[lat.lo]) * (grid.h**grid.dimension / grid.h**2)
     out = space_weights(grid) * v
-    np.add.at(out, edges.hi, d)
-    np.subtract.at(out, edges.lo, d)
+    np.add.at(out, lat.hi, d)
+    np.subtract.at(out, lat.lo, d)
     return out
 
 
@@ -300,14 +291,13 @@ def h1_norm_sq(v: np.ndarray, grid: Grid) -> float:
 
 def _h1_gram(grid: Grid, idx: np.ndarray) -> np.ndarray:
     """The H of _h1_apply as a dense matrix restricted to the nodes in
-    idx; the preconditioner of the descent metric.  Every lattice edge
+    idx; the preconditioner of the descent metric.  Every lattice face
     adds coef to the diagonal at each end in idx, and subtracts it off
     the diagonal when both ends are; all addends are equal, so their
     order does not change the bits."""
     pos = np.full(grid.n_nodes, -1)
     pos[idx] = np.arange(idx.size)
-    edges = _flux_pattern(grid.dimension, grid.n)
-    lo, hi = pos[edges.lo], pos[edges.hi]
+    lo, hi = pos[grid.lattice.lo], pos[grid.lattice.hi]
     coef = grid.h**grid.dimension / grid.h**2
     diag = space_weights(grid)[idx]
     ends = np.concatenate((lo, hi))
@@ -352,9 +342,8 @@ def make_observations(setup: ExperimentSetup, c_true: np.ndarray,
                       sigma: float = 0.0, seed: int = 0) -> ObservationSet:
     """Synthetic data: solve with the true coefficient; white noise on
     the flux traces only (interior snapshots stay clean)."""
-    prob = HeatProblem(c=c_true, g=setup.base.g, q0=setup.base.q0,
-                       r=setup.base.r)
-    field = solve_heat(prob, setup.grid, setup.timegrid)
+    field = solve_heat(replace(setup.base, c=c_true), setup.grid,
+                       setup.timegrid)
     obs = extract_observations(field, setup.grid, setup.window)
     if sigma > 0.0:
         rng = np.random.default_rng(seed)
@@ -398,8 +387,7 @@ def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
     if np.any(c_current < C_MIN):
         raise GridError("coefficient below the positivity floor")
 
-    prob = HeatProblem(c=c_current, g=setup.base.g, q0=setup.base.q0,
-                       r=setup.base.r)
+    prob = replace(setup.base, c=c_current)
     # validated here, before the factor, which would fail less clearly;
     # solve_heat does not repeat it for a caller's stepper
     prob.validate(grid)

@@ -27,6 +27,7 @@ from carleman_lab.config import (
     evaluate_field,
     load_config,
 )
+from carleman_lab.grid import build_grid
 from carleman_lab.setups import default_setup
 from carleman_lab.svg import PlotError, line_plot
 
@@ -151,6 +152,19 @@ def test_field_from_csv_roundtrip(tmp_path):
     with pytest.raises(ConfigError, match="covers"):
         evaluate_field({"csv": "field.csv"}, setup.grid,
                        base_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("row,message", [("-1,7", "names no grid node"),
+                                         ("5,7", "names no grid node"),
+                                         ("0,7", "repeats node 0")])
+def test_field_from_csv_rejects_bad_node_indices(tmp_path, row, message):
+    # numpy would read -1 as the last node, and a repeated node would
+    # overwrite the earlier row
+    grid = build_grid(1, 4, ["right"])
+    lines = ["node,value"] + [f"{i},1" for i in range(grid.n_nodes)] + [row]
+    (tmp_path / "field.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"{re.escape(repr(row))}.*{message}"):
+        evaluate_field({"csv": "field.csv"}, grid, base_dir=str(tmp_path))
 
 
 # -- command runs ----------------------------------------------------------

@@ -316,6 +316,9 @@ def test_dump_field_csv(tmp_path):
 # -- bitwise pins of the pattern assembly and the kernel matvec ------------
 
 PIN_GRIDS = [(1, 32), (2, 16)]
+# the smallest grids and an odd one, where the stencil table's boundary
+# columns make up most of each row
+SMALL_GRIDS = [(1, 4), (2, 4), (2, 7)]
 
 
 def pin_grid(dimension, n):
@@ -367,7 +370,7 @@ def test_stepper_kernel_matvec_is_bitwise_a_matvec(dimension, n):
                                   (B_ref @ drive.T).T)
 
 
-@pytest.mark.parametrize("dimension,n", PIN_GRIDS)
+@pytest.mark.parametrize("dimension,n", PIN_GRIDS + SMALL_GRIDS)
 def test_pattern_assembly_matches_coo_reference(dimension, n):
     grid, dt = pin_grid(dimension, n), 2.0 / 128
     rng = np.random.default_rng(22)
@@ -501,7 +504,7 @@ def test_sweeps_match_reference_recurrence_where_half_dt_is_inexact(
     assert max_relative(got, np.array(lams[::-1])) <= 1e-14
 
 
-@pytest.mark.parametrize("dimension,n", PIN_GRIDS)
+@pytest.mark.parametrize("dimension,n", PIN_GRIDS + SMALL_GRIDS)
 def test_step_matrices_extend_A_int_in_stored_order(dimension, n):
     grid, dt = pin_grid(dimension, n), 2.0 / 96
     rng = np.random.default_rng(27)

@@ -9,6 +9,8 @@ from carleman_lab.grid import (
     discrete_gradient,
     discrete_laplacian,
     divergence_flux,
+    face_layers,
+    lattice,
     normal_derivative,
     space_weights,
 )
@@ -25,6 +27,31 @@ def test_build_1d_basic():
     assert list(g.face_nodes("right")) == [10]
     assert g.face_normal("right")[0] == 1.0
     assert g.face_normal("left")[0] == -1.0
+
+
+@pytest.mark.parametrize("dimension,n", [(1, 4), (1, 7), (2, 4), (2, 7)])
+def test_lattice_tables_agree_with_the_grid(dimension, n):
+    g = build_grid(dimension, n, ["right"] if dimension == 1 else ["east"])
+    lat = g.lattice
+    assert lat is lattice(dimension, n)
+    assert not any(t.flags.writeable for t in vars(lat).values())
+    np.testing.assert_array_equal(g.boundary_mask, lat.depth == 0)
+    ijk = np.indices(g.shape).reshape(dimension, -1)
+    np.testing.assert_array_equal(lat.depth,
+                                  np.min(np.minimum(ijk, n - ijk), axis=0))
+    for face in g.face_names:
+        layers = face_layers(g, face)
+        assert not layers.flags.writeable
+        np.testing.assert_array_equal(g.face_nodes(face), layers[0])
+    # up[a] inverts lo on axis a's faces, whose upper ends lie one stride up
+    for a in range(dimension):
+        below = np.flatnonzero(lat.up[a] >= 0)
+        np.testing.assert_array_equal(lat.lo[lat.up[a, below]], below)
+        np.testing.assert_array_equal(lat.hi[lat.up[a, below]],
+                                      below + (n + 1) ** (dimension - 1 - a))
+        assert np.all(ijk[a][lat.up[a] < 0] == n)
+    assert np.sum(lat.up >= 0) == lat.lo.size == dimension * n * (n + 1) ** (
+        dimension - 1)
 
 
 def test_build_2d_east_face():

@@ -6,6 +6,7 @@ import pytest
 
 from carleman_lab.grid import GridError, build_grid
 from carleman_lab.poincare import (
+    TransportBase,
     apply_P0,
     build_transport_base,
     check_flat_boundary,
@@ -128,11 +129,21 @@ def test_lemma_homogeneity_exact():
 
 
 def test_lemma_rejects_degenerate_base():
+    # a hand-built base: build_transport_base would refuse to make it
     setup = default_setup()
     ws = default_weights(setup, s=4.0)
-    flat = build_transport_base(np.ones(setup.grid.n_nodes), ws)
+    flat = TransportBase(gradient=np.zeros((setup.grid.n_nodes, 1)),
+                         min_transport=0.0)
     with pytest.raises(GridError, match="degenerate"):
         lemma_sides(setup.grid.coords[:, 0] * 0.0, flat, ws)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_transport_base_of_a_constant_field_raises(dimension):
+    setup = default_setup(dimension=dimension, n=16, steps=64)
+    ws = default_weights(setup, s=4.0)
+    with pytest.raises(GridError, match="degenerate transport base"):
+        build_transport_base(np.ones(setup.grid.n_nodes), ws)
 
 
 def test_flatness_guard():

@@ -386,6 +386,24 @@ def test_reconstruct_builds_one_read_only_pattern_per_grid():
     assert forward._flux_pattern(1, 16).a_indices.min() == 0
 
 
+def test_conductivity_swaps_keep_the_verification_mode():
+    # zero drive and state violate the positivity floor, which a
+    # verification-mode problem admits in every solve of it
+    setup = default_setup(dimension=1, n=8)
+    grid, zero = setup.grid, np.zeros(setup.grid.n_nodes)
+    setup = dataclasses.replace(setup, base=dataclasses.replace(
+        setup.base, g=lambda t: zero, q0=zero, verification_mode=True))
+    gamma = 0.05 * bump_shape(grid)
+    assert setups.perturbed_problem(setup, gamma).verification_mode
+    c = 1.0 + admissible_projection(gamma, grid)
+    data = make_observations(setup, c)
+    assert all(not np.any(flux) for flux in data.flux.values())
+    cfg = InverseConfig(prior=np.ones(grid.n_nodes))
+    j_val, grad = misfit_and_gradient(c, data, setup, cfg)
+    assert j_val == 0.5 * cfg.alpha * h1_norm_sq(c - cfg.prior, grid)
+    assert np.all(np.isfinite(grad))
+
+
 def test_admissible_mask_is_cached_read_only():
     grid = inversion_setup(dimension=2, n=16).grid
     mask = admissible_mask(grid)

@@ -1,4 +1,5 @@
-"""Every name the package defines has a reader.
+"""Every name the package defines has a reader, and no module of the
+package imports another module's private names.
 
 A module-level function or class of src/carleman_lab, or a method or
 property of one of its classes, must be referred to by code in src/ or
@@ -9,6 +10,10 @@ tables FUNCTIONS and METHODS of bench/tracer.py count too, because the
 tracer looks their names up with getattr.  Docstrings and comments do
 not count, and neither do tests: a name only tests call is a test
 helper and belongs in tests/.
+
+A module of src/carleman_lab imports a _-prefixed name of another only
+where PRIVATE_IMPORTS gives the reason; anything else the two modules
+share is public.
 """
 
 import ast
@@ -31,6 +36,16 @@ KEEP = {
                            "stay finite, checked in tests/test_weights.py",
     "weight_time_profile": "acceptance 2: 1/w is least at the window "
                            "midpoint T'",
+}
+
+# (importing module, imported module, private name) -> why it is shared
+PRIVATE_IMPORTS = {
+    ("stability", "forward", "_flapack"):
+        "the dense LAPACK Cholesky of the reconstruction's H1 "
+        "preconditioner, until it is banded like the stepper's factor",
+    ("forward", "grid", "_d1"):
+        "time_derivative applies the grid's first-derivative stencil on "
+        "the time axis",
 }
 
 
@@ -105,3 +120,29 @@ def test_keep_list_names_are_defined():
     defined = {name for _, _, name, _ in _package_definitions(_trees())}
     assert sorted(set(KEEP) - defined) == []
     assert all(reason.strip() for reason in KEEP.values())
+
+
+def _private_imports(trees):
+    """(module, imported module, name) of every _-prefixed name a module
+    of the package imports from another of its modules."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0:
+                if not module.startswith("carleman_lab."):
+                    continue
+                module = module[len("carleman_lab."):]
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield path.stem, module, alias.name
+
+
+def test_no_private_names_cross_modules():
+    found = set(_private_imports(_trees()))
+    assert sorted(found - set(PRIVATE_IMPORTS)) == [], (
+        "make these names public or give them a PRIVATE_IMPORTS reason")
+    # an entry nothing imports any more goes too
+    assert sorted(set(PRIVATE_IMPORTS) - found) == []
+    assert all(reason.strip() for reason in PRIVATE_IMPORTS.values())
