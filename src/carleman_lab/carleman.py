@@ -34,6 +34,7 @@ from .grid import (
     Grid,
     GridError,
     TimeGrid,
+    centered_difference,
     discrete_gradient,
     divergence_flux,
     normal_derivative,
@@ -41,7 +42,7 @@ from .grid import (
 )
 from .observe import window_sum
 from .report import EstimateReport
-from .weights import WeightSet
+from .weights import WeightSet, build_weights
 
 
 # node values per stacked window field in one carleman_sweep chunk
@@ -72,9 +73,8 @@ def apply_M2(psi: np.ndarray, c: np.ndarray, ws: WeightSet,
     """Interior-row values of d_t psi +- 2 s lam phi c grad(beta).grad(psi)
     - 2 s lam^2 phi c |grad beta|^2 psi."""
     grad_b2, phi = ws.grad_beta_sq, ws.phi
-    dt = ws.timegrid.dt
     inner = psi[..., 1:-1, :]
-    dpsi_dt = (psi[..., 2:, :] - psi[..., :-2, :]) / (2.0 * dt)
+    dpsi_dt = centered_difference(psi, -2, ws.timegrid.dt)
     grad_psi = discrete_gradient(inner, ws.grid)
     advect = np.sum(ws.grad_beta_tilde * grad_psi, axis=-1)
     return (
@@ -101,7 +101,7 @@ def _test_terms(q: np.ndarray, c: np.ndarray, grid: Grid,
     its interior rows (the endpoint rows carry zero weight): the squared
     residual d_t q - div(c grad q), |grad q|^2, q^2, |d_nu q|^2 by face."""
     inner = q[:, 1:-1]
-    resid = ((q[:, 2:] - q[:, :-2]) / (2.0 * window.dt)
+    resid = (centered_difference(q, -2, window.dt)
              - divergence_flux(c, inner, grid))
     grad2 = np.sum(discrete_gradient(inner, grid) ** 2, axis=-1)
     flux2 = {face: normal_derivative(inner, grid, face) ** 2
@@ -181,8 +181,6 @@ def carleman_sweep(c: np.ndarray, suite: list, s_list, lam_list, grid: Grid,
     once and evaluated in stacks of at most CHUNK_VALUES node values; a
     stack's _test_terms are kept for the later cells while all kept
     terms fit in KEEP_VALUES node values, and formed anew otherwise."""
-    from .weights import build_weights
-
     if not suite or not list(s_list) or not list(lam_list):
         raise GridError("empty suite or parameter list")
     tests = [_checked(test_id, q, grid, window) for test_id, q in suite]

@@ -57,6 +57,7 @@ from .weights import WeightError, build_weights
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 2, 3
 
 SEED_ENV = "CARLEMAN_LAB_SEED"
+ENDPOINT_DECAY_S = 4.0   # the endpoint-decay bound needs s >= 4
 
 
 class RunContext:
@@ -96,9 +97,7 @@ class RunContext:
         return self.weights(self.cfg.lambdas[0], self.cfg.s_values[0])
 
     def weights_energy(self):
-        # the endpoint-decay bound needs s >= 4; take the smallest such
-        # s from the sweep list, or the largest available
-        heavy = [s for s in self.cfg.s_values if s >= 4.0]
+        heavy = [s for s in self.cfg.s_values if s >= ENDPOINT_DECAY_S]
         return self.weights(self.cfg.lambdas[0],
                             min(heavy) if heavy else max(self.cfg.s_values))
 
@@ -172,7 +171,7 @@ def cmd_verify_energy(ctx: RunContext):
     if abs(curve.e_tprime - direct) > 1e-12 * abs(direct):
         raise SolverError(
             f"midpoint energy paths disagree: {curve.e_tprime} vs {direct}")
-    if ws.s >= 4.0 and curve.e_tprime > 0.0:
+    if ws.s >= ENDPOINT_DECAY_S and curve.e_tprime > 0.0:
         for label, value in (("start", curve.values[0]),
                              ("end", curve.values[-1])):
             if value > 1e-6 * curve.e_tprime:

@@ -238,6 +238,8 @@ def _field_from_csv(path, grid: Grid) -> np.ndarray:
             node, value = int(node_s), float(val_s)
         except ValueError as exc:
             raise ConfigError(f"{path}: bad row {ln!r}") from exc
+        if not np.isfinite(value):
+            raise ConfigError(f"{path}: row {ln!r} has a non-finite value")
         if not 0 <= node < grid.n_nodes:
             raise ConfigError(f"{path}: row {ln!r} names no grid node")
         if node in seen:

@@ -23,14 +23,14 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .grid import (Grid, GridError, TimeGrid, _d1, discrete_gradient,
-                   discrete_laplacian, lattice)
+from .grid import (Grid, GridError, TimeGrid, discrete_gradient,
+                   discrete_laplacian, first_derivative, lattice)
 from .report import write_csv
 
 
@@ -373,10 +373,10 @@ def solve_heat(problem: HeatProblem, grid: Grid, timegrid: TimeGrid, *,
 
 
 def time_derivative(field: SpaceTimeField) -> SpaceTimeField:
-    """The grid's _d1 stencil on the time axis.  A field vanishing on
-    the boundary stays exactly zero there."""
-    return SpaceTimeField(values=_d1(field.values, -2, field.timegrid.dt),
-                          grid=field.grid, timegrid=field.timegrid)
+    """The grid's first_derivative stencil on the time axis.  A field
+    vanishing on the boundary stays exactly zero there."""
+    return replace(field, values=first_derivative(field.values, -2,
+                                                  field.timegrid.dt))
 
 
 @dataclass

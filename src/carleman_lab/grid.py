@@ -123,17 +123,18 @@ class Grid:
 
         self.lattice = lattice(dimension, n)
         self.boundary_mask = self.lattice.depth == 0
-        self.interior_mask = ~self.boundary_mask
 
         idx = np.arange(self.n_nodes).reshape(self.shape)
         self.face_names = tuple(known)
-        self._face_layers = {}
+        # face -> read-only (3, face_nodes) flat indices of the face layer
+        # and the two inward layers, in FACE_STENCIL order
+        self.face_layers = {}
         self._face_normals = {}
         for name, (a, side) in known.items():
             rows = [n, n - 1, n - 2] if side else [0, 1, 2]
             layers = np.moveaxis(idx, a, 0)[rows].reshape(3, -1)
             layers.flags.writeable = False
-            self._face_layers[name] = layers
+            self.face_layers[name] = layers
             nu = np.zeros(dimension)
             nu[a] = 1.0 if side else -1.0
             self._face_normals[name] = nu
@@ -142,7 +143,7 @@ class Grid:
 
     def face_nodes(self, face: str) -> np.ndarray:
         """Flat indices of the nodes of one closed face, in axis order."""
-        return self._face_layers[face][0]
+        return self.face_layers[face][0]
 
     def face_normal(self, face: str) -> np.ndarray:
         return self._face_normals[face]
@@ -200,14 +201,34 @@ def _axis_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _d1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+# second-order one-sided outward derivative, over 2h, on Grid.face_layers rows
+FACE_STENCIL = (3.0, -4.0, 1.0)
+
+
+def _one_sided(layers, h: float, sign: float = 1.0) -> np.ndarray:
+    """FACE_STENCIL on three layers, the end layer first: the outward
+    derivative there, or the inward one for sign = -1 (put on the
+    coefficients, so signed zeros round as written)."""
+    (w0, w1, w2), (v0, v1, v2) = (sign * w for w in FACE_STENCIL), layers
+    return (w0 * v0 + w1 * v1 + w2 * v2) / (2.0 * h)
+
+
+def centered_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """(v[k+1] - v[k-1]) / (2h) at the interior indices k of one axis,
+    which comes out two entries shorter.  axis is negative."""
+    rest = (slice(None),) * (-1 - axis)
+    return (values[(..., slice(2, None), *rest)]
+            - values[(..., slice(None, -2), *rest)]) / (2.0 * h)
+
+
+def first_derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Centered first derivative, second-order one-sided at the ends.
     axis is negative: spatial axes count from the end."""
     v = np.moveaxis(values, axis, -1)
     out = np.empty_like(v)
-    out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
-    out[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
-    out[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
+    out[..., 1:-1] = centered_difference(v, -1, h)
+    out[..., 0] = _one_sided((v[..., 0], v[..., 1], v[..., 2]), h, sign=-1.0)
+    out[..., -1] = _one_sided((v[..., -1], v[..., -2], v[..., -3]), h)
     return np.moveaxis(out, -1, axis)
 
 
@@ -224,15 +245,13 @@ def _flux_axis(c: np.ndarray, values: np.ndarray, axis: int, h: float) -> np.nda
     flux = cf * (v[..., 1:] - v[..., :-1])
     out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) / h**2
 
-    def closure(i0, i1, i2, i3, sgn):
-        d1 = sgn * (-3.0 * v[..., i0] + 4.0 * v[..., i1] - v[..., i2]) / (2.0 * h)
-        dc = sgn * (-3.0 * cm[..., i0] + 4.0 * cm[..., i1] - cm[..., i2]) / (2.0 * h)
+    for i0, i1, i2, i3 in ((0, 1, 2, 3), (-1, -2, -3, -4)):
         d2 = (2.0 * v[..., i0] - 5.0 * v[..., i1] + 4.0 * v[..., i2]
               - v[..., i3]) / h**2
-        return cm[..., i0] * d2 + dc * d1
-
-    out[..., 0] = closure(0, 1, 2, 3, 1.0)
-    out[..., -1] = closure(-1, -2, -3, -4, -1.0)
+        # c'f' from both inward derivatives: their signs cancel exactly
+        dc, d1 = (_one_sided((a[..., i0], a[..., i1], a[..., i2]), h,
+                             sign=-1.0) for a in (cm, v))
+        out[..., i0] = cm[..., i0] * d2 + dc * d1
     return np.moveaxis(out, -1, axis)
 
 
@@ -241,7 +260,7 @@ def discrete_gradient(f: np.ndarray, grid: Grid) -> np.ndarray:
     f = np.asarray(f)
     v = grid.reshape(f)
     d = grid.dimension
-    return np.stack([_d1(v, a - d, grid.h).reshape(f.shape)
+    return np.stack([first_derivative(v, a - d, grid.h).reshape(f.shape)
                      for a in range(d)], axis=-1)
 
 
@@ -269,25 +288,13 @@ def divergence_flux(c: np.ndarray, f: np.ndarray, grid: Grid,
     return out.reshape(f.shape)
 
 
-# second-order one-sided outward derivative, over 2h, on face_layers rows
-FACE_STENCIL = (3.0, -4.0, 1.0)
-
-
-def face_layers(grid: Grid, face: str) -> np.ndarray:
-    """(3, face_nodes) flat indices of the face layer and the two inward
-    layers, in FACE_STENCIL order, read-only.  The adjoint of
-    normal_derivative scatters through the same table."""
-    return grid._face_layers[face]
-
-
 def normal_derivative(f: np.ndarray, grid: Grid, face: str) -> np.ndarray:
     """Outward normal derivative on the nodes of one face, shape
     (..., face_nodes)."""
     # take, unlike f[..., idx], returns C order, so BLAS reductions over
     # a trace stack see the same layout as stacked per-row traces
-    v0, v1, v2 = (np.take(f, layer, axis=-1) for layer in face_layers(grid, face))
-    w0, w1, w2 = FACE_STENCIL
-    return (w0 * v0 + w1 * v1 + w2 * v2) / (2.0 * grid.h)
+    return _one_sided((np.take(f, layer, axis=-1)
+                       for layer in grid.face_layers[face]), grid.h)
 
 
 # -- quadrature -----------------------------------------------------------

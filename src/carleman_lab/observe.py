@@ -4,7 +4,8 @@ The measured data are the normal flux of the time derivative on the
 observation boundary over the window (t0, T), plus one interior snapshot
 at the window midpoint T' (the field, its gradient, laplacian and
 gradient of laplacian).  observed_flux is that flux map, and the data,
-the reconstruction misfit and the stability check all go through it.
+the reconstruction misfit and the stability check all go through it,
+and the misfit gradient through observed_flux_transpose beside it.
 
 Space-time integrals over the window use interior time nodes with
 uniform weight dt: the weighted integrands vanish at the endpoints by
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import SnapshotPackage, SpaceTimeField, snapshot_package
-from .grid import Grid, GridError, TimeGrid, normal_derivative, space_weights
+from .grid import (FACE_STENCIL, Grid, GridError, TimeGrid,
+                   centered_difference, normal_derivative, space_weights)
 from .report import write_csv
 from .weights import WeightSet
 
@@ -47,10 +49,31 @@ def observed_flux(values: np.ndarray, grid: Grid, timegrid: TimeGrid,
     normal_derivative of the centered time difference on each interior
     row of the window."""
     off = timegrid.index_of(window.t0)
-    rows = (values[off + 2 : off + window.steps + 1]
-            - values[off : off + window.steps - 1]) / (2.0 * timegrid.dt)
+    rows = centered_difference(values[off : off + window.steps + 1], -2,
+                               timegrid.dt)
     return {face: normal_derivative(rows, grid, face)
             for face in grid.gamma0_faces}
+
+
+def observed_flux_transpose(trace_by_face: dict, grid: Grid,
+                            timegrid: TimeGrid, window: TimeGrid) -> np.ndarray:
+    """observed_flux transposed under boundary_norm_plain's quadrature:
+    the (timegrid.steps + 1, n_nodes) S with sum(V * S) equal to that
+    quadrature of observed_flux(V) * R, for R the traces by face."""
+    source = np.zeros((timegrid.steps + 1, grid.n_nodes))
+    off = timegrid.index_of(window.t0)
+    rows = source[off : off + window.steps + 1]   # window rows, a view
+    inv2h, half = 1.0 / (2.0 * grid.h), 1.0 / (2.0 * timegrid.dt)
+    for face in grid.gamma0_faces:
+        weighted = (window.dt * grid.face_axis_weights(face)
+                    * trace_by_face[face])
+        # each (row, node) pair appears once per index set, and the +
+        # part lands before the - part, as in a per-row scatter
+        for layer, coeff in zip(grid.face_layers[face], FACE_STENCIL):
+            part = coeff * inv2h * half * weighted
+            rows[2:, layer] += part     # rows k + 1
+            rows[:-2, layer] -= part    # rows k - 1
+    return source
 
 
 def extract_observations(field: SpaceTimeField, grid: Grid,

@@ -12,12 +12,13 @@ The inverse side minimizes
 by projected gradient descent.  J is computed literally: d_nu d_t is
 observe.observed_flux, which made the data d, and |v|^2_H1 is v H v for
 the one H1 operator H, _h1_apply.  The gradient transposes the exact
-Crank-Nicolson update, so the finite-difference check is sharp: the
-adjoint sweep, which lives in the forward module next to the map it
-transposes, reuses the same prefactored B = I - dt/2 A (symmetric, so B
-and its transpose share the factorization), and the coefficient
-derivative accumulates over lattice faces, mirroring the face-mean flux
-assembly node for node.
+Crank-Nicolson update, so the finite-difference check is sharp.  Each
+transpose lives next to the map it transposes: the adjoint's source is
+observe.observed_flux_transpose applied to the flux residual, the
+adjoint sweep in the forward module reuses the same prefactored
+B = I - dt/2 A (symmetric, so B and its transpose share the
+factorization), and the coefficient derivative accumulates over lattice
+faces, mirroring the face-mean flux assembly node for node.
 """
 
 from __future__ import annotations
@@ -37,21 +38,14 @@ from .forward import (
     solve_heat,
     snapshot_package,
 )
-from .grid import (
-    FACE_STENCIL,
-    Grid,
-    GridError,
-    discrete_gradient,
-    face_layers,
-    lattice,
-    space_weights,
-)
+from .grid import Grid, GridError, discrete_gradient, lattice, space_weights
 from .observe import (
     ObservationSet,
     boundary_norm_plain,
     extract_observations,
     observation_distance_plain,
     observed_flux,
+    observed_flux_transpose,
     weighted_boundary_norm,
     weighted_norm_space,
 )
@@ -402,27 +396,11 @@ def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
     shift = c_current - config.prior
     j_total = j_mis + 0.5 * config.alpha * h1_norm_sq(shift, grid)
 
-    # source term of the adjoint: observed_flux transposed, scattering the
-    # weighted residuals through the trace stencil and the time difference
-    off = tg.index_of(window.t0)
-    dt = window.dt
-    half = 1.0 / (2.0 * tg.dt)
-    source = np.zeros((tg.steps + 1, grid.n_nodes))
-    inv2h = 1.0 / (2.0 * grid.h)
-    ahead = slice(off + 2, off + window.steps + 1)   # rows k + 1
-    behind = slice(off, off + window.steps - 1)     # rows k - 1
-    for face in grid.gamma0_faces:
-        weighted = dt * grid.face_axis_weights(face) * residual[face]
-        # each (row, node) pair appears once per index set, and the +
-        # part lands before the - part, as in a per-row scatter
-        for layer, coeff in zip(face_layers(grid, face), FACE_STENCIL):
-            part = coeff * inv2h * half * weighted
-            source[ahead, layer] += part
-            source[behind, layer] -= part
-    # boundary values carry data, not c: only interior columns drive lam
-    source = source[:, stepper.interior]
-
-    # row i of lam_rows pairs with the step from time i to i + 1
+    # row i of lam_rows pairs with the step from time i to i + 1; the
+    # adjoint's source, the gradient of j_mis in the field, drives it
+    # through the interior columns (boundary values carry data, not c)
+    source = observed_flux_transpose(residual, grid, tg, window)[
+        :, stepper.interior]
     lam_rows = np.zeros((tg.steps, grid.n_nodes))
     lam_rows[:, stepper.interior] = stepper.adjoint_sweep(source)
     grad_c = _coefficient_accumulate(lam_rows, fieldvals[:-1] + fieldvals[1:],

@@ -5,7 +5,7 @@ import numpy as np
 import scipy.sparse
 
 from carleman_lab.forward import CrankNicolsonStepper, _flux_values
-from carleman_lab.grid import Grid, _d1
+from carleman_lab.grid import Grid, first_derivative
 from carleman_lab.weights import WeightSet, build_weights
 
 
@@ -23,7 +23,8 @@ def discrete_divergence(vec: np.ndarray, grid: Grid) -> np.ndarray:
     vec = np.asarray(vec)
     out = np.zeros(vec.shape[:-2] + grid.shape)
     for a in range(grid.dimension):
-        out += _d1(grid.reshape(vec[..., a]), a - grid.dimension, grid.h)
+        out += first_derivative(grid.reshape(vec[..., a]),
+                                a - grid.dimension, grid.h)
     return out.reshape(vec.shape[:-1])
 
 

@@ -167,6 +167,19 @@ def test_field_from_csv_rejects_bad_node_indices(tmp_path, row, message):
         evaluate_field({"csv": "field.csv"}, grid, base_dir=str(tmp_path))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_field_from_csv_rejects_non_finite_values(tmp_path, value):
+    # a nan row would otherwise read as a missing node, and an infinite
+    # one would pass the reader and fail a later check
+    grid = build_grid(1, 4, ["right"])
+    row = f"2,{value}"
+    lines = ["node,value"] + [row if i == 2 else f"{i},1"
+                              for i in range(grid.n_nodes)]
+    (tmp_path / "field.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"{re.escape(repr(row))}.*non-finite"):
+        evaluate_field({"csv": "field.csv"}, grid, base_dir=str(tmp_path))
+
+
 # -- command runs ----------------------------------------------------------
 
 

@@ -10,7 +10,6 @@ from carleman_lab.grid import (
     TimeGrid,
     build_grid,
     divergence_flux,
-    face_layers,
     normal_derivative,
 )
 from carleman_lab.forward import (
@@ -262,7 +261,7 @@ def test_snapshot_package_sine():
     f = SpaceTimeField(values=vals, grid=g, timegrid=tg)
     snap = snapshot_package(f, g, win)
     assert snap.t_prime == 1.25
-    interior = g.interior_mask
+    interior = ~g.boundary_mask
     lap_err = np.abs(snap.lap_q + np.pi**2 * np.sin(np.pi * x))
     assert np.max(lap_err[interior]) < 5e-3
     glap_exact = -np.pi**3 * np.cos(np.pi * x)
@@ -294,7 +293,7 @@ def test_snapshot_package_2d_refinement():
         base = np.sin(np.pi * x) * np.sin(np.pi * y)
         f = SpaceTimeField(values=np.tile(base, (9, 1)), grid=g, timegrid=tg)
         snap = snapshot_package(f, g, win)
-        err = np.abs(snap.lap_q + 2.0 * np.pi**2 * base)[g.interior_mask]
+        err = np.abs(snap.lap_q + 2.0 * np.pi**2 * base)[~g.boundary_mask]
         errs.append(np.max(err))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.9
@@ -344,7 +343,7 @@ def reference_assembly(c, grid, dt):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(grid.n_nodes, grid.n_nodes),
     ).tocsr()
-    interior = np.flatnonzero(grid.interior_mask)
+    interior = np.flatnonzero(~grid.boundary_mask)
     rows_int = A[interior]
     A_int = rows_int[:, interior].tocsr()
     B_bd = rows_int[:, np.flatnonzero(grid.boundary_mask)].tocsr()
@@ -386,7 +385,7 @@ def test_pattern_assembly_matches_coo_reference(dimension, n):
             np.testing.assert_array_equal(got.indices, ref.indices)
             np.testing.assert_array_equal(got.data, ref.data)
         np.testing.assert_array_equal(interior,
-                                      np.flatnonzero(grid.interior_mask))
+                                      np.flatnonzero(~grid.boundary_mask))
         np.testing.assert_array_equal(boundary,
                                       np.flatnonzero(grid.boundary_mask))
         pattern, a_data, _ = forward._flux_values(c, grid)
@@ -406,7 +405,7 @@ def test_solve_heat_and_gradient_match_reference_recurrence(dimension, n):
 
     # the forward recurrence as the stepper formed it with scipy's A @ v
     A, Bbd, _, chol = reference_assembly(c, grid, dt)
-    interior = np.flatnonzero(grid.interior_mask)
+    interior = np.flatnonzero(~grid.boundary_mask)
     boundary = np.flatnonzero(grid.boundary_mask)
     drive = np.array([inv.base.g(t) for t in tg.times])[:, boundary]
     rhs_bd = (Bbd @ drive.T).T
@@ -435,7 +434,7 @@ def test_solve_heat_and_gradient_match_reference_recurrence(dimension, n):
                                  grid, face) - data.flux[face])
         j_ref += 0.5 * window.dt * float(np.sum(res**2 @ w))
         weighted = window.dt * w * res
-        for layer, coeff in zip(face_layers(grid, face), FACE_STENCIL):
+        for layer, coeff in zip(grid.face_layers[face], FACE_STENCIL):
             part = coeff * (1.0 / (2.0 * grid.h)) * half * weighted
             for row, part_row in zip(k, part):
                 source[row + 1, layer] += part_row
@@ -479,7 +478,7 @@ def test_sweeps_match_reference_recurrence_where_half_dt_is_inexact(
     c = 1.0 + stability.admissible_projection(0.3 * rng.random(grid.n_nodes),
                                               grid)
     A, Bbd, _, chol = reference_assembly(c, grid, dt)
-    interior = np.flatnonzero(grid.interior_mask)
+    interior = np.flatnonzero(~grid.boundary_mask)
     boundary = np.flatnonzero(grid.boundary_mask)
     drive = np.array([inv.base.g(t) for t in tg.times])[:, boundary]
     rhs_bd = (Bbd @ drive.T).T

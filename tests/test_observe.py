@@ -12,9 +12,12 @@ from carleman_lab.observe import (
     norm_space_plain,
     observation_distance_plain,
     observations_to_csv,
+    observed_flux,
+    observed_flux_transpose,
     weighted_boundary_norm,
     weighted_norm_space,
     weighted_norm_spacetime,
+    window_sum,
 )
 from carleman_lab.weights import build_weights
 
@@ -64,6 +67,26 @@ def test_flux_is_the_trace_of_the_time_derivative(dim):
     for face in g.gamma0_faces:
         np.testing.assert_array_equal(obs.flux[face],
                                       normal_derivative(rows, g, face))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_observed_flux_transpose_is_the_adjoint(dim):
+    # <observed_flux(V), R> in the misfit's boundary quadrature equals
+    # sum(V * transpose(R)); in 2D the two faces share a corner node
+    g = build_grid(dim, 6, ["right"] if dim == 1 else ["north", "east"])
+    tg = TimeGrid(0.0, 1.3, 30)
+    win, _ = tg.window(tg.times[6])
+    rng = np.random.default_rng(10 + dim)
+    v = rng.standard_normal((31, g.n_nodes))
+    r = {face: rng.standard_normal((win.steps - 1, g.face_nodes(face).size))
+         for face in g.gamma0_faces}
+    flux = observed_flux(v, g, tg, win)
+    lhs = sum(float(window_sum(flux[face] * r[face],
+                               g.face_axis_weights(face), win.dt))
+              for face in g.gamma0_faces)
+    source = observed_flux_transpose(r, g, tg, win)
+    assert source.shape == v.shape
+    assert float(np.sum(v * source)) == pytest.approx(lhs, rel=1e-13)
 
 
 def test_twin_observation_distance_zero():

@@ -7,9 +7,12 @@ bench/ outside its own definition, or stand on KEEP with the reason it
 stays.  Code means the syntax tree: a name, an attribute, an import or
 a keyword argument.  The (module, function) and (module, class, method)
 tables FUNCTIONS and METHODS of bench/tracer.py count too, because the
-tracer looks their names up with getattr.  Docstrings and comments do
-not count, and neither do tests: a name only tests call is a test
-helper and belongs in tests/.
+tracer looks their names up with getattr.  A field of one of those
+classes (an annotation in the class body, or self.<name> assigned in
+__init__) must be read as an attribute in src/ or bench/, or stand on
+KEEP as Class.field: assigning it is not reading it.  Docstrings and
+comments do not count, and neither do tests: a name only tests call is
+a test helper and belongs in tests/.
 
 A module of src/carleman_lab imports a _-prefixed name of another only
 where PRIVATE_IMPORTS gives the reason; anything else the two modules
@@ -36,6 +39,24 @@ KEEP = {
                            "stay finite, checked in tests/test_weights.py",
     "weight_time_profile": "acceptance 2: 1/w is least at the window "
                            "midpoint T'",
+    "ReconstructionResult.c_hat":
+        "reconstruct's estimate, read by tests/test_stability.py::"
+        "test_reconstruct_prior_data_returns_prior",
+    "WeightSet.beta_tilde": "the weight's closed form, checked in "
+                            "tests/test_weights.py::"
+                            "test_anchored_quadratic_closed_form",
+    "WeightSet.beta": "the weight's closed form, checked in "
+                      "tests/test_weights.py::"
+                      "test_anchored_quadratic_closed_form",
+    "WeightSet.K": "the weight's closed form, checked in "
+                   "tests/test_weights.py::test_anchored_quadratic_closed_form "
+                   "and test_monotonicity_in_K_and_lambda",
+    "WeightSet.C0": "acceptance 2: min |grad beta_tilde| is positive",
+    "TimeProfile.argmin_index": "acceptance 2: 1/w is least at the window "
+                                "midpoint T'",
+    "TimeProfile.min_value": "the least 1/w, checked in tests/test_weights.py"
+                             "::test_time_profile_examples and "
+                             "test_time_profile_random_windows",
 }
 
 # (importing module, imported module, private name) -> why it is shared
@@ -43,9 +64,6 @@ PRIVATE_IMPORTS = {
     ("stability", "forward", "_flapack"):
         "the dense LAPACK Cholesky of the reconstruction's H1 "
         "preconditioner, until it is banded like the stepper's factor",
-    ("forward", "grid", "_d1"):
-        "time_derivative applies the grid's first-derivative stencil on "
-        "the time axis",
 }
 
 
@@ -97,16 +115,49 @@ def _package_definitions(trees):
                 yield path, qualified, name, node
 
 
+def _fields(tree):
+    """(reported name, bare name) of every field of a module-level class:
+    an annotation in its body, or self.<name> assigned in its __init__."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = {}
+        for item in cls.body:
+            if (isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                names.setdefault(item.target.id)
+            elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                for node in ast.walk(item):
+                    if (isinstance(node, ast.Attribute)
+                            and isinstance(node.ctx, ast.Store)
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id == "self"):
+                        names.setdefault(node.attr)
+        for name in names:
+            yield f"{cls.name}.{name}", name
+
+
 def _unread(trees) -> list:
+    """Definitions with no reference outside themselves, and fields that
+    no attribute load reads: assigning a field, by keyword or by
+    attribute, is not reading it."""
     where = defaultdict(list)   # name -> [(path, line)] of its references
+    loaded = set()              # names read as an attribute
     for path, tree in trees.items():
         for name, line in _references(path, tree):
             where[name].append((path, line))
-    return [f"{path.stem}.{qualified}"
-            for path, qualified, name, node in _package_definitions(trees)
-            if name not in KEEP
-            and all(other == path and node.lineno <= line <= node.end_lineno
-                    for other, line in where[name])]
+        loaded.update(node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Load))
+    unread = [f"{path.stem}.{qualified}"
+              for path, qualified, name, node in _package_definitions(trees)
+              if name not in KEEP
+              and all(other == path and node.lineno <= line <= node.end_lineno
+                      for other, line in where[name])]
+    return unread + [f"{path.stem}.{qualified}"
+                     for path in sorted(PACKAGE.glob("*.py"))
+                     for qualified, name in _fields(trees[path])
+                     if qualified not in KEEP and name not in loaded]
 
 
 def test_every_name_has_a_reader():
@@ -117,7 +168,10 @@ def test_every_name_has_a_reader():
 
 
 def test_keep_list_names_are_defined():
-    defined = {name for _, _, name, _ in _package_definitions(_trees())}
+    trees = _trees()
+    defined = {name for _, _, name, _ in _package_definitions(trees)}
+    defined.update(qualified for path in PACKAGE.glob("*.py")
+                   for qualified, _ in _fields(trees[path]))
     assert sorted(set(KEEP) - defined) == []
     assert all(reason.strip() for reason in KEEP.values())
 

@@ -176,9 +176,9 @@ def test_bounds_check_finite_and_stable_under_refinement():
     ws2 = build_weights(g, tg2, lam=1.0, s=1.0, m=1.1, x0=[-0.1])
     r1 = weight_bounds_check(ws1)
     r2 = weight_bounds_check(ws2)
-    assert r1.finite and r2.finite
-    for name in r1.ratios:
-        a, b = r1.ratios[name], r2.ratios[name]
+    assert np.all(np.isfinite(list(r1.values()) + list(r2.values())))
+    for name in r1:
+        a, b = r1[name], r2[name]
         assert a > 0.0
         assert abs(a - b) / a < 0.05
 
@@ -186,5 +186,5 @@ def test_bounds_check_finite_and_stable_under_refinement():
 def test_bounds_check_reference_setup_finite():
     _, _, ws = ref_setup()
     rep = weight_bounds_check(ws)
-    assert rep.finite
-    assert all(v > 0.0 for v in rep.ratios.values())
+    assert np.all(np.isfinite(list(rep.values())))
+    assert all(v > 0.0 for v in rep.values())
