@@ -21,9 +21,18 @@ stack, and each quadrature keeps its per-test order, so no report
 depends on the stacking.  The weight-free fields depend on the tests
 alone: the sweep forms them once per chunk and keeps them across its
 (s, lam) cells within KEEP_VALUES node values.
+
+Each sweep allocates one _workspace, sized for its largest chunk: psi,
+the M1 and M2 fields, grad psi and the weighted integrands are written
+into it with out= (a shorter last chunk takes leading slices), so the
+cells reuse the same pages instead of faulting in fresh ones.  The
+arithmetic and its order are those of the allocating calls;
+carleman_sides runs the same code on a one-test workspace.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 # make_test_suite's generator; imported with the module so that a
@@ -51,37 +60,46 @@ CHUNK_VALUES = 2**15
 KEEP_VALUES = 2**18
 
 
-def conjugate(q_values: np.ndarray, ws: WeightSet) -> np.ndarray:
+def conjugate(q_values: np.ndarray, ws: WeightSet,
+              out: np.ndarray | None = None) -> np.ndarray:
     """psi = e^{-s(eta - eta_ref)} q on the window, zero endpoint rows."""
-    psi = np.zeros_like(q_values)
-    psi[..., 1:-1, :] = ws.conjugation * q_values[..., 1:-1, :]
+    psi = np.empty_like(q_values) if out is None else out
+    psi[..., [0, -1], :] = 0.0
+    np.multiply(ws.conjugation, q_values[..., 1:-1, :],
+                out=psi[..., 1:-1, :])
     return psi
 
 
-def apply_M1(psi: np.ndarray, c: np.ndarray, ws: WeightSet) -> np.ndarray:
+def apply_M1(psi: np.ndarray, c: np.ndarray, ws: WeightSet,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Interior-row values of div(c grad psi) + s^2 lam^2 c |grad beta|^2
     phi^2 psi + s (d_t eta) psi."""
     grad_b2, phi = ws.grad_beta_sq, ws.phi
     zero_order = (ws.s**2 * ws.lam**2) * c[None, :] * grad_b2[None, :] * phi**2
     zero_order = zero_order + ws.s * ws.dt_eta
     inner = psi[..., 1:-1, :]
-    return divergence_flux(c, inner, ws.grid) + zero_order * inner
+    out = divergence_flux(c, inner, ws.grid, out)
+    out += zero_order * inner
+    return out
 
 
 def apply_M2(psi: np.ndarray, c: np.ndarray, ws: WeightSet,
-             sign: float = 1.0) -> np.ndarray:
+             sign: float = 1.0, out: np.ndarray | None = None,
+             gradient: np.ndarray | None = None) -> np.ndarray:
     """Interior-row values of d_t psi +- 2 s lam phi c grad(beta).grad(psi)
-    - 2 s lam^2 phi c |grad beta|^2 psi."""
+    - 2 s lam^2 phi c |grad beta|^2 psi.  gradient, if given, is the
+    (..., rows, n_nodes, dim) buffer grad psi is formed in."""
     grad_b2, phi = ws.grad_beta_sq, ws.phi
     inner = psi[..., 1:-1, :]
-    dpsi_dt = centered_difference(psi, -2, ws.timegrid.dt)
-    grad_psi = discrete_gradient(inner, ws.grid)
-    advect = np.sum(ws.grad_beta_tilde * grad_psi, axis=-1)
-    return (
-        dpsi_dt
-        + sign * 2.0 * ws.s * ws.lam * phi * c * advect
-        - 2.0 * ws.s * ws.lam**2 * phi * c * grad_b2 * inner
-    )
+    out = centered_difference(psi, -2, ws.timegrid.dt, out=out)
+    grad_psi = discrete_gradient(inner, ws.grid, out=gradient)
+    grad_psi *= ws.grad_beta_tilde
+    advect = np.sum(grad_psi, axis=-1)
+    advect *= sign * 2.0 * ws.s * ws.lam * phi * c
+    out += advect
+    out -= np.multiply(2.0 * ws.s * ws.lam**2 * phi * c * grad_b2, inner,
+                       out=advect)
+    return out
 
 
 def _checked(test_id, q_values, grid: Grid, window: TimeGrid) -> np.ndarray:
@@ -109,27 +127,50 @@ def _test_terms(q: np.ndarray, c: np.ndarray, grid: Grid,
     return resid**2, grad2, inner**2, flux2
 
 
+def _workspace(size: int, grid: Grid, window: TimeGrid) -> SimpleNamespace:
+    """The buffers _stacked_sides fills for stacks of up to size tests; a
+    shorter stack takes their leading slices.  field holds M1 psi, M2 psi
+    and each weighted integrand in turn."""
+    rows, nodes = window.steps - 1, grid.n_nodes
+    return SimpleNamespace(psi=np.empty((size, rows + 2, nodes)),
+                           field=np.empty((size, rows, nodes)),
+                           gradient=np.empty((size, rows, nodes,
+                                              grid.dimension)))
+
+
 def _stacked_sides(q: np.ndarray, terms: tuple, c: np.ndarray, ws: WeightSet,
+                   work: SimpleNamespace | None = None,
                    m2_sign: float = 1.0) -> list:
     """One report per test of a checked (K, steps+1, n_nodes) stack and its
-    _test_terms: each stencil and quadrature runs once on the stack."""
+    _test_terms: each stencil and quadrature runs once on the stack, in
+    the leading slices of work (a new _workspace if None)."""
     grid, window = ws.grid, ws.timegrid
-    dt, sw = window.dt, space_weights(grid)
-    psi = conjugate(q, ws)
+    dt, sw, k = window.dt, space_weights(grid), len(q)
+    if work is None:
+        work = _workspace(k, grid, window)
+    psi, field = work.psi[:k], work.field[:k]
+    conjugate(q, ws, out=psi)
     resid2, grad2, zero2, flux2 = terms
     boundary = sum(window_sum(ws.boundary_weight(face) * flux2[face],
                               grid.face_axis_weights(face), dt)
                    for face in grid.gamma0_faces)
+
+    def squared(values):
+        return window_sum(np.square(values, out=values), sw, dt)
+
+    def weighted(values, weight):
+        return window_sum(np.multiply(values, weight, out=field), sw, dt)
+
     lhs = {
-        "m1_sq": window_sum(apply_M1(psi, c, ws) ** 2, sw, dt),
-        "m2_sq": window_sum(apply_M2(psi, c, ws, sign=m2_sign) ** 2, sw, dt),
-        "grad": ws.s * ws.lam**2 * window_sum(grad2 * ws.weight_st(1), sw, dt),
-        "zero": ws.s**3 * ws.lam**4 * window_sum(zero2 * ws.weight_st(3),
-                                                 sw, dt),
+        "m1_sq": squared(apply_M1(psi, c, ws, out=field)),
+        "m2_sq": squared(apply_M2(psi, c, ws, m2_sign, out=field,
+                                  gradient=work.gradient[:k])),
+        "grad": ws.s * ws.lam**2 * weighted(grad2, ws.weight_st(1)),
+        "zero": ws.s**3 * ws.lam**4 * weighted(zero2, ws.weight_st(3)),
     }
     rhs = {
         "boundary": ws.s * ws.lam * boundary,
-        "residual": window_sum(resid2 * ws.weight_st(0), sw, dt),
+        "residual": weighted(resid2, ws.weight_st(0)),
     }
     return [EstimateReport(
         name="carleman",
@@ -137,7 +178,7 @@ def _stacked_sides(q: np.ndarray, terms: tuple, c: np.ndarray, ws: WeightSet,
         rhs_terms={key: float(v[i]) for key, v in rhs.items()},
         params={"s": ws.s, "lam": ws.lam, "n": grid.n, "steps": window.steps,
                 "eta_ref": ws.eta_ref, "m2_sign": m2_sign},
-    ).validate() for i in range(len(q))]
+    ).validate() for i in range(k)]
 
 
 def carleman_sides(q_values: np.ndarray, c: np.ndarray, ws: WeightSet,
@@ -145,7 +186,7 @@ def carleman_sides(q_values: np.ndarray, c: np.ndarray, ws: WeightSet,
     """Both sides for one test function: the one-test stack."""
     q = _checked("q_values", q_values, ws.grid, ws.timegrid)[None]
     terms = _test_terms(q, c, ws.grid, ws.timegrid)
-    return _stacked_sides(q, terms, c, ws, m2_sign)[0]
+    return _stacked_sides(q, terms, c, ws, m2_sign=m2_sign)[0]
 
 
 # -- test-function suite --------------------------------------------------
@@ -184,7 +225,8 @@ def carleman_sweep(c: np.ndarray, suite: list, s_list, lam_list, grid: Grid,
     if not suite or not list(s_list) or not list(lam_list):
         raise GridError("empty suite or parameter list")
     tests = [_checked(test_id, q, grid, window) for test_id, q in suite]
-    size = max(1, CHUNK_VALUES // tests[0].size)
+    size = min(len(tests), max(1, CHUNK_VALUES // tests[0].size))
+    work = _workspace(size, grid, window)
     kept, room = {}, KEEP_VALUES
     records = []
     summary = {}
@@ -201,7 +243,7 @@ def carleman_sweep(c: np.ndarray, suite: list, s_list, lam_list, grid: Grid,
                                                   *terms[3].values()))
                     if values <= room:
                         kept[i], room = terms, room - values
-                reports += _stacked_sides(q, terms, c, ws)
+                reports += _stacked_sides(q, terms, c, ws, work)
             cell = (float(s), float(lam))
             records += [(test_id, *cell, rep)
                         for (test_id, _), rep in zip(suite, reports)]

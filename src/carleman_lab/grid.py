@@ -11,7 +11,9 @@ Batch convention: every stencil indexes the spatial axes from the end,
 so a field may carry leading batch axes, typically a (time, node) stack
 of shape (T, n_nodes).  The stencils act elementwise along the batch,
 so one call on a stack equals the per-row calls stacked, bit for bit.
-Only the conductivity c is a single nodal field.
+Only the conductivity c is a single nodal field.  A stencil given an
+out array, of any layout, writes its result there instead of
+allocating one, with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -213,26 +215,30 @@ def _one_sided(layers, h: float, sign: float = 1.0) -> np.ndarray:
     return (w0 * v0 + w1 * v1 + w2 * v2) / (2.0 * h)
 
 
-def centered_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+def centered_difference(values: np.ndarray, axis: int, h: float,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """(v[k+1] - v[k-1]) / (2h) at the interior indices k of one axis,
     which comes out two entries shorter.  axis is negative."""
     rest = (slice(None),) * (-1 - axis)
-    return (values[(..., slice(2, None), *rest)]
-            - values[(..., slice(None, -2), *rest)]) / (2.0 * h)
+    diff = np.subtract(values[(..., slice(2, None), *rest)],
+                       values[(..., slice(None, -2), *rest)], out=out)
+    return np.divide(diff, 2.0 * h, out=out)
 
 
-def first_derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+def first_derivative(values: np.ndarray, axis: int, h: float,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Centered first derivative, second-order one-sided at the ends.
     axis is negative: spatial axes count from the end."""
     v = np.moveaxis(values, axis, -1)
-    out = np.empty_like(v)
-    out[..., 1:-1] = centered_difference(v, -1, h)
-    out[..., 0] = _one_sided((v[..., 0], v[..., 1], v[..., 2]), h, sign=-1.0)
-    out[..., -1] = _one_sided((v[..., -1], v[..., -2], v[..., -3]), h)
-    return np.moveaxis(out, -1, axis)
+    o = np.empty_like(v) if out is None else np.moveaxis(out, axis, -1)
+    centered_difference(v, -1, h, out=o[..., 1:-1])
+    o[..., 0] = _one_sided((v[..., 0], v[..., 1], v[..., 2]), h, sign=-1.0)
+    o[..., -1] = _one_sided((v[..., -1], v[..., -2], v[..., -3]), h)
+    return np.moveaxis(o, -1, axis)
 
 
-def _flux_axis(c: np.ndarray, values: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _flux_axis(c: np.ndarray, values: np.ndarray, axis: int, h: float,
+               out: np.ndarray | None = None) -> np.ndarray:
     """d/dx (c d/dx) along one axis: conservative face-mean form at
     interior nodes, c*f'' + c'*f' with one-sided stencils at the ends
     (the 4-point closure of f'' is first-order there, which is all the
@@ -240,10 +246,12 @@ def _flux_axis(c: np.ndarray, values: np.ndarray, axis: int, h: float) -> np.nda
     """
     cm = np.moveaxis(c, axis, -1)
     v = np.moveaxis(values, axis, -1)
-    out = np.empty_like(v)
+    o = np.empty_like(v) if out is None else np.moveaxis(out, axis, -1)
     cf = 0.5 * (cm[..., 1:] + cm[..., :-1])  # conductivity on cell faces
-    flux = cf * (v[..., 1:] - v[..., :-1])
-    out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) / h**2
+    flux = v[..., 1:] - v[..., :-1]
+    flux *= cf
+    np.subtract(flux[..., 1:], flux[..., :-1], out=o[..., 1:-1])
+    o[..., 1:-1] /= h**2
 
     for i0, i1, i2, i3 in ((0, 1, 2, 3), (-1, -2, -3, -4)):
         d2 = (2.0 * v[..., i0] - 5.0 * v[..., i1] + 4.0 * v[..., i2]
@@ -251,17 +259,21 @@ def _flux_axis(c: np.ndarray, values: np.ndarray, axis: int, h: float) -> np.nda
         # c'f' from both inward derivatives: their signs cancel exactly
         dc, d1 = (_one_sided((a[..., i0], a[..., i1], a[..., i2]), h,
                              sign=-1.0) for a in (cm, v))
-        out[..., i0] = cm[..., i0] * d2 + dc * d1
-    return np.moveaxis(out, -1, axis)
+        o[..., i0] = cm[..., i0] * d2 + dc * d1
+    return np.moveaxis(o, -1, axis)
 
 
-def discrete_gradient(f: np.ndarray, grid: Grid) -> np.ndarray:
+def discrete_gradient(f: np.ndarray, grid: Grid,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Nodal gradient, shape (..., n_nodes, dim)."""
     f = np.asarray(f)
     v = grid.reshape(f)
     d = grid.dimension
-    return np.stack([first_derivative(v, a - d, grid.h).reshape(f.shape)
-                     for a in range(d)], axis=-1)
+    if out is None:
+        out = np.empty(f.shape + (d,))
+    for a in range(d):
+        first_derivative(v, a - d, grid.h, out=grid.reshape(out[..., a]))
+    return out
 
 
 def discrete_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -270,6 +282,7 @@ def discrete_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def divergence_flux(c: np.ndarray, f: np.ndarray, grid: Grid,
+                    out: np.ndarray | None = None,
                     positive: bool = True) -> np.ndarray:
     """div(c grad f) on nodes, for f of shape (..., n_nodes). c must be
     strictly positive unless the caller opts out (coefficient
@@ -280,12 +293,13 @@ def divergence_flux(c: np.ndarray, f: np.ndarray, grid: Grid,
     if not np.all(np.isfinite(c)) or (positive and np.any(c <= 0.0)):
         raise GridError("conductivity must be finite and strictly positive")
     f = np.asarray(f)
-    cv = grid.reshape(c)
-    v = grid.reshape(f)
-    out = np.zeros(v.shape)
-    for a in range(grid.dimension):
-        out += _flux_axis(cv, v, a - grid.dimension, grid.h)
-    return out.reshape(f.shape)
+    cv, v, d = grid.reshape(c), grid.reshape(f), grid.dimension
+    o = _flux_axis(cv, v, -d, grid.h,
+                   out=None if out is None else grid.reshape(out))
+    o += 0.0   # the sum starts at 0.0, which turns -0.0 into 0.0
+    for a in range(1, d):
+        o += _flux_axis(cv, v, a - d, grid.h)
+    return o.reshape(f.shape)
 
 
 def normal_derivative(f: np.ndarray, grid: Grid, face: str) -> np.ndarray:

@@ -199,7 +199,6 @@ def build_weights(grid: Grid, timegrid: TimeGrid, lam: float, s: float,
 class TimeProfile:
     times: np.ndarray       # interior nodes
     values: np.ndarray      # 1 / ((t - t0)(T - t))
-    argmin_index: int       # index into the full time grid
     min_value: float
 
 
@@ -215,8 +214,7 @@ def weight_time_profile(timegrid: TimeGrid) -> TimeProfile:
             f"time profile minimum at node {k + 1}, expected midpoint "
             f"{timegrid.midpoint_index}"
         )
-    return TimeProfile(times=t, values=vals, argmin_index=k + 1,
-                       min_value=float(vals[k]))
+    return TimeProfile(times=t, values=vals, min_value=float(vals[k]))
 
 
 # -- empirical bound constants -------------------------------------------

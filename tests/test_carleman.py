@@ -299,7 +299,7 @@ def assert_bitwise(got, expected):
 def test_operators_on_a_stack_equal_the_per_test_results(dimension):
     # one call on a (test, time, node) stack is the per-test calls
     # stacked, bit for bit
-    _, _, c, _, ws, suite = stack_case(dimension)
+    grid, _, c, _, ws, suite = stack_case(dimension)
     q = np.stack([vals for _, vals in suite[:7]])
     psi = conjugate(q, ws)
     assert_bitwise(psi, np.stack([conjugate(row, ws) for row in q]))
@@ -309,6 +309,15 @@ def test_operators_on_a_stack_equal_the_per_test_results(dimension):
         assert_bitwise(apply_M2(psi, c, ws, sign=sign),
                        np.stack([apply_M2(row, c, ws, sign=sign)
                                  for row in psi]))
+    # and so are the calls that fill NaN buffers
+    inner = np.full(psi[:, 1:-1].shape, np.nan)
+    assert_bitwise(conjugate(q, ws, out=np.full(q.shape, np.nan)), psi)
+    assert_bitwise(apply_M1(psi, c, ws, out=inner.copy()),
+                   apply_M1(psi, c, ws))
+    gradient = np.full(inner.shape + (grid.dimension,), np.nan)
+    assert_bitwise(apply_M2(psi, c, ws, -1.0, out=inner.copy(),
+                            gradient=gradient),
+                   apply_M2(psi, c, ws, -1.0))
 
 
 def term_values(terms):
@@ -401,6 +410,45 @@ def test_sweep_forms_the_residual_once_per_chunk(monkeypatch):
     assert callers.count("_test_terms") == 2
     assert callers.count("apply_M1") == 16
     assert len(callers) == 18
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_sweep_reads_no_unwritten_workspace_slot(dimension, monkeypatch):
+    # one workspace per sweep, filled with NaN when made and again before
+    # every chunk: a stale or unwritten slot that is read shows up as a
+    # changed record
+    grid, window, c, x0, _, suite = stack_case(dimension)
+    s_list, lam_list = [1.0, 8.0], [1.0, 2.0]
+    expected, _ = carleman_sweep(c, suite, s_list, lam_list, grid, window,
+                                 1.1, x0)
+    made, chunks = [], []
+    workspace, stacked_sides = carleman._workspace, carleman._stacked_sides
+
+    def poisoned(work):
+        for buffer in vars(work).values():
+            buffer.fill(np.nan)
+        return work
+
+    def making(*args):
+        made.append(poisoned(workspace(*args)))
+        return made[-1]
+
+    def using(q, terms, c, ws, work):
+        assert work is made[-1]
+        chunks.append(len(q))
+        return stacked_sides(q, terms, c, ws, poisoned(work))
+
+    monkeypatch.setattr(carleman, "_workspace", making)
+    monkeypatch.setattr(carleman, "_stacked_sides", using)
+    records, _ = carleman_sweep(c, suite, s_list, lam_list, grid, window,
+                                1.1, x0)
+    assert len(made) == 1
+    assert len(made[0].psi) == max(chunks) > min(chunks)
+    assert len(records) == len(expected)
+    for (*key, rep), (*ref_key, ref) in zip(records, expected, strict=True):
+        assert key == ref_key
+        assert rep.lhs_terms == ref.lhs_terms
+        assert rep.rhs_terms == ref.rhs_terms
 
 
 @pytest.mark.parametrize("dimension", [1, 2])

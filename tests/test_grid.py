@@ -6,9 +6,11 @@ from carleman_lab.grid import (
     GridError,
     TimeGrid,
     build_grid,
+    centered_difference,
     discrete_gradient,
     discrete_laplacian,
     divergence_flux,
+    first_derivative,
     lattice,
     normal_derivative,
     space_weights,
@@ -296,9 +298,17 @@ def _conductivity(g):
 STACK_STENCILS = {
     "gradient": discrete_gradient,
     "laplacian": discrete_laplacian,
-    "divergence_flux": lambda f, g: divergence_flux(_conductivity(g), f, g),
+    "divergence_flux": lambda f, g, **out: divergence_flux(_conductivity(g),
+                                                           f, g, **out),
     "divergence": lambda f, g: discrete_divergence(discrete_gradient(f, g), g),
+    "first_derivative": lambda f, g, **out: first_derivative(
+        g.reshape(f), -g.dimension, g.h, **out),
+    "centered_difference": lambda f, g, **out: centered_difference(
+        g.reshape(f), -1, g.h, **out),
 }
+# the stencils that take an optional out
+OUT_STENCILS = ("gradient", "divergence_flux", "first_derivative",
+                "centered_difference")
 STACK_CASES = [
     (dim, name)
     for dim, faces in ((1, ("left", "right")),
@@ -307,10 +317,25 @@ STACK_CASES = [
 ]
 
 
+def out_buffers(shape):
+    """NaN-filled outputs of one shape: a C-ordered array, and a view
+    whose first axis is the fastest in memory (a moved axis)."""
+    moved = np.full(shape[1:] + shape[:1], np.nan)
+    return [np.full(shape, np.nan), np.moveaxis(moved, -1, 0)]
+
+
+def assert_fills_out_bitwise(call, expected):
+    # call(out=...) writes into out, and reads no slot it has not written
+    for out in out_buffers(expected.shape):
+        assert np.shares_memory(call(out=out), out)
+        assert (np.ascontiguousarray(out).tobytes()
+                == np.ascontiguousarray(expected).tobytes())
+
+
 @pytest.mark.parametrize("dim,stencil", STACK_CASES)
 def test_stencil_on_time_stack_equals_stacked_rows(dim, stencil):
     # one call on a (T, n_nodes) stack must give the per-row results,
-    # stacked, bit for bit
+    # stacked, bit for bit, and so must a call that fills an out buffer
     g = build_grid(dim, 7, ["right"] if dim == 1 else ["north", "east"])
     if stencil.startswith("normal:"):
         face = stencil.split(":")[1]
@@ -322,3 +347,17 @@ def test_stencil_on_time_stack_equals_stacked_rows(dim, stencil):
     rows = np.stack([fn(row, g) for row in stack])
     assert batched.shape == rows.shape
     np.testing.assert_array_equal(batched, rows)
+    if stencil in OUT_STENCILS:
+        assert_fills_out_bitwise(lambda out: fn(stack, g, out=out), batched)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_time_stencils_fill_out_bitwise(dim):
+    # the time axis (-2) of a (test, time, node) stack, as the Carleman
+    # operators and the observed flux difference it
+    g = build_grid(dim, 7, ["right"] if dim == 1 else ["north", "east"])
+    stack = np.random.default_rng(dim).standard_normal((3, 9, g.n_nodes))
+    stack[:, 4] = -0.0
+    for fn in (centered_difference, first_derivative):
+        assert_fills_out_bitwise(lambda out: fn(stack, -2, 0.25, out=out),
+                                 fn(stack, -2, 0.25))

@@ -52,8 +52,6 @@ KEEP = {
                    "tests/test_weights.py::test_anchored_quadratic_closed_form "
                    "and test_monotonicity_in_K_and_lambda",
     "WeightSet.C0": "acceptance 2: min |grad beta_tilde| is positive",
-    "TimeProfile.argmin_index": "acceptance 2: 1/w is least at the window "
-                                "midpoint T'",
     "TimeProfile.min_value": "the least 1/w, checked in tests/test_weights.py"
                              "::test_time_profile_examples and "
                              "test_time_profile_random_windows",
