@@ -229,7 +229,7 @@ def first_derivative(values: np.ndarray, axis: int, h: float,
                      out: np.ndarray | None = None) -> np.ndarray:
     """Centered first derivative, second-order one-sided at the ends.
     axis is negative: spatial axes count from the end."""
-    v = np.moveaxis(values, axis, -1)
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
     o = np.empty_like(v) if out is None else np.moveaxis(out, axis, -1)
     centered_difference(v, -1, h, out=o[..., 1:-1])
     o[..., 0] = _one_sided((v[..., 0], v[..., 1], v[..., 2]), h, sign=-1.0)
@@ -266,7 +266,7 @@ def _flux_axis(c: np.ndarray, values: np.ndarray, axis: int, h: float,
 def discrete_gradient(f: np.ndarray, grid: Grid,
                       out: np.ndarray | None = None) -> np.ndarray:
     """Nodal gradient, shape (..., n_nodes, dim)."""
-    f = np.asarray(f)
+    f = np.asarray(f, dtype=float)
     v = grid.reshape(f)
     d = grid.dimension
     if out is None:
@@ -292,7 +292,7 @@ def divergence_flux(c: np.ndarray, f: np.ndarray, grid: Grid,
         raise GridError(f"conductivity shape {c.shape} != ({grid.n_nodes},)")
     if not np.all(np.isfinite(c)) or (positive and np.any(c <= 0.0)):
         raise GridError("conductivity must be finite and strictly positive")
-    f = np.asarray(f)
+    f = np.asarray(f, dtype=float)
     cv, v, d = grid.reshape(c), grid.reshape(f), grid.dimension
     o = _flux_axis(cv, v, -d, grid.h,
                    out=None if out is None else grid.reshape(out))

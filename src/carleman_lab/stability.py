@@ -12,8 +12,11 @@ The inverse side minimizes
 by projected gradient descent.  J is computed literally: d_nu d_t is
 observe.observed_flux, which made the data d, and |v|^2_H1 is v H v for
 the one H1 operator H, _h1_apply.  The gradient transposes the exact
-Crank-Nicolson update, so the finite-difference check is sharp.  Each
-transpose lives next to the map it transposes: the adjoint's source is
+Crank-Nicolson update, so the finite-difference check is sharp.  The
+descent forms J at every trial point and the gradient only at accepted
+ones (_misfit, then _gradient on the same factor, which
+misfit_and_gradient composes at one point).  Each transpose lives next
+to the map it transposes: the adjoint's source is
 observe.observed_flux_transpose applied to the flux residual, the
 adjoint sweep in the forward module reuses the same prefactored
 B = I - dt/2 A (symmetric, so B and its transpose share the
@@ -323,11 +326,14 @@ def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def relative_h1_error(estimate: np.ndarray, truth: np.ndarray,
-                      prior: np.ndarray, grid: Grid) -> float:
+                      prior: np.ndarray, grid: Grid,
+                      gap: float | None = None) -> float:
     """H1 norm of estimate - truth relative to that of truth - prior, the
-    error reconstruct logs; the absolute norm when truth is the prior."""
+    error reconstruct logs; the absolute norm when truth is the prior.
+    A caller may pass gap = h1_norm_sq(truth - prior, grid), formed once."""
     truth = np.asarray(truth, dtype=float)
-    gap = h1_norm_sq(truth - prior, grid)
+    if gap is None:
+        gap = h1_norm_sq(truth - prior, grid)
     err = h1_norm_sq(estimate - truth, grid)
     return math.sqrt(err if gap == 0.0 else err / gap)
 
@@ -347,19 +353,22 @@ def make_observations(setup: ExperimentSetup, c_true: np.ndarray,
     return obs
 
 
-def _coefficient_accumulate(lmb: np.ndarray, s: np.ndarray,
-                            grid: Grid) -> np.ndarray:
+def _coefficient_accumulate(lmb: np.ndarray, s: np.ndarray, grid: Grid,
+                            terms: np.ndarray | None = None) -> np.ndarray:
     """Sum over the rows of (T, n_nodes) stacks and over the lattice
     faces at m of (lmb_p - lmb_q)(s_q - s_p) / (2 h^2); the transpose of
     the face-mean flux assembly with respect to the coefficient.  The
     terms are added one after another, last row first and within a row
     axis by axis, lower node before upper node, so the sum is bitwise
-    that of the adjoint sweep accumulating row by row."""
+    that of the adjoint sweep accumulating row by row.  terms, when
+    given, is a zeroed (T, dim, 2, *grid.shape) stack that a run reuses:
+    every call writes the same slots, so its pad slots stay zero."""
     lg = grid.reshape(lmb[::-1])
     sg = grid.reshape(s[::-1])
     dim = grid.dimension
     # zero-padded terms: (row, axis, lower/upper node of the face, *shape)
-    terms = np.zeros((lmb.shape[0], dim, 2) + grid.shape)
+    if terms is None:
+        terms = np.zeros((lmb.shape[0], dim, 2) + grid.shape)
     inv = 1.0 / (2.0 * grid.h**2)
     for a in range(dim):
         la = np.moveaxis(lg, a + 1, 0)
@@ -372,11 +381,12 @@ def _coefficient_accumulate(lmb: np.ndarray, s: np.ndarray,
     return np.add.reduce(terms.reshape(-1, grid.n_nodes), axis=0)
 
 
-def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
-                        setup: ExperimentSetup, config: InverseConfig):
-    """J and its exact discrete gradient."""
+def _misfit(c_current: np.ndarray, data: ObservationSet,
+            setup: ExperimentSetup, config: InverseConfig):
+    """The first half of misfit_and_gradient, run at every trial point:
+    every check on c_current, the forward solve and J.  Returns J and
+    the state _gradient reads.  The caller has validated config."""
     grid, tg, window = setup.grid, setup.timegrid, setup.window
-    config.validate(grid)
     c_current = np.asarray(c_current, dtype=float)
     if np.any(c_current < C_MIN):
         raise GridError("coefficient below the positivity floor")
@@ -395,20 +405,36 @@ def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
 
     shift = c_current - config.prior
     j_total = j_mis + 0.5 * config.alpha * h1_norm_sq(shift, grid)
+    return j_total, (stepper, fieldvals, residual, shift)
 
+
+def _gradient(state, setup: ExperimentSetup, config: InverseConfig,
+              terms: np.ndarray | None = None) -> np.ndarray:
+    """The second half of misfit_and_gradient: the exact discrete
+    gradient of J at the point _misfit evaluated into state, by the
+    adjoint sweep on that point's stepper."""
+    grid, tg = setup.grid, setup.timegrid
+    stepper, fieldvals, residual, shift = state
     # row i of lam_rows pairs with the step from time i to i + 1; the
     # adjoint's source, the gradient of j_mis in the field, drives it
     # through the interior columns (boundary values carry data, not c)
-    source = observed_flux_transpose(residual, grid, tg, window)[
+    source = observed_flux_transpose(residual, grid, tg, setup.window)[
         :, stepper.interior]
     lam_rows = np.zeros((tg.steps, grid.n_nodes))
     lam_rows[:, stepper.interior] = stepper.adjoint_sweep(source)
     grad_c = _coefficient_accumulate(lam_rows, fieldvals[:-1] + fieldvals[1:],
-                                     grid)
+                                     grid, terms)
     grad_c *= -0.5 * tg.dt
     grad_c += config.alpha * _h1_apply(shift, grid)
-    grad_c = admissible_projection(grad_c, grid)
-    return j_total, grad_c
+    return admissible_projection(grad_c, grid)
+
+
+def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
+                        setup: ExperimentSetup, config: InverseConfig):
+    """J and its exact discrete gradient: _misfit, then _gradient."""
+    config.validate(setup.grid)
+    j_total, state = _misfit(c_current, data, setup, config)
+    return j_total, _gradient(state, setup, config)
 
 
 @dataclass
@@ -444,14 +470,17 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
     spectral steps are not truncated.  It stops at gradient norm
     GRAD_TOL, on a failed line search, after 10 accepted steps without
     decrease, or after config.max_iters iterations.  Every trial point
-    is evaluated together with its gradient, so an accepted trial is
-    never solved again.  The logged error is that of the recovered
-    perturbation c_hat - prior, relative to truth - prior."""
+    gets _misfit; only an accepted one gets _gradient, on the stepper its
+    _misfit built, and the config check, the accumulation stack and the
+    error's denominator are made once per run.  The logged error is that
+    of the recovered perturbation c_hat - prior, relative to truth - prior."""
     grid = setup.grid
     config.validate(grid)
     prior = np.asarray(config.prior, dtype=float)
+    terms = np.zeros((setup.timegrid.steps, grid.dimension, 2) + grid.shape)
     c = _project(prior.copy(), config, grid)
-    j_val, grad = misfit_and_gradient(c, data, setup, config)
+    j_val, state = _misfit(c, data, setup, config)
+    grad = _gradient(state, setup, config, terms)
     step = STEP0
     result = ReconstructionResult(c_hat=c)
     flat_run = 0
@@ -465,10 +494,12 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
         d[idx] = _cho_solve(chol, g[idx])
         return d
 
+    gap = None if truth is None else h1_norm_sq(truth - prior, grid)
+
     def h1_err(current):
         if truth is None:
             return math.nan
-        return relative_h1_error(current, truth, prior, grid)
+        return relative_h1_error(current, truth, prior, grid, gap)
 
     gnorm = float(np.linalg.norm(grad))
     result.log.append((0, j_val, gnorm, h1_err(c)))
@@ -485,8 +516,7 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
         while t > 1e-16:
             trial = _project(c - t * desc, config, grid)
             decrease = float(grad @ (c - trial))
-            j_trial, grad_trial = misfit_and_gradient(trial, data, setup,
-                                                      config)
+            j_trial, state = _misfit(trial, data, setup, config)
             if j_trial <= reference - ARMIJO * decrease:
                 accepted = True
                 break
@@ -504,7 +534,7 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
         c_prev, grad_prev = c, grad
         c = trial
         j_val = j_trial
-        grad = grad_trial
+        grad = _gradient(state, setup, config, terms)
         history.append(j_val)
         step = t * GROWTH
         # alternate BB1 and BB2, both taken in the H1 metric

@@ -361,3 +361,28 @@ def test_time_stencils_fill_out_bitwise(dim):
     for fn in (centered_difference, first_derivative):
         assert_fills_out_bitwise(lambda out: fn(stack, -2, 0.25, out=out),
                                  fn(stack, -2, 0.25))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stencils_on_an_integer_stack_equal_its_float_copy(dim):
+    # an integer stack is differenced as floats: no truncation to the
+    # input's dtype, and no casting error on the out paths
+    g = build_grid(dim, 7, ["right"] if dim == 1 else ["north", "east"])
+    ints = np.random.default_rng(dim).integers(-50, 50, (5, g.n_nodes))
+    floats = ints.astype(float)
+    faces = ("left", "right") if dim == 1 else ("west", "east", "south",
+                                                "north")
+    cases = dict(STACK_STENCILS)
+    cases.update({f"normal:{face}": (lambda f, grid, face=face:
+                                     normal_derivative(f, grid, face))
+                  for face in faces})
+    for name, fn in cases.items():
+        want = fn(floats, g)
+        assert fn(ints, g).tobytes() == want.tobytes(), name
+        if name in OUT_STENCILS:
+            assert_fills_out_bitwise(lambda out: fn(ints, g, out=out), want)
+    squares = np.array([[0, 1, 4, 9, 16]])
+    line = build_grid(1, 4, ["right"])
+    for fn in (lambda v: first_derivative(v, -1, 0.3),
+               lambda v: divergence_flux(np.ones(5), v, line)):
+        assert fn(squares).tobytes() == fn(squares.astype(float)).tobytes()

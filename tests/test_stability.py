@@ -328,6 +328,13 @@ def test_coefficient_accumulate_matches_row_by_row_sweep(dimension):
     np.testing.assert_array_equal(batched, row_by_row(range(63, -1, -1)))
     # the order is pinned: summing first row first changes the bits
     assert not np.array_equal(batched, row_by_row(range(64)))
+    # a zeroed stack that a run reuses: every call writes the same
+    # slots, so successive calls on other inputs give the allocating bytes
+    terms = np.zeros((64, dimension, 2) + grid.shape)
+    for lmb, src in ((lam, s), (3.0 * s[::-1], lam - 0.5)):
+        want = _coefficient_accumulate(lmb, src, grid)
+        got = _coefficient_accumulate(lmb, src, grid, terms)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_reconstruct_evaluates_each_point_once_with_one_factor(monkeypatch):
@@ -342,7 +349,7 @@ def test_reconstruct_evaluates_each_point_once_with_one_factor(monkeypatch):
             super().__init__(*args, **kwargs)
 
     points, factors = [], []
-    original = stability.misfit_and_gradient
+    original = stability._misfit
 
     def recording(c, *args, **kwargs):
         points.append(np.asarray(c, dtype=float).tobytes())
@@ -353,12 +360,83 @@ def test_reconstruct_evaluates_each_point_once_with_one_factor(monkeypatch):
 
     monkeypatch.setattr(forward, "CrankNicolsonStepper", CountingStepper)
     monkeypatch.setattr(stability, "CrankNicolsonStepper", CountingStepper)
-    monkeypatch.setattr(stability, "misfit_and_gradient", recording)
+    monkeypatch.setattr(stability, "_misfit", recording)
     cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes), max_iters=5)
     res = reconstruct(data, inv, cfg, truth=truth)
     assert res.iterations == 5
     assert factors == [1] * len(points)
     assert len(set(points)) == len(points)
+
+
+def _short_run(dimension):
+    """A reconstruction short enough for a test; its first line search
+    rejects trials (5 in 1D, 2 in 2D)."""
+    inv = inversion_setup(dimension=dimension, n=32 if dimension == 1 else 16)
+    truth = bump_truth(inv.grid)
+    cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes), max_iters=3)
+    return inv, truth, make_observations(inv, truth), cfg
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_reconstruct_runs_the_adjoint_only_at_accepted_points(monkeypatch,
+                                                              dimension):
+    inv, truth, data, cfg = _short_run(dimension)
+    built, adjoints, points = [], [], []
+
+    class CountingStepper(CrankNicolsonStepper):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+        def adjoint_sweep(self, source):
+            adjoints.append(1)
+            return super().adjoint_sweep(source)
+
+    misfit = stability._misfit
+
+    def recording(c, *args):
+        points.append(np.asarray(c, dtype=float).tobytes())
+        return misfit(c, *args)
+
+    monkeypatch.setattr(stability, "CrankNicolsonStepper", CountingStepper)
+    monkeypatch.setattr(stability, "_misfit", recording)
+    res = reconstruct(data, inv, cfg, truth=truth)
+    assert res.iterations == cfg.max_iters
+    assert len(points) > res.iterations + 1   # some trials were rejected
+    assert len(adjoints) == res.iterations + 1
+    assert len(built) == len(points)
+    assert len(set(points)) == len(points)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_reconstruct_gradients_equal_misfit_and_gradient(monkeypatch,
+                                                         dimension):
+    # the run's J and gradient at every accepted point, the latter
+    # formed on the run's reused accumulation stack, are bitwise what
+    # the one-point function gives there
+    inv, truth, data, cfg = _short_run(dimension)
+    misfit, gradient = stability._misfit, stability._gradient
+    last, accepted = [], []
+
+    def recording_misfit(c, *args):
+        last[:] = [np.array(c, dtype=float)]
+        return misfit(c, *args)
+
+    def recording_gradient(*args):
+        grad = gradient(*args)
+        accepted.append((last[0], grad))
+        return grad
+
+    monkeypatch.setattr(stability, "_misfit", recording_misfit)
+    monkeypatch.setattr(stability, "_gradient", recording_gradient)
+    res = reconstruct(data, inv, cfg, truth=truth)
+    assert len(accepted) == len(res.log) == res.iterations + 1
+    assert accepted[-1][0].tobytes() == res.c_hat.tobytes()
+    monkeypatch.undo()
+    for (point, grad), row in zip(accepted, res.log):
+        j_val, want = misfit_and_gradient(point, data, inv, cfg)
+        assert grad.tobytes() == want.tobytes()
+        assert (j_val, float(np.linalg.norm(want))) == row[1:3]
 
 
 def test_reconstruct_builds_one_read_only_pattern_per_grid():
@@ -586,11 +664,14 @@ def test_reconstruct_stops_on_stagnation(monkeypatch):
 
     def flat(c, *args, **kwargs):
         calls.append(1)
-        grad = admissible_projection(1e-6 * np.ones(inv.grid.n_nodes),
-                                     inv.grid)
-        return (1.0 if len(calls) == 1 else 0.999), grad
+        return (1.0 if len(calls) == 1 else 0.999), None
 
-    monkeypatch.setattr(stability, "misfit_and_gradient", flat)
+    def flat_gradient(*args, **kwargs):
+        return admissible_projection(1e-6 * np.ones(inv.grid.n_nodes),
+                                     inv.grid)
+
+    monkeypatch.setattr(stability, "_misfit", flat)
+    monkeypatch.setattr(stability, "_gradient", flat_gradient)
     cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes))
     res = reconstruct(data, inv, cfg)
     assert res.message == "objective stagnated for 10 accepted steps"
@@ -684,9 +765,9 @@ def test_preconditioner_rejects_nonfinite_gradient_and_non_spd_gram(
                            match="not positive definite"):
             reconstruct(data, inv, cfg)
 
-    def nan_gradient(c, *args):
-        return 1.0, np.full(inv.grid.n_nodes, np.nan)
+    def nan_gradient(*args):
+        return np.full(inv.grid.n_nodes, np.nan)
 
-    monkeypatch.setattr(stability, "misfit_and_gradient", nan_gradient)
+    monkeypatch.setattr(stability, "_gradient", nan_gradient)
     with pytest.raises(ValueError, match="infs or NaNs"):
         reconstruct(data, inv, cfg)
