@@ -73,10 +73,11 @@ def conjugate(q_values: np.ndarray, ws: WeightSet,
 def apply_M1(psi: np.ndarray, c: np.ndarray, ws: WeightSet,
              out: np.ndarray | None = None) -> np.ndarray:
     """Interior-row values of div(c grad psi) + s^2 lam^2 c |grad beta|^2
-    phi^2 psi + s (d_t eta) psi."""
+    phi^2 psi + s (d_t eta) psi, the zero-order table kept on ws per c."""
     grad_b2, phi = ws.grad_beta_sq, ws.phi
-    zero_order = (ws.s**2 * ws.lam**2) * c[None, :] * grad_b2[None, :] * phi**2
-    zero_order = zero_order + ws.s * ws.dt_eta
+    zero_order = ws.table(("M1 zero order", c.tobytes()), lambda: (
+        (ws.s**2 * ws.lam**2) * c[None, :] * grad_b2[None, :] * phi**2
+        + ws.s * ws.dt_eta))
     inner = psi[..., 1:-1, :]
     out = divergence_flux(c, inner, ws.grid, out)
     out += zero_order * inner
@@ -88,17 +89,19 @@ def apply_M2(psi: np.ndarray, c: np.ndarray, ws: WeightSet,
              gradient: np.ndarray | None = None) -> np.ndarray:
     """Interior-row values of d_t psi +- 2 s lam phi c grad(beta).grad(psi)
     - 2 s lam^2 phi c |grad beta|^2 psi.  gradient, if given, is the
-    (..., rows, n_nodes, dim) buffer grad psi is formed in."""
-    grad_b2, phi = ws.grad_beta_sq, ws.phi
+    (..., rows, n_nodes, dim) buffer of grad psi.  Tables kept on ws."""
+    grad_b2, phi, key = ws.grad_beta_sq, ws.phi, c.tobytes()
     inner = psi[..., 1:-1, :]
     out = centered_difference(psi, -2, ws.timegrid.dt, out=out)
     grad_psi = discrete_gradient(inner, ws.grid, out=gradient)
     grad_psi *= ws.grad_beta_tilde
     advect = np.sum(grad_psi, axis=-1)
-    advect *= sign * 2.0 * ws.s * ws.lam * phi * c
+    advect *= ws.table(("M2 advection", sign, key),
+                       lambda: sign * 2.0 * ws.s * ws.lam * phi * c)
     out += advect
-    out -= np.multiply(2.0 * ws.s * ws.lam**2 * phi * c * grad_b2, inner,
-                       out=advect)
+    react = ws.table(("M2 reaction", key),
+                     lambda: 2.0 * ws.s * ws.lam**2 * phi * c * grad_b2)
+    out -= np.multiply(react, inner, out=advect)
     return out
 
 

@@ -11,6 +11,9 @@ Space-time integrals over the window use interior time nodes with
 uniform weight dt: the weighted integrands vanish at the endpoints by
 construction, and the plain integrals share the same measure so that
 weighted/plain comparisons are like for like.
+
+On a stack with a leading member axis, the norms give one value per
+member, each reduced as its own field would be.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ def observed_flux(values: np.ndarray, grid: Grid, timegrid: TimeGrid,
     normal_derivative of the centered time difference on each interior
     row of the window."""
     off = timegrid.index_of(window.t0)
-    rows = centered_difference(values[off : off + window.steps + 1], -2,
-                               timegrid.dt)
+    rows = centered_difference(values[..., off : off + window.steps + 1, :],
+                               -2, timegrid.dt)
     return {face: normal_derivative(rows, grid, face)
             for face in grid.gamma0_faces}
 
@@ -88,11 +91,18 @@ def extract_observations(field: SpaceTimeField, grid: Grid,
 # -- weighted norms -------------------------------------------------------
 
 
-def _square(field: np.ndarray) -> np.ndarray:
+def _square(field: np.ndarray, grid: Grid) -> np.ndarray:
+    """|field|^2 per node; only a trailing (n_nodes, dim) is a vector."""
     field = np.asarray(field, dtype=float)
-    if field.ndim == 2:  # vector field: sum of squared components
-        return np.sum(field**2, axis=1)
+    if field.shape[-2:] == (grid.n_nodes, grid.dimension):
+        return np.sum(field**2, axis=-1)
     return field**2
+
+
+def _space_quadrature(vals: np.ndarray, grid: Grid):
+    """Trapezoid quadrature, member by member for a (K, n_nodes) stack."""
+    sw = space_weights(grid)
+    return float(sw @ vals) if vals.ndim == 1 else np.array([sw @ v for v in vals])
 
 
 def _check_finite(integrand: np.ndarray, what: str):
@@ -110,9 +120,9 @@ def window_sum(integrand: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
 
 def weighted_norm_space(field: np.ndarray, ws: WeightSet, k: float) -> float:
     """integral of phi^k e^{-2s(eta - eta_ref)} |field|^2 at the T' slice."""
-    vals = _square(field) * ws.weight_tprime(k)
+    vals = _square(field, ws.grid) * ws.weight_tprime(k)
     _check_finite(vals, "weighted space")
-    return float(space_weights(ws.grid) @ vals)
+    return _space_quadrature(vals, ws.grid)
 
 
 def weighted_norm_spacetime(values: np.ndarray, ws: WeightSet, k: float) -> float:
@@ -122,7 +132,7 @@ def weighted_norm_spacetime(values: np.ndarray, ws: WeightSet, k: float) -> floa
     grid = ws.grid
     if values.shape not in ((grid.n_nodes,), (grid.n_nodes, grid.dimension)):
         raise GridError(f"static field has shape {values.shape}")
-    vals = _square(values)[None, :] * ws.weight_st(k)
+    vals = _square(values, grid)[None, :] * ws.weight_st(k)
     _check_finite(vals, "weighted space-time")
     return float(window_sum(vals, space_weights(grid), ws.timegrid.dt))
 
@@ -137,7 +147,7 @@ def weighted_boundary_norm(trace_by_face: dict, ws: WeightSet,
     for face, trace in trace_by_face.items():
         nodes = grid.face_nodes(face)
         trace = np.asarray(trace, dtype=float)
-        if trace.shape != (ws.timegrid.steps - 1, nodes.size):
+        if trace.shape[-2:] != (ws.timegrid.steps - 1, nodes.size):
             raise GridError(
                 f"trace on face {face!r} has shape {trace.shape}, expected "
                 f"({ws.timegrid.steps - 1}, {nodes.size})"
@@ -147,18 +157,18 @@ def weighted_boundary_norm(trace_by_face: dict, ws: WeightSet,
             factor = factor * ws.normal_beta(face)[None, :]
         vals = factor * trace**2
         _check_finite(vals, "weighted boundary")
-        total += float(window_sum(vals, grid.face_axis_weights(face),
-                                  ws.timegrid.dt))
-    return total
+        total = total + window_sum(vals, grid.face_axis_weights(face),
+                                   ws.timegrid.dt)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 # -- plain (unweighted) companions ---------------------------------------
 
 
 def norm_space_plain(field: np.ndarray, grid: Grid) -> float:
-    vals = _square(field)
+    vals = _square(field, grid)
     _check_finite(vals, "space")
-    return float(space_weights(grid) @ vals)
+    return _space_quadrature(vals, grid)
 
 
 def boundary_norm_plain(trace_by_face: dict, grid: Grid, window: TimeGrid) -> float:
@@ -166,15 +176,16 @@ def boundary_norm_plain(trace_by_face: dict, grid: Grid, window: TimeGrid) -> fl
     for face, trace in trace_by_face.items():
         trace = np.asarray(trace, dtype=float)
         _check_finite(trace, "boundary trace")
-        total += float(window_sum(trace**2, grid.face_axis_weights(face),
-                                  window.dt))
-    return total
+        total = total + window_sum(trace**2, grid.face_axis_weights(face),
+                                   window.dt)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def observation_distance_plain(a: ObservationSet, b: ObservationSet,
                                grid: Grid, window: TimeGrid) -> dict:
     """The four-term unweighted data distance: boundary flux difference
-    over the window plus the three T'-snapshot derivative differences."""
+    over the window plus the three T'-snapshot derivative differences;
+    per member, with the differences formed once, for a stack a."""
     if tuple(a.flux) != tuple(b.flux):
         raise GridError("observation sets cover different faces")
     sa, sb = a.snapshot, b.snapshot

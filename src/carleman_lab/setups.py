@@ -158,7 +158,8 @@ def perturbed_problem(setup: ExperimentSetup, gamma: np.ndarray) -> HeatProblem:
 
 @dataclass
 class TwinSolve:
-    """Both solutions plus their difference and its time derivative."""
+    """Both solutions plus their difference and its time derivative;
+    q, u and y carry the member axis of a stack gamma."""
 
     gamma: np.ndarray
     q: SpaceTimeField          # perturbed coefficient c = ctilde + gamma
@@ -170,18 +171,14 @@ class TwinSolve:
         return time_derivative(self.u)
 
 
-def twin_solve(setup: ExperimentSetup, gamma: np.ndarray,
-               c_tilde: np.ndarray | None = None,
-               q_tilde: SpaceTimeField | None = None) -> TwinSolve:
-    """Solves for ctilde and ctilde + gamma; ctilde defaults to the base
-    problem's conductivity.  A caller holding the ctilde solution already
-    passes it as q_tilde, and only the perturbed problem is solved."""
-    if c_tilde is not None:
-        setup = replace(setup, base=replace(setup.base, c=c_tilde))
-    q = solve_heat(perturbed_problem(setup, gamma), setup.grid, setup.timegrid)
-    if q_tilde is None:
-        q_tilde = solve_heat(setup.base, setup.grid, setup.timegrid)
-    u = SpaceTimeField(values=q.values - q_tilde.values, grid=setup.grid,
-                       timegrid=setup.timegrid)
-    return TwinSolve(gamma=np.asarray(gamma, dtype=float), q=q,
-                     q_tilde=q_tilde, u=u)
+def twin_solve(setup: ExperimentSetup, gamma: np.ndarray) -> TwinSolve:
+    """Solves for ctilde, the base problem's conductivity, and ctilde +
+    gamma, or each of a (K, n_nodes) stack gamma, as one stack."""
+    gamma = np.asarray(gamma, dtype=float)
+    c = np.vstack((setup.c_tilde, perturbed_problem(setup, gamma).c))
+    field = solve_heat(replace(setup.base, c=c), setup.grid, setup.timegrid)
+    q_tilde = replace(field, values=field.values[0])
+    q = replace(field, values=field.values[1:].reshape(
+        gamma.shape[:-1] + field.values.shape[1:]))
+    return TwinSolve(gamma=gamma, q=q, q_tilde=q_tilde,
+                     u=replace(field, values=q.values - q_tilde.values))

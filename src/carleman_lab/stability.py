@@ -4,6 +4,9 @@ The estimate side solves the twin problems for a coefficient pair,
 forms the rate field, and compares the weighted midpoint mass of the
 coefficient difference against the observed boundary flux (weighted
 form) and against the unweighted observation distance (plain form).
+A sweep solves its base and members as one stack, runs each stencil
+once on the (member, time, node) stack and each norm member by member,
+so a record is bitwise stability_sides of its pair, the one-pair stack.
 
 The inverse side minimizes
 
@@ -129,86 +132,80 @@ class StabilityReport:
         return self.plain.ratio
 
 
-def _base_terms(c_tilde: np.ndarray, setup: ExperimentSetup,
-                ws: WeightSet) -> tuple:
-    """What every pair on c_tilde shares: its solution, the transport base
-    at T' (nondegenerate, or build_transport_base raises) and the
-    solution's observations."""
+def _family_sides(gammas: np.ndarray, setup: ExperimentSetup,
+                  ws: WeightSet) -> list:
+    """Both reports for each admissible difference in a (K, n_nodes)
+    stack on setup's conductivity, from one twin_solve of the stack; the
+    transport base at T' is nondegenerate, or build_transport_base raises."""
     grid, window = setup.grid, setup.window
-    q_tilde = solve_heat(replace(setup.base, c=c_tilde), grid, setup.timegrid)
-    base = build_transport_base(q_tilde.at_time(window.t_mid), ws)
-    return q_tilde, base, extract_observations(q_tilde, grid, window)
+    twin = twin_solve(setup, gammas)
+    base = build_transport_base(twin.q_tilde.at_time(window.t_mid), ws)
+    coeff = weighted_norm_space(gammas, ws, 1)
+    grad_coeff = weighted_norm_space(discrete_gradient(gammas, grid), ws, 1)
+    traces = observed_flux(twin.u.values, grid, setup.timegrid, window)
+    u_snap = snapshot_package(twin.u, grid, window)
+    weighted_rhs = {
+        "flux": weighted_boundary_norm(traces, ws, normal_beta_factor=True),
+        "u_grad_lap": weighted_norm_space(u_snap.grad_lap_q, ws, 0),
+        "u_lap": weighted_norm_space(u_snap.lap_q, ws, 0),
+        "u_grad": weighted_norm_space(u_snap.grad_q, ws, 0),
+    }
+    dist = observation_distance_plain(
+        extract_observations(twin.q, grid, window),
+        extract_observations(twin.q_tilde, grid, window), grid, window)
+    params = {"s": ws.s, "lam": ws.lam, "n": grid.n, "eta_ref": ws.eta_ref,
+              "min_transport": base.min_transport}
+    reports = []
+    for m in range(len(gammas)):
+        lhs = {"coeff": float(coeff[m]), "grad_coeff": float(grad_coeff[m])}
+        weighted = EstimateReport(
+            name="stability_weighted", lhs_terms=lhs,
+            rhs_terms={k: float(v[m]) for k, v in weighted_rhs.items()},
+            params=dict(params)).validate()
+        plain = EstimateReport(
+            name="stability_plain", lhs_terms=dict(lhs),
+            rhs_terms={k: float(v[m]) for k, v in dist.items()
+                       if k != "total"},
+            params=dict(params)).validate()
+        reports.append(StabilityReport(weighted=weighted, plain=plain))
+    return reports
 
 
 def stability_sides(pair: CoefficientPair, setup: ExperimentSetup,
-                    ws: WeightSet, shared=None) -> StabilityReport:
-    """Both reports for one pair; shared, when given, is _base_terms of
-    pair.c_tilde under ws and is not formed again."""
-    grid, window = setup.grid, setup.window
-    q_tilde, base, obs_tilde = shared or _base_terms(pair.c_tilde, setup, ws)
-    twin = twin_solve(setup, pair.gamma, pair.c_tilde, q_tilde)
-    q, u = twin.q, twin.u
-
-    grad_gamma = discrete_gradient(pair.gamma, grid)
-    lhs = {
-        "coeff": weighted_norm_space(pair.gamma, ws, 1),
-        "grad_coeff": weighted_norm_space(grad_gamma, ws, 1),
-    }
-
-    traces = observed_flux(u.values, grid, setup.timegrid, window)
-    u_snap = snapshot_package(u, grid, window)
-    weighted = EstimateReport(
-        name="stability_weighted",
-        lhs_terms=lhs,
-        rhs_terms={
-            "flux": weighted_boundary_norm(traces, ws,
-                                           normal_beta_factor=True),
-            "u_grad_lap": weighted_norm_space(u_snap.grad_lap_q, ws, 0),
-            "u_lap": weighted_norm_space(u_snap.lap_q, ws, 0),
-            "u_grad": weighted_norm_space(u_snap.grad_q, ws, 0),
-        },
-        params={"s": ws.s, "lam": ws.lam, "n": grid.n,
-                "eta_ref": ws.eta_ref, "min_transport": base.min_transport},
-    ).validate()
-
-    obs = extract_observations(q, grid, window)
-    dist = observation_distance_plain(obs, obs_tilde, grid, window)
-    plain = EstimateReport(
-        name="stability_plain",
-        lhs_terms=dict(lhs),
-        rhs_terms={k: v for k, v in dist.items() if k != "total"},
-        params=dict(weighted.params),
-    ).validate()
-    return StabilityReport(weighted=weighted, plain=plain)
+                    ws: WeightSet) -> StabilityReport:
+    """Both reports for one pair: the one-pair stack of _family_sides."""
+    setup = replace(setup, base=replace(setup.base, c=pair.c_tilde))
+    return _family_sides(pair.gamma[None], setup, ws)[0]
 
 
 def stability_sweep(family, setup: ExperimentSetup, ws: WeightSet) -> tuple:
     """Per-member reports plus the sweep summary: the empirical constant
     with its argmax member, a global log-log slope of LHS against plain
     observation distance, and per-shape slopes over amplitude scalings.
-    The members share the base's _base_terms, formed once; a member is
+    The base and the members are one stack (_family_sides); a member is
     excluded when eps is 0 or its admissible projection vanishes."""
-    records = []
+    members = []
     excluded = []
-    shared = _base_terms(setup.c_tilde, setup, ws)
     for label, eps, gamma in family:
         pair = None if eps == 0.0 else make_pair(setup.c_tilde, gamma,
                                                  setup.grid)
         if pair is None or not np.any(pair.gamma):
             excluded.append(label)
             continue
-        rep = stability_sides(pair, setup, ws, shared)
-        records.append({
-            "member": label,
-            "eps": float(eps),
-            "lhs": rep.weighted.lhs_total,
-            "rhs_weighted": rep.weighted.rhs_total,
-            "rhs_plain": rep.plain.rhs_total,
-            "ratio": rep.ratio_weighted,
-            "ratio_plain": rep.ratio_plain,
-        })
-    if not records:
+        members.append((label, float(eps), pair.gamma))
+    if not members:
         raise GridError("stability family left no admissible members")
+    reports = _family_sides(np.array([gamma for *_, gamma in members]),
+                            setup, ws)
+    records = [{
+        "member": label,
+        "eps": eps,
+        "lhs": rep.weighted.lhs_total,
+        "rhs_weighted": rep.weighted.rhs_total,
+        "rhs_plain": rep.plain.rhs_total,
+        "ratio": rep.ratio_weighted,
+        "ratio_plain": rep.ratio_plain,
+    } for (label, eps, _), rep in zip(members, reports)]
 
     worst = max(records, key=lambda r: r["ratio"])
 
@@ -362,20 +359,22 @@ def _coefficient_accumulate(lmb: np.ndarray, s: np.ndarray, grid: Grid,
     axis by axis, lower node before upper node, so the sum is bitwise
     that of the adjoint sweep accumulating row by row.  terms, when
     given, is a zeroed (T, dim, 2, *grid.shape) stack that a run reuses:
-    every call writes the same slots, so its pad slots stay zero."""
-    lg = grid.reshape(lmb[::-1])
-    sg = grid.reshape(s[::-1])
+    every call writes the same slots, so its pad slots stay zero.  The
+    terms are formed in time order and written at the reversed rows."""
+    lg = grid.reshape(lmb)
+    sg = grid.reshape(s)
     dim = grid.dimension
     # zero-padded terms: (row, axis, lower/upper node of the face, *shape)
     if terms is None:
         terms = np.zeros((lmb.shape[0], dim, 2) + grid.shape)
+    backward = terms[::-1]
     inv = 1.0 / (2.0 * grid.h**2)
     for a in range(dim):
-        la = np.moveaxis(lg, a + 1, 0)
-        sa = np.moveaxis(sg, a + 1, 0)
-        val = (la[:-1] - la[1:]) * (sa[1:] - sa[:-1]) * inv
-        np.moveaxis(terms[:, a, 0], a + 1, 0)[:-1] = val
-        np.moveaxis(terms[:, a, 1], a + 1, 0)[1:] = val
+        lo = (slice(None),) * (a + 1) + (slice(None, -1),)
+        hi = (slice(None),) * (a + 1) + (slice(1, None),)
+        val = (lg[lo] - lg[hi]) * (sg[hi] - sg[lo]) * inv
+        backward[:, a, 0][lo] = val
+        backward[:, a, 1][hi] = val
     # add.reduce over the leading axis of a C-ordered stack adds its
     # rows in sequence (no pairwise regrouping)
     return np.add.reduce(terms.reshape(-1, grid.n_nodes), axis=0)

@@ -43,9 +43,9 @@ class WeightError(ValueError):
 class WeightSet:
     """The tabulated weights of one (grid, window, lam, s, m, x0).  The
     derived tables (weight_st, weight_tprime, boundary_weight, phi,
-    grad_beta_sq, dt_eta, conjugation) are computed on first use and
-    kept read-only: a Carleman cell evaluates every test function of
-    its suite on one WeightSet."""
+    grad_beta_sq, dt_eta, conjugation, carleman's tables per c) are
+    computed on first use and kept read-only: a Carleman cell evaluates
+    every test function of its suite on one WeightSet."""
 
     grid: Grid
     timegrid: TimeGrid
@@ -77,7 +77,7 @@ class WeightSet:
     def _tables(self) -> dict:
         return {}
 
-    def _table(self, key, make) -> np.ndarray:
+    def table(self, key, make) -> np.ndarray:
         """make() on the first call for key, the same read-only array
         after it."""
         table = self._tables.get(key)
@@ -91,38 +91,38 @@ class WeightSet:
         return k * self.log_phi - 2.0 * self.s * (self.eta - self.eta_ref)
 
     def weight_st(self, k: float) -> np.ndarray:
-        return self._table(("st", k), lambda: np.exp(self.log_weight(k)))
+        return self.table(("st", k), lambda: np.exp(self.log_weight(k)))
 
     def weight_tprime(self, k: float) -> np.ndarray:
-        return self._table(
+        return self.table(
             ("tprime", k),
             lambda: np.exp(self.log_weight(k)[self.tprime_row]))
 
     def boundary_weight(self, face: str) -> np.ndarray:
         """phi e^{-2s(eta - eta_ref)} on the nodes of one face."""
-        return self._table(("boundary", face), lambda: np.exp(
+        return self.table(("boundary", face), lambda: np.exp(
             self.log_weight(1.0)[:, self.grid.face_nodes(face)]))
 
     @property
     def phi(self) -> np.ndarray:
-        return self._table("phi", lambda: np.exp(self.log_phi))
+        return self.table("phi", lambda: np.exp(self.log_phi))
 
     @property
     def grad_beta_sq(self) -> np.ndarray:
         """|grad beta|^2 at each node."""
-        return self._table("grad_beta_sq",
+        return self.table("grad_beta_sq",
                            lambda: np.sum(self.grad_beta_tilde**2, axis=1))
 
     @property
     def conjugation(self) -> np.ndarray:
         """e^{-s(eta - eta_ref)}, the factor taking q to psi."""
-        return self._table("conjugation",
+        return self.table("conjugation",
                            lambda: np.exp(-self.s * (self.eta - self.eta_ref)))
 
     @property
     def dt_eta(self) -> np.ndarray:
         """Closed-form time derivative of eta; exactly zero on the T' row."""
-        return self._table(
+        return self.table(
             "dt_eta", lambda: -self.eta * (self.w_prime / self.w)[:, None])
 
     def normal_beta(self, face: str) -> np.ndarray:

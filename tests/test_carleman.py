@@ -320,6 +320,21 @@ def test_operators_on_a_stack_equal_the_per_test_results(dimension):
                    apply_M2(psi, c, ws, -1.0))
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_operator_tables_are_kept_per_conductivity_and_sign(dimension):
+    # apply_M1 and apply_M2 keep their coefficient tables on ws: one ws
+    # shared by two conductivities and both signs gives every call what
+    # a ws with empty tables gives
+    grid, _, c, _, ws, suite = stack_case(dimension)
+    psi = conjugate(np.stack([vals for _, vals in suite[:3]]), ws)
+    for cc in (c, 2.0 * c, c):
+        assert_bitwise(apply_M1(psi, cc, ws),
+                       apply_M1(psi, cc, dataclasses.replace(ws)))
+        for sign in (1.0, -1.0, 1.0):
+            assert_bitwise(apply_M2(psi, cc, ws, sign),
+                           apply_M2(psi, cc, dataclasses.replace(ws), sign))
+
+
 def term_values(terms):
     resid2, grad2, zero2, flux2 = terms
     return resid2.size + grad2.size + zero2.size + sum(

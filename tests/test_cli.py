@@ -225,12 +225,13 @@ def test_verify_snapshot_single_row(tmp_path):
 
 
 def test_twin_pipelines_share_one_twin_solve(tmp_path, monkeypatch):
+    # twin_solve solves its pair as one stack: each conductivity counts
     calls = []
     original = setups.solve_heat
 
-    def recording(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def recording(problem, *args, **kwargs):
+        calls.extend(np.atleast_2d(problem.c))
+        return original(problem, *args, **kwargs)
 
     monkeypatch.setattr(setups, "solve_heat", recording)
     ctx = RunContext(load_config(None), str(tmp_path), False)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -531,7 +533,7 @@ def test_step_matrices_extend_A_int_in_stored_order(dimension, n):
         # the entries the band of B = I - dt/2 A subtracts from I
         ab = forward._upper_band(p, st._a_data, dt)
         np.testing.assert_array_equal(
-            ab[p.band_rows, p.band_cols],
+            ab.ravel(order="F")[p.band_slots],
             p.band_eye - scaled[p.band_entries])
 
 
@@ -620,3 +622,94 @@ def test_missing_scipy_extension_names_module_and_version():
         forward._scipy_extension("scipy.linalg", "_no_such_module")
     assert "scipy.linalg._no_such_module" in str(err.value)
     assert scipy.__version__ in str(err.value)
+
+
+def member_stack(setup, count, seed):
+    """count admissible conductivities on setup's grid, the first its
+    base conductivity."""
+    rng = np.random.default_rng(seed)
+    bumps = (0.3 * rng.random((count - 1, setup.grid.n_nodes))
+             * stability.admissible_mask(setup.grid))
+    return np.vstack((setup.c_tilde, setup.c_tilde + bumps))
+
+
+# (dimension, n): the shipped grids, an odd one, and 2D n = 17, whose
+# band is 16 wide
+STACK_GRIDS = [(1, 32), (1, 17), (2, 16), (2, 17)]
+
+
+@pytest.mark.parametrize("dimension,n", STACK_GRIDS)
+def test_stacked_solve_equals_the_single_solves_bitwise(dimension, n):
+    setup = default_setup(dimension, n, steps=64)
+    grid, tg = setup.grid, setup.timegrid
+    cs = member_stack(setup, 5, 31)
+    singles = [solve_heat(dataclasses.replace(setup.base, c=c), grid,
+                          tg).values for c in cs]
+    stacked = solve_heat(dataclasses.replace(setup.base, c=cs), grid, tg)
+    assert stacked.values.shape == (5, tg.steps + 1, grid.n_nodes)
+    for member, single in zip(stacked.values, singles, strict=True):
+        np.testing.assert_array_equal(member, single)
+        assert member.tobytes() == single.tobytes()
+    # a stepper built for the stack sweeps it as one block
+    block = CrankNicolsonStepper(cs, grid, tg.dt)
+    assert block.members == 5
+    assert block.chol.shape[1] == 5 * block.interior.size
+    one = solve_heat(dataclasses.replace(setup.base, c=cs), grid, tg,
+                     stepper=block).values
+    assert one.tobytes() == stacked.values.tobytes()
+
+
+@pytest.mark.parametrize("dimension,n", STACK_GRIDS)
+def test_stacked_adjoint_sweep_equals_the_single_sweeps(dimension, n):
+    setup = default_setup(dimension, n, steps=64)
+    grid, tg = setup.grid, setup.timegrid
+    cs = member_stack(setup, 4, 32)
+    block = CrankNicolsonStepper(cs, grid, tg.dt)
+    ni = block.interior.size
+    source = np.random.default_rng(33).standard_normal((tg.steps + 1, 4 * ni))
+    got = block.adjoint_sweep(source)
+    for m, c in enumerate(cs):
+        single = CrankNicolsonStepper(c, grid, tg.dt).adjoint_sweep(
+            np.ascontiguousarray(source[:, m * ni:(m + 1) * ni]))
+        assert got[:, m * ni:(m + 1) * ni].tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_stacked_solve_splits_at_the_block_cap(dimension, monkeypatch):
+    setup = default_setup(dimension, 32 if dimension == 1 else 16, steps=64)
+    grid, tg = setup.grid, setup.timegrid
+    cs = member_stack(setup, 7, 34)
+    problem = dataclasses.replace(setup.base, c=cs)
+    whole = solve_heat(problem, grid, tg).values
+    blocks = []
+
+    class Counting(CrankNicolsonStepper):
+        def __init__(self, c, *args):
+            super().__init__(c, *args)
+            blocks.append(self.members)
+
+    monkeypatch.setattr(forward, "CrankNicolsonStepper", Counting)
+    ni = (grid.n - 1) ** dimension
+    # two and a half members' unknowns: blocks of two, the last of one
+    monkeypatch.setattr(forward, "BLOCK_UNKNOWNS", 5 * ni // 2)
+    split = solve_heat(problem, grid, tg).values
+    assert blocks == [2, 2, 2, 1]
+    assert split.tobytes() == whole.tobytes()
+    # below one member's unknowns each member is its own block
+    blocks.clear()
+    monkeypatch.setattr(forward, "BLOCK_UNKNOWNS", ni - 1)
+    assert solve_heat(problem, grid, tg).values.tobytes() == whole.tobytes()
+    assert blocks == [1] * 7
+
+
+def test_stacked_solve_checks_every_member():
+    setup = default_setup(1, 16, steps=32)
+    cs = member_stack(setup, 3, 35)
+    cs[2, 5] = -1.0
+    with pytest.raises(GridError, match="positive"):
+        solve_heat(dataclasses.replace(setup.base, c=cs), setup.grid,
+                   setup.timegrid)
+    for bad in (cs[:, :-1], cs[None]):
+        with pytest.raises(GridError, match="nodal"):
+            solve_heat(dataclasses.replace(setup.base, c=bad), setup.grid,
+                       setup.timegrid)

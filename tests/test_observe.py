@@ -242,3 +242,53 @@ def test_observation_csv_2d_two_faces(tmp_path):
     loaded = read_observations(path, g, win)
     for face in ("north", "east"):
         np.testing.assert_array_equal(loaded[f"flux:{face}"], obs.flux[face])
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_norms_of_a_member_stack_equal_the_single_norms(dimension):
+    # a (members, nodes) stack has ndim 2 like a (nodes, dim) vector
+    # field; only the trailing (n_nodes, dim) shape makes a vector field
+    g = build_grid(dimension, 8,
+                   ["right"] if dimension == 1 else ["north", "east"])
+    tg = TimeGrid(0.5, 2.0, 16)
+    ws = build_weights(g, tg, lam=1.0, s=1.0, m=1.1, x0=[-0.1] * dimension)
+    rng = np.random.default_rng(9)
+    for shape in ((1, g.n_nodes), (3, g.n_nodes), (g.n_nodes, dimension),
+                  (3, g.n_nodes, dimension)):
+        stack = rng.standard_normal(shape)
+        vector = shape[-2:] == (g.n_nodes, dimension)
+        members = stack.reshape((-1,) + shape[-1 - vector:])
+        for norm in (lambda f: norm_space_plain(f, g),
+                     lambda f: weighted_norm_space(f, ws, 1)):
+            got = norm(stack)
+            want = [norm(member) for member in members]
+            if not vector or len(shape) == 3:
+                assert np.shape(got) == shape[:-1 - vector]
+            assert np.ravel(got).tolist() == want
+            assert all(type(v) is float for v in want)
+    # a vector field sums its squared components
+    field = rng.standard_normal((g.n_nodes, dimension))
+    assert norm_space_plain(field, g) == norm_space_plain(
+        np.sqrt(np.sum(field**2, axis=1)), g)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_distance_of_a_stacked_observation_set_is_per_member(dimension):
+    g = build_grid(dimension, 8,
+                   ["right"] if dimension == 1 else ["north", "east"])
+    tg = TimeGrid(0.0, 2.0, 16)
+    win, _ = tg.window(0.5)
+    x = g.coords[:, 0]
+    rng = np.random.default_rng(10)
+    values = (1.0 + x)[None, None, :] + 0.01 * rng.standard_normal(
+        (3, tg.steps + 1, g.n_nodes))
+    stack = extract_observations(SpaceTimeField(values, g, tg), g, win)
+    base = extract_observations(SpaceTimeField(values[0], g, tg), g, win)
+    got = observation_distance_plain(stack, base, g, win)
+    for m in range(3):
+        one = extract_observations(SpaceTimeField(values[m], g, tg), g, win)
+        assert {k: float(v[m]) for k, v in got.items()} == \
+            observation_distance_plain(one, base, g, win)
+    flux = {face: stack.flux[face] for face in stack.flux}
+    assert weighted_boundary_norm(flux, build_weights(
+        g, win, lam=1.0, s=1.0, m=1.1, x0=[-0.1] * dimension)).shape == (3,)

@@ -166,11 +166,12 @@ def test_stability_sweep_excludes_zero_member():
 
 
 def test_stability_sweep_solves_base_field_once(monkeypatch):
+    # the sweep solves one stack of conductivities: each row counts
     solved = []
     original = stability.solve_heat
 
     def recording(problem, *args, **kwargs):
-        solved.append(np.asarray(problem.c, dtype=float).copy())
+        solved.extend(np.atleast_2d(np.asarray(problem.c, dtype=float)).copy())
         return original(problem, *args, **kwargs)
 
     monkeypatch.setattr(stability, "solve_heat", recording)
@@ -181,6 +182,9 @@ def test_stability_sweep_solves_base_field_once(monkeypatch):
     assert len(records) == 3
     assert len(solved) == len(records) + 1
     assert sum(np.array_equal(c, setup.c_tilde) for c in solved) == 1
+    for _, _, gamma in fam:
+        c = make_pair(setup.c_tilde, gamma, setup.grid).c
+        assert sum(np.array_equal(c, row) for row in solved) == 1
 
 
 def test_twin_derivative_is_formed_on_first_read(monkeypatch):
@@ -247,12 +251,63 @@ def test_stability_sweep_records_equal_the_one_pair_sides(dimension):
         }
 
 
+def test_stability_sweep_records_equal_the_one_pair_sides_in_split_blocks(
+        monkeypatch):
+    # 2D, with the cap at two and a half members' unknowns: the base and
+    # six members are swept in blocks of 2, 2, 2 and 1
+    setup, ws = sweep_case(2)
+    fam = perturbation_family(setup.grid)[::2]
+    blocks = []
+
+    class Counting(CrankNicolsonStepper):
+        def __init__(self, c, *args):
+            super().__init__(c, *args)
+            blocks.append(self.members)
+
+    monkeypatch.setattr(forward, "CrankNicolsonStepper", Counting)
+    monkeypatch.setattr(forward, "BLOCK_UNKNOWNS",
+                        5 * (setup.grid.n - 1) ** 2 // 2)
+    records, _ = stability_sweep(fam, setup, ws)
+    assert blocks == [2, 2, 2, 1]
+    monkeypatch.undo()
+    for (label, eps, gamma), rec in zip(fam, records, strict=True):
+        rep = stability_sides(make_pair(setup.c_tilde, gamma, setup.grid),
+                              setup, ws)
+        assert rec == {
+            "member": label,
+            "eps": eps,
+            "lhs": rep.weighted.lhs_total,
+            "rhs_weighted": rep.weighted.rhs_total,
+            "rhs_plain": rep.plain.rhs_total,
+            "ratio": rep.ratio_weighted,
+            "ratio_plain": rep.ratio_plain,
+        }
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_twin_solve_of_a_stack_equals_the_single_twin_solves(dimension):
+    setup, _ = sweep_case(dimension)
+    gammas = np.array([gamma for *_, gamma in
+                       perturbation_family(setup.grid)[::4]])
+    stacked = setups.twin_solve(setup, gammas)
+    assert stacked.u.values.shape == (3,) + stacked.q_tilde.values.shape
+    for m, gamma in enumerate(gammas):
+        single = setups.twin_solve(setup, gamma)
+        assert single.q_tilde.values.tobytes() == \
+            stacked.q_tilde.values.tobytes()
+        for name in ("q", "u", "y"):
+            assert getattr(single, name).values.tobytes() == \
+                getattr(stacked, name).values[m].tobytes()
+
+
 def test_stability_sweep_extracts_base_observations_once(monkeypatch):
+    # the observations of a stack count once per member
     extracted = []
     original = stability.extract_observations
 
     def recording(field, grid, window):
-        extracted.append(field.values.copy())
+        extracted.extend(field.values.reshape((-1,) + field.values.shape[-2:])
+                         .copy())
         return original(field, grid, window)
 
     monkeypatch.setattr(stability, "extract_observations", recording)
