@@ -20,7 +20,8 @@ of at most CHUNK_VALUES node values, carleman_sides is the one-test
 stack, and each quadrature keeps its per-test order, so no report
 depends on the stacking.  The weight-free fields depend on the tests
 alone: the sweep forms them once per chunk and keeps them across its
-(s, lam) cells within KEEP_VALUES node values.
+(s, lam) cells within KEEP_VALUES node values; each cell integrates
+their Gamma0 traces with observe.weighted_boundary_norm.
 
 Each sweep allocates one _workspace, sized for its largest chunk: psi,
 the M1 and M2 fields, grad psi and the weighted integrands are written
@@ -46,10 +47,9 @@ from .grid import (
     centered_difference,
     discrete_gradient,
     divergence_flux,
-    normal_derivative,
     space_weights,
 )
-from .observe import window_sum
+from .observe import gamma0_traces, weighted_boundary_norm, window_sum
 from .report import EstimateReport
 from .weights import WeightSet, build_weights
 
@@ -120,14 +120,12 @@ def _test_terms(q: np.ndarray, c: np.ndarray, grid: Grid,
                 window: TimeGrid) -> tuple:
     """The weight-free fields of a checked (K, steps+1, n_nodes) stack on
     its interior rows (the endpoint rows carry zero weight): the squared
-    residual d_t q - div(c grad q), |grad q|^2, q^2, |d_nu q|^2 by face."""
+    residual d_t q - div(c grad q), |grad q|^2, q^2, gamma0_traces(q)."""
     inner = q[:, 1:-1]
     resid = (centered_difference(q, -2, window.dt)
              - divergence_flux(c, inner, grid))
     grad2 = np.sum(discrete_gradient(inner, grid) ** 2, axis=-1)
-    flux2 = {face: normal_derivative(inner, grid, face) ** 2
-             for face in grid.gamma0_faces}
-    return resid**2, grad2, inner**2, flux2
+    return resid**2, grad2, inner**2, gamma0_traces(inner, grid)
 
 
 def _workspace(size: int, grid: Grid, window: TimeGrid) -> SimpleNamespace:
@@ -153,10 +151,7 @@ def _stacked_sides(q: np.ndarray, terms: tuple, c: np.ndarray, ws: WeightSet,
         work = _workspace(k, grid, window)
     psi, field = work.psi[:k], work.field[:k]
     conjugate(q, ws, out=psi)
-    resid2, grad2, zero2, flux2 = terms
-    boundary = sum(window_sum(ws.boundary_weight(face) * flux2[face],
-                              grid.face_axis_weights(face), dt)
-                   for face in grid.gamma0_faces)
+    resid2, grad2, zero2, flux = terms
 
     def squared(values):
         return window_sum(np.square(values, out=values), sw, dt)
@@ -172,7 +167,7 @@ def _stacked_sides(q: np.ndarray, terms: tuple, c: np.ndarray, ws: WeightSet,
         "zero": ws.s**3 * ws.lam**4 * weighted(zero2, ws.weight_st(3)),
     }
     rhs = {
-        "boundary": ws.s * ws.lam * boundary,
+        "boundary": ws.s * ws.lam * weighted_boundary_norm(flux, ws),
         "residual": weighted(resid2, ws.weight_st(0)),
     }
     return [EstimateReport(

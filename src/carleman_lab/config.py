@@ -2,14 +2,17 @@
 
 Every default and every key lives in the packaged default.json; a user
 file is laid over it, and a key default.json lacks is an error, so typos
-cannot silently fall back to defaults.  Nodal fields are given either as a
-small expression tree or as a per-node CSV.
+cannot silently fall back to defaults.  Every number must be finite.
+Nodal fields are given either as a small expression tree, checked and
+evaluated by one walker, or as a per-node CSV.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -93,8 +96,10 @@ def _is_int(raw) -> bool:
 
 
 def _number(raw, key) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {raw!r}")
+    # "not <=" rejects the NaN and +-Infinity json reads, and huge ints
+    if (isinstance(raw, bool) or not isinstance(raw, (int, float))
+            or not abs(raw) <= sys.float_info.max):
+        raise ConfigError(f"{key} must be a finite number, got {raw!r}")
     return float(raw)
 
 
@@ -148,78 +153,60 @@ def _check_field_spec(spec, key):
         if not isinstance(spec["csv"], str):
             raise ConfigError(f"{key}: csv must be a path string")
     else:
-        _check_expression(spec, key)
+        _expression(spec, key, None)
     return spec
-
-
-def _check_expression(node, key):
-    if not isinstance(node, dict) or "kind" not in node:
-        raise ConfigError(f"{key}: expression node must be an object "
-                          f"with a 'kind'")
-    kind = node["kind"]
-    if kind not in _NODE_KEYS:
-        raise ConfigError(f"{key}: unknown expression kind {kind!r}")
-    extra = set(node) - {"kind"} - _NODE_KEYS[kind]
-    missing = _NODE_KEYS[kind] - set(node)
-    if extra or missing:
-        raise ConfigError(f"{key}: node {kind!r} takes keys "
-                          f"{sorted(_NODE_KEYS[kind])}, got "
-                          f"{sorted(set(node) - {'kind'})}")
-    if kind == "const":
-        _number(node["value"], f"{key}.value")
-    elif kind == "sin":
-        _check_expression(node["child"], key)
-    elif kind == "polynomial":
-        _check_expression(node["child"], key)
-        coeffs = node["coeffs"]
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ConfigError(f"{key}: coeffs must be a nonempty list")
-        for cval in coeffs:
-            _number(cval, f"{key}.coeffs")
-    elif kind in ("sum", "product"):
-        children = node["children"]
-        if not isinstance(children, list) or not children:
-            raise ConfigError(f"{key}: children must be a nonempty list")
-        for child in children:
-            _check_expression(child, key)
 
 
 def evaluate_field(spec, grid: Grid, base_dir: str = ".") -> np.ndarray:
     """Nodal values of an expression tree or a node,value CSV."""
     if isinstance(spec, dict) and set(spec) == {"csv"}:
         return _field_from_csv(os.path.join(base_dir, spec["csv"]), grid)
-    return _eval_expression(spec, grid)
+    return _expression(spec, "field", grid)
 
 
-def _eval_expression(node, grid: Grid) -> np.ndarray:
+def _expression(node, key, grid):
+    """Check an expression tree against _NODE_KEYS; given a grid (not
+    None), also return its values at the grid's nodes."""
+    if not isinstance(node, dict) or "kind" not in node:
+        raise ConfigError(f"{key}: expression node must be an object "
+                          f"with a 'kind'")
     kind = node["kind"]
+    if not isinstance(kind, str) or kind not in _NODE_KEYS:
+        raise ConfigError(f"{key}: unknown expression kind {kind!r}")
+    if set(node) - {"kind"} != _NODE_KEYS[kind]:
+        raise ConfigError(f"{key}: node {kind!r} takes keys "
+                          f"{sorted(_NODE_KEYS[kind])}, got "
+                          f"{sorted(set(node) - {'kind'})}")
+    children = [node["child"]] if "child" in node else node.get("children")
+    if kind in ("sum", "product") and (not isinstance(children, list)
+                                       or not children):
+        raise ConfigError(f"{key}: children must be a nonempty list")
+    values = [_expression(child, key, grid) for child in children or ()]
     if kind == "const":
-        return np.full(grid.n_nodes, float(node["value"]))
-    if kind == "x":
-        return grid.coords[:, 0].copy()
-    if kind == "y":
-        if grid.dimension < 2:
-            raise ConfigError("'y' used in a 1D configuration")
-        return grid.coords[:, 1].copy()
-    if kind == "sin":
-        return np.sin(_eval_expression(node["child"], grid))
+        value = _number(node["value"], f"{key}.value")
     if kind == "polynomial":
-        t = _eval_expression(node["child"], grid)
+        coeffs = node["coeffs"]
+        if not isinstance(coeffs, list) or not coeffs:
+            raise ConfigError(f"{key}: coeffs must be a nonempty list")
+        coeffs = [_number(c, f"{key}.coeffs") for c in coeffs]
+    if grid is None:
+        return None
+    if kind == "const":
+        return np.full(grid.n_nodes, value)
+    if kind in ("x", "y"):
+        if kind == "y" and grid.dimension < 2:
+            raise ConfigError("'y' used in a 1D configuration")
+        return grid.coords[:, "xy".index(kind)].copy()
+    if kind == "sin":
+        return np.sin(values[0])
+    if kind == "polynomial":
         out = np.zeros(grid.n_nodes)
-        for c in reversed(node["coeffs"]):
-            out = out * t + float(c)
+        for c in reversed(coeffs):
+            out = out * values[0] + c
         return out
     if kind == "sum":
-        out = np.zeros(grid.n_nodes)
-        for child in node["children"]:
-            out = out + _eval_expression(child, grid)
-        return out
-    if kind == "product":
-        out = np.ones(grid.n_nodes)
-        for child in node["children"]:
-            out = out * _eval_expression(child, grid)
-        return out
-    raise ConfigError(f"unknown expression kind {kind!r}")
+        return sum(values, np.zeros(grid.n_nodes))
+    return math.prod(values, start=np.ones(grid.n_nodes))
 
 
 def _field_from_csv(path, grid: Grid) -> np.ndarray:

@@ -3,7 +3,9 @@
 E(t) integrates c phi^{-1} e^{-2s(eta - eta_ref)} |grad y|^2 in space at
 each interior node of the observation window.  The inverse power of phi
 and the eta decay kill both window endpoints, which is what makes the
-midpoint value E(T') the meaningful scalar here.
+midpoint value E(T') the meaningful scalar here.  The boundary terms of
+both bounds are observe.weighted_boundary_norm of the rate field's
+observe.gamma0_traces on the interior window rows.
 """
 
 from __future__ import annotations
@@ -13,13 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import SpaceTimeField
-from .grid import (
-    GridError,
-    discrete_gradient,
-    normal_derivative,
-    space_weights,
-)
+from .grid import GridError, discrete_gradient, space_weights
 from .observe import (
+    gamma0_traces,
     weighted_boundary_norm,
     weighted_norm_space,
     weighted_norm_spacetime,
@@ -82,12 +80,6 @@ def energy_tprime_direct(y: SpaceTimeField, c: np.ndarray,
     return weighted_norm_space(scaled, ws, -1)
 
 
-def _boundary_traces(y: SpaceTimeField, ws: WeightSet) -> dict:
-    rows = _window_rows(y, ws)[1:-1]
-    return {face: normal_derivative(rows, ws.grid, face)
-            for face in ws.grid.gamma0_faces}
-
-
 def _coeff_mass(gamma: np.ndarray, ws: WeightSet) -> float:
     grad = discrete_gradient(gamma, ws.grid)
     return (weighted_norm_spacetime(gamma, ws, 0)
@@ -104,7 +96,7 @@ def snapshot_bound_sides(y: SpaceTimeField, gamma: np.ndarray,
     }
     rhs = {
         "boundary": ws.lam**0.5 * weighted_boundary_norm(
-            _boundary_traces(y, ws), ws),
+            gamma0_traces(_window_rows(y, ws)[1:-1], ws.grid), ws),
         "coeff": ws.s**-0.5 * ws.lam**-0.5 * _coeff_mass(gamma, ws),
     }
     return EstimateReport(
@@ -124,7 +116,7 @@ def energy_bound_sides(y: SpaceTimeField, gamma: np.ndarray, c: np.ndarray,
     lhs = {"energy": curve.e_tprime}
     rhs = {
         "boundary": ws.s * ws.lam * weighted_boundary_norm(
-            _boundary_traces(y, ws), ws),
+            gamma0_traces(_window_rows(y, ws)[1:-1], ws.grid), ws),
         "coeff": ws.s * _coeff_mass(gamma, ws),
     }
     return EstimateReport(

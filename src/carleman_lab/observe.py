@@ -6,6 +6,9 @@ at the window midpoint T' (the field, its gradient, laplacian and
 gradient of laplacian).  observed_flux is that flux map, and the data,
 the reconstruction misfit and the stability check all go through it,
 and the misfit gradient through observed_flux_transpose beside it.
+gamma0_traces is the one normal trace on the observed faces Gamma0,
+here and in the energy and Carleman estimates, and
+weighted_boundary_norm its one weighted quadrature over (t0, T) x Gamma0.
 
 Space-time integrals over the window use interior time nodes with
 uniform weight dt: the weighted integrands vanish at the endpoints by
@@ -46,16 +49,22 @@ class ObservationSet:
                 raise GridError(f"non-finite snapshot {name}")
 
 
+def gamma0_traces(values: np.ndarray, grid: Grid) -> dict:
+    """normal_derivative of a (..., node) stack on each observed face, by
+    face in the grid's order."""
+    return {face: normal_derivative(values, grid, face)
+            for face in grid.gamma0_faces}
+
+
 def observed_flux(values: np.ndarray, grid: Grid, timegrid: TimeGrid,
                   window: TimeGrid) -> dict:
     """d_nu d_t of a (time, node) stack on timegrid, as ObservationSet.flux:
-    normal_derivative of the centered time difference on each interior
+    the gamma0_traces of the centered time difference on each interior
     row of the window."""
     off = timegrid.index_of(window.t0)
-    rows = centered_difference(values[..., off : off + window.steps + 1, :],
-                               -2, timegrid.dt)
-    return {face: normal_derivative(rows, grid, face)
-            for face in grid.gamma0_faces}
+    return gamma0_traces(
+        centered_difference(values[..., off : off + window.steps + 1, :],
+                            -2, timegrid.dt), grid)
 
 
 def observed_flux_transpose(trace_by_face: dict, grid: Grid,

@@ -174,60 +174,40 @@ def proposition_sides(gamma: np.ndarray, q_tilde: SpaceTimeField,
     check_flat_boundary(gamma, grid)
     base = build_transport_base(q_tilde.at_time(window.t_mid), ws)
 
-    grad_gamma = discrete_gradient(gamma, grid)
     u_snap = snapshot_package(u, grid, window)
     yt = y.at_time(window.t_mid)
-    grad_y = discrete_gradient(yt, grid)
+    fields = {"coeff": gamma, "grad_coeff": discrete_gradient(gamma, grid),
+              "y_val": yt, "y_grad": discrete_gradient(yt, grid),
+              "u_lap": u_snap.lap_q, "u_grad": u_snap.grad_q,
+              "u_grad_lap": u_snap.grad_lap_q}
+    norms = {}   # (term, weight power) -> weighted_norm_space, each once
 
-    s2l2 = ws.s**2 * ws.lam**2
+    def side(terms, scale):
+        for key in terms:
+            if key not in norms:
+                norms[key] = weighted_norm_space(fields[key[0]], ws, key[1])
+        return {name: scale * norms[name, k] for name, k in terms}
+
     params = {
         "s": ws.s, "lam": ws.lam, "n": grid.n,
         "eta_ref": ws.eta_ref, "min_transport": base.min_transport,
     }
 
-    scalar = EstimateReport(
-        name="poincare_scalar",
-        lhs_terms={"coeff": s2l2 * weighted_norm_space(gamma, ws, 1)},
-        rhs_terms={
-            "y_val": weighted_norm_space(yt, ws, -1),
-            "coeff": weighted_norm_space(gamma, ws, -1),
-            "u_lap": weighted_norm_space(u_snap.lap_q, ws, 0),
-            "u_grad": weighted_norm_space(u_snap.grad_q, ws, 0),
-        },
-        params=params,
-    ).validate()
+    def part(name, lhs, rhs):
+        return EstimateReport(name=name,
+                              lhs_terms=side(lhs, ws.s**2 * ws.lam**2),
+                              rhs_terms=side(rhs, 1.0), params=params).validate()
 
-    gradient = EstimateReport(
-        name="poincare_gradient",
-        lhs_terms={"grad_coeff": s2l2 * weighted_norm_space(grad_gamma, ws, 1)},
-        rhs_terms={
-            "y_grad": weighted_norm_space(grad_y, ws, -1),
-            "grad_coeff": weighted_norm_space(grad_gamma, ws, -1),
-            "coeff": weighted_norm_space(gamma, ws, -1),
-            "u_grad_lap": weighted_norm_space(u_snap.grad_lap_q, ws, -1),
-            "u_lap": weighted_norm_space(u_snap.lap_q, ws, -1),
-        },
-        params=params,
-    ).validate()
-
-    combined = EstimateReport(
-        name="poincare",
-        lhs_terms={
-            "grad_coeff": s2l2 * weighted_norm_space(grad_gamma, ws, 1),
-            "coeff": s2l2 * weighted_norm_space(gamma, ws, 1),
-        },
-        rhs_terms={
-            "y_grad": weighted_norm_space(grad_y, ws, -1),
-            "y_val": weighted_norm_space(yt, ws, -1),
-            "u_grad_lap": weighted_norm_space(u_snap.grad_lap_q, ws, 0),
-            "u_lap": weighted_norm_space(u_snap.lap_q, ws, 0),
-            "u_grad": weighted_norm_space(u_snap.grad_q, ws, 0),
-        },
-        params=params,
-    ).validate()
-
-    return PropositionReport(scalar=scalar, gradient=gradient,
-                             combined=combined)
+    return PropositionReport(
+        scalar=part("poincare_scalar", [("coeff", 1)],
+                    [("y_val", -1), ("coeff", -1), ("u_lap", 0),
+                     ("u_grad", 0)]),
+        gradient=part("poincare_gradient", [("grad_coeff", 1)],
+                      [("y_grad", -1), ("grad_coeff", -1), ("coeff", -1),
+                       ("u_grad_lap", -1), ("u_lap", -1)]),
+        combined=part("poincare", [("grad_coeff", 1), ("coeff", 1)],
+                      [("y_grad", -1), ("y_val", -1), ("u_grad_lap", 0),
+                       ("u_lap", 0), ("u_grad", 0)]))
 
 
 def coefficient_lower_bound(gamma: np.ndarray, ws: WeightSet) -> tuple:

@@ -96,7 +96,19 @@ def test_config_rejects_unknown_keys(tmp_path):
     ({"steps": True}, "steps"),
     ({"seed": True}, "seed"),
     ({"seed": -1}, "non-negative"),
-])
+] + [
+    # json reads NaN and +-Infinity as floats
+    (overrides, f"{needle} must be a finite number")
+    for v in (math.nan, math.inf, -math.inf)
+    for overrides, needle in (
+        ({"sigma": v}, "sigma"),
+        ({"lambda": [1.0, v]}, "lambda"),
+        ({"gamma": {"kind": "const", "value": v}}, "gamma.value"),
+        ({"gamma": {"kind": "polynomial", "child": {"kind": "x"},
+                    "coeffs": [0.0, v]}}, "gamma.coeffs"),
+    )
+] + [({"sigma": 10**400}, "sigma must be a finite number"),
+       ({"gamma": {"kind": ["x"]}}, "unknown expression kind")])
 def test_config_rejects_bad_values(tmp_path, overrides, needle):
     with pytest.raises(ConfigError, match=needle):
         load_config(write_config(tmp_path, **overrides))
@@ -136,6 +148,49 @@ def test_expression_y_needs_two_dimensions():
     setup = default_setup()
     with pytest.raises(ConfigError, match="1D"):
         evaluate_field({"kind": "y"}, setup.grid)
+
+
+_X = {"kind": "x"}
+# a well-formed node of each kind and its values at nodes (x, y)
+_WELL_FORMED = {
+    "const": ({"kind": "const", "value": 0.5}, lambda x, y: 0.5 + 0.0 * x),
+    "x": (_X, lambda x, y: x),
+    "y": ({"kind": "y"}, lambda x, y: y),
+    "sin": ({"kind": "sin", "child": _X}, lambda x, y: np.sin(x)),
+    "polynomial": ({"kind": "polynomial", "child": _X,
+                    "coeffs": [1.0, 2.0, 3.0]},
+                   lambda x, y: 1.0 + 2.0 * x + 3.0 * x**2),
+    "sum": ({"kind": "sum", "children": [_X, {"kind": "const", "value": 1.0}]},
+            lambda x, y: x + 1.0),
+    "product": ({"kind": "product", "children": [_X, _X]},
+                lambda x, y: x * x),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(config._NODE_KEYS))
+def test_expression_walker_covers_every_kind(tmp_path, kind):
+    assert set(_WELL_FORMED) == set(config._NODE_KEYS)
+    node, want = _WELL_FORMED[kind]
+    cfg = load_config(write_config(tmp_path, gamma=node))
+    assert cfg.gamma == node
+    for dimension in (1, 2):
+        grid = build_grid(dimension, 8,
+                          ["right"] if dimension == 1 else ["north", "east"])
+        if kind == "y" and dimension == 1:
+            with pytest.raises(ConfigError, match="1D"):
+                evaluate_field(cfg.gamma, grid)
+            continue
+        x = grid.coords[:, 0]
+        y = grid.coords[:, -1]
+        np.testing.assert_allclose(evaluate_field(cfg.gamma, grid),
+                                   want(x, y), rtol=1e-15, atol=1e-15)
+    # one key missing, or one key extra, names the kind
+    broken = [dict(node, extra=1.0)] + [
+        {k: v for k, v in node.items() if k != key}
+        for key in config._NODE_KEYS[kind]]
+    for bad in broken:
+        with pytest.raises(ConfigError, match=f"node {kind!r} takes keys"):
+            load_config(write_config(tmp_path, gamma=bad))
 
 
 def test_field_from_csv_roundtrip(tmp_path):
@@ -349,6 +404,14 @@ def test_unknown_key_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, stepz=12)
     assert run("forward", config_path=cfg, out=str(tmp_path)) == 2
     assert "stepz" in capsys.readouterr().err
+
+
+def test_non_finite_number_is_a_config_error(tmp_path, capsys):
+    # NaN would otherwise run a noiseless reconstruction and exit 0
+    cfg = write_config(tmp_path, sigma=math.nan)
+    assert run("reconstruct", config_path=cfg, out=str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "sigma" in err
 
 
 def test_output_path_collision_is_a_config_error(tmp_path, capsys):

@@ -9,6 +9,7 @@ from carleman_lab.grid import GridError, TimeGrid, build_grid, normal_derivative
 from carleman_lab.observe import (
     boundary_norm_plain,
     extract_observations,
+    gamma0_traces,
     norm_space_plain,
     observation_distance_plain,
     observations_to_csv,
@@ -19,6 +20,7 @@ from carleman_lab.observe import (
     weighted_norm_spacetime,
     window_sum,
 )
+from carleman_lab.setups import default_setup
 from carleman_lab.weights import build_weights
 
 
@@ -292,3 +294,21 @@ def test_distance_of_a_stacked_observation_set_is_per_member(dimension):
     flux = {face: stack.flux[face] for face in stack.flux}
     assert weighted_boundary_norm(flux, build_weights(
         g, win, lam=1.0, s=1.0, m=1.1, x0=[-0.1] * dimension)).shape == (3,)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_gamma0_traces_of_a_member_stack_equal_the_member_traces(dimension):
+    # the default 1D grid, and cfg2d's (2D, n=16) north and east faces
+    grid = default_setup(dimension=dimension,
+                         n=32 if dimension == 1 else 16).grid
+    rng = np.random.default_rng(12)
+    stack = rng.standard_normal((3, 9, grid.n_nodes))
+    got = gamma0_traces(stack, grid)
+    assert tuple(got) == grid.gamma0_faces
+    assert len(got) == dimension
+    for m, member in enumerate(stack):
+        for face, trace in gamma0_traces(member, grid).items():
+            assert trace.shape == (9, grid.face_nodes(face).size)
+            assert got[face][m].tobytes() == trace.tobytes()
+            assert trace.tobytes() == normal_derivative(
+                member, grid, face).tobytes()

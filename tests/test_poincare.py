@@ -4,6 +4,7 @@ coefficient snapshot estimate."""
 import numpy as np
 import pytest
 
+from carleman_lab import poincare
 from carleman_lab.grid import GridError, build_grid
 from carleman_lab.poincare import (
     TransportBase,
@@ -242,6 +243,31 @@ def test_proposition_2d_smoke():
     for name, part in rep.parts().items():
         assert np.isfinite(part.ratio) and part.ratio >= 0.0
     assert set(rep.parts()) == {"scalar", "gradient", "combined"}
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_proposition_evaluates_each_weighted_norm_once(dimension,
+                                                       monkeypatch):
+    # the three parts report 18 terms over 11 (field, weight power) pairs
+    setup = (default_setup() if dimension == 1
+             else default_setup(dimension=2, n=16, steps=64))
+    gam = 0.05 * bump_shape(setup.grid)
+    tw = twin_solve(setup, gam)
+    ws = default_weights(setup, lam=1.0, s=4.0)
+    ref = proposition_sides(gam, tw.q_tilde, tw.u, tw.y, ws)
+    calls = []
+    original = poincare.weighted_norm_space
+
+    def counting(field, ws, k):
+        calls.append(k)
+        return original(field, ws, k)
+
+    monkeypatch.setattr(poincare, "weighted_norm_space", counting)
+    rep = proposition_sides(gam, tw.q_tilde, tw.u, tw.y, ws)
+    assert len(calls) == 11
+    assert sum(len(part.lhs_terms) + len(part.rhs_terms)
+               for part in rep.parts().values()) == 18
+    assert rep == ref
 
 
 def test_lower_bound_chain():
