@@ -170,13 +170,10 @@ def _stacked_sides(q: np.ndarray, terms: tuple, c: np.ndarray, ws: WeightSet,
         "boundary": ws.s * ws.lam * weighted_boundary_norm(flux, ws),
         "residual": weighted(resid2, ws.weight_st(0)),
     }
-    return [EstimateReport(
-        name="carleman",
-        lhs_terms={key: float(v[i]) for key, v in lhs.items()},
-        rhs_terms={key: float(v[i]) for key, v in rhs.items()},
-        params={"s": ws.s, "lam": ws.lam, "n": grid.n, "steps": window.steps,
-                "eta_ref": ws.eta_ref, "m2_sign": m2_sign},
-    ).validate() for i in range(k)]
+    return [EstimateReport.for_weights(
+        "carleman", {key: float(v[i]) for key, v in lhs.items()},
+        {key: float(v[i]) for key, v in rhs.items()}, ws,
+        steps=window.steps, m2_sign=m2_sign) for i in range(k)]
 
 
 def carleman_sides(q_values: np.ndarray, c: np.ndarray, ws: WeightSet,

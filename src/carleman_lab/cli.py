@@ -248,8 +248,9 @@ def cmd_reconstruct(ctx: RunContext):
 
 
 def cmd_all(ctx: RunContext):
-    """The six report files; the snapshot bound is asserted inside the
-    energy pipeline and the single-pair check is subsumed by the sweep."""
+    """The six report files.  The energy stage builds the snapshot and
+    energy bound reports, which raise on a non-finite or negative term,
+    but writes neither; the single-pair check is subsumed by the sweep."""
     files = []
     for fn in (cmd_verify_carleman, cmd_verify_poincare, cmd_verify_energy,
                cmd_sweep_stability, cmd_reconstruct):

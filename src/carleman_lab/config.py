@@ -137,36 +137,34 @@ def load_config(path=None) -> ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         raw.update(user)
     # parsers by field annotation; validate() checks ints and strings
-    parse = {"float": _number, "tuple": _number_list,
-             "object": _check_field_spec}
+    parse = {"float": _number, "tuple": _number_list}
     types = {f.name: f.type for f in fields(ExperimentConfig)}
     values = {}
     for key, val in raw.items():
         name = _FIELD_NAMES.get(key, key)
         values[name] = parse.get(types[name], lambda v, k: v)(val, key)
-    return ExperimentConfig(base_dir=base_dir, **values).validate()
-
-
-def _check_field_spec(spec, key):
-    """Structural validation only; evaluation re-checks against the grid."""
-    if isinstance(spec, dict) and set(spec) == {"csv"}:
-        if not isinstance(spec["csv"], str):
-            raise ConfigError(f"{key}: csv must be a path string")
-    else:
-        _expression(spec, key, None)
-    return spec
+    cfg = ExperimentConfig(base_dir=base_dir, **values).validate()
+    # the field specs last: a 'y' node needs the validated dimension
+    for key in ("background", "gamma"):
+        spec = getattr(cfg, key)
+        if isinstance(spec, dict) and set(spec) == {"csv"}:
+            if not isinstance(spec["csv"], str):
+                raise ConfigError(f"{key}: csv must be a path string")
+        else:
+            _expression(spec, key, cfg.dimension, None)
+    return cfg
 
 
 def evaluate_field(spec, grid: Grid, base_dir: str = ".") -> np.ndarray:
     """Nodal values of an expression tree or a node,value CSV."""
     if isinstance(spec, dict) and set(spec) == {"csv"}:
         return _field_from_csv(os.path.join(base_dir, spec["csv"]), grid)
-    return _expression(spec, "field", grid)
+    return _expression(spec, "field", grid.dimension, grid)
 
 
-def _expression(node, key, grid):
-    """Check an expression tree against _NODE_KEYS; given a grid (not
-    None), also return its values at the grid's nodes."""
+def _expression(node, key, dimension, grid):
+    """Check an expression tree against _NODE_KEYS and the dimension;
+    given a grid (not None), also return its values at the nodes."""
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError(f"{key}: expression node must be an object "
                           f"with a 'kind'")
@@ -181,7 +179,8 @@ def _expression(node, key, grid):
     if kind in ("sum", "product") and (not isinstance(children, list)
                                        or not children):
         raise ConfigError(f"{key}: children must be a nonempty list")
-    values = [_expression(child, key, grid) for child in children or ()]
+    values = [_expression(child, key, dimension, grid)
+              for child in children or ()]
     if kind == "const":
         value = _number(node["value"], f"{key}.value")
     if kind == "polynomial":
@@ -189,13 +188,13 @@ def _expression(node, key, grid):
         if not isinstance(coeffs, list) or not coeffs:
             raise ConfigError(f"{key}: coeffs must be a nonempty list")
         coeffs = [_number(c, f"{key}.coeffs") for c in coeffs]
+    if kind == "y" and dimension < 2:
+        raise ConfigError(f"{key}: 'y' used in a 1D configuration")
     if grid is None:
         return None
     if kind == "const":
         return np.full(grid.n_nodes, value)
     if kind in ("x", "y"):
-        if kind == "y" and grid.dimension < 2:
-            raise ConfigError("'y' used in a 1D configuration")
         return grid.coords[:, "xy".index(kind)].copy()
     if kind == "sin":
         return np.sin(values[0])

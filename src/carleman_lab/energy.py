@@ -99,13 +99,7 @@ def snapshot_bound_sides(y: SpaceTimeField, gamma: np.ndarray,
             gamma0_traces(_window_rows(y, ws)[1:-1], ws.grid), ws),
         "coeff": ws.s**-0.5 * ws.lam**-0.5 * _coeff_mass(gamma, ws),
     }
-    return EstimateReport(
-        name="snapshot_bound",
-        lhs_terms=lhs,
-        rhs_terms=rhs,
-        params={"s": ws.s, "lam": ws.lam, "n": ws.grid.n,
-                "eta_ref": ws.eta_ref},
-    ).validate()
+    return EstimateReport.for_weights("snapshot_bound", lhs, rhs, ws)
 
 
 def energy_bound_sides(y: SpaceTimeField, gamma: np.ndarray, c: np.ndarray,
@@ -119,10 +113,4 @@ def energy_bound_sides(y: SpaceTimeField, gamma: np.ndarray, c: np.ndarray,
             gamma0_traces(_window_rows(y, ws)[1:-1], ws.grid), ws),
         "coeff": ws.s * _coeff_mass(gamma, ws),
     }
-    return EstimateReport(
-        name="energy_bound",
-        lhs_terms=lhs,
-        rhs_terms=rhs,
-        params={"s": ws.s, "lam": ws.lam, "n": ws.grid.n,
-                "eta_ref": ws.eta_ref},
-    ).validate()
+    return EstimateReport.for_weights("energy_bound", lhs, rhs, ws)

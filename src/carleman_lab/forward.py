@@ -85,21 +85,19 @@ BLOCK_UNKNOWNS = 2**12
 
 @dataclass
 class HeatProblem:
-    """Conductivity, boundary data, initial state and positivity floor.
+    """Conductivity, boundary data and initial state.
 
     g maps a time to a full-length nodal array; only its boundary entries
     are read.  g must be a pure function of t: solve_heat tabulates it
     once per time grid and reuses the table for every later solve with
     the same g.  c may be a (K, n_nodes) stack, K conductivities sharing
-    the rest.  verification_mode admits manufactured data violating the
-    positivity floor (g = 0 and the like) and skips those checks.
+    the rest.  The solver asks nothing of the data's sign; the setups
+    module keeps its own data at or above 1.
     """
 
     c: np.ndarray
     g: Callable[[float], np.ndarray]
     q0: np.ndarray
-    r: float = 1.0
-    verification_mode: bool = False
 
     def validate(self, grid: Grid):
         c = np.asarray(self.c, dtype=float)
@@ -110,11 +108,6 @@ class HeatProblem:
             raise GridError("conductivity must be finite and positive")
         if not np.all(np.isfinite(q0)):
             raise GridError("q0 must be finite")
-        if not self.verification_mode:
-            if not (self.r > 0.0):
-                raise GridError("positivity floor r must be > 0")
-            if np.any(q0 < self.r - 1e-12):
-                raise GridError("q0 violates the positivity floor")
 
 
 @dataclass
@@ -399,11 +392,6 @@ def solve_heat(problem: HeatProblem, grid: Grid, timegrid: TimeGrid, *,
     if np.max(np.abs(q0[boundary] - drive[0])) > 1e-12:
         raise GridError(
             f"q0 and g({timegrid.times[0]}) disagree on the boundary")
-    if not problem.verification_mode:
-        low = np.any(drive[1:] < problem.r - 1e-12, axis=1)
-        if np.any(low):
-            t = timegrid.times[1 + int(np.argmax(low))]
-            raise GridError(f"boundary data violates the positivity floor at t={t}")
 
     members = c.reshape(-1, grid.n_nodes)
     values = np.empty((len(members), timegrid.steps + 1, grid.n_nodes))

@@ -91,15 +91,8 @@ def lemma_sides(g: np.ndarray, base: TransportBase,
     rhs = {
         "transport": weighted_norm_space(p0g, ws, -1),
     }
-    return EstimateReport(
-        name="poincare_lemma",
-        lhs_terms=lhs,
-        rhs_terms=rhs,
-        params={
-            "s": ws.s, "lam": ws.lam, "n": ws.grid.n,
-            "eta_ref": ws.eta_ref, "min_transport": base.min_transport,
-        },
-    ).validate()
+    return EstimateReport.for_weights("poincare_lemma", lhs, rhs, ws,
+                                      min_transport=base.min_transport)
 
 
 def check_flat_boundary(gamma: np.ndarray, grid: Grid):
@@ -188,15 +181,10 @@ def proposition_sides(gamma: np.ndarray, q_tilde: SpaceTimeField,
                 norms[key] = weighted_norm_space(fields[key[0]], ws, key[1])
         return {name: scale * norms[name, k] for name, k in terms}
 
-    params = {
-        "s": ws.s, "lam": ws.lam, "n": grid.n,
-        "eta_ref": ws.eta_ref, "min_transport": base.min_transport,
-    }
-
     def part(name, lhs, rhs):
-        return EstimateReport(name=name,
-                              lhs_terms=side(lhs, ws.s**2 * ws.lam**2),
-                              rhs_terms=side(rhs, 1.0), params=params).validate()
+        return EstimateReport.for_weights(
+            name, side(lhs, ws.s**2 * ws.lam**2), side(rhs, 1.0), ws,
+            min_transport=base.min_transport)
 
     return PropositionReport(
         scalar=part("poincare_scalar", [("coeff", 1)],

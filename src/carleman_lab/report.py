@@ -25,6 +25,14 @@ class EstimateReport:
     rhs_terms: dict
     params: dict = field(default_factory=dict)
 
+    @classmethod
+    def for_weights(cls, name, lhs_terms, rhs_terms, ws, **params):
+        """The validated report of one estimate on the weight set ws:
+        params records ws's (s, lam, n, eta_ref), then the given ones."""
+        return cls(name, lhs_terms, rhs_terms,
+                   {"s": ws.s, "lam": ws.lam, "n": ws.grid.n,
+                    "eta_ref": ws.eta_ref, **params}).validate()
+
     @property
     def lhs_total(self) -> float:
         return float(sum(self.lhs_terms.values()))

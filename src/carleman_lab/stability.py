@@ -153,20 +153,17 @@ def _family_sides(gammas: np.ndarray, setup: ExperimentSetup,
     dist = observation_distance_plain(
         extract_observations(twin.q, grid, window),
         extract_observations(twin.q_tilde, grid, window), grid, window)
-    params = {"s": ws.s, "lam": ws.lam, "n": grid.n, "eta_ref": ws.eta_ref,
-              "min_transport": base.min_transport}
     reports = []
     for m in range(len(gammas)):
         lhs = {"coeff": float(coeff[m]), "grad_coeff": float(grad_coeff[m])}
-        weighted = EstimateReport(
-            name="stability_weighted", lhs_terms=lhs,
-            rhs_terms={k: float(v[m]) for k, v in weighted_rhs.items()},
-            params=dict(params)).validate()
-        plain = EstimateReport(
-            name="stability_plain", lhs_terms=dict(lhs),
-            rhs_terms={k: float(v[m]) for k, v in dist.items()
-                       if k != "total"},
-            params=dict(params)).validate()
+        weighted = EstimateReport.for_weights(
+            "stability_weighted", lhs,
+            {k: float(v[m]) for k, v in weighted_rhs.items()}, ws,
+            min_transport=base.min_transport)
+        plain = EstimateReport.for_weights(
+            "stability_plain", dict(lhs),
+            {k: float(v[m]) for k, v in dist.items() if k != "total"}, ws,
+            min_transport=base.min_transport)
         reports.append(StabilityReport(weighted=weighted, plain=plain))
     return reports
 

@@ -67,8 +67,6 @@ def test_acceptance_1_forward_solver():
                 c=np.full(grid.n_nodes, 1.0 / np.pi**2),
                 g=lambda t: np.zeros(grid.n_nodes),
                 q0=np.sin(np.pi * x),
-                r=1.0,
-                verification_mode=True,
             )
             q = solve_heat(prob, grid, tg)
             exact = np.exp(-tg.times)[:, None] * np.sin(np.pi * x)[None, :]

@@ -160,7 +160,6 @@ def test_heat_solution_dominated_by_boundary_term():
         c=np.full(grid.n_nodes, 1.0 / np.pi**2),
         g=lambda t: np.zeros(grid.n_nodes),
         q0=np.sin(np.pi * x),
-        verification_mode=True,
     )
     field = solve_heat(prob, grid, timegrid)
     _, offset = timegrid.window(0.5)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from importlib import resources
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -171,8 +172,12 @@ _WELL_FORMED = {
 def test_expression_walker_covers_every_kind(tmp_path, kind):
     assert set(_WELL_FORMED) == set(config._NODE_KEYS)
     node, want = _WELL_FORMED[kind]
-    cfg = load_config(write_config(tmp_path, gamma=node))
+    plane = {"dimension": 2, "x0": [-0.1, -0.1]} if kind == "y" else {}
+    cfg = load_config(write_config(tmp_path, gamma=node, **plane))
     assert cfg.gamma == node
+    if kind == "y":
+        with pytest.raises(ConfigError, match="gamma: 'y' used in a 1D"):
+            load_config(write_config(tmp_path, gamma=node))
     for dimension in (1, 2):
         grid = build_grid(dimension, 8,
                           ["right"] if dimension == 1 else ["north", "east"])
@@ -190,7 +195,7 @@ def test_expression_walker_covers_every_kind(tmp_path, kind):
         for key in config._NODE_KEYS[kind]]
     for bad in broken:
         with pytest.raises(ConfigError, match=f"node {kind!r} takes keys"):
-            load_config(write_config(tmp_path, gamma=bad))
+            load_config(write_config(tmp_path, gamma=bad, **plane))
 
 
 def test_field_from_csv_roundtrip(tmp_path):
@@ -344,6 +349,21 @@ def test_all_emits_six_report_files(tmp_path):
     ]
 
 
+def test_all_with_plot_writes_one_svg_per_plotting_stage(tmp_path):
+    assert run("all", plot=True, out=str(tmp_path)) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    svgs = {"carleman_sweep.svg": len(load_config(None).lambdas),
+            "energy_curve.svg": 1, "sweep.svg": 1, "recon_log.svg": 1}
+    assert names == sorted(list(svgs) + [
+        "carleman_summary.csv", "carleman_sweep.csv", "energy_curve.csv",
+        "poincare.csv", "recon_log.csv", "sweep.csv"])
+    for name, series in svgs.items():
+        root = ElementTree.parse(tmp_path / name).getroot()
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) \
+            == series
+
+
 def test_all_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run("all", out=str(a)) == 0
@@ -412,6 +432,18 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys):
     assert run("reconstruct", config_path=cfg, out=str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "sigma" in err
+
+
+@pytest.mark.parametrize("key", ["background", "gamma"])
+def test_y_node_in_1d_is_a_config_error_naming_the_key(tmp_path, capsys, key):
+    node = {"kind": "sum", "children": [
+        {"kind": "const", "value": 1.0},
+        {"kind": "product", "children": [{"kind": "const", "value": 0.1},
+                                         {"kind": "y"}]}]}
+    cfg = write_config(tmp_path, **{key: node})
+    assert run("forward", config_path=cfg, out=str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: 'y' used in a 1D")
 
 
 def test_output_path_collision_is_a_config_error(tmp_path, capsys):

@@ -34,8 +34,6 @@ def decaying_sine_problem(grid):
         c=np.full(grid.n_nodes, 1.0 / np.pi**2),
         g=lambda t: np.zeros(grid.n_nodes),
         q0=np.sin(np.pi * x),
-        r=1.0,
-        verification_mode=True,
     )
 
 
@@ -55,7 +53,6 @@ def test_steady_state_exact():
         c=np.ones(g.n_nodes),
         g=lambda t: np.ones(g.n_nodes),
         q0=np.ones(g.n_nodes),
-        r=0.5,
     )
     q = solve_heat(prob, g, tg)
     assert np.max(np.abs(q.values - 1.0)) < 1e-13
@@ -82,24 +79,25 @@ def test_2d_manufactured_solution():
         c=np.full(g.n_nodes, 1.0 / np.pi**2),
         g=lambda t: np.zeros(g.n_nodes),
         q0=np.sin(np.pi * x) * np.sin(np.pi * y),
-        verification_mode=True,
     )
     q = solve_heat(prob, g, tg)
     exact = np.exp(-2.0) * np.sin(np.pi * x) * np.sin(np.pi * y)
     assert np.max(np.abs(q.at_time(1.0) - exact)) < 5e-3
 
 
-def test_positivity_floor_checked():
-    g = build_grid(1, 8, ["right"])
-    tg = TimeGrid(0.0, 1.0, 8)
-    prob = HeatProblem(
-        c=np.ones(g.n_nodes),
-        g=lambda t: np.ones(g.n_nodes) * (1.0 - t),  # dips below r
-        q0=np.ones(g.n_nodes),
-        r=0.5,
-    )
-    with pytest.raises(GridError, match="positivity"):
-        solve_heat(prob, g, tg)
+@pytest.mark.parametrize("dimension,n", [(1, 17), (1, 32), (2, 16), (2, 17)])
+def test_setup_data_stay_at_or_above_one(dimension, n):
+    # solve_heat asks nothing of the data's sign: the setups' closed
+    # forms keep q0 and every tabulated boundary row at or above 1
+    for setup in (default_setup(dimension, n),
+                  default_setup(dimension, n, steps=96),
+                  default_setup(dimension, n, t0=0.125, t_end=0.25, steps=16),
+                  inversion_setup(dimension, n)):
+        boundary = setup.grid.boundary_mask
+        drive = forward._drive_table(setup.base.g, setup.timegrid)
+        assert drive.shape == (setup.timegrid.steps + 1, setup.grid.n_nodes)
+        assert np.min(setup.base.q0) >= 1.0
+        assert np.min(drive[:, boundary]) >= 1.0
 
 
 def test_compatibility_checked():
@@ -109,7 +107,6 @@ def test_compatibility_checked():
         c=np.ones(g.n_nodes),
         g=lambda t: np.full(g.n_nodes, 2.0),
         q0=np.ones(g.n_nodes),
-        r=0.5,
     )
     with pytest.raises(GridError, match="boundary"):
         solve_heat(prob, g, tg)
@@ -136,7 +133,7 @@ def test_discrete_maximum_principle():
         vals[-1] = r + 0.5 * np.sin(np.pi * t / 2.0) ** 2
         return vals
 
-    prob = HeatProblem(c=1.0 + 0.5 * x, g=bdata, q0=np.full(g.n_nodes, r), r=r)
+    prob = HeatProblem(c=1.0 + 0.5 * x, g=bdata, q0=np.full(g.n_nodes, r))
     q = solve_heat(prob, g, tg)
     assert q.values.min() >= r - 1e-8
 
@@ -152,7 +149,6 @@ def test_affine_superposition_in_data():
             c=c,
             g=lambda t: amp * np.cos(t) * np.ones(g.n_nodes),
             q0=q0,
-            verification_mode=True,
         )
 
     q0a = rng.standard_normal(g.n_nodes)
@@ -174,7 +170,6 @@ def test_twin_solves_identical_coefficient():
         c=1.0 + 0.5 * x**2,
         g=lambda t: 1.0 + 0.1 * t * np.ones(g.n_nodes),
         q0=np.ones(g.n_nodes),
-        r=1.0,
     )
     q1 = solve_heat(prob, g, tg)
     q2 = solve_heat(prob, g, tg)
@@ -186,7 +181,7 @@ def test_solve_heat_uses_a_matching_stepper_and_rejects_others():
     tg = TimeGrid(0.0, 2.0, 32)
     c = 1.0 + 0.5 * g.coords[:, 0] ** 2
     prob = HeatProblem(c=c, g=lambda t: 1.0 + 0.1 * t * np.ones(g.n_nodes),
-                       q0=np.ones(g.n_nodes), r=1.0)
+                       q0=np.ones(g.n_nodes))
     own = solve_heat(prob, g, tg).values
     shared = CrankNicolsonStepper(c, g, tg.dt)
     np.testing.assert_array_equal(
@@ -403,7 +398,7 @@ def test_solve_heat_and_gradient_match_reference_recurrence(dimension, n):
     rng = np.random.default_rng(23)
     c = 1.0 + stability.admissible_projection(0.3 * rng.random(grid.n_nodes),
                                               grid)
-    prob = HeatProblem(c=c, g=inv.base.g, q0=inv.base.q0, r=inv.base.r)
+    prob = HeatProblem(c=c, g=inv.base.g, q0=inv.base.q0)
 
     # the forward recurrence as the stepper formed it with scipy's A @ v
     A, Bbd, _, chol = reference_assembly(c, grid, dt)
@@ -490,7 +485,7 @@ def test_sweeps_match_reference_recurrence_where_half_dt_is_inexact(
         rhs = v + 0.5 * dt * (A @ v + rhs_bd[j - 1] + rhs_bd[j])
         v = scipy.linalg.cho_solve_banded((chol, False), rhs)
         rows.append(v)
-    prob = HeatProblem(c=c, g=inv.base.g, q0=inv.base.q0, r=inv.base.r)
+    prob = HeatProblem(c=c, g=inv.base.g, q0=inv.base.q0)
     values = solve_heat(prob, grid, tg).values
     assert max_relative(values[:, interior], np.array(rows)) <= 1e-14
 

@@ -100,7 +100,6 @@ def test_twin_observation_distance_zero():
         c=1.0 + 0.5 * x,
         g=lambda t: np.ones(g.n_nodes) + 0.1 * t,
         q0=np.ones(g.n_nodes),
-        r=1.0,
     )
     o1 = extract_observations(solve_heat(prob, g, tg), g, win)
     o2 = extract_observations(solve_heat(prob, g, tg), g, win)

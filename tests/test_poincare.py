@@ -196,7 +196,7 @@ def test_cit_residual_scales_with_data():
     doubled = dataclasses.replace(
         setup,
         base=HeatProblem(c=base.c, g=lambda t: 2.0 * base.g(t),
-                         q0=2.0 * base.q0, r=base.r),
+                         q0=2.0 * base.q0),
     )
     tw2 = twin_solve(doubled, gam)
     res2 = cit_residual(gam, doubled.c_tilde, tw2.q_tilde, tw2.u, tw2.y,

@@ -519,15 +519,14 @@ def test_reconstruct_builds_one_read_only_pattern_per_grid():
     assert forward._flux_pattern(1, 16).a_indices.min() == 0
 
 
-def test_conductivity_swaps_keep_the_verification_mode():
-    # zero drive and state violate the positivity floor, which a
-    # verification-mode problem admits in every solve of it
+def test_zero_data_misfit_is_the_regularization_alone():
+    # zero drive and state: every solve the misfit and its gradient run
+    # on swapped conductivities gives zero flux
     setup = default_setup(dimension=1, n=8)
     grid, zero = setup.grid, np.zeros(setup.grid.n_nodes)
     setup = dataclasses.replace(setup, base=dataclasses.replace(
-        setup.base, g=lambda t: zero, q0=zero, verification_mode=True))
+        setup.base, g=lambda t: zero, q0=zero))
     gamma = 0.05 * bump_shape(grid)
-    assert setups.perturbed_problem(setup, gamma).verification_mode
     c = 1.0 + admissible_projection(gamma, grid)
     data = make_observations(setup, c)
     assert all(not np.any(flux) for flux in data.flux.values())
