@@ -12,7 +12,8 @@ tabulated once per (drive, time grid) and its contribution to every
 step formed in one product.
 
 A (K, n_nodes) stack of conductivities is one block-diagonal system,
-each member's field bitwise its own single solve.
+each member's field bitwise its own single solve, swept whole; the
+stability sweep, the one caller of many members, caps its stacks.
 
 The stepper's adjoint sweep runs the transposed recurrence on the same
 factor for the reconstruction gradient, so the forward map and its
@@ -75,12 +76,6 @@ _flapack = _scipy_extension("scipy.linalg", "_flapack")
 _sparsetools = _scipy_extension("scipy.sparse", "_sparsetools")
 _pbtrf, _pbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 csr_matvec, csr_matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
-
-# interior unknowns per block sweep.  Stepping 13 conductivities on a
-# 2-core Xeon (2 MB L2 per core), blocks of up to ~4,000 beat single
-# sweeps (1D n = 32: 3.5 -> 1.6 ms, 2D n = 16: 12.0 -> 10.3 ms) and larger
-# ones lose (2D n = 40: 81.9 ms single, 104.7 ms as one block of 13)
-BLOCK_UNKNOWNS = 2**12
 
 
 @dataclass
@@ -375,11 +370,11 @@ def _drive_table(g: Callable[[float], np.ndarray],
 def solve_heat(problem: HeatProblem, grid: Grid, timegrid: TimeGrid, *,
                stepper: CrankNicolsonStepper | None = None) -> SpaceTimeField:
     """CN solution on the whole time grid, (K, steps + 1, n_nodes) for a
-    stack problem.c swept in blocks of BLOCK_UNKNOWNS unknowns or one
-    member.  A caller that also needs the factor (the reconstruction
-    adjoint) may pass a stepper built for problem.c and timegrid.dt; one
-    built for another conductivity or step raises GridError.  Such a
-    caller validates problem itself, before it builds the factor."""
+    stack problem.c, swept whole by one stepper.  A caller that also
+    needs the factor (the reconstruction adjoint) may pass a stepper
+    built for problem.c and timegrid.dt; one built for another
+    conductivity or step raises GridError.  Such a caller validates
+    problem itself, before it builds the factor."""
     c = np.asarray(problem.c, dtype=float)
     if stepper is None:
         problem.validate(grid)
@@ -393,17 +388,12 @@ def solve_heat(problem: HeatProblem, grid: Grid, timegrid: TimeGrid, *,
         raise GridError(
             f"q0 and g({timegrid.times[0]}) disagree on the boundary")
 
-    members = c.reshape(-1, grid.n_nodes)
-    values = np.empty((len(members), timegrid.steps + 1, grid.n_nodes))
+    stepper = stepper or CrankNicolsonStepper(c, grid, timegrid.dt)
+    k = stepper.members
+    values = np.empty((k, timegrid.steps + 1, grid.n_nodes))
     values[:, :, boundary] = drive
-    size = len(members) if stepper else max(1, BLOCK_UNKNOWNS // interior.size)
-    for i in range(0, len(members), size):
-        block = stepper or CrankNicolsonStepper(members[i : i + size], grid,
-                                                timegrid.dt)
-        inner = block.sweep(np.tile(q0[interior], block.members),
-                            block.boundary_rhs(drive))
-        values[i : i + block.members, :, interior] = inner.reshape(
-            timegrid.steps + 1, block.members, -1).swapaxes(0, 1)
+    inner = stepper.sweep(np.tile(q0[interior], k), stepper.boundary_rhs(drive))
+    values[:, :, interior] = inner.reshape(-1, k, interior.size).swapaxes(0, 1)
     if not np.all(np.isfinite(values)):
         raise SolverError("non-finite state produced by time stepping")
     return SpaceTimeField(values=values.reshape(c.shape[:-1] + values.shape[1:]),

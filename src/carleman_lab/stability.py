@@ -4,9 +4,9 @@ The estimate side solves the twin problems for a coefficient pair,
 forms the rate field, and compares the weighted midpoint mass of the
 coefficient difference against the observed boundary flux (weighted
 form) and against the unweighted observation distance (plain form).
-A sweep solves its base and members as one stack, runs each stencil
-once on the (member, time, node) stack and each norm member by member,
-so a record is bitwise stability_sides of its pair, the one-pair stack.
+A sweep stacks its base with capped chunks of members, runs each
+stencil once on a chunk's (member, time, node) stack and each norm per
+member, so a record is bitwise stability_sides of its pair.
 
 The inverse side minimizes
 
@@ -175,12 +175,19 @@ def stability_sides(pair: CoefficientPair, setup: ExperimentSetup,
     return _family_sides(pair.gamma[None], setup, ws)[0]
 
 
+# interior unknowns per _family_sides stack, base included.  Stepping 13
+# conductivities on a 2-core Xeon (2 MB L2), stacks of ~4,000 beat single
+# sweeps (2D n = 16: 12.0 -> 10.3 ms) and larger ones lose (n = 40: 81.9
+# -> 104.7 ms); 2D n = 32 chunks cut the sweep's traced peak 48.6 -> 19.3 MB
+BLOCK_UNKNOWNS = 2**12
+
+
 def stability_sweep(family, setup: ExperimentSetup, ws: WeightSet) -> tuple:
     """Per-member reports plus the sweep summary: the empirical constant
     with its argmax member, a global log-log slope of LHS against plain
     observation distance, and per-shape slopes over amplitude scalings.
-    The base and the members are one stack (_family_sides); a member is
-    excluded when eps is 0 or its admissible projection vanishes."""
+    Each capped chunk of members is one stack with the base (_family_sides);
+    a member is excluded when eps is 0 or its admissible projection is 0."""
     members = []
     excluded = []
     for label, eps, gamma in family:
@@ -192,8 +199,11 @@ def stability_sweep(family, setup: ExperimentSetup, ws: WeightSet) -> tuple:
         members.append((label, float(eps), pair.gamma))
     if not members:
         raise GridError("stability family left no admissible members")
-    reports = _family_sides(np.array([gamma for *_, gamma in members]),
-                            setup, ws)
+    gammas, grid = np.array([gamma for *_, gamma in members]), setup.grid
+    size = max(1, BLOCK_UNKNOWNS // (grid.n - 1) ** grid.dimension - 1)
+    reports = []
+    for i in range(0, len(gammas), size):
+        reports += _family_sides(gammas[i : i + size], setup, ws)
     records = [{
         "member": label,
         "eps": eps,

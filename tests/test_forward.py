@@ -669,34 +669,6 @@ def test_stacked_adjoint_sweep_equals_the_single_sweeps(dimension, n):
         assert got[:, m * ni:(m + 1) * ni].tobytes() == single.tobytes()
 
 
-@pytest.mark.parametrize("dimension", [1, 2])
-def test_stacked_solve_splits_at_the_block_cap(dimension, monkeypatch):
-    setup = default_setup(dimension, 32 if dimension == 1 else 16, steps=64)
-    grid, tg = setup.grid, setup.timegrid
-    cs = member_stack(setup, 7, 34)
-    problem = dataclasses.replace(setup.base, c=cs)
-    whole = solve_heat(problem, grid, tg).values
-    blocks = []
-
-    class Counting(CrankNicolsonStepper):
-        def __init__(self, c, *args):
-            super().__init__(c, *args)
-            blocks.append(self.members)
-
-    monkeypatch.setattr(forward, "CrankNicolsonStepper", Counting)
-    ni = (grid.n - 1) ** dimension
-    # two and a half members' unknowns: blocks of two, the last of one
-    monkeypatch.setattr(forward, "BLOCK_UNKNOWNS", 5 * ni // 2)
-    split = solve_heat(problem, grid, tg).values
-    assert blocks == [2, 2, 2, 1]
-    assert split.tobytes() == whole.tobytes()
-    # below one member's unknowns each member is its own block
-    blocks.clear()
-    monkeypatch.setattr(forward, "BLOCK_UNKNOWNS", ni - 1)
-    assert solve_heat(problem, grid, tg).values.tobytes() == whole.tobytes()
-    assert blocks == [1] * 7
-
-
 def test_stacked_solve_checks_every_member():
     setup = default_setup(1, 16, steps=32)
     cs = member_stack(setup, 3, 35)

@@ -1,6 +1,7 @@
 """Two-sided stability experiment, the sweep, and the inverse solver."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,8 +254,8 @@ def test_stability_sweep_records_equal_the_one_pair_sides(dimension):
 
 def test_stability_sweep_records_equal_the_one_pair_sides_in_split_blocks(
         monkeypatch):
-    # 2D, with the cap at two and a half members' unknowns: the base and
-    # six members are swept in blocks of 2, 2, 2 and 1
+    # 2D, with the family cap at five and a half members' unknowns: the
+    # six members go in chunks of four and two, each stacked with the base
     setup, ws = sweep_case(2)
     fam = perturbation_family(setup.grid)[::2]
     blocks = []
@@ -265,10 +266,15 @@ def test_stability_sweep_records_equal_the_one_pair_sides_in_split_blocks(
             blocks.append(self.members)
 
     monkeypatch.setattr(forward, "CrankNicolsonStepper", Counting)
-    monkeypatch.setattr(forward, "BLOCK_UNKNOWNS",
-                        5 * (setup.grid.n - 1) ** 2 // 2)
+    ni = (setup.grid.n - 1) ** 2
+    monkeypatch.setattr(stability, "BLOCK_UNKNOWNS", 11 * ni // 2)
     records, _ = stability_sweep(fam, setup, ws)
-    assert blocks == [2, 2, 2, 1]
+    assert blocks == [5, 3]
+    # below the base and one member's unknowns each member is its own chunk
+    blocks.clear()
+    monkeypatch.setattr(stability, "BLOCK_UNKNOWNS", ni - 1)
+    assert stability_sweep(fam, setup, ws)[0] == records
+    assert blocks == [2] * 6
     monkeypatch.undo()
     for (label, eps, gamma), rec in zip(fam, records, strict=True):
         rep = stability_sides(make_pair(setup.c_tilde, gamma, setup.grid),
@@ -282,6 +288,22 @@ def test_stability_sweep_records_equal_the_one_pair_sides_in_split_blocks(
             "ratio": rep.ratio_weighted,
             "ratio_plain": rep.ratio_plain,
         }
+
+
+def test_stability_sweep_memory_is_capped_on_a_large_2d_grid():
+    # bench/cfg2d.json's sweep at n = 32 (the same setup and reference
+    # weights): the family in one stack peaked at 48.6 MB, the capped
+    # chunks at 19.3 MB; the default 1D and cfg2d sweeps read 1.75 and
+    # 13.87 MB either way
+    setup = default_setup(dimension=2, n=32)
+    ws, fam = default_weights(setup), perturbation_family(setup.grid)
+    tracemalloc.start()
+    try:
+        stability_sweep(fam, setup, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
