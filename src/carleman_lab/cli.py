@@ -20,6 +20,7 @@ import numpy as np
 from .carleman import carleman_sweep, make_test_suite
 from .config import ConfigError, evaluate_field, load_config
 from .energy import (
+    bound_terms,
     energy,
     energy_bound_sides,
     energy_tprime_direct,
@@ -154,7 +155,8 @@ def cmd_verify_poincare(ctx: RunContext):
 
 
 def cmd_verify_snapshot(ctx: RunContext):
-    rep = snapshot_bound_sides(ctx.twin.y, ctx.gamma, ctx.weights_energy())
+    y, ws = ctx.twin.y, ctx.weights_energy()
+    rep = snapshot_bound_sides(y, bound_terms(y, ctx.gamma, ws), ws)
     path = ctx.path("snapshot.csv")
     report_to_csv(rep, path)
     return [path]
@@ -178,8 +180,9 @@ def cmd_verify_energy(ctx: RunContext):
                 raise SolverError(
                     f"energy at the window {label} is not suppressed: "
                     f"{value} vs midpoint {curve.e_tprime}")
-    snapshot_bound_sides(twin.y, ctx.gamma, ws)
-    energy_bound_sides(twin.y, ctx.gamma, c, ws)
+    terms = bound_terms(twin.y, ctx.gamma, ws)
+    snapshot_bound_sides(twin.y, terms, ws)
+    energy_bound_sides(curve, terms, ws)
 
     path = ctx.path("energy_curve.csv")
     curve.to_csv(path)

@@ -3,9 +3,9 @@
 E(t) integrates c phi^{-1} e^{-2s(eta - eta_ref)} |grad y|^2 in space at
 each interior node of the observation window.  The inverse power of phi
 and the eta decay kill both window endpoints, which is what makes the
-midpoint value E(T') the meaningful scalar here.  The boundary terms of
-both bounds are observe.weighted_boundary_norm of the rate field's
-observe.gamma0_traces on the interior window rows.
+midpoint value E(T') the meaningful scalar here.  Both bounds scale the
+same two right-hand terms of bound_terms: the Gamma0 flux norm of the
+rate field on the interior window rows and the coefficient mass.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ class EnergyCurve:
 
     times: np.ndarray
     values: np.ndarray
-    s: float
-    lam: float
     e_tprime: float
 
     def to_csv(self, path):
@@ -60,14 +58,8 @@ def energy(y: SpaceTimeField, c: np.ndarray, ws: WeightSet) -> EnergyCurve:
     values = density @ space_weights(grid)
     if not np.all(np.isfinite(values)):
         raise GridError("non-finite energy value")
-    curve = EnergyCurve(
-        times=ws.times_interior.copy(),
-        values=values,
-        s=ws.s,
-        lam=ws.lam,
-        e_tprime=float(values[ws.tprime_row]),
-    )
-    return curve
+    return EnergyCurve(times=ws.times_interior.copy(), values=values,
+                       e_tprime=float(values[ws.tprime_row]))
 
 
 def energy_tprime_direct(y: SpaceTimeField, c: np.ndarray,
@@ -80,37 +72,41 @@ def energy_tprime_direct(y: SpaceTimeField, c: np.ndarray,
     return weighted_norm_space(scaled, ws, -1)
 
 
-def _coeff_mass(gamma: np.ndarray, ws: WeightSet) -> float:
+def bound_terms(y: SpaceTimeField, gamma: np.ndarray,
+                ws: WeightSet) -> dict:
+    """The right-hand terms both bounds scale, once gamma's flat
+    boundary is checked: the Gamma0 flux norm of y on the interior
+    window rows and gamma's weighted H1 mass."""
+    check_flat_boundary(gamma, ws.grid)
     grad = discrete_gradient(gamma, ws.grid)
-    return (weighted_norm_spacetime(gamma, ws, 0)
-            + weighted_norm_spacetime(grad, ws, 0))
+    return {
+        "boundary": weighted_boundary_norm(
+            gamma0_traces(_window_rows(y, ws)[1:-1], ws.grid), ws),
+        "coeff": (weighted_norm_spacetime(gamma, ws, 0)
+                  + weighted_norm_spacetime(grad, ws, 0)),
+    }
 
 
-def snapshot_bound_sides(y: SpaceTimeField, gamma: np.ndarray,
+def snapshot_bound_sides(y: SpaceTimeField, terms: dict,
                          ws: WeightSet) -> EstimateReport:
     """Midpoint mass of the rate field against boundary flux plus the
     fractional-power coefficient mass."""
-    check_flat_boundary(gamma, ws.grid)
     lhs = {
         "snapshot": weighted_norm_space(y.at_time(ws.timegrid.t_mid), ws, 0),
     }
     rhs = {
-        "boundary": ws.lam**0.5 * weighted_boundary_norm(
-            gamma0_traces(_window_rows(y, ws)[1:-1], ws.grid), ws),
-        "coeff": ws.s**-0.5 * ws.lam**-0.5 * _coeff_mass(gamma, ws),
+        "boundary": ws.lam**0.5 * terms["boundary"],
+        "coeff": ws.s**-0.5 * ws.lam**-0.5 * terms["coeff"],
     }
     return EstimateReport.for_weights("snapshot_bound", lhs, rhs, ws)
 
 
-def energy_bound_sides(y: SpaceTimeField, gamma: np.ndarray, c: np.ndarray,
+def energy_bound_sides(curve: EnergyCurve, terms: dict,
                        ws: WeightSet) -> EstimateReport:
     """E(T') against the s-weighted boundary flux and coefficient mass."""
-    check_flat_boundary(gamma, ws.grid)
-    curve = energy(y, c, ws)
     lhs = {"energy": curve.e_tprime}
     rhs = {
-        "boundary": ws.s * ws.lam * weighted_boundary_norm(
-            gamma0_traces(_window_rows(y, ws)[1:-1], ws.grid), ws),
-        "coeff": ws.s * _coeff_mass(gamma, ws),
+        "boundary": ws.s * ws.lam * terms["boundary"],
+        "coeff": ws.s * terms["coeff"],
     }
     return EstimateReport.for_weights("energy_bound", lhs, rhs, ws)

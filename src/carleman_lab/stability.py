@@ -123,14 +123,6 @@ class StabilityReport:
     weighted: EstimateReport
     plain: EstimateReport
 
-    @property
-    def ratio_weighted(self) -> float:
-        return self.weighted.ratio
-
-    @property
-    def ratio_plain(self) -> float:
-        return self.plain.ratio
-
 
 def _family_sides(gammas: np.ndarray, setup: ExperimentSetup,
                   ws: WeightSet) -> list:
@@ -210,8 +202,8 @@ def stability_sweep(family, setup: ExperimentSetup, ws: WeightSet) -> tuple:
         "lhs": rep.weighted.lhs_total,
         "rhs_weighted": rep.weighted.rhs_total,
         "rhs_plain": rep.plain.rhs_total,
-        "ratio": rep.ratio_weighted,
-        "ratio_plain": rep.ratio_plain,
+        "ratio": rep.weighted.ratio,
+        "ratio_plain": rep.plain.ratio,
     } for (label, eps, _), rep in zip(members, reports)]
 
     worst = max(records, key=lambda r: r["ratio"])

@@ -51,7 +51,6 @@ class WeightSet:
     timegrid: TimeGrid
     lam: float
     s: float
-    x0: tuple
     beta_tilde: np.ndarray
     beta: np.ndarray
     grad_beta_tilde: np.ndarray  # analytic, (n_nodes, dim)
@@ -186,9 +185,9 @@ def build_weights(grid: Grid, timegrid: TimeGrid, lam: float, s: float,
 
     return WeightSet(
         grid=grid, timegrid=timegrid, lam=float(lam), s=float(s),
-        x0=tuple(x0.tolist()), beta_tilde=beta_tilde, beta=beta,
-        grad_beta_tilde=grad_bt, K=K, C0=C0, times_interior=t, w=w,
-        w_prime=w_prime, log_phi=log_phi, eta=eta, eta_ref=eta_ref,
+        beta_tilde=beta_tilde, beta=beta, grad_beta_tilde=grad_bt, K=K,
+        C0=C0, times_interior=t, w=w, w_prime=w_prime, log_phi=log_phi,
+        eta=eta, eta_ref=eta_ref,
     )
 
 
@@ -197,8 +196,7 @@ def build_weights(grid: Grid, timegrid: TimeGrid, lam: float, s: float,
 
 @dataclass(frozen=True)
 class TimeProfile:
-    times: np.ndarray       # interior nodes
-    values: np.ndarray      # 1 / ((t - t0)(T - t))
+    values: np.ndarray      # 1 / ((t - t0)(T - t)) at interior nodes
     min_value: float
 
 
@@ -214,7 +212,7 @@ def weight_time_profile(timegrid: TimeGrid) -> TimeProfile:
             f"time profile minimum at node {k + 1}, expected midpoint "
             f"{timegrid.midpoint_index}"
         )
-    return TimeProfile(times=t, values=vals, min_value=float(vals[k]))
+    return TimeProfile(values=vals, min_value=float(vals[k]))
 
 
 # -- empirical bound constants -------------------------------------------

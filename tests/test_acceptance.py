@@ -13,6 +13,7 @@ import numpy as np
 from carleman_lab.carleman import carleman_sides, carleman_sweep, make_test_suite
 from carleman_lab.cli import run
 from carleman_lab.energy import (
+    bound_terms,
     energy,
     energy_bound_sides,
     energy_tprime_direct,
@@ -157,9 +158,10 @@ def test_acceptance_5_snapshot_and_energy_bounds():
         tw = twin_solve(setup, gam)
         c = setup.c_tilde + gam
         ws = default_weights(setup, s=4.0)
-        assert np.isfinite(snapshot_bound_sides(tw.y, gam, ws).ratio)
-        assert np.isfinite(energy_bound_sides(tw.y, gam, c, ws).ratio)
+        terms = bound_terms(tw.y, gam, ws)
         curve = energy(tw.y, c, ws)
+        assert np.isfinite(snapshot_bound_sides(tw.y, terms, ws).ratio)
+        assert np.isfinite(energy_bound_sides(curve, terms, ws).ratio)
         assert np.all(curve.values >= 0.0)
         assert curve.values[0] <= 1e-6 * curve.e_tprime
         direct = energy_tprime_direct(tw.y, c, ws)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import carleman_lab
-from carleman_lab import cli, config, setups
+from carleman_lab import cli, config, energy, observe, poincare, setups
 from carleman_lab.cli import (
     RunContext,
     cmd_verify_energy,
@@ -298,6 +298,40 @@ def test_twin_pipelines_share_one_twin_solve(tmp_path, monkeypatch):
     for cmd in (cmd_verify_poincare, cmd_verify_snapshot, cmd_verify_energy):
         cmd(ctx)
     assert len(calls) == 2       # the perturbed and the base problem
+
+
+CFG2D = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench",
+                     "cfg2d.json")
+
+
+@pytest.mark.parametrize("config_path", [None, CFG2D], ids=["1d", "cfg2d"])
+def test_energy_stage_forms_each_ingredient_once(tmp_path, monkeypatch,
+                                                 config_path):
+    # one energy curve, one Gamma0 norm of y's traces, one coefficient
+    # mass (two spacetime norms) and one flatness check of gamma serve
+    # the curve checks and both bound reports; every module's binding of
+    # each function is counted, as the tracer counts them
+    counted = (energy.energy, observe.gamma0_traces,
+               observe.weighted_boundary_norm,
+               observe.weighted_norm_spacetime, poincare.check_flat_boundary)
+    calls = dict.fromkeys((fn.__name__ for fn in counted), 0)
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("carleman_lab."):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in counted):
+                    monkeypatch.setattr(module, attr, counting(value))
+    ctx = RunContext(load_config(config_path), str(tmp_path), False)
+    cmd_verify_energy(ctx)
+    assert calls == {"energy": 1, "gamma0_traces": 1,
+                     "weighted_boundary_norm": 1,
+                     "weighted_norm_spacetime": 2, "check_flat_boundary": 1}
 
 
 def test_run_context_builds_each_weight_set_once(tmp_path, monkeypatch):

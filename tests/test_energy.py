@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from carleman_lab.energy import (
+    bound_terms,
     energy,
     energy_bound_sides,
     energy_tprime_direct,
@@ -98,7 +99,7 @@ def test_snapshot_bound_zero_gamma():
     zero = np.zeros(setup.grid.n_nodes)
     tw = twin_solve(setup, zero)
     ws = default_weights(setup, s=4.0)
-    rep = snapshot_bound_sides(tw.y, zero, ws)
+    rep = snapshot_bound_sides(tw.y, bound_terms(tw.y, zero, ws), ws)
     assert rep.lhs_total == 0.0
     assert rep.rhs_total == 0.0
     assert rep.ratio == 0.0
@@ -109,7 +110,7 @@ def test_snapshot_bound_default_and_s_trend():
     ratios = {}
     for s in (4.0, 8.0):
         ws = default_weights(setup, s=s)
-        rep = snapshot_bound_sides(tw.y, gam, ws)
+        rep = snapshot_bound_sides(tw.y, bound_terms(tw.y, gam, ws), ws)
         assert np.isfinite(rep.ratio)
         ratios[s] = rep.ratio
     assert ratios[4.0] == pytest.approx(2.636e-11, rel=1e-2)
@@ -119,7 +120,8 @@ def test_snapshot_bound_default_and_s_trend():
 def test_energy_bound_default():
     setup, gam, tw = default_twin()
     ws = default_weights(setup, s=4.0)
-    rep = energy_bound_sides(tw.y, gam, setup.c_tilde + gam, ws)
+    rep = energy_bound_sides(energy(tw.y, setup.c_tilde + gam, ws),
+                             bound_terms(tw.y, gam, ws), ws)
     assert np.isfinite(rep.ratio)
     assert rep.ratio == pytest.approx(2.337e-5, rel=1e-2)
     assert set(rep.rhs_terms) == {"boundary", "coeff"}
@@ -132,8 +134,9 @@ def test_energy_bound_refinement_at_resolved_grid():
     for n in (256, 512):
         setup, gam, tw = default_twin(n=n, steps=128)
         ws = default_weights(setup, s=2.0)
-        ratios.append(
-            energy_bound_sides(tw.y, gam, setup.c_tilde + gam, ws).ratio)
+        ratios.append(energy_bound_sides(
+            energy(tw.y, setup.c_tilde + gam, ws),
+            bound_terms(tw.y, gam, ws), ws).ratio)
     assert abs(ratios[1] - ratios[0]) < 0.2 * ratios[0]
 
 

@@ -89,8 +89,8 @@ def test_stability_sides_zero_gamma():
                      np.zeros(setup.grid.n_nodes), setup.grid)
     rep = stability_sides(pair, setup, ws)
     assert rep.weighted.lhs_total == 0.0
-    assert rep.ratio_weighted == 0.0
-    assert rep.ratio_plain == 0.0
+    assert rep.weighted.ratio == 0.0
+    assert rep.plain.ratio == 0.0
 
 
 def test_stability_sides_default_bump():
@@ -103,8 +103,8 @@ def test_stability_sides_default_bump():
                                            "u_grad"}
     assert set(rep.plain.rhs_terms) == {"flux", "grad_lap", "lap", "grad"}
     assert rep.weighted.lhs_total == pytest.approx(8.599562e-05, rel=1e-5)
-    assert rep.ratio_weighted == pytest.approx(1.630684e-03, rel=1e-5)
-    assert rep.ratio_plain == pytest.approx(8.643686e-05, rel=1e-5)
+    assert rep.weighted.ratio == pytest.approx(1.630684e-03, rel=1e-5)
+    assert rep.plain.ratio == pytest.approx(8.643686e-05, rel=1e-5)
 
 
 def test_stability_sides_swap_exact():
@@ -130,7 +130,7 @@ def test_stability_sides_linear_regime():
         pair = make_pair(np.ones(setup.grid.n_nodes),
                          eps * bump_shape(setup.grid), setup.grid)
         rep = stability_sides(pair, setup, ws)
-        ratios[eps] = (rep.ratio_weighted, rep.ratio_plain)
+        ratios[eps] = (rep.weighted.ratio, rep.plain.ratio)
     for k in range(2):
         drift = abs(ratios[0.01][k] - ratios[0.005][k]) / ratios[0.01][k]
         assert drift < 0.10
@@ -247,8 +247,8 @@ def test_stability_sweep_records_equal_the_one_pair_sides(dimension):
             "lhs": rep.weighted.lhs_total,
             "rhs_weighted": rep.weighted.rhs_total,
             "rhs_plain": rep.plain.rhs_total,
-            "ratio": rep.ratio_weighted,
-            "ratio_plain": rep.ratio_plain,
+            "ratio": rep.weighted.ratio,
+            "ratio_plain": rep.plain.ratio,
         }
 
 
@@ -285,8 +285,8 @@ def test_stability_sweep_records_equal_the_one_pair_sides_in_split_blocks(
             "lhs": rep.weighted.lhs_total,
             "rhs_weighted": rep.weighted.rhs_total,
             "rhs_plain": rep.plain.rhs_total,
-            "ratio": rep.ratio_weighted,
-            "ratio_plain": rep.ratio_plain,
+            "ratio": rep.weighted.ratio,
+            "ratio_plain": rep.plain.ratio,
         }
 
 
