@@ -106,6 +106,17 @@ class RunContext:
         return os.path.join(self.out_dir, name)
 
 
+def _report_underflow(command, sides):
+    """One stderr line per (lam, s) of sides, the (lam, s, lhs, rhs) of a
+    command's weighted estimates, where a LHS is exactly 0 against a
+    positive right side: the written ratio 0 then bounds nothing."""
+    for lam, s in dict.fromkeys((lam, s) for lam, s, lhs, rhs in sides
+                                if lhs == 0.0 and rhs > 0.0):
+        print(f"{command}: weighted LHS is 0 against a positive right side "
+              f"at lam={fmt(lam)}, s={fmt(s)}: the weight "
+              "e^{-2s(eta - eta_ref)} underflowed", file=sys.stderr)
+
+
 def cmd_forward(ctx: RunContext):
     setup = ctx.setup
     field = solve_heat(setup.base, setup.grid, setup.timegrid)
@@ -127,6 +138,9 @@ def cmd_verify_carleman(ctx: RunContext):
         if not math.isfinite(rep.ratio):
             raise SolverError(
                 f"non-finite ratio for {test_id} at s={s}, lam={lam}")
+    _report_underflow("verify-carleman",
+                      ((lam, s, rep.lhs_total, rep.rhs_total)
+                       for _, s, lam, rep in records))
 
     files = [ctx.path("carleman_sweep.csv"), ctx.path("carleman_summary.csv")]
     carleman_sweep_to_csv(records, files[0])
@@ -146,9 +160,11 @@ def cmd_verify_carleman(ctx: RunContext):
 
 
 def cmd_verify_poincare(ctx: RunContext):
-    twin = ctx.twin
-    rep = proposition_sides(ctx.gamma, twin.q_tilde, twin.u, twin.y,
-                            ctx.weights_ref())
+    twin, ws = ctx.twin, ctx.weights_ref()
+    rep = proposition_sides(ctx.gamma, twin.q_tilde, twin.u, twin.y, ws)
+    _report_underflow("verify-poincare",
+                      ((ws.lam, ws.s, part.lhs_total, part.rhs_total)
+                       for part in rep.parts().values()))
     path = ctx.path("poincare.csv")
     proposition_to_csv(rep, path)
     return [path]
@@ -205,10 +221,14 @@ def cmd_verify_stability(ctx: RunContext):
 
 
 def cmd_sweep_stability(ctx: RunContext):
-    family = perturbation_family(ctx.setup.grid)
-    records, summary = stability_sweep(family, ctx.setup, ctx.weights_ref())
-    if not records or not math.isfinite(summary["max_ratio"]):
+    ws = ctx.weights_ref()
+    records = stability_sweep(perturbation_family(ctx.setup.grid), ctx.setup,
+                              ws)
+    if not math.isfinite(max(rec["ratio"] for rec in records)):
         raise SolverError("stability sweep produced no finite ratio")
+    _report_underflow("sweep-stability",
+                      ((ws.lam, ws.s, rec["lhs"], rec["rhs_weighted"])
+                       for rec in records))
     path = ctx.path("sweep.csv")
     sweep_to_csv(records, path)
     files = [path]

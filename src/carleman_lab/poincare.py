@@ -1,11 +1,11 @@
-"""Transport-operator lemma and the coefficient snapshot estimate.
+"""The coefficient snapshot estimate and its admissibility checks.
 
 Everything here lives on the midpoint slice T' of the observation
-window.  The first-order operator pairs the gradient of a fixed base
-field with the gradient of the tested function; its nondegeneracy
-against the weight profile (nodal min of |grad beta . grad base| > 0)
-is the hypothesis that makes the lemma usable, so it is carried around
-explicitly and rechecked at evaluation time.
+window.  The first-order transport operator pairs the gradient of the
+base field q_tilde(T') with the gradient of the tested function; its
+nondegeneracy against the weight profile (nodal min of
+|grad beta . grad base| > 0) is the hypothesis that makes the estimate
+usable, so every report carries it.
 
 All T'-slice integrals use the shared normalized factor
 e^{-2s(eta(T') - eta_ref)}; both sides of every estimate carry the same
@@ -19,15 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import SpaceTimeField, snapshot_package
-from .grid import (
-    Grid,
-    GridError,
-    TimeGrid,
-    discrete_gradient,
-    divergence_flux,
-    normal_derivative,
-)
-from .observe import norm_space_plain, weighted_norm_space
+from .grid import Grid, GridError, discrete_gradient, normal_derivative
+from .observe import weighted_norm_space
 from .report import EstimateReport, write_csv
 from .weights import WeightSet
 
@@ -38,61 +31,21 @@ DEGENERACY_FLOOR = 1e-12
 FLATNESS_TOL = 0.5
 
 
-@dataclass(frozen=True)
-class TransportBase:
-    """Gradient of the base field of the first-order operator and the
-    nodal minimum of |grad beta . grad base|."""
-
-    gradient: np.ndarray
-    min_transport: float
-
-
-def build_transport_base(b: np.ndarray, ws: WeightSet) -> TransportBase:
-    """The transport base of b; GridError when it is degenerate."""
+def build_transport_base(b: np.ndarray, ws: WeightSet) -> float:
+    """The nodal minimum of |grad beta . grad b|, the transport base's
+    nondegeneracy; GridError when it is degenerate."""
     b = np.asarray(b, dtype=float)
     if b.shape != (ws.grid.n_nodes,):
         raise GridError(f"base field has shape {b.shape}")
-    grad = discrete_gradient(b, ws.grid)
-    transport = np.abs(np.sum(ws.grad_beta_tilde * grad, axis=1))
-    base = TransportBase(gradient=grad, min_transport=float(np.min(transport)))
-    _require_nondegenerate(base)
-    return base
-
-
-def apply_P0(g: np.ndarray, base: TransportBase, grid: Grid) -> np.ndarray:
-    """grad(base) . grad(g) nodally; g must vanish on the boundary."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (grid.n_nodes,):
-        raise GridError(f"test function has shape {g.shape}")
-    scale = float(np.max(np.abs(g)))
-    if scale > 0.0 and np.max(np.abs(g[grid.boundary_mask])) > 1e-12 * scale:
-        raise GridError("test function must vanish on the boundary")
-    return np.sum(base.gradient * discrete_gradient(g, grid), axis=1)
-
-
-def _require_nondegenerate(base: TransportBase):
-    if base.min_transport <= DEGENERACY_FLOOR:
+    transport = np.abs(np.sum(ws.grad_beta_tilde
+                              * discrete_gradient(b, ws.grid), axis=1))
+    min_transport = float(np.min(transport))
+    if min_transport <= DEGENERACY_FLOOR:
         raise GridError(
             "degenerate transport base: min |grad beta . grad base| = "
-            f"{base.min_transport:.3e}"
+            f"{min_transport:.3e}"
         )
-
-
-def lemma_sides(g: np.ndarray, base: TransportBase,
-                ws: WeightSet) -> EstimateReport:
-    """Weighted mass of g at T' against the weighted transport image: the
-    paper's Poincare-type lemma, kept for the tests that check it.  base
-    is checked again here, since a caller may build it by hand."""
-    _require_nondegenerate(base)
-    p0g = apply_P0(g, base, ws.grid)
-    lhs = {
-        "mass": ws.s**2 * ws.lam**2 * weighted_norm_space(g, ws, 1),
-    }
-    rhs = {
-        "transport": weighted_norm_space(p0g, ws, -1),
-    }
-    return EstimateReport.for_weights("poincare_lemma", lhs, rhs, ws,
-                                      min_transport=base.min_transport)
+    return min_transport
 
 
 def check_flat_boundary(gamma: np.ndarray, grid: Grid):
@@ -116,28 +69,6 @@ def check_flat_boundary(gamma: np.ndarray, grid: Grid):
             f"perturbation normal derivative {worst:.3e} too large for a "
             "flat boundary trace"
         )
-
-
-def cit_residual(gamma: np.ndarray, c: np.ndarray, q_tilde: SpaceTimeField,
-                 u: SpaceTimeField, y: SpaceTimeField,
-                 window: TimeGrid) -> np.ndarray:
-    """Defect of the midpoint-slice decomposition of y into the
-    coefficient-difference flux plus the background flux of u; acceptance
-    4 checks that it vanishes at first order under refinement."""
-    grid = q_tilde.grid
-    check_flat_boundary(gamma, grid)
-    t_prime = window.t_mid
-    qt = q_tilde.at_time(t_prime)
-    ut = u.at_time(t_prime)
-    yt = y.at_time(t_prime)
-    res = (
-        yt
-        - divergence_flux(gamma, qt, grid, positive=False)
-        - divergence_flux(c, ut, grid)
-    )
-    if not np.all(np.isfinite(res)):
-        raise GridError("non-finite residual")
-    return res
 
 
 @dataclass(frozen=True)
@@ -165,7 +96,7 @@ def proposition_sides(gamma: np.ndarray, q_tilde: SpaceTimeField,
     evaluated exactly as displayed)."""
     grid, window = ws.grid, ws.timegrid
     check_flat_boundary(gamma, grid)
-    base = build_transport_base(q_tilde.at_time(window.t_mid), ws)
+    min_transport = build_transport_base(q_tilde.at_time(window.t_mid), ws)
 
     u_snap = snapshot_package(u, grid, window)
     yt = y.at_time(window.t_mid)
@@ -184,7 +115,7 @@ def proposition_sides(gamma: np.ndarray, q_tilde: SpaceTimeField,
     def part(name, lhs, rhs):
         return EstimateReport.for_weights(
             name, side(lhs, ws.s**2 * ws.lam**2), side(rhs, 1.0), ws,
-            min_transport=base.min_transport)
+            min_transport=min_transport)
 
     return PropositionReport(
         scalar=part("poincare_scalar", [("coeff", 1)],
@@ -196,20 +127,6 @@ def proposition_sides(gamma: np.ndarray, q_tilde: SpaceTimeField,
         combined=part("poincare", [("grad_coeff", 1), ("coeff", 1)],
                       [("y_grad", -1), ("y_val", -1), ("u_grad_lap", 0),
                        ("u_lap", 0), ("u_grad", 0)]))
-
-
-def coefficient_lower_bound(gamma: np.ndarray, ws: WeightSet) -> tuple:
-    """Computable chain: the weighted LHS dominates the plain first-order
-    mass of gamma times the worst-case nodal weight factor, the step from
-    the weighted estimate to a plain H1 bound; kept for its tests."""
-    grid = ws.grid
-    grad_gamma = discrete_gradient(gamma, grid)
-    s2l2 = ws.s**2 * ws.lam**2
-    lhs = s2l2 * (weighted_norm_space(grad_gamma, ws, 1)
-                  + weighted_norm_space(gamma, ws, 1))
-    floor_factor = float(np.min(ws.weight_tprime(1)))
-    plain = norm_space_plain(gamma, grid) + norm_space_plain(grad_gamma, grid)
-    return lhs, s2l2 * floor_factor * plain
 
 
 def proposition_to_csv(report: PropositionReport, path):

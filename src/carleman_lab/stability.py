@@ -131,7 +131,8 @@ def _family_sides(gammas: np.ndarray, setup: ExperimentSetup,
     transport base at T' is nondegenerate, or build_transport_base raises."""
     grid, window = setup.grid, setup.window
     twin = twin_solve(setup, gammas)
-    base = build_transport_base(twin.q_tilde.at_time(window.t_mid), ws)
+    min_transport = build_transport_base(
+        twin.q_tilde.at_time(window.t_mid), ws)
     coeff = weighted_norm_space(gammas, ws, 1)
     grad_coeff = weighted_norm_space(discrete_gradient(gammas, grid), ws, 1)
     traces = observed_flux(twin.u.values, grid, setup.timegrid, window)
@@ -151,11 +152,11 @@ def _family_sides(gammas: np.ndarray, setup: ExperimentSetup,
         weighted = EstimateReport.for_weights(
             "stability_weighted", lhs,
             {k: float(v[m]) for k, v in weighted_rhs.items()}, ws,
-            min_transport=base.min_transport)
+            min_transport=min_transport)
         plain = EstimateReport.for_weights(
             "stability_plain", dict(lhs),
             {k: float(v[m]) for k, v in dist.items() if k != "total"}, ws,
-            min_transport=base.min_transport)
+            min_transport=min_transport)
         reports.append(StabilityReport(weighted=weighted, plain=plain))
     return reports
 
@@ -174,21 +175,16 @@ def stability_sides(pair: CoefficientPair, setup: ExperimentSetup,
 BLOCK_UNKNOWNS = 2**12
 
 
-def stability_sweep(family, setup: ExperimentSetup, ws: WeightSet) -> tuple:
-    """Per-member reports plus the sweep summary: the empirical constant
-    with its argmax member, a global log-log slope of LHS against plain
-    observation distance, and per-shape slopes over amplitude scalings.
-    Each capped chunk of members is one stack with the base (_family_sides);
-    a member is excluded when eps is 0 or its admissible projection is 0."""
+def stability_sweep(family, setup: ExperimentSetup, ws: WeightSet) -> list:
+    """One record per member: its two reports' totals and ratios.  Each
+    capped chunk of members is one stack with the base (_family_sides);
+    a member is left out when eps is 0 or its admissible projection is 0."""
     members = []
-    excluded = []
     for label, eps, gamma in family:
         pair = None if eps == 0.0 else make_pair(setup.c_tilde, gamma,
                                                  setup.grid)
-        if pair is None or not np.any(pair.gamma):
-            excluded.append(label)
-            continue
-        members.append((label, float(eps), pair.gamma))
+        if pair is not None and np.any(pair.gamma):
+            members.append((label, float(eps), pair.gamma))
     if not members:
         raise GridError("stability family left no admissible members")
     gammas, grid = np.array([gamma for *_, gamma in members]), setup.grid
@@ -196,7 +192,7 @@ def stability_sweep(family, setup: ExperimentSetup, ws: WeightSet) -> tuple:
     reports = []
     for i in range(0, len(gammas), size):
         reports += _family_sides(gammas[i : i + size], setup, ws)
-    records = [{
+    return [{
         "member": label,
         "eps": eps,
         "lhs": rep.weighted.lhs_total,
@@ -205,28 +201,6 @@ def stability_sweep(family, setup: ExperimentSetup, ws: WeightSet) -> tuple:
         "ratio": rep.weighted.ratio,
         "ratio_plain": rep.plain.ratio,
     } for (label, eps, _), rep in zip(members, reports)]
-
-    worst = max(records, key=lambda r: r["ratio"])
-
-    def slope(points):
-        xs = np.log([p["rhs_plain"] for p in points])
-        ys = np.log([p["lhs"] for p in points])
-        return float(np.polyfit(xs, ys, 1)[0])
-
-    shapes = {}
-    for rec in records:
-        shapes.setdefault(rec["member"].split("_")[0], []).append(rec)
-    shape_slopes = {
-        name: slope(pts) for name, pts in shapes.items() if len(pts) >= 3
-    }
-    summary = {
-        "max_ratio": worst["ratio"],
-        "argmax": worst["member"],
-        "global_slope": slope(records) if len(records) >= 3 else math.nan,
-        "shape_slopes": shape_slopes,
-        "excluded": excluded,
-    }
-    return records, summary
 
 
 # -- misfit, adjoint gradient, reconstruction -----------------------------

@@ -51,11 +51,7 @@ class WeightSet:
     timegrid: TimeGrid
     lam: float
     s: float
-    beta_tilde: np.ndarray
-    beta: np.ndarray
     grad_beta_tilde: np.ndarray  # analytic, (n_nodes, dim)
-    K: float
-    C0: float
     times_interior: np.ndarray   # window nodes t[1..m-1]
     w: np.ndarray                # (t - t0)(T - t) at interior nodes
     w_prime: np.ndarray          # T + t0 - 2t, exactly 0 at T'
@@ -146,8 +142,8 @@ def build_weights(grid: Grid, timegrid: TimeGrid, lam: float, s: float,
     diff = grid.coords - x0[None, :]
     beta_tilde = np.sum(diff**2, axis=1)
     grad_bt = 2.0 * diff
-    C0 = float(np.min(np.linalg.norm(grad_bt, axis=1)))
-    if not (C0 > 0.0 and np.all(beta_tilde > 0.0)):
+    # beta_tilde > 0 at every node also makes min |grad beta_tilde| > 0
+    if not np.all(beta_tilde > 0.0):
         raise WeightError("anchor too close to the domain: beta_tilde degenerate")
 
     # sign condition on the unobserved boundary
@@ -185,55 +181,6 @@ def build_weights(grid: Grid, timegrid: TimeGrid, lam: float, s: float,
 
     return WeightSet(
         grid=grid, timegrid=timegrid, lam=float(lam), s=float(s),
-        beta_tilde=beta_tilde, beta=beta, grad_beta_tilde=grad_bt, K=K,
-        C0=C0, times_interior=t, w=w, w_prime=w_prime, log_phi=log_phi,
-        eta=eta, eta_ref=eta_ref,
+        grad_beta_tilde=grad_bt, times_interior=t, w=w, w_prime=w_prime,
+        log_phi=log_phi, eta=eta, eta_ref=eta_ref,
     )
-
-
-# -- time profile ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TimeProfile:
-    values: np.ndarray      # 1 / ((t - t0)(T - t)) at interior nodes
-    min_value: float
-
-
-def weight_time_profile(timegrid: TimeGrid) -> TimeProfile:
-    """Tabulate 1/w on interior nodes and locate its minimum, which must
-    be the window midpoint: the T' the weighted estimates are stated at,
-    which acceptance 2 checks."""
-    t = timegrid.times[1:-1]
-    vals = 1.0 / ((t - timegrid.t0) * (timegrid.t_end - t))
-    k = int(np.argmin(vals))
-    if k + 1 != timegrid.midpoint_index:
-        raise WeightError(
-            f"time profile minimum at node {k + 1}, expected midpoint "
-            f"{timegrid.midpoint_index}"
-        )
-    return TimeProfile(values=vals, min_value=float(vals[k]))
-
-
-# -- empirical bound constants -------------------------------------------
-
-
-def weight_bounds_check(ws: WeightSet) -> dict:
-    """Empirical suprema, by name, of the pointwise ratios the proofs
-    bound by constants, kept for the tests that check them finite.
-    Evaluated in log space; the T' row contributes zero to the
-    time-derivative ratios because w' vanishes there."""
-    log_phi = ws.log_phi
-    log_w = np.log(ws.w)[:, None]
-    with np.errstate(divide="ignore"):
-        log_abs_wp = np.where(ws.w_prime == 0.0, -np.inf,
-                              np.log(np.abs(ws.w_prime)))[:, None]
-    log_eta = np.log(ws.eta)
-
-    ratios = {
-        "dt_eta_over_phi2": np.exp(log_eta + log_abs_wp - log_w - 2.0 * log_phi),
-        "dt_phi_over_phi3": np.exp(log_abs_wp - log_w - 2.0 * log_phi),
-        "phi_inv_over_phi": np.exp(-2.0 * log_phi),
-        "phi_inv2_over_phi_inv": np.exp(-log_phi),
-    }
-    return {name: float(np.max(r)) for name, r in ratios.items()}

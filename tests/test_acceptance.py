@@ -21,7 +21,7 @@ from carleman_lab.energy import (
 )
 from carleman_lab.forward import CrankNicolsonStepper, HeatProblem, solve_heat
 from carleman_lab.grid import TimeGrid, build_grid
-from carleman_lab.poincare import cit_residual, proposition_sides
+from carleman_lab.poincare import proposition_sides
 from carleman_lab.setups import (
     bump_shape,
     default_setup,
@@ -37,8 +37,13 @@ from carleman_lab.stability import (
     reconstruct,
     stability_sweep,
 )
-from carleman_lab.weights import weight_time_profile
 from helpers import default_weights, stepper_matrix
+from paper_checks import (
+    cit_residual,
+    sweep_summary,
+    weight_closed_form,
+    weight_time_profile,
+)
 
 
 VERDICTS = []
@@ -83,7 +88,7 @@ def test_acceptance_2_weight_invariants():
         for dimension, n in ((1, 32), (2, 16)):
             setup = default_setup(dimension=dimension, n=n)
             ws = default_weights(setup)
-            assert ws.C0 > 0.0
+            assert weight_closed_form(ws, m=1.1).C0 > 0.0
             observed = set(setup.grid.gamma0_faces)
             all_faces = {"left", "right"} if dimension == 1 else \
                 {"west", "east", "south", "north"}
@@ -175,7 +180,8 @@ def test_acceptance_6_stability_two_sided():
         ws = default_weights(setup)
         family = perturbation_family(setup.grid)
         assert len(family) == 12
-        records, summary = stability_sweep(family, setup, ws)
+        records = stability_sweep(family, setup, ws)
+        summary = sweep_summary(family, records)
         assert np.isfinite(summary["max_ratio"])
         for slope in summary["shape_slopes"].values():
             assert 0.8 <= slope <= 1.2

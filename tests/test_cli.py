@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -31,6 +32,9 @@ from carleman_lab.config import (
 from carleman_lab.grid import build_grid
 from carleman_lab.setups import default_setup
 from carleman_lab.svg import PlotError, line_plot
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, **overrides):
@@ -370,8 +374,10 @@ def test_reconstruct_command(tmp_path, capsys):
     assert final_err <= 0.05
 
 
-def test_all_emits_six_report_files(tmp_path):
+def test_all_emits_six_report_files(tmp_path, capsys):
     assert run("all", out=str(tmp_path)) == 0
+    # no weighted LHS of the default config underflows to 0
+    assert "underflowed" not in capsys.readouterr().err
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == [
         "carleman_summary.csv",
@@ -506,6 +512,27 @@ def test_boundary_supported_gamma_is_a_numerical_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, gamma={"kind": "const", "value": 0.5})
     assert run("verify-poincare", config_path=cfg, out=str(tmp_path)) == 3
     assert "boundary" in capsys.readouterr().err
+
+
+def test_underflowing_weight_is_named_and_no_traceback(tmp_path):
+    # bench/cfg2d.json at lambda = 2: the weight underflows wherever a
+    # stability member is nonzero, so every member's weighted LHS is 0.
+    # The slope fit the sweep once ran took log(0) there, a traceback
+    # (exit 1) under -W error
+    cfg = json.loads((ROOT / "bench" / "cfg2d.json").read_text())
+    cfg["lambda"] = [2.0]
+    path = write_config(tmp_path, **cfg)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for command in ("sweep-stability", "all"):
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "carleman_lab", command,
+             "--config", path, "--out", str(tmp_path / command)],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / command / "sweep.csv").is_file()
+        assert ("sweep-stability: weighted LHS is 0 against a positive "
+                "right side at lam=2, s=1: the weight "
+                "e^{-2s(eta - eta_ref)} underflowed") in done.stderr
 
 
 def test_main_rejects_unknown_command(tmp_path):

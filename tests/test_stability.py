@@ -32,6 +32,7 @@ from carleman_lab.stability import (
     sweep_to_csv,
 )
 from helpers import default_weights, stepper_matrix
+from paper_checks import sweep_summary
 
 
 def bump_truth(grid, eps=0.05):
@@ -144,7 +145,8 @@ def test_stability_sweep_family():
     ws = default_weights(setup)
     fam = perturbation_family(setup.grid)
     assert len(fam) == 12
-    records, summary = stability_sweep(fam, setup, ws)
+    records = stability_sweep(fam, setup, ws)
+    summary = sweep_summary(fam, records)
     assert len(records) == 12
     assert all(np.isfinite(r["ratio"]) for r in records)
     assert summary["max_ratio"] == max(r["ratio"] for r in records)
@@ -161,7 +163,8 @@ def test_stability_sweep_excludes_zero_member():
     ws = default_weights(setup)
     fam = perturbation_family(setup.grid)[:2]
     fam.append(("zero", 0.0, np.zeros(setup.grid.n_nodes)))
-    records, summary = stability_sweep(fam, setup, ws)
+    records = stability_sweep(fam, setup, ws)
+    summary = sweep_summary(fam, records)
     assert len(records) == 2
     assert summary["excluded"] == ["zero"]
 
@@ -179,7 +182,7 @@ def test_stability_sweep_solves_base_field_once(monkeypatch):
     monkeypatch.setattr(setups, "solve_heat", recording)
     setup = default_setup(dimension=1, n=32)
     fam = perturbation_family(setup.grid)[:3]
-    records, _ = stability_sweep(fam, setup, default_weights(setup))
+    records = stability_sweep(fam, setup, default_weights(setup))
     assert len(records) == 3
     assert len(solved) == len(records) + 1
     assert sum(np.array_equal(c, setup.c_tilde) for c in solved) == 1
@@ -199,7 +202,7 @@ def test_twin_derivative_is_formed_on_first_read(monkeypatch):
     monkeypatch.setattr(setups, "time_derivative", recording)
     setup = default_setup(dimension=1, n=32)
     fam = perturbation_family(setup.grid)[:3]
-    records, _ = stability_sweep(fam, setup, default_weights(setup))
+    records = stability_sweep(fam, setup, default_weights(setup))
     assert len(records) == 3 and formed == []
 
     twin = setups.twin_solve(setup, fam[0][2])
@@ -227,7 +230,8 @@ def test_stability_sweep_excludes_members_that_project_to_zero(dimension):
     fam = perturbation_family(setup.grid)[:3]
     pinned = np.where(admissible_mask(setup.grid), 0.0, 1e-2)
     fam.insert(1, ("pinned", 1e-2, pinned))
-    records, summary = stability_sweep(fam, setup, ws)
+    records = stability_sweep(fam, setup, ws)
+    summary = sweep_summary(fam, records)
     assert [r["member"] for r in records] == [fam[i][0] for i in (0, 2, 3)]
     assert summary["excluded"] == ["pinned"]
     assert np.isfinite(summary["global_slope"])
@@ -237,7 +241,7 @@ def test_stability_sweep_excludes_members_that_project_to_zero(dimension):
 def test_stability_sweep_records_equal_the_one_pair_sides(dimension):
     setup, ws = sweep_case(dimension)
     fam = perturbation_family(setup.grid)[::4]
-    records, _ = stability_sweep(fam, setup, ws)
+    records = stability_sweep(fam, setup, ws)
     for (label, eps, gamma), rec in zip(fam, records, strict=True):
         rep = stability_sides(make_pair(setup.c_tilde, gamma, setup.grid),
                               setup, ws)
@@ -268,12 +272,12 @@ def test_stability_sweep_records_equal_the_one_pair_sides_in_split_blocks(
     monkeypatch.setattr(forward, "CrankNicolsonStepper", Counting)
     ni = (setup.grid.n - 1) ** 2
     monkeypatch.setattr(stability, "BLOCK_UNKNOWNS", 11 * ni // 2)
-    records, _ = stability_sweep(fam, setup, ws)
+    records = stability_sweep(fam, setup, ws)
     assert blocks == [5, 3]
     # below the base and one member's unknowns each member is its own chunk
     blocks.clear()
     monkeypatch.setattr(stability, "BLOCK_UNKNOWNS", ni - 1)
-    assert stability_sweep(fam, setup, ws)[0] == records
+    assert stability_sweep(fam, setup, ws) == records
     assert blocks == [2] * 6
     monkeypatch.undo()
     for (label, eps, gamma), rec in zip(fam, records, strict=True):
@@ -335,7 +339,7 @@ def test_stability_sweep_extracts_base_observations_once(monkeypatch):
     monkeypatch.setattr(stability, "extract_observations", recording)
     setup = default_setup(dimension=1, n=32)
     fam = perturbation_family(setup.grid)[:3]
-    records, _ = stability_sweep(fam, setup, default_weights(setup))
+    records = stability_sweep(fam, setup, default_weights(setup))
     assert len(records) == 3
     assert len(extracted) == len(records) + 1
     base = forward.solve_heat(setup.base, setup.grid, setup.timegrid).values
@@ -345,8 +349,8 @@ def test_stability_sweep_extracts_base_observations_once(monkeypatch):
 def test_sweep_to_csv(tmp_path):
     setup = default_setup(dimension=1, n=32)
     ws = default_weights(setup)
-    records, _ = stability_sweep(perturbation_family(setup.grid)[:3],
-                                 setup, ws)
+    records = stability_sweep(perturbation_family(setup.grid)[:3],
+                              setup, ws)
     path = tmp_path / "sweep.csv"
     sweep_to_csv(records, path)
     lines = path.read_text().splitlines()

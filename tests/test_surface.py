@@ -3,16 +3,23 @@ package imports another module's private names.
 
 A module-level function or class of src/carleman_lab, or a method or
 property of one of its classes, must be referred to by code in src/ or
-bench/ outside its own definition, or stand on KEEP with the reason it
-stays.  Code means the syntax tree: a name, an attribute, an import or
+bench/ outside its own definition; KEEP exempts no function.  Code means the syntax tree: a name, an attribute, an import or
 a keyword argument.  The (module, function) and (module, class, method)
 tables FUNCTIONS and METHODS of bench/tracer.py count too, because the
-tracer looks their names up with getattr.  A field of one of those
-classes (an annotation in the class body, or self.<name> assigned in
-__init__) must be read as an attribute in src/ or bench/, or stand on
-KEEP as Class.field: assigning it is not reading it.  Docstrings and
-comments do not count, and neither do tests: a name only tests call is
-a test helper and belongs in tests/.
+tracer looks their names up with getattr.  Docstrings and comments do
+not count, and neither do tests: a name only tests call is a test helper
+and belongs in tests/ (tests/paper_checks.py holds the paper's checks
+that no command runs).
+
+A field of one of those classes (an annotation in the class body, or
+self.<name> assigned in __init__) must be read by package code while
+the commands run, or stand on KEEP as Class.field.  A census finds the
+reads: run as a script, this file wraps __getattribute__ on every class
+of the package and records each (class, name) that a frame of package
+code reads while all, forward, verify-snapshot and verify-stability run
+with --plot on the default config and on bench/cfg2d.json.  A read on
+one class does not pass a namesake field of another, and assigning a
+field is not reading it.
 
 A module of src/carleman_lab imports a _-prefixed name of another only
 where PRIVATE_IMPORTS gives the reason; anything else the two modules
@@ -20,42 +27,26 @@ share is public.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 from collections import defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "carleman_lab"
 
-# names no pipeline or benchmark calls, each with the check it serves
+# fields no command reads, each with the reason it stays
 KEEP = {
-    "lemma_sides": "the paper's Poincare-type lemma, checked in "
-                   "tests/test_poincare.py",
-    "cit_residual": "acceptance 4: the midpoint decomposition of the rate "
-                    "field closes under refinement",
-    "coefficient_lower_bound": "the step from the weighted estimate to a "
-                               "plain H1 bound, checked in "
-                               "tests/test_poincare.py",
-    "weight_bounds_check": "the weight ratios the proofs bound by constants "
-                           "stay finite, checked in tests/test_weights.py",
-    "weight_time_profile": "acceptance 2: 1/w is least at the window "
-                           "midpoint T'",
     "ReconstructionResult.c_hat":
         "reconstruct's estimate, read by tests/test_stability.py::"
         "test_reconstruct_prior_data_returns_prior",
-    "WeightSet.beta_tilde": "the weight's closed form, checked in "
-                            "tests/test_weights.py::"
-                            "test_anchored_quadratic_closed_form",
-    "WeightSet.beta": "the weight's closed form, checked in "
-                      "tests/test_weights.py::"
-                      "test_anchored_quadratic_closed_form",
-    "WeightSet.K": "the weight's closed form, checked in "
-                   "tests/test_weights.py::test_anchored_quadratic_closed_form "
-                   "and test_monotonicity_in_K_and_lambda",
-    "WeightSet.C0": "acceptance 2: min |grad beta_tilde| is positive",
-    "TimeProfile.min_value": "the least 1/w, checked in tests/test_weights.py"
-                             "::test_time_profile_examples and "
-                             "test_time_profile_random_windows",
 }
+
+# the commands and configs of the field census, each run with --plot
+CENSUS_COMMANDS = ("all", "forward", "verify-snapshot", "verify-stability")
+CENSUS_CONFIGS = (None, ROOT / "bench" / "cfg2d.json")
 
 # (importing module, imported module, private name) -> why it is shared
 PRIVATE_IMPORTS = {
@@ -136,26 +127,54 @@ def _fields(tree):
 
 
 def _unread(trees) -> list:
-    """Definitions with no reference outside themselves, and fields that
-    no attribute load reads: assigning a field, by keyword or by
-    attribute, is not reading it."""
+    """Definitions with no reference outside themselves."""
     where = defaultdict(list)   # name -> [(path, line)] of its references
-    loaded = set()              # names read as an attribute
     for path, tree in trees.items():
         for name, line in _references(path, tree):
             where[name].append((path, line))
-        loaded.update(node.attr for node in ast.walk(tree)
-                      if isinstance(node, ast.Attribute)
-                      and isinstance(node.ctx, ast.Load))
-    unread = [f"{path.stem}.{qualified}"
-              for path, qualified, name, node in _package_definitions(trees)
-              if name not in KEEP
-              and all(other == path and node.lineno <= line <= node.end_lineno
-                      for other, line in where[name])]
-    return unread + [f"{path.stem}.{qualified}"
-                     for path in sorted(PACKAGE.glob("*.py"))
-                     for qualified, name in _fields(trees[path])
-                     if qualified not in KEEP and name not in loaded]
+    return [f"{path.stem}.{qualified}"
+            for path, qualified, name, node in _package_definitions(trees)
+            if all(other == path and node.lineno <= line <= node.end_lineno
+                    for other, line in where[name])]
+
+
+def census(out_dir) -> set:
+    """module.Class.name of every attribute that a frame of package code
+    reads from an instance of a package class while the CLI runs
+    CENSUS_COMMANDS on CENSUS_CONFIGS, with --plot, writing under
+    out_dir."""
+    import importlib
+
+    import carleman_lab
+    from carleman_lab import cli
+
+    prefix = os.path.join(carleman_lab.__path__[0], "")
+    reads = set()   # (class, name)
+
+    def wrap(cls):
+        original = cls.__getattribute__
+
+        def __getattribute__(self, name):
+            if sys._getframe(1).f_code.co_filename.startswith(prefix):
+                reads.add((type(self), name))
+            return original(self, name)
+
+        cls.__getattribute__ = __getattribute__
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__main__":   # it runs the CLI on import
+            continue
+        module = importlib.import_module(f"carleman_lab.{path.stem}")
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                wrap(value)
+    for i, config in enumerate(CENSUS_CONFIGS):
+        for command in CENSUS_COMMANDS:
+            out = pathlib.Path(out_dir) / f"{command}-{i}"
+            code = cli.run(command, config_path=config, plot=True, out=out)
+            assert code == cli.EXIT_OK, (command, config)
+    return {f"{cls.__module__.rsplit('.', 1)[-1]}.{cls.__qualname__}.{name}"
+            for cls, name in reads}
 
 
 def test_every_name_has_a_reader():
@@ -165,12 +184,32 @@ def test_every_name_has_a_reader():
         "or give them a KEEP reason: " + ", ".join(unread))
 
 
-def test_keep_list_names_are_defined():
+def test_every_field_is_read_by_the_commands(tmp_path):
+    # the census runs in a fresh interpreter, so that its wrappers stay
+    # out of this process's classes
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("CARLEMAN_LAB_SEED", None)
+    done = subprocess.run([sys.executable, __file__, str(tmp_path)],
+                          env=env, check=True, capture_output=True, text=True)
+    read = set(json.loads(done.stdout.splitlines()[-1]))
     trees = _trees()
-    defined = {name for _, _, name, _ in _package_definitions(trees)}
-    defined.update(qualified for path in PACKAGE.glob("*.py")
-                   for qualified, _ in _fields(trees[path]))
-    assert sorted(set(KEEP) - defined) == []
+    unread = [f"{path.stem}.{qualified}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for qualified, _ in _fields(trees[path])
+              if qualified not in KEEP
+              and f"{path.stem}.{qualified}" not in read]
+    assert unread == [], (
+        "no package code read these fields while the commands ran; delete "
+        "them, move them into tests/ or give them a KEEP reason: "
+        + ", ".join(unread))
+
+
+def test_keep_list_names_are_defined():
+    # as fields: KEEP exempts no function
+    trees = _trees()
+    fields = {qualified for path in PACKAGE.glob("*.py")
+              for qualified, _ in _fields(trees[path])}
+    assert sorted(set(KEEP) - fields) == []
     assert all(reason.strip() for reason in KEEP.values())
 
 
@@ -198,3 +237,7 @@ def test_no_private_names_cross_modules():
     # an entry nothing imports any more goes too
     assert sorted(set(PRIVATE_IMPORTS) - found) == []
     assert all(reason.strip() for reason in PRIVATE_IMPORTS.values())
+
+
+if __name__ == "__main__":
+    print(json.dumps(sorted(census(sys.argv[1]))))

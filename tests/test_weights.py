@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from carleman_lab.grid import TimeGrid, build_grid
-from carleman_lab.weights import (
-    WeightError,
-    build_weights,
+from carleman_lab.weights import WeightError, build_weights
+from paper_checks import (
     weight_bounds_check,
+    weight_closed_form,
     weight_time_profile,
 )
 
@@ -23,13 +23,14 @@ def ref_setup(lam=1.0, s=1.0, steps=16):
 
 def test_anchored_quadratic_closed_form():
     g, tg, ws = ref_setup()
+    cf = weight_closed_form(ws, m=2.0)
     # beta_tilde(x) = (x+1)^2 on [0,1]
-    assert ws.beta_tilde.min() == pytest.approx(1.0, abs=1e-14)
-    assert ws.beta_tilde.max() == pytest.approx(4.0, abs=1e-14)
-    assert ws.K == pytest.approx(8.0, abs=1e-13)
-    assert ws.beta.min() == pytest.approx(9.0, abs=1e-13)
-    assert ws.beta.max() == pytest.approx(12.0, abs=1e-13)
-    assert ws.C0 == pytest.approx(2.0, abs=1e-14)
+    assert cf.beta_tilde.min() == pytest.approx(1.0, abs=1e-14)
+    assert cf.beta_tilde.max() == pytest.approx(4.0, abs=1e-14)
+    assert cf.K == pytest.approx(8.0, abs=1e-13)
+    assert cf.beta.min() == pytest.approx(9.0, abs=1e-13)
+    assert cf.beta.max() == pytest.approx(12.0, abs=1e-13)
+    assert cf.C0 == pytest.approx(2.0, abs=1e-14)
     # outward derivative of beta_tilde at x=0 is -(d/dx)(x+1)^2 = -2
     left = ws.normal_beta("left")
     assert left[0] == pytest.approx(-2.0, abs=1e-13)
@@ -38,12 +39,13 @@ def test_anchored_quadratic_closed_form():
 
 def test_midpoint_closed_forms():
     g, tg, ws = ref_setup(lam=1.0)
+    beta = weight_closed_form(ws, m=2.0).beta
     row = ws.tprime_row
     # (T' - t0)(T - T') = 1, so phi(T') = e^{lam beta} and
     # eta(T') = e^{16 lam} - e^{lam beta}
-    np.testing.assert_allclose(np.exp(ws.log_phi[row]), np.exp(ws.beta), rtol=1e-12)
+    np.testing.assert_allclose(np.exp(ws.log_phi[row]), np.exp(beta), rtol=1e-12)
     np.testing.assert_allclose(
-        ws.eta[row], np.exp(16.0) - np.exp(ws.beta), rtol=1e-12
+        ws.eta[row], np.exp(16.0) - np.exp(beta), rtol=1e-12
     )
 
 
@@ -81,7 +83,7 @@ def test_2d_corner_pair_accepted_single_face_rejected():
     tg = TimeGrid(0.5, 2.0, 16)
     g = build_grid(2, 8, ["north", "east"])
     ws = build_weights(g, tg, lam=1.0, s=1.0, m=1.1, x0=[-0.1, -0.1])
-    assert ws.C0 > 0.0
+    assert weight_closed_form(ws, m=1.1).C0 > 0.0
     for face in ("west", "south"):
         assert np.all(ws.normal_beta(face) <= 1e-12)
     # with only the east face observed the north face fails the sign test
@@ -105,7 +107,8 @@ def test_monotonicity_in_K_and_lambda():
     tg = TimeGrid(0.0, 2.0, 16)
     w_small = build_weights(g, tg, lam=1.0, s=1.0, m=1.5, x0=[-1.0])
     w_big = build_weights(g, tg, lam=1.0, s=1.0, m=2.0, x0=[-1.0])
-    assert w_big.K > w_small.K
+    assert (weight_closed_form(w_big, m=2.0).K
+            > weight_closed_form(w_small, m=1.5).K)
     assert np.all(w_big.eta >= w_small.eta - 1e-12)
     w_l1 = build_weights(g, tg, lam=1.0, s=1.0, m=2.0, x0=[-1.0])
     w_l2 = build_weights(g, tg, lam=2.0, s=1.0, m=2.0, x0=[-1.0])
