@@ -140,15 +140,12 @@ def _workspace(size: int, grid: Grid, window: TimeGrid) -> SimpleNamespace:
 
 
 def _stacked_sides(q: np.ndarray, terms: tuple, c: np.ndarray, ws: WeightSet,
-                   work: SimpleNamespace | None = None,
-                   m2_sign: float = 1.0) -> list:
+                   work: SimpleNamespace, m2_sign: float = 1.0) -> list:
     """One report per test of a checked (K, steps+1, n_nodes) stack and its
     _test_terms: each stencil and quadrature runs once on the stack, in
-    the leading slices of work (a new _workspace if None)."""
+    the leading slices of work, a _workspace for at least K tests."""
     grid, window = ws.grid, ws.timegrid
     dt, sw, k = window.dt, space_weights(grid), len(q)
-    if work is None:
-        work = _workspace(k, grid, window)
     psi, field = work.psi[:k], work.field[:k]
     conjugate(q, ws, out=psi)
     resid2, grad2, zero2, flux = terms
@@ -181,7 +178,8 @@ def carleman_sides(q_values: np.ndarray, c: np.ndarray, ws: WeightSet,
     """Both sides for one test function: the one-test stack."""
     q = _checked("q_values", q_values, ws.grid, ws.timegrid)[None]
     terms = _test_terms(q, c, ws.grid, ws.timegrid)
-    return _stacked_sides(q, terms, c, ws, m2_sign=m2_sign)[0]
+    work = _workspace(1, ws.grid, ws.timegrid)
+    return _stacked_sides(q, terms, c, ws, work, m2_sign)[0]
 
 
 # -- test-function suite --------------------------------------------------

@@ -106,15 +106,33 @@ class RunContext:
         return os.path.join(self.out_dir, name)
 
 
+def _plot(ctx, files, name, series, **labels):
+    """With --plot, line_plot of series into ctx.path(name), appended to
+    files."""
+    if ctx.plot:
+        path = ctx.path(name)
+        line_plot(path, series, **labels)
+        files.append(path)
+
+
 def _report_underflow(command, sides):
     """One stderr line per (lam, s) of sides, the (lam, s, lhs, rhs) of a
-    command's weighted estimates, where a LHS is exactly 0 against a
-    positive right side: the written ratio 0 then bounds nothing."""
-    for lam, s in dict.fromkeys((lam, s) for lam, s, lhs, rhs in sides
-                                if lhs == 0.0 and rhs > 0.0):
+    command's weighted estimates of nonzero quantities, where a written
+    ratio 0 bounds nothing: a LHS of exactly 0 against a positive right
+    side, or 0 on both sides (EstimateReport.ratio's 0/0, which for a
+    nonzero quantity means that the weight underflowed on both)."""
+    against, vanished = {}, {}
+    for lam, s, lhs, rhs in sides:
+        if lhs == 0.0:
+            (against if rhs > 0.0 else vanished)[lam, s] = None
+    for lam, s in against:
         print(f"{command}: weighted LHS is 0 against a positive right side "
               f"at lam={fmt(lam)}, s={fmt(s)}: the weight "
               "e^{-2s(eta - eta_ref)} underflowed", file=sys.stderr)
+    for lam, s in vanished:
+        print(f"{command}: both weighted sides are 0 at lam={fmt(lam)}, "
+              f"s={fmt(s)}: the weight e^{{-2s(eta - eta_ref)}} underflowed "
+              "on both sides", file=sys.stderr)
 
 
 def cmd_forward(ctx: RunContext):
@@ -146,25 +164,22 @@ def cmd_verify_carleman(ctx: RunContext):
     carleman_sweep_to_csv(records, files[0])
     carleman_summary_to_csv(summary, files[1])
 
-    if ctx.plot:
-        series = []
-        for lam in cfg.lambdas:
-            xs = list(cfg.s_values)
-            ys = [summary[(float(s), float(lam))] for s in cfg.s_values]
-            series.append((f"lam={fmt(lam)}", xs, ys))
-        svg_path = ctx.path("carleman_sweep.svg")
-        line_plot(svg_path, series, title="max ratio over test suite",
-                  xlabel="s", ylabel="ratio", logx=True, logy=True)
-        files.append(svg_path)
+    series = [(f"lam={fmt(lam)}", list(cfg.s_values),
+               [summary[(float(s), float(lam))] for s in cfg.s_values])
+              for lam in cfg.lambdas]
+    _plot(ctx, files, "carleman_sweep.svg", series,
+          title="max ratio over test suite", xlabel="s", ylabel="ratio",
+          logx=True, logy=True)
     return files
 
 
 def cmd_verify_poincare(ctx: RunContext):
     twin, ws = ctx.twin, ctx.weights_ref()
     rep = proposition_sides(ctx.gamma, twin.q_tilde, twin.u, twin.y, ws)
-    _report_underflow("verify-poincare",
-                      ((ws.lam, ws.s, part.lhs_total, part.rhs_total)
-                       for part in rep.parts().values()))
+    if np.any(ctx.gamma):
+        _report_underflow("verify-poincare",
+                          ((ws.lam, ws.s, part.lhs_total, part.rhs_total)
+                           for part in rep.parts().values()))
     path = ctx.path("poincare.csv")
     proposition_to_csv(rep, path)
     return [path]
@@ -173,6 +188,9 @@ def cmd_verify_poincare(ctx: RunContext):
 def cmd_verify_snapshot(ctx: RunContext):
     y, ws = ctx.twin.y, ctx.weights_energy()
     rep = snapshot_bound_sides(y, bound_terms(y, ctx.gamma, ws), ws)
+    if np.any(ctx.gamma):
+        _report_underflow("verify-snapshot",
+                          [(ws.lam, ws.s, rep.lhs_total, rep.rhs_total)])
     path = ctx.path("snapshot.csv")
     report_to_csv(rep, path)
     return [path]
@@ -203,18 +221,21 @@ def cmd_verify_energy(ctx: RunContext):
     path = ctx.path("energy_curve.csv")
     curve.to_csv(path)
     files = [path]
-    if ctx.plot:
-        svg_path = ctx.path("energy_curve.svg")
-        line_plot(svg_path, [("E", list(curve.times), list(curve.values))],
-                  title=f"energy along the window (s={fmt(ws.s)})",
-                  xlabel="t", ylabel="E")
-        files.append(svg_path)
+    _plot(ctx, files, "energy_curve.svg",
+          [("E", list(curve.times), list(curve.values))],
+          title=f"energy along the window (s={fmt(ws.s)})", xlabel="t",
+          ylabel="E")
     return files
 
 
 def cmd_verify_stability(ctx: RunContext):
     pair = make_pair(ctx.background, ctx.gamma, ctx.setup.grid)
-    rep = stability_sides(pair, ctx.setup, ctx.weights_ref())
+    ws = ctx.weights_ref()
+    rep = stability_sides(pair, ctx.setup, ws)
+    if np.any(pair.gamma):
+        _report_underflow("verify-stability",
+                          ((ws.lam, ws.s, side.lhs_total, side.rhs_total)
+                           for side in (rep.weighted, rep.plain)))
     path = ctx.path("stability.csv")
     stability_to_csv(rep, path)
     return [path]
@@ -232,14 +253,11 @@ def cmd_sweep_stability(ctx: RunContext):
     path = ctx.path("sweep.csv")
     sweep_to_csv(records, path)
     files = [path]
-    if ctx.plot:
-        xs = list(range(1, len(records) + 1))
-        ys = [rec["ratio"] for rec in records]
-        svg_path = ctx.path("sweep.svg")
-        line_plot(svg_path, [("ratio", xs, ys)],
-                  title="two-sided ratio across the family",
-                  xlabel="member", ylabel="ratio", logy=True)
-        files.append(svg_path)
+    _plot(ctx, files, "sweep.svg",
+          [("ratio", list(range(1, len(records) + 1)),
+            [rec["ratio"] for rec in records])],
+          title="two-sided ratio across the family", xlabel="member",
+          ylabel="ratio", logy=True)
     return files
 
 
@@ -260,13 +278,11 @@ def cmd_reconstruct(ctx: RunContext):
     path = ctx.path("recon_log.csv")
     result.log_to_csv(path)
     files = [path]
-    if ctx.plot:
-        xs = [row[0] for row in result.log]
-        ys = [row[1] for row in result.log]
-        svg_path = ctx.path("recon_log.svg")
-        line_plot(svg_path, [("J", xs, ys)], title="reconstruction descent",
-                  xlabel="iteration", ylabel="J", logy=True)
-        files.append(svg_path)
+    _plot(ctx, files, "recon_log.svg",
+          [("J", [row[0] for row in result.log],
+            [row[1] for row in result.log])],
+          title="reconstruction descent", xlabel="iteration", ylabel="J",
+          logy=True)
     return files
 
 

@@ -117,11 +117,8 @@ class Grid:
         self.n_nodes = (n + 1) ** dimension
 
         axis = np.linspace(0.0, 1.0, n + 1)
-        if dimension == 1:
-            self.coords = axis[:, None]
-        else:
-            xx, yy = np.meshgrid(axis, axis, indexing="ij")
-            self.coords = np.column_stack([xx.ravel(), yy.ravel()])
+        grids = np.meshgrid(*(axis,) * dimension, indexing="ij")
+        self.coords = np.stack(grids, axis=-1).reshape(-1, dimension)
 
         self.lattice = lattice(dimension, n)
         self.boundary_mask = self.lattice.depth == 0
@@ -166,10 +163,6 @@ class Grid:
             f"Grid(dim={self.dimension}, n={self.n}, "
             f"gamma0={list(self.gamma0_faces)})"
         )
-
-
-def build_grid(dimension: int, n: int, gamma0_faces) -> Grid:
-    return Grid(dimension, n, tuple(gamma0_faces))
 
 
 @functools.lru_cache(maxsize=16)
@@ -282,15 +275,14 @@ def discrete_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def divergence_flux(c: np.ndarray, f: np.ndarray, grid: Grid,
-                    out: np.ndarray | None = None,
-                    positive: bool = True) -> np.ndarray:
-    """div(c grad f) on nodes, for f of shape (..., n_nodes). c must be
-    strictly positive unless the caller opts out (coefficient
-    differences are sign-indefinite)."""
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """div(c grad f) on nodes, for f of shape (..., n_nodes): the axes'
+    _flux_axis terms summed in axis order.  c is a conductivity, so it
+    must be finite and strictly positive."""
     c = np.asarray(c, dtype=float)
     if c.shape != (grid.n_nodes,):
         raise GridError(f"conductivity shape {c.shape} != ({grid.n_nodes},)")
-    if not np.all(np.isfinite(c)) or (positive and np.any(c <= 0.0)):
+    if not np.all(np.isfinite(c)) or np.any(c <= 0.0):
         raise GridError("conductivity must be finite and strictly positive")
     f = np.asarray(f, dtype=float)
     cv, v, d = grid.reshape(c), grid.reshape(f), grid.dimension
@@ -316,6 +308,4 @@ def normal_derivative(f: np.ndarray, grid: Grid, face: str) -> np.ndarray:
 
 def space_weights(grid: Grid) -> np.ndarray:
     w = _axis_weights(grid.n, grid.h)
-    if grid.dimension == 1:
-        return w
-    return np.multiply.outer(w, w).ravel()
+    return functools.reduce(np.multiply.outer, [w] * grid.dimension).ravel()

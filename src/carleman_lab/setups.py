@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .forward import HeatProblem, SpaceTimeField, solve_heat, time_derivative
-from .grid import Grid, GridError, TimeGrid, build_grid
+from .grid import Grid, GridError, TimeGrid
 
 
 @dataclass
@@ -40,11 +40,7 @@ class ExperimentSetup:
 
 def default_boundary_data(grid: Grid, t_end: float):
     """g(t) = q0 + 0.5 sin(pi t / T) * ramp >= q0 on [0, T], compatible."""
-    base = base_initial_state(grid)
-    if grid.dimension == 1:
-        ramp = grid.coords[:, 0]
-    else:
-        ramp = grid.coords[:, 0] * grid.coords[:, 1]
+    base, ramp = base_initial_state(grid), np.prod(grid.coords, axis=1)
 
     def g(t: float) -> np.ndarray:
         return base + 0.5 * np.sin(np.pi * t / t_end) * ramp
@@ -53,15 +49,14 @@ def default_boundary_data(grid: Grid, t_end: float):
 
 
 def base_initial_state(grid: Grid) -> np.ndarray:
-    if grid.dimension == 1:
-        return 1.0 + grid.coords[:, 0]
-    return 1.0 + grid.coords[:, 0] + grid.coords[:, 1]
+    # (1 + x) + y: 1 + coords.sum(axis=1) would round differently
+    return functools.reduce(np.add, grid.coords.T, 1.0)
 
 
 def default_setup(dimension: int = 1, n: int = 32, t0: float = 0.5,
                   t_end: float = 2.0, steps: int = 128) -> ExperimentSetup:
     gamma0_faces = ("right",) if dimension == 1 else ("north", "east")
-    grid = build_grid(dimension, n, gamma0_faces)
+    grid = Grid(dimension, n, gamma0_faces)
     timegrid = TimeGrid(0.0, t_end, steps)
     window, _ = timegrid.window(t0)
     base = HeatProblem(
@@ -96,13 +91,8 @@ def probing_boundary_data(grid: Grid):
     """Dual-side drive: sine tones on the observed side (amplitudes sum
     to 0.9, keeping the data at or above 1) and raised cosine tones on
     the opposite side."""
-    base = base_initial_state(grid)
-    if grid.dimension == 1:
-        ramp = grid.coords[:, 0]
-        anti = 1.0 - grid.coords[:, 0]
-    else:
-        ramp = grid.coords[:, 0] * grid.coords[:, 1]
-        anti = (1.0 - grid.coords[:, 0]) * (1.0 - grid.coords[:, 1])
+    base, ramp = base_initial_state(grid), np.prod(grid.coords, axis=1)
+    anti = np.prod(1.0 - grid.coords, axis=1)
 
     def g(t: float) -> np.ndarray:
         s = 0.0

@@ -10,7 +10,7 @@ member, so a record is bitwise stability_sides of its pair.
 
 The inverse side minimizes
 
-    J(c) = 1/2 |d_nu d_t q[c] - d|^2 + alpha/2 |c - prior|^2_H1
+    J(c) = 1/2 |d_nu d_t q[c] - d|^2 + ALPHA/2 |c - prior|^2_H1
 
 by projected gradient descent.  J is computed literally: d_nu d_t is
 observe.observed_flux, which made the data d, and |v|^2_H1 is v H v for
@@ -206,6 +206,8 @@ def stability_sweep(family, setup: ExperimentSetup, ws: WeightSet) -> list:
 # -- misfit, adjoint gradient, reconstruction -----------------------------
 
 
+ALPHA = 1e-8       # Tikhonov weight of J's H1 term
+
 # fixed controls of the descent in reconstruct
 ARMIJO = 1e-4      # sufficient-decrease fraction of the Armijo test
 SHRINK = 0.5       # backtracking factor of a rejected trial step
@@ -217,20 +219,18 @@ GRAD_TOL = 1e-10   # gradient-norm stop
 
 @dataclass
 class InverseConfig:
-    """The prior and Tikhonov weight alpha of J, and the iteration
-    budget.  The descent's controls are the constants ARMIJO, SHRINK,
-    GROWTH, STEP0, MEMORY and GRAD_TOL; C_MIN floors every iterate."""
+    """The prior of J and the iteration budget.  J's Tikhonov weight is
+    the constant ALPHA; the descent's controls are the constants ARMIJO,
+    SHRINK, GROWTH, STEP0, MEMORY and GRAD_TOL; C_MIN floors every
+    iterate."""
 
     prior: np.ndarray
-    alpha: float = 1e-8
     max_iters: int = 200
 
     def validate(self, grid: Grid):
         prior = np.asarray(self.prior, dtype=float)
         if prior.shape != (grid.n_nodes,):
             raise GridError(f"prior shape {prior.shape}")
-        if self.alpha < 0.0:
-            raise GridError("alpha must be nonnegative")
         if self.max_iters < 1:
             raise GridError("max_iters must be at least 1")
         if np.any(prior < C_MIN):
@@ -376,7 +376,7 @@ def _misfit(c_current: np.ndarray, data: ObservationSet,
     j_mis = 0.5 * boundary_norm_plain(residual, grid, window)
 
     shift = c_current - config.prior
-    j_total = j_mis + 0.5 * config.alpha * h1_norm_sq(shift, grid)
+    j_total = j_mis + 0.5 * ALPHA * h1_norm_sq(shift, grid)
     return j_total, (stepper, fieldvals, residual, shift)
 
 
@@ -397,7 +397,7 @@ def _gradient(state, setup: ExperimentSetup, config: InverseConfig,
     grad_c = _coefficient_accumulate(lam_rows, fieldvals[:-1] + fieldvals[1:],
                                      grid, terms)
     grad_c *= -0.5 * tg.dt
-    grad_c += config.alpha * _h1_apply(shift, grid)
+    grad_c += ALPHA * _h1_apply(shift, grid)
     return admissible_projection(grad_c, grid)
 
 

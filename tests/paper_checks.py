@@ -16,6 +16,7 @@ from carleman_lab.grid import (
     Grid,
     GridError,
     TimeGrid,
+    _flux_axis,
     discrete_gradient,
     divergence_flux,
 )
@@ -81,6 +82,19 @@ def lemma_sides(g: np.ndarray, base: TransportBase,
                                       min_transport=base.min_transport)
 
 
+def signed_divergence(gamma: np.ndarray, f: np.ndarray,
+                      grid: Grid) -> np.ndarray:
+    """div(gamma grad f) for a sign-indefinite coefficient difference
+    gamma: grid.divergence_flux's axis terms, summed in its order, with
+    no positivity check."""
+    g, v, d = grid.reshape(gamma), grid.reshape(f), grid.dimension
+    o = _flux_axis(g, v, -d, grid.h)
+    o += 0.0
+    for a in range(1, d):
+        o += _flux_axis(g, v, a - d, grid.h)
+    return o.reshape(np.shape(f))
+
+
 def cit_residual(gamma: np.ndarray, c: np.ndarray, q_tilde: SpaceTimeField,
                  u: SpaceTimeField, y: SpaceTimeField,
                  window: TimeGrid) -> np.ndarray:
@@ -95,7 +109,7 @@ def cit_residual(gamma: np.ndarray, c: np.ndarray, q_tilde: SpaceTimeField,
     yt = y.at_time(t_prime)
     res = (
         yt
-        - divergence_flux(gamma, qt, grid, positive=False)
+        - signed_divergence(gamma, qt, grid)
         - divergence_flux(c, ut, grid)
     )
     if not np.all(np.isfinite(res)):

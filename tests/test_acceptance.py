@@ -20,7 +20,7 @@ from carleman_lab.energy import (
     snapshot_bound_sides,
 )
 from carleman_lab.forward import CrankNicolsonStepper, HeatProblem, solve_heat
-from carleman_lab.grid import TimeGrid, build_grid
+from carleman_lab.grid import Grid, TimeGrid
 from carleman_lab.poincare import proposition_sides
 from carleman_lab.setups import (
     bump_shape,
@@ -66,7 +66,7 @@ def test_acceptance_1_forward_solver():
         t_start = time.perf_counter()
         errors = []
         for n, steps in ((32, 128), (64, 256)):
-            grid = build_grid(1, n, ["right"])
+            grid = Grid(1, n, ["right"])
             tg = TimeGrid(0.0, 2.0, steps)   # dt = 1/64 at n = 32
             x = grid.coords[:, 0]
             prob = HeatProblem(
@@ -211,7 +211,7 @@ def test_acceptance_7_inverse_solver():
         truth = 1.0 + 0.05 * x**2 * (1.0 - x) ** 2
         prior = np.ones(inv.grid.n_nodes)
         data = make_observations(inv, truth)
-        icfg = InverseConfig(prior=prior, alpha=1e-8)
+        icfg = InverseConfig(prior=prior)
         c0 = prior + admissible_projection(0.02 * np.sin(2.0 * np.pi * x),
                                            inv.grid)
         _, grad = misfit_and_gradient(c0, data, inv, icfg)
@@ -232,10 +232,8 @@ def test_acceptance_7_inverse_solver():
         errs = [result.log[-1][3]]
         for sigma in (1e-4, 1e-3, 1e-2):
             noisy = make_observations(inv, truth, sigma=sigma, seed=0)
-            res = reconstruct(
-                noisy, inv,
-                InverseConfig(prior=prior, alpha=1e-8),
-                truth=truth)
+            res = reconstruct(noisy, inv, InverseConfig(prior=prior),
+                              truth=truth)
             errs.append(res.log[-1][3])
         for lo, hi in zip(errs, errs[1:]):
             assert hi >= 0.8 * lo

@@ -25,9 +25,9 @@ from carleman_lab.carleman import (
 )
 from carleman_lab.forward import HeatProblem, solve_heat
 from carleman_lab.grid import (
+    Grid,
     GridError,
     TimeGrid,
-    build_grid,
     discrete_laplacian,
     space_weights,
 )
@@ -39,7 +39,7 @@ LAM_LIST = [1.0, 2.0]
 
 
 def setup_1d(n=32, steps=128):
-    grid = build_grid(1, n, ["right"])
+    grid = Grid(1, n, ["right"])
     timegrid = TimeGrid(0.0, 2.0, steps)
     window, _ = timegrid.window(0.5)
     return grid, window
@@ -100,7 +100,7 @@ def test_m2_dual_evaluation_converges():
     # coarse end, hence the loose absolute ceiling).
     diffs = []
     for n, steps in ((16, 64), (32, 128), (64, 256)):
-        grid = build_grid(1, n, ["right"])
+        grid = Grid(1, n, ["right"])
         timegrid = TimeGrid(0.0, 2.0, steps)
         window, _ = timegrid.window(0.5)
         ws = default_ws(grid, window)
@@ -234,7 +234,7 @@ def test_sweep_refinement_stability_resolved_grid():
     # converging and the max can drift, which is recorded, not asserted
     maxima = []
     for n in (128, 256):
-        grid = build_grid(1, n, ["right"])
+        grid = Grid(1, n, ["right"])
         timegrid = TimeGrid(0.0, 2.0, 128)
         window, _ = timegrid.window(0.5)
         suite = make_test_suite(grid, window, count=20, seed=42)
@@ -277,7 +277,7 @@ def stack_case(dimension):
         grid, window = setup_1d()
         count = 25
     else:
-        grid = build_grid(2, 8, ["north", "east"])
+        grid = Grid(2, 8, ["north", "east"])
         window, _ = TimeGrid(0.0, 2.0, 64).window(0.5)
         count = 20
     c = 1.0 + 0.5 * grid.coords[:, 0] + 0.25 * grid.coords[:, -1] ** 2

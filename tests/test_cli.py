@@ -29,7 +29,7 @@ from carleman_lab.config import (
     evaluate_field,
     load_config,
 )
-from carleman_lab.grid import build_grid
+from carleman_lab.grid import Grid
 from carleman_lab.setups import default_setup
 from carleman_lab.svg import PlotError, line_plot
 
@@ -183,8 +183,8 @@ def test_expression_walker_covers_every_kind(tmp_path, kind):
         with pytest.raises(ConfigError, match="gamma: 'y' used in a 1D"):
             load_config(write_config(tmp_path, gamma=node))
     for dimension in (1, 2):
-        grid = build_grid(dimension, 8,
-                          ["right"] if dimension == 1 else ["north", "east"])
+        grid = Grid(dimension, 8,
+                    ["right"] if dimension == 1 else ["north", "east"])
         if kind == "y" and dimension == 1:
             with pytest.raises(ConfigError, match="1D"):
                 evaluate_field(cfg.gamma, grid)
@@ -224,7 +224,7 @@ def test_field_from_csv_roundtrip(tmp_path):
 def test_field_from_csv_rejects_bad_node_indices(tmp_path, row, message):
     # numpy would read -1 as the last node, and a repeated node would
     # overwrite the earlier row
-    grid = build_grid(1, 4, ["right"])
+    grid = Grid(1, 4, ["right"])
     lines = ["node,value"] + [f"{i},1" for i in range(grid.n_nodes)] + [row]
     (tmp_path / "field.csv").write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=f"{re.escape(repr(row))}.*{message}"):
@@ -235,7 +235,7 @@ def test_field_from_csv_rejects_bad_node_indices(tmp_path, row, message):
 def test_field_from_csv_rejects_non_finite_values(tmp_path, value):
     # a nan row would otherwise read as a missing node, and an infinite
     # one would pass the reader and fail a later check
-    grid = build_grid(1, 4, ["right"])
+    grid = Grid(1, 4, ["right"])
     row = f"2,{value}"
     lines = ["node,value"] + [row if i == 2 else f"{i},1"
                               for i in range(grid.n_nodes)]
@@ -518,7 +518,8 @@ def test_underflowing_weight_is_named_and_no_traceback(tmp_path):
     # bench/cfg2d.json at lambda = 2: the weight underflows wherever a
     # stability member is nonzero, so every member's weighted LHS is 0.
     # The slope fit the sweep once ran took log(0) there, a traceback
-    # (exit 1) under -W error
+    # (exit 1) under -W error.  In all's Carleman stage every test reads
+    # 0 on both sides in each of the four cells, which write ratio 0
     cfg = json.loads((ROOT / "bench" / "cfg2d.json").read_text())
     cfg["lambda"] = [2.0]
     path = write_config(tmp_path, **cfg)
@@ -533,6 +534,14 @@ def test_underflowing_weight_is_named_and_no_traceback(tmp_path):
         assert ("sweep-stability: weighted LHS is 0 against a positive "
                 "right side at lam=2, s=1: the weight "
                 "e^{-2s(eta - eta_ref)} underflowed") in done.stderr
+    vanished = [line for line in done.stderr.splitlines()
+                if line.startswith("verify-carleman: both weighted sides")]
+    assert vanished == [
+        f"verify-carleman: both weighted sides are 0 at lam=2, s={s}: the "
+        "weight e^{-2s(eta - eta_ref)} underflowed on both sides"
+        for s in (1, 2, 4, 8)]
+    summary = (tmp_path / "all" / "carleman_summary.csv").read_text()
+    assert [row.split(",")[-1] for row in summary.split()[1:]] == ["0"] * 4
 
 
 def test_main_rejects_unknown_command(tmp_path):

@@ -15,6 +15,7 @@ from carleman_lab.grid import GridError, divergence_flux
 from carleman_lab.poincare import check_flat_boundary
 from carleman_lab.setups import bump_shape, default_setup, twin_solve
 from helpers import default_weights
+from paper_checks import signed_divergence
 
 
 def default_twin(eps=0.05, **kwargs):
@@ -153,19 +154,26 @@ def test_energy_quadratic_in_perturbation():
 
 def test_forcing_diagnostic():
     # the forcing div(gamma grad d_t q_tilde) of the rate equation, on
-    # the sign-indefinite coefficient path of divergence_flux
+    # the tests' sign-indefinite divergence; divergence_flux rejects the
+    # sign-indefinite gamma, and at a positive coefficient the two agree
+    # bit for bit
     setup, gam, tw = default_twin()
     check_flat_boundary(gam, setup.grid)
     rate = time_derivative(tw.q_tilde).values
 
     def forcing(gamma):
-        return divergence_flux(gamma, rate, setup.grid, positive=False)
+        return signed_divergence(gamma, rate, setup.grid)
 
     f = forcing(gam)
     assert np.all(np.isfinite(f))
     sup = np.max(np.abs(f))
     assert 0.01 < sup < 10.0
     np.testing.assert_array_equal(forcing(2.0 * gam), 2.0 * f)
+    with pytest.raises(GridError, match="positive"):
+        divergence_flux(gam, rate, setup.grid)
+    c = setup.c_tilde + gam
+    assert (forcing(c).tobytes()
+            == divergence_flux(c, rate, setup.grid).tobytes())
 
 
 def test_energy_curve_csv(tmp_path):

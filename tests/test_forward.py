@@ -8,9 +8,9 @@ import scipy.sparse
 from carleman_lab import forward, stability
 from carleman_lab.grid import (
     FACE_STENCIL,
+    Grid,
     GridError,
     TimeGrid,
-    build_grid,
     divergence_flux,
     normal_derivative,
 )
@@ -38,7 +38,7 @@ def decaying_sine_problem(grid):
 
 
 def test_decaying_sine_pointwise():
-    g = build_grid(1, 32, ["right"])
+    g = Grid(1, 32, ["right"])
     tg = TimeGrid(0.0, 2.0, 128)  # dt = 1/64
     q = solve_heat(decaying_sine_problem(g), g, tg)
     node = 16  # x = 0.5
@@ -47,7 +47,7 @@ def test_decaying_sine_pointwise():
 
 
 def test_steady_state_exact():
-    g = build_grid(1, 16, ["right"])
+    g = Grid(1, 16, ["right"])
     tg = TimeGrid(0.0, 2.0, 32)
     prob = HeatProblem(
         c=np.ones(g.n_nodes),
@@ -61,7 +61,7 @@ def test_steady_state_exact():
 def test_richardson_refinement_ratio():
     errs = []
     for n, steps in ((16, 64), (32, 128)):
-        g = build_grid(1, n, ["right"])
+        g = Grid(1, n, ["right"])
         tg = TimeGrid(0.0, 2.0, steps)
         q = solve_heat(decaying_sine_problem(g), g, tg)
         x = g.coords[:, 0]
@@ -72,7 +72,7 @@ def test_richardson_refinement_ratio():
 
 
 def test_2d_manufactured_solution():
-    g = build_grid(2, 16, ["east"])
+    g = Grid(2, 16, ["east"])
     tg = TimeGrid(0.0, 2.0, 64)
     x, y = g.coords[:, 0], g.coords[:, 1]
     prob = HeatProblem(
@@ -101,7 +101,7 @@ def test_setup_data_stay_at_or_above_one(dimension, n):
 
 
 def test_compatibility_checked():
-    g = build_grid(1, 8, ["right"])
+    g = Grid(1, 8, ["right"])
     tg = TimeGrid(0.0, 1.0, 8)
     prob = HeatProblem(
         c=np.ones(g.n_nodes),
@@ -122,7 +122,7 @@ def test_compatibility_checked_at_grid_start():
 
 def test_discrete_maximum_principle():
     # smooth positive data with floor r: solution stays above r - 1e-8
-    g = build_grid(1, 32, ["right"])
+    g = Grid(1, 32, ["right"])
     tg = TimeGrid(0.0, 2.0, 128)
     x = g.coords[:, 0]
     r = 1.0
@@ -140,7 +140,7 @@ def test_discrete_maximum_principle():
 
 def test_affine_superposition_in_data():
     rng = np.random.default_rng(5)
-    g = build_grid(1, 16, ["right"])
+    g = Grid(1, 16, ["right"])
     tg = TimeGrid(0.0, 1.0, 16)
     c = 1.0 + rng.random(g.n_nodes)
 
@@ -163,7 +163,7 @@ def test_affine_superposition_in_data():
 
 
 def test_twin_solves_identical_coefficient():
-    g = build_grid(1, 16, ["right"])
+    g = Grid(1, 16, ["right"])
     tg = TimeGrid(0.0, 2.0, 32)
     x = g.coords[:, 0]
     prob = HeatProblem(
@@ -177,7 +177,7 @@ def test_twin_solves_identical_coefficient():
 
 
 def test_solve_heat_uses_a_matching_stepper_and_rejects_others():
-    g = build_grid(1, 16, ["right"])
+    g = Grid(1, 16, ["right"])
     tg = TimeGrid(0.0, 2.0, 32)
     c = 1.0 + 0.5 * g.coords[:, 0] ** 2
     prob = HeatProblem(c=c, g=lambda t: 1.0 + 0.1 * t * np.ones(g.n_nodes),
@@ -195,7 +195,7 @@ def test_solve_heat_uses_a_matching_stepper_and_rejects_others():
 def test_flux_matrices_match_operator():
     rng = np.random.default_rng(2)
     for dim, n in ((1, 16), (2, 8)):
-        g = build_grid(dim, n, ["right"] if dim == 1 else ["east"])
+        g = Grid(dim, n, ["right"] if dim == 1 else ["east"])
         c = 1.0 + rng.random(g.n_nodes)
         f = rng.standard_normal(g.n_nodes)
         A, Bbd, interior, boundary = flux_matrices(c, g)
@@ -205,7 +205,7 @@ def test_flux_matrices_match_operator():
 
 
 def test_time_derivative_analytic():
-    g = build_grid(1, 32, ["right"])
+    g = Grid(1, 32, ["right"])
     node = 16  # x = 0.5
     errs = []
     for steps in (64, 128, 256):
@@ -225,7 +225,7 @@ def test_time_derivative_analytic():
 def test_time_derivative_is_the_three_point_formula():
     # the grid's first-derivative stencil on the time axis equals the
     # centered difference with one-sided ends written out, bit for bit
-    g = build_grid(2, 6, ["east"])
+    g = Grid(2, 6, ["east"])
     tg = TimeGrid(0.0, 1.3, 10)
     v = np.random.default_rng(4).standard_normal((11, g.n_nodes))
     dt = tg.dt
@@ -238,7 +238,7 @@ def test_time_derivative_is_the_three_point_formula():
 
 
 def test_time_derivative_constant_and_boundary_zero():
-    g = build_grid(1, 8, ["right"])
+    g = Grid(1, 8, ["right"])
     tg = TimeGrid(0.0, 1.0, 8)
     f = SpaceTimeField(values=np.ones((9, g.n_nodes)), grid=g, timegrid=tg)
     assert np.max(np.abs(time_derivative(f).values)) == 0.0
@@ -250,7 +250,7 @@ def test_time_derivative_constant_and_boundary_zero():
 
 
 def test_snapshot_package_sine():
-    g = build_grid(1, 64, ["right"])
+    g = Grid(1, 64, ["right"])
     tg = TimeGrid(0.0, 2.0, 8)
     win = TimeGrid(0.5, 2.0, 6)
     x = g.coords[:, 0]
@@ -269,7 +269,7 @@ def test_snapshot_package_sine():
 
 
 def test_snapshot_package_constant():
-    g = build_grid(1, 8, ["right"])
+    g = Grid(1, 8, ["right"])
     tg = TimeGrid(0.0, 2.0, 8)
     win = TimeGrid(0.5, 2.0, 6)
     vals = np.full((9, g.n_nodes), 3.0)
@@ -283,7 +283,7 @@ def test_snapshot_package_constant():
 def test_snapshot_package_2d_refinement():
     errs = []
     for n in (8, 16, 32):
-        g = build_grid(2, n, ["east"])
+        g = Grid(2, n, ["east"])
         tg = TimeGrid(0.0, 2.0, 8)
         win = TimeGrid(0.5, 2.0, 6)
         x, y = g.coords[:, 0], g.coords[:, 1]
@@ -297,7 +297,7 @@ def test_snapshot_package_2d_refinement():
 
 
 def test_dump_field_csv(tmp_path):
-    g = build_grid(1, 4, ["right"])
+    g = Grid(1, 4, ["right"])
     tg = TimeGrid(0.0, 1.0, 2)
     vals = np.arange(15.0).reshape(3, 5)
     f = SpaceTimeField(values=vals, grid=g, timegrid=tg)
@@ -318,7 +318,7 @@ SMALL_GRIDS = [(1, 4), (2, 4), (2, 7)]
 
 
 def pin_grid(dimension, n):
-    return build_grid(dimension, n, ["right"] if dimension == 1 else ["east"])
+    return Grid(dimension, n, ["right"] if dimension == 1 else ["east"])
 
 
 def reference_assembly(c, grid, dt):
@@ -419,7 +419,7 @@ def test_solve_heat_and_gradient_match_reference_recurrence(dimension, n):
     # the adjoint recurrence as misfit_and_gradient formed it with
     # scipy's A @ lam, driven by the flux residuals scattered row by row
     data = stability.make_observations(inv, c + 0.01 * (c - 1.0))
-    cfg = stability.InverseConfig(prior=np.ones(grid.n_nodes), alpha=1e-8)
+    cfg = stability.InverseConfig(prior=np.ones(grid.n_nodes))
     off = tg.index_of(window.t0)
     k = off + np.arange(1, window.steps)
     half = 1.0 / (2.0 * dt)
@@ -450,9 +450,9 @@ def test_solve_heat_and_gradient_match_reference_recurrence(dimension, n):
                                                  values[:-1] + values[1:],
                                                  grid)
     grad_ref *= -0.5 * dt
-    grad_ref += cfg.alpha * stability._h1_apply(shift, grid)
+    grad_ref += stability.ALPHA * stability._h1_apply(shift, grid)
     grad_ref = stability.admissible_projection(grad_ref, grid)
-    j_ref += 0.5 * cfg.alpha * stability.h1_norm_sq(shift, grid)
+    j_ref += 0.5 * stability.ALPHA * stability.h1_norm_sq(shift, grid)
 
     j_val, grad = stability.misfit_and_gradient(c, data, inv, cfg)
     assert j_val == j_ref

@@ -5,7 +5,6 @@ from carleman_lab.grid import (
     Grid,
     GridError,
     TimeGrid,
-    build_grid,
     centered_difference,
     discrete_gradient,
     discrete_laplacian,
@@ -20,7 +19,7 @@ from helpers import discrete_divergence
 
 
 def test_build_1d_basic():
-    g = build_grid(1, 10, ["right"])
+    g = Grid(1, 10, ["right"])
     assert g.n_nodes == 11
     assert g.h == pytest.approx(0.1)
     assert g.boundary_mask.sum() == 2
@@ -32,7 +31,7 @@ def test_build_1d_basic():
 
 @pytest.mark.parametrize("dimension,n", [(1, 4), (1, 7), (2, 4), (2, 7)])
 def test_lattice_tables_agree_with_the_grid(dimension, n):
-    g = build_grid(dimension, n, ["right"] if dimension == 1 else ["east"])
+    g = Grid(dimension, n, ["right"] if dimension == 1 else ["east"])
     lat = g.lattice
     assert lat is lattice(dimension, n)
     assert not any(t.flags.writeable for t in vars(lat).values())
@@ -56,7 +55,7 @@ def test_lattice_tables_agree_with_the_grid(dimension, n):
 
 
 def test_build_2d_east_face():
-    g = build_grid(2, 8, ["east"])
+    g = Grid(2, 8, ["east"])
     assert g.n_nodes == 81
     # 4 faces of 9 nodes, 4 shared corners
     assert g.boundary_mask.sum() == 32
@@ -65,28 +64,28 @@ def test_build_2d_east_face():
 
 
 def test_build_2d_corner_pair():
-    g = build_grid(2, 8, ["north", "east"])
+    g = Grid(2, 8, ["north", "east"])
     # two faces of 9 sharing one corner node
     assert np.union1d(g.face_nodes("north"), g.face_nodes("east")).size == 17
 
 
 def test_build_rejects_small_n():
     with pytest.raises(GridError):
-        build_grid(1, 2, ["right"])
+        Grid(1, 2, ["right"])
 
 
 def test_build_rejects_full_boundary():
     with pytest.raises(GridError):
-        build_grid(1, 8, ["left", "right"])
+        Grid(1, 8, ["left", "right"])
 
 
 def test_build_rejects_unknown_face():
     with pytest.raises(GridError):
-        build_grid(2, 8, ["up"])
+        Grid(2, 8, ["up"])
 
 
 def test_face_normals_unit_axis_vectors():
-    g = build_grid(2, 8, ["east"])
+    g = Grid(2, 8, ["east"])
     for face in g.face_names:
         nu = g.face_normal(face)
         assert np.abs(nu).sum() == 1.0
@@ -115,7 +114,7 @@ def test_timegrid_window_alignment():
 
 
 def test_laplacian_exact_on_quadratic():
-    g = build_grid(1, 10, ["right"])
+    g = Grid(1, 10, ["right"])
     x = g.coords[:, 0]
     lap = discrete_laplacian(x**2, g)
     assert np.max(np.abs(lap[~g.boundary_mask] - 2.0)) < 1e-11
@@ -140,7 +139,7 @@ def test_divflux_unit_c_is_laplacian():
     # reproduces the plain second-difference stencil bit for bit
     rng = np.random.default_rng(3)
     for dim, n in ((1, 12), (2, 8)):
-        g = build_grid(dim, n, ["right"] if dim == 1 else ["east"])
+        g = Grid(dim, n, ["right"] if dim == 1 else ["east"])
         f = rng.standard_normal(g.n_nodes)
         v = g.reshape(f)
         expect = np.zeros(v.shape)
@@ -156,14 +155,14 @@ def test_divflux_linear_c_linear_f():
     # div((1+x) d/dx x) = 1; exact to round-off at every node and
     # staying there under refinement
     for n in (8, 16, 32):
-        g = build_grid(1, n, ["right"])
+        g = Grid(1, n, ["right"])
         x = g.coords[:, 0]
         val = divergence_flux(1.0 + x, x, g)
         assert np.max(np.abs(val - 1.0)) < 1e-10
 
 
 def test_divflux_rejects_bad_c():
-    g = build_grid(1, 8, ["right"])
+    g = Grid(1, 8, ["right"])
     f = np.ones(g.n_nodes)
     with pytest.raises(GridError):
         divergence_flux(np.zeros(g.n_nodes), f, g)
@@ -177,7 +176,7 @@ def test_laplacian_refinement_order():
     # observed order >= 1.9 on interior nodes for a smooth field
     errs = []
     for n in (8, 16, 32):
-        g = build_grid(1, n, ["right"])
+        g = Grid(1, n, ["right"])
         x = g.coords[:, 0]
         f = np.sin(np.pi * x)
         exact = -np.pi**2 * np.sin(np.pi * x)
@@ -190,7 +189,7 @@ def test_laplacian_refinement_order():
 def test_gradient_refinement_order_2d():
     errs = []
     for n in (8, 16, 32):
-        g = build_grid(2, n, ["east"])
+        g = Grid(2, n, ["east"])
         x, y = g.coords[:, 0], g.coords[:, 1]
         f = np.sin(np.pi * x) * np.cos(np.pi * y)
         gx = np.pi * np.cos(np.pi * x) * np.cos(np.pi * y)
@@ -204,7 +203,7 @@ def test_gradient_refinement_order_2d():
 
 def test_divflux_bilinear():
     rng = np.random.default_rng(11)
-    g = build_grid(2, 8, ["east"])
+    g = Grid(2, 8, ["east"])
     f1 = rng.standard_normal(g.n_nodes)
     f2 = rng.standard_normal(g.n_nodes)
     c1 = 1.0 + rng.random(g.n_nodes)
@@ -218,25 +217,25 @@ def test_divflux_bilinear():
 
 
 def test_quadrature_space_exact_cases():
-    g = build_grid(1, 10, ["right"])
+    g = Grid(1, 10, ["right"])
     assert space_weights(g) @ np.ones(g.n_nodes) == pytest.approx(1.0, abs=1e-14)
     assert space_weights(g) @ g.coords[:, 0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_quadrature_space_sin():
-    g = build_grid(1, 32, ["right"])
+    g = Grid(1, 32, ["right"])
     val = space_weights(g) @ np.sin(np.pi * g.coords[:, 0])
     assert abs(val - 2.0 / np.pi) < 2e-3
 
 
 def test_quadrature_2d_constant():
-    g = build_grid(2, 8, ["east"])
+    g = Grid(2, 8, ["east"])
     assert space_weights(g) @ np.ones(g.n_nodes) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_quadrature_rejects_nonfinite():
     # the plain norms are the quadratures that check their integrand
-    g = build_grid(1, 8, ["right"])
+    g = Grid(1, 8, ["right"])
     f = np.ones(g.n_nodes)
     f[2] = np.nan
     with pytest.raises(GridError):
@@ -247,7 +246,7 @@ def test_quadrature_spacetime_linear_exact():
     # window_sum is the trapezoid in time of the trapezoid in space for
     # an integrand that vanishes on the endpoint rows, which it omits:
     # exact for (x + 1) times the hat in t peaking at t = 1
-    g = build_grid(1, 8, ["right"])
+    g = Grid(1, 8, ["right"])
     tg = TimeGrid(0.0, 2.0, 8)
     x = g.coords[:, 0]
     vals = np.array([(x + 1.0) * (1.0 - abs(t - 1.0)) for t in tg.times])
@@ -257,7 +256,7 @@ def test_quadrature_spacetime_linear_exact():
 
 
 def test_normal_derivative_quadratic():
-    g = build_grid(1, 16, ["right"])
+    g = Grid(1, 16, ["right"])
     x = g.coords[:, 0]
     f = x**2
     assert normal_derivative(f, g, "right")[0] == pytest.approx(2.0, abs=1e-10)
@@ -265,7 +264,7 @@ def test_normal_derivative_quadratic():
 
 
 def test_normal_derivative_2d_face():
-    g = build_grid(2, 16, ["east"])
+    g = Grid(2, 16, ["east"])
     x, y = g.coords[:, 0], g.coords[:, 1]
     f = x**2 * (1.0 + y)
     got = normal_derivative(f, g, "east")
@@ -278,7 +277,7 @@ def test_conservativity_summation_by_parts():
     # at second order for f vanishing on the boundary
     errs = []
     for n in (8, 16, 32):
-        g = build_grid(2, n, ["east"])
+        g = Grid(2, n, ["east"])
         x, y = g.coords[:, 0], g.coords[:, 1]
         f = np.sin(np.pi * x) * np.sin(np.pi * y)
         c = 1.0 + 0.4 * x + 0.2 * y * y
@@ -336,7 +335,7 @@ def assert_fills_out_bitwise(call, expected):
 def test_stencil_on_time_stack_equals_stacked_rows(dim, stencil):
     # one call on a (T, n_nodes) stack must give the per-row results,
     # stacked, bit for bit, and so must a call that fills an out buffer
-    g = build_grid(dim, 7, ["right"] if dim == 1 else ["north", "east"])
+    g = Grid(dim, 7, ["right"] if dim == 1 else ["north", "east"])
     if stencil.startswith("normal:"):
         face = stencil.split(":")[1]
         fn = lambda f, grid: normal_derivative(f, grid, face)
@@ -355,7 +354,7 @@ def test_stencil_on_time_stack_equals_stacked_rows(dim, stencil):
 def test_time_stencils_fill_out_bitwise(dim):
     # the time axis (-2) of a (test, time, node) stack, as the Carleman
     # operators and the observed flux difference it
-    g = build_grid(dim, 7, ["right"] if dim == 1 else ["north", "east"])
+    g = Grid(dim, 7, ["right"] if dim == 1 else ["north", "east"])
     stack = np.random.default_rng(dim).standard_normal((3, 9, g.n_nodes))
     stack[:, 4] = -0.0
     for fn in (centered_difference, first_derivative):
@@ -367,7 +366,7 @@ def test_time_stencils_fill_out_bitwise(dim):
 def test_stencils_on_an_integer_stack_equal_its_float_copy(dim):
     # an integer stack is differenced as floats: no truncation to the
     # input's dtype, and no casting error on the out paths
-    g = build_grid(dim, 7, ["right"] if dim == 1 else ["north", "east"])
+    g = Grid(dim, 7, ["right"] if dim == 1 else ["north", "east"])
     ints = np.random.default_rng(dim).integers(-50, 50, (5, g.n_nodes))
     floats = ints.astype(float)
     faces = ("left", "right") if dim == 1 else ("west", "east", "south",
@@ -382,7 +381,7 @@ def test_stencils_on_an_integer_stack_equal_its_float_copy(dim):
         if name in OUT_STENCILS:
             assert_fills_out_bitwise(lambda out: fn(ints, g, out=out), want)
     squares = np.array([[0, 1, 4, 9, 16]])
-    line = build_grid(1, 4, ["right"])
+    line = Grid(1, 4, ["right"])
     for fn in (lambda v: first_derivative(v, -1, 0.3),
                lambda v: divergence_flux(np.ones(5), v, line)):
         assert fn(squares).tobytes() == fn(squares.astype(float)).tobytes()

@@ -5,7 +5,7 @@ import pytest
 
 from carleman_lab.forward import (HeatProblem, SpaceTimeField, solve_heat,
                                   time_derivative)
-from carleman_lab.grid import GridError, TimeGrid, build_grid, normal_derivative
+from carleman_lab.grid import Grid, GridError, TimeGrid, normal_derivative
 from carleman_lab.observe import (
     boundary_norm_plain,
     extract_observations,
@@ -25,7 +25,7 @@ from carleman_lab.weights import build_weights
 
 
 def sampled_decaying_sine(n=64, steps=128):
-    g = build_grid(1, n, ["right"])
+    g = Grid(1, n, ["right"])
     tg = TimeGrid(0.0, 2.0, steps)
     x = g.coords[:, 0]
     vals = np.exp(-tg.times)[:, None] * np.sin(np.pi * x)[None, :]
@@ -44,7 +44,7 @@ def test_flux_trace_analytic():
 
 
 def test_flux_trace_constant_in_time():
-    g = build_grid(1, 16, ["right"])
+    g = Grid(1, 16, ["right"])
     tg = TimeGrid(0.0, 2.0, 16)
     win, _ = tg.window(0.5)
     x = g.coords[:, 0]
@@ -58,7 +58,7 @@ def test_flux_is_the_trace_of_the_time_derivative(dim):
     # observed_flux differences only the window's interior rows, and
     # gives the trace of the whole field's time derivative on them, bit
     # for bit (dt = 1.3/30 is not a power of two)
-    g = build_grid(dim, 6, ["right"] if dim == 1 else ["north", "east"])
+    g = Grid(dim, 6, ["right"] if dim == 1 else ["north", "east"])
     tg = TimeGrid(0.0, 1.3, 30)
     win, off = tg.window(tg.times[6])
     vals = np.random.default_rng(dim).standard_normal((31, g.n_nodes))
@@ -75,7 +75,7 @@ def test_flux_is_the_trace_of_the_time_derivative(dim):
 def test_observed_flux_transpose_is_the_adjoint(dim):
     # <observed_flux(V), R> in the misfit's boundary quadrature equals
     # sum(V * transpose(R)); in 2D the two faces share a corner node
-    g = build_grid(dim, 6, ["right"] if dim == 1 else ["north", "east"])
+    g = Grid(dim, 6, ["right"] if dim == 1 else ["north", "east"])
     tg = TimeGrid(0.0, 1.3, 30)
     win, _ = tg.window(tg.times[6])
     rng = np.random.default_rng(10 + dim)
@@ -92,7 +92,7 @@ def test_observed_flux_transpose_is_the_adjoint(dim):
 
 
 def test_twin_observation_distance_zero():
-    g = build_grid(1, 16, ["right"])
+    g = Grid(1, 16, ["right"])
     tg = TimeGrid(0.0, 2.0, 32)
     win, _ = tg.window(0.5)
     x = g.coords[:, 0]
@@ -109,7 +109,7 @@ def test_twin_observation_distance_zero():
 
 @pytest.fixture(scope="module")
 def ws_1d():
-    g = build_grid(1, 16, ["right"])
+    g = Grid(1, 16, ["right"])
     tg = TimeGrid(0.5, 2.0, 32)
     return build_weights(g, tg, lam=1.0, s=1.0, m=1.1, x0=[-0.1])
 
@@ -149,7 +149,7 @@ def test_weighted_norm_unweighted_reduction(ws_1d):
 
 
 def test_weighted_norm_monotone_in_s():
-    g = build_grid(1, 16, ["right"])
+    g = Grid(1, 16, ["right"])
     tg = TimeGrid(0.5, 2.0, 32)
     rng = np.random.default_rng(2)
     f = rng.standard_normal(g.n_nodes)
@@ -183,7 +183,7 @@ def test_weighted_boundary_norm_shapes_and_factor(ws_1d):
 
 
 def test_plain_boundary_norm_constant():
-    g = build_grid(1, 8, ["right"])
+    g = Grid(1, 8, ["right"])
     win = TimeGrid(0.5, 2.0, 24)
     # constant trace 3 on one endpoint: integral = 9 * (T - t0 - 2 dt)
     trace = {"right": np.full((win.steps - 1, 1), 3.0)}
@@ -231,7 +231,7 @@ def test_observation_csv_round_trip(tmp_path):
 
 
 def test_observation_csv_2d_two_faces(tmp_path):
-    g = build_grid(2, 8, ["north", "east"])
+    g = Grid(2, 8, ["north", "east"])
     tg = TimeGrid(0.0, 2.0, 16)
     win, _ = tg.window(0.5)
     x, y = g.coords[:, 0], g.coords[:, 1]
@@ -249,8 +249,8 @@ def test_observation_csv_2d_two_faces(tmp_path):
 def test_norms_of_a_member_stack_equal_the_single_norms(dimension):
     # a (members, nodes) stack has ndim 2 like a (nodes, dim) vector
     # field; only the trailing (n_nodes, dim) shape makes a vector field
-    g = build_grid(dimension, 8,
-                   ["right"] if dimension == 1 else ["north", "east"])
+    g = Grid(dimension, 8,
+             ["right"] if dimension == 1 else ["north", "east"])
     tg = TimeGrid(0.5, 2.0, 16)
     ws = build_weights(g, tg, lam=1.0, s=1.0, m=1.1, x0=[-0.1] * dimension)
     rng = np.random.default_rng(9)
@@ -275,8 +275,8 @@ def test_norms_of_a_member_stack_equal_the_single_norms(dimension):
 
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_distance_of_a_stacked_observation_set_is_per_member(dimension):
-    g = build_grid(dimension, 8,
-                   ["right"] if dimension == 1 else ["north", "east"])
+    g = Grid(dimension, 8,
+             ["right"] if dimension == 1 else ["north", "east"])
     tg = TimeGrid(0.0, 2.0, 16)
     win, _ = tg.window(0.5)
     x = g.coords[:, 0]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from carleman_lab import poincare
-from carleman_lab.grid import GridError, build_grid
+from carleman_lab.grid import GridError
 from carleman_lab.poincare import (
     build_transport_base,
     check_flat_boundary,

@@ -558,7 +558,7 @@ def test_zero_data_misfit_is_the_regularization_alone():
     assert all(not np.any(flux) for flux in data.flux.values())
     cfg = InverseConfig(prior=np.ones(grid.n_nodes))
     j_val, grad = misfit_and_gradient(c, data, setup, cfg)
-    assert j_val == 0.5 * cfg.alpha * h1_norm_sq(c - cfg.prior, grid)
+    assert j_val == 0.5 * stability.ALPHA * h1_norm_sq(c - cfg.prior, grid)
     assert np.all(np.isfinite(grad))
 
 
@@ -572,11 +572,12 @@ def test_admissible_mask_is_cached_read_only():
     assert admissible_mask(inversion_setup(dimension=2, n=8).grid).size == 81
 
 
-def test_misfit_zero_at_truth():
+def test_misfit_zero_at_truth(monkeypatch):
+    monkeypatch.setattr(stability, "ALPHA", 0.0)
     inv = inversion_setup(dimension=1, n=32)
     truth = bump_truth(inv.grid)
     data = make_observations(inv, truth)
-    cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes), alpha=0.0)
+    cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes))
     j_prior, _ = misfit_and_gradient(np.ones(inv.grid.n_nodes), data, inv,
                                      cfg)
     j_true, grad = misfit_and_gradient(truth, data, inv, cfg)
@@ -590,7 +591,7 @@ def test_misfit_gradient_matches_finite_differences(dimension):
     x = inv.grid.coords[:, 0]
     truth = bump_truth(inv.grid)
     data = make_observations(inv, truth)
-    cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes), alpha=1e-8)
+    cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes))
     c0 = np.ones(inv.grid.n_nodes) + admissible_projection(
         0.02 * np.sin(2.0 * np.pi * x), inv.grid)
     _, grad = misfit_and_gradient(c0, data, inv, cfg)
@@ -621,15 +622,16 @@ def test_misfit_vanishes_exactly_at_the_truth():
     assert j_val == 0.0
 
 
-def test_misfit_regularizer_vanishes_at_prior():
+def test_misfit_regularizer_vanishes_at_prior(monkeypatch):
     inv = inversion_setup(dimension=1, n=32)
     data = make_observations(inv, bump_truth(inv.grid))
     prior = np.ones(inv.grid.n_nodes)
-    j_plain, _ = misfit_and_gradient(
-        prior, data, inv, InverseConfig(prior=prior, alpha=0.0))
-    j_reg, _ = misfit_and_gradient(
-        prior, data, inv, InverseConfig(prior=prior, alpha=0.5))
-    assert j_reg == j_plain
+    j = {}
+    for alpha in (0.0, 0.5):
+        monkeypatch.setattr(stability, "ALPHA", alpha)
+        j[alpha], _ = misfit_and_gradient(prior, data, inv,
+                                          InverseConfig(prior=prior))
+    assert j[0.5] == j[0.0]
 
 
 def test_h1_gram_matches_quadratic_form():
@@ -697,8 +699,7 @@ def test_reconstruct_noiseless_bump():
     inv = inversion_setup(dimension=1, n=32)
     truth = bump_truth(inv.grid)
     data = make_observations(inv, truth)
-    cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes), alpha=1e-8,
-                        max_iters=200)
+    cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes), max_iters=200)
     res = reconstruct(data, inv, cfg, truth=truth)
     assert res.iterations <= 200
     final_err = res.log[-1][3]
@@ -712,7 +713,7 @@ def test_reconstruct_prior_data_returns_prior():
     inv = inversion_setup(dimension=1, n=32)
     prior = np.ones(inv.grid.n_nodes)
     data = make_observations(inv, prior)
-    res = reconstruct(data, inv, InverseConfig(prior=prior, alpha=1e-8))
+    res = reconstruct(data, inv, InverseConfig(prior=prior))
     assert res.converged
     assert res.iterations <= 2
     np.testing.assert_array_equal(res.c_hat, prior)
@@ -725,8 +726,7 @@ def test_reconstruct_noise_monotone():
     errs = []
     for sigma in (1e-4, 1e-3, 1e-2):
         data = make_observations(inv, truth, sigma=sigma, seed=0)
-        res = reconstruct(data, inv,
-                          InverseConfig(prior=prior, alpha=1e-8),
+        res = reconstruct(data, inv, InverseConfig(prior=prior),
                           truth=truth)
         errs.append(res.log[-1][3])
     assert errs[1] >= 0.8 * errs[0]
@@ -775,7 +775,7 @@ def test_reconstruction_log_csv(tmp_path):
     truth = bump_truth(inv.grid)
     res = reconstruct(make_observations(inv, truth), inv,
                       InverseConfig(prior=np.ones(inv.grid.n_nodes),
-                                    alpha=1e-8, max_iters=3), truth=truth)
+                                    max_iters=3), truth=truth)
     path = tmp_path / "log.csv"
     res.log_to_csv(path)
     lines = path.read_text().splitlines()
@@ -794,8 +794,7 @@ def test_relative_h1_error_endpoints():
 def test_inverse_config_rejects_bad_fields():
     setup = default_setup(dimension=1, n=32)
     prior = np.ones(setup.grid.n_nodes)
-    for bad in (InverseConfig(prior=prior, alpha=-1.0),
-                InverseConfig(prior=prior, max_iters=0),
+    for bad in (InverseConfig(prior=prior, max_iters=0),
                 InverseConfig(prior=1e-4 * prior)):
         with pytest.raises(GridError):
             bad.validate(setup.grid)

@@ -21,6 +21,14 @@ with --plot on the default config and on bench/cfg2d.json.  A read on
 one class does not pass a namesake field of another, and assigning a
 field is not reading it.
 
+A defaulted parameter of one of those functions or methods, __init__
+included, must be passed, by position or by keyword, by some call in
+src/ or bench/ whose callee has the function's bare name (the class name
+for __init__), or stand on KEEP_PARAMETERS as module.function.parameter.
+A call that unpacks *args passes every position from there on, one that
+unpacks **kwargs every keyword.  A default that only tests override is a
+second code path that no command takes.
+
 A module of src/carleman_lab imports a _-prefixed name of another only
 where PRIVATE_IMPORTS gives the reason; anything else the two modules
 share is public.
@@ -42,6 +50,17 @@ KEEP = {
     "ReconstructionResult.c_hat":
         "reconstruct's estimate, read by tests/test_stability.py::"
         "test_reconstruct_prior_data_returns_prior",
+}
+
+# defaulted parameters no call in src/ or bench/ passes, each with the
+# reason it stays
+KEEP_PARAMETERS = {
+    "cli.main.argv":
+        "the parser's argument list; the console script passes none, and "
+        "tests drive the parser through it",
+    "carleman.carleman_sides.m2_sign":
+        "the sign of M2's first-order factor, which the source leaves "
+        "ambiguous; tests evaluate the other sign (ROADMAP item 6)",
 }
 
 # the commands and configs of the field census, each run with --plot
@@ -138,6 +157,62 @@ def _unread(trees) -> list:
                     for other, line in where[name])]
 
 
+def _calls(trees) -> dict:
+    """bare callee name -> [(positional count, index of the first *args or
+    None, keyword names, None standing for **kwargs)] of every call."""
+    calls = defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            star = next((i for i, arg in enumerate(node.args)
+                         if isinstance(arg, ast.Starred)), None)
+            calls[name].append((len(node.args), star,
+                                {k.arg for k in node.keywords}))
+    return calls
+
+
+def _defaulted_parameters(trees):
+    """(module.function.parameter, callee name, position, parameter name)
+    of every defaulted parameter of a package function or method; position
+    counts the arguments a call gives (self and cls excluded) and is None
+    for a keyword-only parameter."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, name, node in _definitions(trees[path]):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            cls, _, _ = qualified.rpartition(".")
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = bool(cls) and not any(
+                getattr(d, "id", None) == "staticmethod"
+                for d in node.decorator_list)
+            first = len(positional) - len(args.defaults)
+            params = [(arg.arg, i - bound) for i, arg in enumerate(positional)
+                      if i >= first]
+            params += [(arg.arg, None) for arg, default
+                       in zip(args.kwonlyargs, args.kw_defaults)
+                       if default is not None]
+            callee = cls if name == "__init__" else name
+            for param, position in params:
+                yield (f"{path.stem}.{qualified}.{param}", callee, position,
+                       param)
+
+
+def _unpassed(trees) -> list:
+    """Defaulted parameters that no call passes."""
+    calls = _calls(trees)
+    return [reported for reported, callee, position, param
+            in _defaulted_parameters(trees)
+            if not any(param in keywords or None in keywords
+                       or (position is not None
+                           and (count > position
+                                or (star is not None and star <= position)))
+                       for count, star, keywords in calls[callee])]
+
+
 def census(out_dir) -> set:
     """module.Class.name of every attribute that a frame of package code
     reads from an instance of a package class while the CLI runs
@@ -182,6 +257,22 @@ def test_every_name_has_a_reader():
     assert unread == [], (
         "no reader in src/ or bench/; delete these, move them into tests/ "
         "or give them a KEEP reason: " + ", ".join(unread))
+
+
+def test_every_defaulted_parameter_is_passed():
+    unpassed = [name for name in _unpassed(_trees())
+                if name not in KEEP_PARAMETERS]
+    assert unpassed == [], (
+        "no call in src/ or bench/ passes these; make them required or "
+        "constants, or give them a KEEP_PARAMETERS reason: "
+        + ", ".join(unpassed))
+
+
+def test_keep_parameters_are_defaulted_and_unpassed():
+    # an entry whose parameter is gone or now passed goes too
+    trees = _trees()
+    assert sorted(set(KEEP_PARAMETERS) - set(_unpassed(trees))) == []
+    assert all(reason.strip() for reason in KEEP_PARAMETERS.values())
 
 
 def test_every_field_is_read_by_the_commands(tmp_path):

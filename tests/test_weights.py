@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from carleman_lab.grid import TimeGrid, build_grid
+from carleman_lab.grid import Grid, TimeGrid
 from carleman_lab.weights import WeightError, build_weights
 from paper_checks import (
     weight_bounds_check,
@@ -16,7 +16,7 @@ def dt_phi(ws):
 
 
 def ref_setup(lam=1.0, s=1.0, steps=16):
-    g = build_grid(1, 10, ["right"])
+    g = Grid(1, 10, ["right"])
     tg = TimeGrid(0.0, 2.0, steps)
     return g, tg, build_weights(g, tg, lam=lam, s=s, m=2.0, x0=[-1.0])
 
@@ -50,17 +50,17 @@ def test_midpoint_closed_forms():
 
 
 def test_anchor_inside_rejected():
-    g = build_grid(1, 10, ["right"])
+    g = Grid(1, 10, ["right"])
     tg = TimeGrid(0.0, 2.0, 16)
     with pytest.raises(WeightError):
         build_weights(g, tg, lam=1.0, s=1.0, m=2.0, x0=[0.5])
-    g2 = build_grid(2, 8, ["north", "east"])
+    g2 = Grid(2, 8, ["north", "east"])
     with pytest.raises(WeightError):
         build_weights(g2, tg, lam=1.0, s=1.0, m=2.0, x0=[0.5, 0.5])
 
 
 def test_parameter_floors():
-    g = build_grid(1, 10, ["right"])
+    g = Grid(1, 10, ["right"])
     tg = TimeGrid(0.0, 2.0, 16)
     with pytest.raises(WeightError):
         build_weights(g, tg, lam=0.5, s=1.0, m=2.0, x0=[-1.0])
@@ -73,7 +73,7 @@ def test_parameter_floors():
 def test_sign_condition_violation_detected():
     # anchor left of the domain but observing on the left: the right
     # face is unobserved and has d_nu beta_tilde = +4 there
-    g = build_grid(1, 10, ["left"])
+    g = Grid(1, 10, ["left"])
     tg = TimeGrid(0.0, 2.0, 16)
     with pytest.raises(WeightError, match="unobserved face"):
         build_weights(g, tg, lam=1.0, s=1.0, m=2.0, x0=[-1.0])
@@ -81,13 +81,13 @@ def test_sign_condition_violation_detected():
 
 def test_2d_corner_pair_accepted_single_face_rejected():
     tg = TimeGrid(0.5, 2.0, 16)
-    g = build_grid(2, 8, ["north", "east"])
+    g = Grid(2, 8, ["north", "east"])
     ws = build_weights(g, tg, lam=1.0, s=1.0, m=1.1, x0=[-0.1, -0.1])
     assert weight_closed_form(ws, m=1.1).C0 > 0.0
     for face in ("west", "south"):
         assert np.all(ws.normal_beta(face) <= 1e-12)
     # with only the east face observed the north face fails the sign test
-    g1 = build_grid(2, 8, ["east"])
+    g1 = Grid(2, 8, ["east"])
     with pytest.raises(WeightError):
         build_weights(g1, tg, lam=1.0, s=1.0, m=1.1, x0=[-0.1, -0.1])
 
@@ -103,7 +103,7 @@ def test_eta_positive_and_normalized_factor_in_unit_interval():
 
 
 def test_monotonicity_in_K_and_lambda():
-    g = build_grid(1, 10, ["right"])
+    g = Grid(1, 10, ["right"])
     tg = TimeGrid(0.0, 2.0, 16)
     w_small = build_weights(g, tg, lam=1.0, s=1.0, m=1.5, x0=[-1.0])
     w_big = build_weights(g, tg, lam=1.0, s=1.0, m=2.0, x0=[-1.0])
@@ -125,7 +125,7 @@ def test_closed_form_time_derivatives_match_differences():
     # centered differences of the tabulated weights converge to the
     # closed forms at second order; compared on the middle half of the
     # window, away from the 1/w blowup where no finite dt resolves
-    g = build_grid(1, 6, ["right"])
+    g = Grid(1, 6, ["right"])
     errs = []
     for steps in (32, 64, 128):
         tg = TimeGrid(0.5, 2.0, steps)
@@ -172,7 +172,7 @@ def test_time_profile_random_windows():
 
 
 def test_bounds_check_finite_and_stable_under_refinement():
-    g = build_grid(1, 10, ["right"])
+    g = Grid(1, 10, ["right"])
     tg1 = TimeGrid(0.5, 2.0, 32)
     tg2 = TimeGrid(0.5, 2.0, 64)
     ws1 = build_weights(g, tg1, lam=1.0, s=1.0, m=1.1, x0=[-0.1])
