@@ -242,8 +242,6 @@ def _block_diagonal(indptr: np.ndarray, indices: np.ndarray,
     data: member m's rows follow member m - 1's, and column b * width + j
     moves to (b * members + m) * width + j."""
     members = data.size // indices.size
-    if members == 1:
-        return indptr, indices, data.ravel()
     m = np.arange(members, dtype=np.int32)[:, None]
     cols = indices + (members - 1) * width * (indices // width) + width * m
     ptr = np.append((indptr[:-1] + indptr[-1] * m).ravel(), data.size)

@@ -15,6 +15,7 @@ no ratio.
 import csv
 import functools
 import json
+import re
 import warnings
 
 import numpy as np
@@ -29,6 +30,9 @@ SEEDS = range(20)
 COMMANDS = [name for name in cli._DISPATCH if name != "all"]
 
 RECON_ITERS = 20
+
+# the "(lam, s)" of a stderr line that names a weighted estimate's cell
+_CELL = re.compile(r" at (lam=[^,:]+, s=[^,:]+):")
 
 
 def _config(seed: int) -> dict:
@@ -85,6 +89,21 @@ def _zero_ratios(path, ref) -> list:
     return found
 
 
+def _named_cells(err: str) -> set:
+    """Every "lam=.., s=.." that a stderr line names, whole: s=1 is not
+    named by a line about s=16."""
+    return {cell for line in err.splitlines() for cell in _CELL.findall(line)}
+
+
+def test_named_cells_match_whole_cells(capsys):
+    cli._report_underflow("verify-carleman", [(2.0, 16.0, 0.0, 0.0),
+                                              (2.0, 1.0, 0.5, 1.0),
+                                              (1.5, 4.0, 0.0, 2.0)])
+    err = capsys.readouterr().err
+    assert "lam=2, s=1" in err
+    assert _named_cells(err) == {"lam=2, s=16", "lam=1.5, s=4"}
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sampled_config_exits_cleanly(seed, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
@@ -106,8 +125,9 @@ def test_sampled_config_exits_cleanly(seed, tmp_path, capsys, monkeypatch):
             assert last.startswith(("config error:", "numerical failure:")), (
                 command, err)
             continue
+        named = _named_cells(err)
         for line in out.splitlines():
             written = line.removeprefix("wrote ")
             if written.endswith(".csv"):
                 for row, cell in _zero_ratios(written, ref):
-                    assert cell in err, (command, written, row, err)
+                    assert cell in named, (command, written, row, err)
