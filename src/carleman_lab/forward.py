@@ -147,10 +147,10 @@ def _flux_pattern(dimension: int, n: int) -> SimpleNamespace:
     boundary columns; band_shape, band_slots (flat, Fortran-ordered),
     band_entries (positions in A_int's data) and band_eye (I's entries
     there) of the upper band storage of B = I - dt/2 A_int; fwd_ and
-    adj_ indptr, indices and gather (into [dt/2 A_int, dt/2, 1, -1]) of
-    the step matrices [dt/2 A + I | dt/2 I | 0 | dt/2 I] and [-I | dt/2 A
-    + I] on blocks of n_interior columns, A_int's rows with identity
-    entries appended."""
+    adj_ indptr, indices, gather (into [dt/2 A_int, dt/2, 1, -1]) and
+    blocks (each entry's column block) of the step matrices [dt/2 A + I
+    | dt/2 I | 0 | dt/2 I] and [-I | dt/2 A + I] on blocks of n_interior
+    columns, A_int's rows with identity entries appended."""
     lat = lattice(dimension, n)
     inside = lat.depth > 0
     interior, boundary = np.flatnonzero(inside), np.flatnonzero(~inside)
@@ -182,7 +182,9 @@ def _flux_pattern(dimension: int, n: int) -> SimpleNamespace:
         eye = np.ones((ni, len(blocks)), dtype=bool)
         eye_cols = np.add.outer(np.arange(ni), ni * np.array(blocks))
         tables = (np.hstack((cols + a_block * ni, eye_cols)),
-                  np.hstack((position, a_cols.size + eye * np.array(values))))
+                  np.hstack((position, a_cols.size + eye * np.array(values))),
+                  np.hstack((np.full(nodes.shape, a_block),
+                             eye * np.array(blocks))))
         return csr(np.hstack((in_a, eye)), *(t.astype(np.int32) for t in tables))
 
     fwd, adj = extended(0, (1, 3, 0), (0, 0, 1)), extended(1, (1, 0), (1, 2))
@@ -199,7 +201,8 @@ def _flux_pattern(dimension: int, n: int) -> SimpleNamespace:
         band_entries=upper,
         band_eye=(a_cols[upper] == a_rows[upper]).astype(float),
         fwd_indptr=fwd[0], fwd_indices=fwd[1], fwd_gather=fwd[2],
-        adj_indptr=adj[0], adj_indices=adj[1], adj_gather=adj[2],
+        fwd_blocks=fwd[3], adj_indptr=adj[0], adj_indices=adj[1],
+        adj_gather=adj[2], adj_blocks=adj[3],
     )
     for value in vars(pattern).values():
         if isinstance(value, np.ndarray):
@@ -237,13 +240,16 @@ def _upper_band(pattern: SimpleNamespace, a_data: np.ndarray,
 
 
 def _block_diagonal(indptr: np.ndarray, indices: np.ndarray,
-                    data: np.ndarray, width: int) -> tuple:
+                    blocks: np.ndarray, data: np.ndarray, width: int) -> tuple:
     """One block-diagonal CSR matrix from a pattern and its (nnz, members)
-    data: member m's rows follow member m - 1's, and column b * width + j
-    moves to (b * members + m) * width + j."""
+    data: member m's rows follow member m - 1's, and column b * width + j,
+    b = blocks[entry], moves to (b * members + m) * width + j.  blocks
+    comes with the pattern, not from indices // width: no other step of
+    a reconstruction divides integers, and paging in numpy's division
+    loop raised its peak RSS by 64 KB (numpy 2.4, x86-64 Linux)."""
     members = data.size // indices.size
     m = np.arange(members, dtype=np.int32)[:, None]
-    cols = indices + (members - 1) * width * (indices // width) + width * m
+    cols = indices + width * ((members - 1) * blocks + m)
     ptr = np.append((indptr[:-1] + indptr[-1] * m).ravel(), data.size)
     return ptr.astype(np.int32), cols.ravel().astype(np.int32), data.T.ravel()
 
@@ -281,10 +287,10 @@ class CrankNicolsonStepper:
         values = np.empty((nnz + 3,) + self._a_data.shape[:-1])
         np.multiply(0.5 * dt, self._a_data.T, out=values[:nnz])
         values[nnz:].T[...] = (0.5 * dt, 1.0, -1.0)
-        self._forward_step = _block_diagonal(p.fwd_indptr, p.fwd_indices,
-                                             values[p.fwd_gather], ni)
-        self._adjoint_step = _block_diagonal(p.adj_indptr, p.adj_indices,
-                                             values[p.adj_gather], ni)
+        self._forward_step = _block_diagonal(
+            p.fwd_indptr, p.fwd_indices, p.fwd_blocks, values[p.fwd_gather], ni)
+        self._adjoint_step = _block_diagonal(
+            p.adj_indptr, p.adj_indices, p.adj_blocks, values[p.adj_gather], ni)
         # raw LAPACK: cholesky_banded and cho_solve_banded's argument
         # checks cost more than the factor and the solve at these sizes
         self.chol, info = _pbtrf(_upper_band(p, self._a_data, dt),
