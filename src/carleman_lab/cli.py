@@ -107,11 +107,11 @@ class RunContext:
 
 
 def _plot(ctx, files, name, series, **labels):
-    """With --plot, line_plot of series into ctx.path(name), appended to
-    files."""
+    """With --plot, line_plot of series() into ctx.path(name), appended
+    to files; without it the series are never built."""
     if ctx.plot:
         path = ctx.path(name)
-        line_plot(path, series, **labels)
+        line_plot(path, series(), **labels)
         files.append(path)
 
 
@@ -164,10 +164,10 @@ def cmd_verify_carleman(ctx: RunContext):
     carleman_sweep_to_csv(records, files[0])
     carleman_summary_to_csv(summary, files[1])
 
-    series = [(f"lam={fmt(lam)}", list(cfg.s_values),
-               [summary[(float(s), float(lam))] for s in cfg.s_values])
-              for lam in cfg.lambdas]
-    _plot(ctx, files, "carleman_sweep.svg", series,
+    _plot(ctx, files, "carleman_sweep.svg",
+          lambda: [(f"lam={fmt(lam)}", list(cfg.s_values),
+                    [summary[(float(s), float(lam))] for s in cfg.s_values])
+                   for lam in cfg.lambdas],
           title="max ratio over test suite", xlabel="s", ylabel="ratio",
           logx=True, logy=True)
     return files
@@ -222,7 +222,7 @@ def cmd_verify_energy(ctx: RunContext):
     curve.to_csv(path)
     files = [path]
     _plot(ctx, files, "energy_curve.svg",
-          [("E", list(curve.times), list(curve.values))],
+          lambda: [("E", list(curve.times), list(curve.values))],
           title=f"energy along the window (s={fmt(ws.s)})", xlabel="t",
           ylabel="E")
     return files
@@ -254,8 +254,8 @@ def cmd_sweep_stability(ctx: RunContext):
     sweep_to_csv(records, path)
     files = [path]
     _plot(ctx, files, "sweep.svg",
-          [("ratio", list(range(1, len(records) + 1)),
-            [rec["ratio"] for rec in records])],
+          lambda: [("ratio", list(range(1, len(records) + 1)),
+                    [rec["ratio"] for rec in records])],
           title="two-sided ratio across the family", xlabel="member",
           ylabel="ratio", logy=True)
     return files
@@ -279,8 +279,8 @@ def cmd_reconstruct(ctx: RunContext):
     result.log_to_csv(path)
     files = [path]
     _plot(ctx, files, "recon_log.svg",
-          [("J", [row[0] for row in result.log],
-            [row[1] for row in result.log])],
+          lambda: [("J", [row[0] for row in result.log],
+                    [row[1] for row in result.log])],
           title="reconstruction descent", xlabel="iteration", ylabel="J",
           logy=True)
     return files
