@@ -17,7 +17,9 @@ stability sweep, the one caller of many members, caps its stacks.
 
 The stepper's adjoint sweep runs the transposed recurrence on the same
 factor for the reconstruction gradient, so the forward map and its
-transpose agree to machine precision in every dimension.
+transpose agree to machine precision in every dimension; the gradient's
+coefficient part is coefficient_accumulate, the transpose of the face
+means.
 """
 
 from __future__ import annotations
@@ -226,6 +228,36 @@ def _flux_values(c: np.ndarray, grid: Grid):
     return pattern, a_data.T, cf[pattern.b_faces].T
 
 
+def coefficient_accumulate(lmb: np.ndarray, s: np.ndarray, grid: Grid,
+                           terms: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Sum over the rows of (T, n_nodes) stacks and over the lattice
+    faces at m of (lmb_p - lmb_q)(s_q - s_p) / (2 h^2); the transpose of
+    _flux_values' face means with respect to the coefficient, for the
+    reconstruction's gradient.  The terms are added one after another,
+    last row first and within a row axis by axis, lower node before
+    upper node, so the sum is bitwise that of the adjoint sweep
+    accumulating row by row.  They are formed in time order in pair, two
+    flat rows of T * n * (n+1)^(dim-1) values, and written at the
+    reversed rows of terms, a zeroed (T, dim, 2, *grid.shape) stack,
+    always in the same slots, so its pad slots stay zero."""
+    lg, sg = grid.reshape(lmb), grid.reshape(s)
+    # zero-padded terms: (row, axis, lower/upper node of the face, *shape)
+    backward = terms[::-1]
+    inv = 1.0 / (2.0 * grid.h**2)
+    for a in range(grid.dimension):
+        lo = (slice(None),) * (a + 1) + (slice(None, -1),)
+        hi = (slice(None),) * (a + 1) + (slice(1, None),)
+        val, other = (row.reshape(lg[lo].shape) for row in pair)
+        np.multiply(np.subtract(lg[lo], lg[hi], out=val),
+                    np.subtract(sg[hi], sg[lo], out=other), out=val)
+        val *= inv
+        backward[:, a, 0][lo] = val
+        backward[:, a, 1][hi] = val
+    # add.reduce over the leading axis of a C-ordered stack adds its
+    # rows in sequence (no pairwise regrouping)
+    return np.add.reduce(terms.reshape(-1, grid.n_nodes), axis=0)
+
+
 def _upper_band(pattern: SimpleNamespace, a_data: np.ndarray,
                 dt: float) -> np.ndarray:
     """ab[u + i - j, j] = B[i, j] for i <= j, B = I - dt/2 A_int formed
@@ -237,6 +269,25 @@ def _upper_band(pattern: SimpleNamespace, a_data: np.ndarray,
     ab[pattern.band_slots] = (
         pattern.band_eye - 0.5 * dt * at[pattern.band_entries].T).T
     return ab.T.reshape(-1, rows).T
+
+
+def cho_factor(gram: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of an SPD matrix, the other triangle left
+    as it was: the LAPACK call scipy.linalg.cho_factor makes, and its
+    error on a matrix that is not positive definite."""
+    chol, info = _flapack.dpotrf(gram, lower=0, clean=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    return chol
+
+
+def cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a cho_factor factor: scipy.linalg.cho_solve's LAPACK
+    call, and its error on a non-finite right-hand side."""
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("array must not contain infs or NaNs")
+    return _flapack.dpotrs(chol, rhs, lower=0)[0]
 
 
 def _block_diagonal(indptr: np.ndarray, indices: np.ndarray,
@@ -274,9 +325,8 @@ class CrankNicolsonStepper:
     """
 
     def __init__(self, c: np.ndarray, grid: Grid, dt: float):
-        self.c = np.array(c, dtype=float)
-        self.dt = dt
-        self._pattern, self._a_data, self._b_data = _flux_values(self.c, grid)
+        self._pattern, self._a_data, self._b_data = _flux_values(
+            np.asarray(c, dtype=float), grid)
         p = self._pattern
         self.interior, self.boundary = p.interior, p.boundary
         self.members = self._a_data.size // p.a_indices.size
@@ -299,13 +349,13 @@ class CrankNicolsonStepper:
             raise SolverError(f"banded Cholesky factor failed (info={info})")
         self._ldab = self.chol.shape[0]
 
-    def boundary_rhs(self, drive: np.ndarray) -> np.ndarray:
-        """B_bd b for every row b of drive, (rows, members * n_interior);
-        member by member bitwise (B_bd @ drive.T).T, through the kernel
-        that product calls."""
+    def boundary_rhs(self, drive: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """B_bd b for every row b of drive, (rows, members * n_interior),
+        in out, a contiguous buffer of that size; member by member
+        bitwise (B_bd @ drive.T).T, through the kernel that product calls."""
         p, rows, ni = self._pattern, drive.shape[0], self.interior.size
-        out = np.zeros((self.members, ni, rows))
-        x = drive.T.ravel()
+        out, x = out.reshape(self.members, ni, rows), drive.T.ravel()
+        out[...] = 0.0
         for b_data, member in zip(self._b_data.reshape(self.members, -1), out):
             csr_matvecs(ni, self.boundary.size, rows, p.b_indptr,
                         p.b_indices, b_data, x, member.ravel())
@@ -333,31 +383,51 @@ class CrankNicolsonStepper:
             if info != 0:
                 raise SolverError(f"banded Cholesky solve failed (info={info})")
 
-    def sweep(self, v0: np.ndarray, rhs_bd: np.ndarray) -> np.ndarray:
+    def sweep(self, v0: np.ndarray, rhs_bd: np.ndarray,
+              work: np.ndarray) -> np.ndarray:
         """Rows v_0 .. v_M: v_{k+1} = B^-1 (v_k + dt/2 ((A v_k + rhs_bd[k])
-        + rhs_bd[k+1])).  Workspace row k is [v_k | rhs_bd[k]], and step k
-        reads [v_k | rhs_bd[k] | v_{k+1} | rhs_bd[k+1]] but not v_{k+1}."""
+        + rhs_bd[k+1])), in work, a contiguous (M + 1, 2n) buffer that it
+        overwrites.  Row k becomes [v_k | rhs_bd[k]], and step k reads
+        [v_k | rhs_bd[k] | v_{k+1} | rhs_bd[k+1]] but not v_{k+1}."""
         n = self._n
-        work = np.zeros((rhs_bd.shape[0], 2 * n))
-        work[0, :n], work[:, n:] = v0, rhs_bd
+        work[:, n:], work[0, :n], work[1:, :n] = rhs_bd, v0, 0.0
         windows = np.ndarray((work.shape[0] - 1, 4 * n), buffer=work,
                              strides=(16 * n, 8))   # float64 rows of 2n
         self._steps(self._forward_step, windows, work[1:, :n])
         return work[:, :n]
 
-    def adjoint_sweep(self, source: np.ndarray) -> np.ndarray:
-        """The transpose of sweep from the (M + 1, n) source: B lam_M =
+    def adjoint_sweep(self, work: np.ndarray) -> np.ndarray:
+        """The transpose of sweep from the (M + 1, n) source held in the
+        right half of work, a contiguous (M + 1, 2n) buffer: B lam_M =
         -source[M], then B lam_i = (lam_{i+1} + dt/2 A lam_{i+1}) -
-        source[i], i = M - 1 .. 1.  Workspace row i is [lam_i | source[i]],
-        and step i reads [source[i] | lam_{i+1}].  Returns lam_1 .. lam_M."""
+        source[i], i = M - 1 .. 1.  Row i becomes [lam_i | source[i]], and
+        step i reads [source[i] | lam_{i+1}].  Returns lam_1 .. lam_M."""
         n = self._n
-        work = np.zeros((source.shape[0], 2 * n))
-        work[:, n:] = source
-        self.solve_B(np.negative(source[-1], out=work[-1, :n]))
+        work[1:-1, :n] = 0.0
+        self.solve_B(np.negative(work[-1, n:], out=work[-1, :n]))
         windows = np.ndarray((work.shape[0] - 1, 2 * n), buffer=work,
                              offset=8 * n, strides=(16 * n, 8))
         self._steps(self._adjoint_step, windows[-1:0:-1], work[-2:0:-1, :n])
         return work[1:, :n]
+
+    def solve(self, g: Callable[[float], np.ndarray], q0: np.ndarray,
+              timegrid: TimeGrid, values: np.ndarray,
+              work: np.ndarray) -> None:
+        """The CN solution for drive g and initial state q0 in values,
+        (members, steps + 1, n_nodes), through sweep's buffer work; the
+        boundary products are formed in values' storage beforehand."""
+        drive = _drive_table(g, timegrid)[:, self.boundary]
+        q0 = np.asarray(q0, dtype=float)
+        if np.max(np.abs(q0[self.boundary] - drive[0])) > 1e-12:
+            raise GridError(
+                f"q0 and g({timegrid.times[0]}) disagree on the boundary")
+        rhs = self.boundary_rhs(drive, values.reshape(-1)[:work.size // 2])
+        inner = self.sweep(np.tile(q0[self.interior], self.members), rhs, work)
+        values[:, :, self.boundary] = drive
+        values[:, :, self.interior] = inner.reshape(
+            -1, self.members, self.interior.size).swapaxes(0, 1)
+        if not np.all(np.isfinite(values)):
+            raise SolverError("non-finite state produced by time stepping")
 
 
 @functools.lru_cache(maxsize=8)
@@ -371,35 +441,16 @@ def _drive_table(g: Callable[[float], np.ndarray],
     return table
 
 
-def solve_heat(problem: HeatProblem, grid: Grid, timegrid: TimeGrid, *,
-               stepper: CrankNicolsonStepper | None = None) -> SpaceTimeField:
+def solve_heat(problem: HeatProblem, grid: Grid,
+               timegrid: TimeGrid) -> SpaceTimeField:
     """CN solution on the whole time grid, (K, steps + 1, n_nodes) for a
-    stack problem.c, swept whole by one stepper.  A caller that also
-    needs the factor (the reconstruction adjoint) may pass a stepper
-    built for problem.c and timegrid.dt; one built for another
-    conductivity or step raises GridError.  Such a caller validates
-    problem itself, before it builds the factor."""
+    stack problem.c, swept whole by one stepper."""
+    problem.validate(grid)
     c = np.asarray(problem.c, dtype=float)
-    if stepper is None:
-        problem.validate(grid)
-    elif stepper.dt != timegrid.dt or not np.array_equal(stepper.c, c):
-        raise GridError("stepper was built for another conductivity or step")
-    pattern = _flux_pattern(grid.dimension, grid.n)
-    interior, boundary = pattern.interior, pattern.boundary
-    drive = _drive_table(problem.g, timegrid)[:, boundary]
-    q0 = np.asarray(problem.q0, dtype=float)
-    if np.max(np.abs(q0[boundary] - drive[0])) > 1e-12:
-        raise GridError(
-            f"q0 and g({timegrid.times[0]}) disagree on the boundary")
-
-    stepper = stepper or CrankNicolsonStepper(c, grid, timegrid.dt)
-    k = stepper.members
-    values = np.empty((k, timegrid.steps + 1, grid.n_nodes))
-    values[:, :, boundary] = drive
-    inner = stepper.sweep(np.tile(q0[interior], k), stepper.boundary_rhs(drive))
-    values[:, :, interior] = inner.reshape(-1, k, interior.size).swapaxes(0, 1)
-    if not np.all(np.isfinite(values)):
-        raise SolverError("non-finite state produced by time stepping")
+    stepper = CrankNicolsonStepper(c, grid, timegrid.dt)
+    values = np.empty((stepper.members, timegrid.steps + 1, grid.n_nodes))
+    stepper.solve(problem.g, problem.q0, timegrid, values,
+                  np.empty((timegrid.steps + 1, 2 * stepper._n)))
     return SpaceTimeField(values=values.reshape(c.shape[:-1] + values.shape[1:]),
                           grid=grid, timegrid=timegrid)
 

@@ -147,11 +147,11 @@ class Grid:
     def face_normal(self, face: str) -> np.ndarray:
         return self._face_normals[face]
 
-    def face_axis_weights(self, face: str) -> np.ndarray:
-        """Trapezoid weights along one face (scalar 1.0 in 1D)."""
-        if self.dimension == 1:
-            return np.ones(1)
-        return _axis_weights(self.n, self.h)
+    def face_axis_weights(self) -> np.ndarray:
+        """Trapezoid weights along a face, the same on every face: the
+        product of the axis weights over its d - 1 axes (one 1.0 in 1D)."""
+        axes = [_axis_weights(self.n, self.h)] * (self.dimension - 1)
+        return functools.reduce(np.multiply.outer, axes, np.ones(1)).ravel()
 
     def reshape(self, flat: np.ndarray) -> np.ndarray:
         """(..., n_nodes) -> (..., *shape); leading axes are kept."""
@@ -200,7 +200,7 @@ def _axis_weights(n: int, h: float) -> np.ndarray:
 FACE_STENCIL = (3.0, -4.0, 1.0)
 
 
-def _one_sided(layers, h: float, sign: float = 1.0) -> np.ndarray:
+def one_sided(layers, h: float, sign: float = 1.0) -> np.ndarray:
     """FACE_STENCIL on three layers, the end layer first: the outward
     derivative there, or the inward one for sign = -1 (put on the
     coefficients, so signed zeros round as written)."""
@@ -225,8 +225,8 @@ def first_derivative(values: np.ndarray, axis: int, h: float,
     v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
     o = np.empty_like(v) if out is None else np.moveaxis(out, axis, -1)
     centered_difference(v, -1, h, out=o[..., 1:-1])
-    o[..., 0] = _one_sided((v[..., 0], v[..., 1], v[..., 2]), h, sign=-1.0)
-    o[..., -1] = _one_sided((v[..., -1], v[..., -2], v[..., -3]), h)
+    o[..., 0] = one_sided((v[..., 0], v[..., 1], v[..., 2]), h, sign=-1.0)
+    o[..., -1] = one_sided((v[..., -1], v[..., -2], v[..., -3]), h)
     return np.moveaxis(o, -1, axis)
 
 
@@ -250,8 +250,8 @@ def _flux_axis(c: np.ndarray, values: np.ndarray, axis: int, h: float,
         d2 = (2.0 * v[..., i0] - 5.0 * v[..., i1] + 4.0 * v[..., i2]
               - v[..., i3]) / h**2
         # c'f' from both inward derivatives: their signs cancel exactly
-        dc, d1 = (_one_sided((a[..., i0], a[..., i1], a[..., i2]), h,
-                             sign=-1.0) for a in (cm, v))
+        dc, d1 = (one_sided((a[..., i0], a[..., i1], a[..., i2]), h,
+                            sign=-1.0) for a in (cm, v))
         o[..., i0] = cm[..., i0] * d2 + dc * d1
     return np.moveaxis(o, -1, axis)
 
@@ -299,8 +299,8 @@ def normal_derivative(f: np.ndarray, grid: Grid, face: str) -> np.ndarray:
     (..., face_nodes)."""
     # take, unlike f[..., idx], returns C order, so BLAS reductions over
     # a trace stack see the same layout as stacked per-row traces
-    return _one_sided((np.take(f, layer, axis=-1)
-                       for layer in grid.face_layers[face]), grid.h)
+    return one_sided((np.take(f, layer, axis=-1)
+                      for layer in grid.face_layers[face]), grid.h)
 
 
 # -- quadrature -----------------------------------------------------------

@@ -6,8 +6,8 @@ at the window midpoint T' (the field, its gradient, laplacian and
 gradient of laplacian).  observed_flux is that flux map, and the data,
 the reconstruction misfit and the stability check all go through it,
 and the misfit gradient through observed_flux_transpose beside it.
-gamma0_traces is the one normal trace on the observed faces Gamma0,
-here and in the energy and Carleman estimates, and
+gamma0_traces is the normal trace on the observed faces Gamma0 (that
+of observed_flux, bitwise, is formed on the face layers only), and
 weighted_boundary_norm its one weighted quadrature over (t0, T) x Gamma0.
 
 Space-time integrals over the window use interior time nodes with
@@ -27,7 +27,8 @@ import numpy as np
 
 from .forward import SnapshotPackage, SpaceTimeField, snapshot_package
 from .grid import (FACE_STENCIL, Grid, GridError, TimeGrid,
-                   centered_difference, normal_derivative, space_weights)
+                   centered_difference, normal_derivative, one_sided,
+                   space_weights)
 from .report import write_csv
 from .weights import WeightSet
 
@@ -58,34 +59,40 @@ def gamma0_traces(values: np.ndarray, grid: Grid) -> dict:
 
 def observed_flux(values: np.ndarray, grid: Grid, timegrid: TimeGrid,
                   window: TimeGrid) -> dict:
-    """d_nu d_t of a (time, node) stack on timegrid, as ObservationSet.flux:
-    the gamma0_traces of the centered time difference on each interior
-    row of the window."""
+    """d_nu d_t of a (..., time, node) stack, as ObservationSet.flux: the
+    gamma0_traces of the centered time difference on each interior row of
+    the window, formed on each observed face's three layers only."""
     off = timegrid.index_of(window.t0)
-    return gamma0_traces(
-        centered_difference(values[..., off : off + window.steps + 1, :],
-                            -2, timegrid.dt), grid)
+    rows = values[..., off : off + window.steps + 1, :]
+    return {face: one_sided(np.moveaxis(centered_difference(
+                np.take(rows, grid.face_layers[face], axis=-1), -3,
+                timegrid.dt), -2, 0), grid.h)
+            for face in grid.gamma0_faces}
 
 
 def observed_flux_transpose(trace_by_face: dict, grid: Grid,
-                            timegrid: TimeGrid, window: TimeGrid) -> np.ndarray:
-    """observed_flux transposed under boundary_norm_plain's quadrature:
-    the (timegrid.steps + 1, n_nodes) S with sum(V * S) equal to that
-    quadrature of observed_flux(V) * R, for R the traces by face."""
-    source = np.zeros((timegrid.steps + 1, grid.n_nodes))
+                            timegrid: TimeGrid, window: TimeGrid,
+                            out: np.ndarray) -> np.ndarray:
+    """observed_flux transposed under boundary_norm_plain's quadrature,
+    on the interior columns the adjoint reads: out, (timegrid.steps + 1,
+    n_interior), becomes those columns of the S with sum(V * S) equal to
+    that quadrature of observed_flux(V) * R, R the traces by face."""
+    column = np.cumsum(~grid.boundary_mask) - 1   # among the interior
+    out[...] = 0.0
     off = timegrid.index_of(window.t0)
-    rows = source[off : off + window.steps + 1]   # window rows, a view
+    rows = out[off : off + window.steps + 1]   # window rows, a view
     inv2h, half = 1.0 / (2.0 * grid.h), 1.0 / (2.0 * timegrid.dt)
     for face in grid.gamma0_faces:
-        weighted = (window.dt * grid.face_axis_weights(face)
-                    * trace_by_face[face])
+        weighted = window.dt * grid.face_axis_weights() * trace_by_face[face]
         # each (row, node) pair appears once per index set, and the +
         # part lands before the - part, as in a per-row scatter
         for layer, coeff in zip(grid.face_layers[face], FACE_STENCIL):
-            part = coeff * inv2h * half * weighted
-            rows[2:, layer] += part     # rows k + 1
-            rows[:-2, layer] -= part    # rows k - 1
-    return source
+            keep = ~grid.boundary_mask[layer]
+            part = coeff * inv2h * half * weighted[:, keep]
+            cols = column[layer[keep]]
+            rows[2:, cols] += part     # rows k + 1
+            rows[:-2, cols] -= part    # rows k - 1
+    return out
 
 
 def extract_observations(field: SpaceTimeField, grid: Grid,
@@ -166,7 +173,7 @@ def weighted_boundary_norm(trace_by_face: dict, ws: WeightSet,
             factor = factor * ws.normal_beta(face)[None, :]
         vals = factor * trace**2
         _check_finite(vals, "weighted boundary")
-        total = total + window_sum(vals, grid.face_axis_weights(face),
+        total = total + window_sum(vals, grid.face_axis_weights(),
                                    ws.timegrid.dt)
     return float(total) if np.ndim(total) == 0 else total
 
@@ -185,7 +192,7 @@ def boundary_norm_plain(trace_by_face: dict, grid: Grid, window: TimeGrid) -> fl
     for face, trace in trace_by_face.items():
         trace = np.asarray(trace, dtype=float)
         _check_finite(trace, "boundary trace")
-        total = total + window_sum(trace**2, grid.face_axis_weights(face),
+        total = total + window_sum(trace**2, grid.face_axis_weights(),
                                    window.dt)
     return float(total) if np.ndim(total) == 0 else total
 

@@ -18,13 +18,16 @@ the one H1 operator H, _h1_apply.  The gradient transposes the exact
 Crank-Nicolson update, so the finite-difference check is sharp.  The
 descent forms J at every trial point and the gradient only at accepted
 ones (_misfit, then _gradient on the same factor, which
-misfit_and_gradient composes at one point).  Each transpose lives next
-to the map it transposes: the adjoint's source is
-observe.observed_flux_transpose applied to the flux residual, the
-adjoint sweep in the forward module reuses the same prefactored
-B = I - dt/2 A (symmetric, so B and its transpose share the
-factorization), and the coefficient derivative accumulates over lattice
-faces, mirroring the face-mean flux assembly node for node.
+misfit_and_gradient composes at one point), in one _workspace per run
+holding the field and adjoint rows, their pair sums, the sweep buffer
+and the accumulation stack: no evaluation after the first allocates
+anything of field size.  Each transpose lives next to the map it
+transposes: the adjoint's source is observe.observed_flux_transpose
+applied to the flux residual, the adjoint sweep in the forward module
+reuses the same prefactored B = I - dt/2 A (symmetric, so B and its
+transpose share the factorization), and the coefficient derivative,
+forward.coefficient_accumulate, accumulates over lattice faces beside
+the face-mean flux assembly it mirrors node for node.
 """
 
 from __future__ import annotations
@@ -32,18 +35,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 # make_observations' generator; imported with the module so that a
 # pipeline imports nothing that start-up has not
 import numpy.random  # noqa: F401
 
-from .forward import (
-    CrankNicolsonStepper,
-    _flapack,
-    solve_heat,
-    snapshot_package,
-)
+from .forward import (CrankNicolsonStepper, cho_factor, cho_solve,
+                      coefficient_accumulate, solve_heat, snapshot_package)
 from .grid import Grid, GridError, discrete_gradient, lattice, space_weights
 from .observe import (
     ObservationSet,
@@ -276,25 +276,6 @@ def _h1_gram(grid: Grid, idx: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _cho_factor(gram: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor of an SPD matrix, the other triangle left
-    as it was: the LAPACK call scipy.linalg.cho_factor makes, and its
-    error on a matrix that is not positive definite."""
-    chol, info = _flapack.dpotrf(gram, lower=0, clean=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite")
-    return chol
-
-
-def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a _cho_factor factor: scipy.linalg.cho_solve's LAPACK
-    call, and its error on a non-finite right-hand side."""
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("array must not contain infs or NaNs")
-    return _flapack.dpotrs(chol, rhs, lower=0)[0]
-
-
 def relative_h1_error(estimate: np.ndarray, truth: np.ndarray,
                       prior: np.ndarray, grid: Grid,
                       gap: float | None = None) -> float:
@@ -323,79 +304,67 @@ def make_observations(setup: ExperimentSetup, c_true: np.ndarray,
     return obs
 
 
-def _coefficient_accumulate(lmb: np.ndarray, s: np.ndarray, grid: Grid,
-                            terms: np.ndarray | None = None) -> np.ndarray:
-    """Sum over the rows of (T, n_nodes) stacks and over the lattice
-    faces at m of (lmb_p - lmb_q)(s_q - s_p) / (2 h^2); the transpose of
-    the face-mean flux assembly with respect to the coefficient.  The
-    terms are added one after another, last row first and within a row
-    axis by axis, lower node before upper node, so the sum is bitwise
-    that of the adjoint sweep accumulating row by row.  terms, when
-    given, is a zeroed (T, dim, 2, *grid.shape) stack that a run reuses:
-    every call writes the same slots, so its pad slots stay zero.  The
-    terms are formed in time order and written at the reversed rows."""
-    lg = grid.reshape(lmb)
-    sg = grid.reshape(s)
-    dim = grid.dimension
-    # zero-padded terms: (row, axis, lower/upper node of the face, *shape)
-    if terms is None:
-        terms = np.zeros((lmb.shape[0], dim, 2) + grid.shape)
-    backward = terms[::-1]
-    inv = 1.0 / (2.0 * grid.h**2)
-    for a in range(dim):
-        lo = (slice(None),) * (a + 1) + (slice(None, -1),)
-        hi = (slice(None),) * (a + 1) + (slice(1, None),)
-        val = (lg[lo] - lg[hi]) * (sg[hi] - sg[lo]) * inv
-        backward[:, a, 0][lo] = val
-        backward[:, a, 1][hi] = val
-    # add.reduce over the leading axis of a C-ordered stack adds its
-    # rows in sequence (no pairwise regrouping)
-    return np.add.reduce(terms.reshape(-1, grid.n_nodes), axis=0)
+def _workspace(setup: ExperimentSetup) -> SimpleNamespace:
+    """A reconstruction's field-sized arrays, made once per run: field
+    holds the forward rows, then (once vsum holds v_k + v_{k+1}) the
+    adjoint rows; one allocation serves as the sweep buffer and then as
+    the face-product pair; terms is the accumulation's zeroed stack."""
+    grid, steps = setup.grid, setup.timegrid.steps
+    sweep = (steps + 1, 2 * np.count_nonzero(~grid.boundary_mask))
+    pair = (2, steps * grid.n * (grid.n + 1)**(grid.dimension - 1))
+    scratch = np.empty(max(math.prod(sweep), math.prod(pair)))
+    return SimpleNamespace(
+        field=np.empty((steps + 1, grid.n_nodes)),
+        vsum=np.empty((steps, grid.n_nodes)),
+        sweep=scratch[:math.prod(sweep)].reshape(sweep),
+        pair=scratch[:math.prod(pair)].reshape(pair),
+        terms=np.zeros((steps, grid.dimension, 2) + grid.shape))
 
 
 def _misfit(c_current: np.ndarray, data: ObservationSet,
-            setup: ExperimentSetup, config: InverseConfig):
+            setup: ExperimentSetup, config: InverseConfig,
+            work: SimpleNamespace):
     """The first half of misfit_and_gradient, run at every trial point:
-    every check on c_current, the forward solve and J.  Returns J and
-    the state _gradient reads.  The caller has validated config."""
+    every check on c_current, the forward solve into work.field and J.
+    Returns J and the state _gradient reads; the caller validated config."""
     grid, tg, window = setup.grid, setup.timegrid, setup.window
     c_current = np.asarray(c_current, dtype=float)
     if np.any(c_current < C_MIN):
         raise GridError("coefficient below the positivity floor")
 
     prob = replace(setup.base, c=c_current)
-    # validated here, before the factor, which would fail less clearly;
-    # solve_heat does not repeat it for a caller's stepper
+    # validated here, before the factor, which would fail less clearly
     prob.validate(grid)
     # one factor of B = I - dt/2 A serves the forward solve and the adjoint
     stepper = CrankNicolsonStepper(c_current, grid, tg.dt)
-    fieldvals = solve_heat(prob, grid, tg, stepper=stepper).values
+    stepper.solve(prob.g, prob.q0, tg, work.field[None], work.sweep)
     # the flux map that made the data, so J vanishes at the truth
     residual = {face: trace - data.flux[face] for face, trace
-                in observed_flux(fieldvals, grid, tg, window).items()}
+                in observed_flux(work.field, grid, tg, window).items()}
     j_mis = 0.5 * boundary_norm_plain(residual, grid, window)
 
     shift = c_current - config.prior
     j_total = j_mis + 0.5 * ALPHA * h1_norm_sq(shift, grid)
-    return j_total, (stepper, fieldvals, residual, shift)
+    return j_total, (stepper, residual, shift)
 
 
 def _gradient(state, setup: ExperimentSetup, config: InverseConfig,
-              terms: np.ndarray | None = None) -> np.ndarray:
+              work: SimpleNamespace) -> np.ndarray:
     """The second half of misfit_and_gradient: the exact discrete
-    gradient of J at the point _misfit evaluated into state, by the
-    adjoint sweep on that point's stepper."""
+    gradient of J at the point the last _misfit on work evaluated, by the
+    adjoint sweep on its stepper; once, as it overwrites work.field."""
     grid, tg = setup.grid, setup.timegrid
-    stepper, fieldvals, residual, shift = state
-    # row i of lam_rows pairs with the step from time i to i + 1; the
+    stepper, residual, shift = state
+    vsum = np.add(work.field[:-1], work.field[1:], out=work.vsum)
+    # row i of lam pairs with the step from time i to i + 1; the
     # adjoint's source, the gradient of j_mis in the field, drives it
     # through the interior columns (boundary values carry data, not c)
-    source = observed_flux_transpose(residual, grid, tg, setup.window)[
-        :, stepper.interior]
-    lam_rows = np.zeros((tg.steps, grid.n_nodes))
-    lam_rows[:, stepper.interior] = stepper.adjoint_sweep(source)
-    grad_c = _coefficient_accumulate(lam_rows, fieldvals[:-1] + fieldvals[1:],
-                                     grid, terms)
+    observed_flux_transpose(residual, grid, tg, setup.window,
+                            work.sweep[:, stepper.interior.size:])
+    lam = work.field[:-1]
+    lam[:, stepper.boundary] = 0.0
+    lam[:, stepper.interior] = stepper.adjoint_sweep(work.sweep)
+    grad_c = coefficient_accumulate(lam, vsum, grid, work.terms, work.pair)
     grad_c *= -0.5 * tg.dt
     grad_c += ALPHA * _h1_apply(shift, grid)
     return admissible_projection(grad_c, grid)
@@ -405,17 +374,18 @@ def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
                         setup: ExperimentSetup, config: InverseConfig):
     """J and its exact discrete gradient: _misfit, then _gradient."""
     config.validate(setup.grid)
-    j_total, state = _misfit(c_current, data, setup, config)
-    return j_total, _gradient(state, setup, config)
+    work = _workspace(setup)
+    j_total, state = _misfit(c_current, data, setup, config, work)
+    return j_total, _gradient(state, setup, config, work)
 
 
 @dataclass
 class ReconstructionResult:
     c_hat: np.ndarray
-    log: list = field(default_factory=list)   # (iter, J, grad_norm, h1_err)
-    converged: bool = False
-    iterations: int = 0
-    message: str = ""
+    log: list = field(init=False, default_factory=list)
+    converged: bool = field(init=False, default=False)
+    iterations: int = field(init=False, default=0)
+    message: str = field(init=False, default="")
 
     def log_to_csv(self, path):
         write_csv(path, ["iter", "J", "grad_norm", "h1_error"], self.log)
@@ -443,27 +413,27 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
     GRAD_TOL, on a failed line search, after 10 accepted steps without
     decrease, or after config.max_iters iterations.  Every trial point
     gets _misfit; only an accepted one gets _gradient, on the stepper its
-    _misfit built, and the config check, the accumulation stack and the
-    error's denominator are made once per run.  The logged error is that
+    _misfit built, and the config check, the _workspace and the error's
+    denominator are made once per run.  The logged error is that
     of the recovered perturbation c_hat - prior, relative to truth - prior."""
     grid = setup.grid
     config.validate(grid)
     prior = np.asarray(config.prior, dtype=float)
-    terms = np.zeros((setup.timegrid.steps, grid.dimension, 2) + grid.shape)
+    work = _workspace(setup)
     c = _project(prior.copy(), config, grid)
-    j_val, state = _misfit(c, data, setup, config)
-    grad = _gradient(state, setup, config, terms)
+    j_val, state = _misfit(c, data, setup, config, work)
+    grad = _gradient(state, setup, config, work)
     step = STEP0
     result = ReconstructionResult(c_hat=c)
     flat_run = 0
 
     idx = np.flatnonzero(admissible_mask(grid))
     gram = _h1_gram(grid, idx)
-    chol = _cho_factor(gram)
+    chol = cho_factor(gram)
 
     def direction(g):
         d = np.zeros_like(g)
-        d[idx] = _cho_solve(chol, g[idx])
+        d[idx] = cho_solve(chol, g[idx])
         return d
 
     gap = None if truth is None else h1_norm_sq(truth - prior, grid)
@@ -488,7 +458,7 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
         while t > 1e-16:
             trial = _project(c - t * desc, config, grid)
             decrease = float(grad @ (c - trial))
-            j_trial, state = _misfit(trial, data, setup, config)
+            j_trial, state = _misfit(trial, data, setup, config, work)
             if j_trial <= reference - ARMIJO * decrease:
                 accepted = True
                 break
@@ -506,7 +476,7 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
         c_prev, grad_prev = c, grad
         c = trial
         j_val = j_trial
-        grad = _gradient(state, setup, config, terms)
+        grad = _gradient(state, setup, config, work)
         history.append(j_val)
         step = t * GROWTH
         # alternate BB1 and BB2, both taken in the H1 metric

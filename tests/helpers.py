@@ -1,11 +1,15 @@
-"""Test-only helpers: the reference weight set, a vector divergence, and
-scipy CSR views of the flux-form operator for the bitwise pins."""
+"""Test-only helpers: the reference weight set, a vector divergence,
+scipy CSR views of the flux-form operator for the bitwise pins, the
+whole-grid flux map and its full-column transpose as references, and an
+adjoint sweep on a fresh buffer."""
 
 import numpy as np
 import scipy.sparse
 
 from carleman_lab.forward import CrankNicolsonStepper, _flux_values
-from carleman_lab.grid import Grid, first_derivative
+from carleman_lab.grid import (FACE_STENCIL, Grid, TimeGrid,
+                               centered_difference, first_derivative)
+from carleman_lab.observe import gamma0_traces
 from carleman_lab.weights import WeightSet, build_weights
 
 
@@ -57,3 +61,40 @@ def stepper_matrix(st: CrankNicolsonStepper):
     """The stepper's A_int as a scipy CSR matrix on its own values."""
     p = st._pattern
     return _csr(st._a_data, p.a_indices, p.a_indptr, st.interior.size)
+
+
+def adjoint_rows(st: CrankNicolsonStepper, source: np.ndarray) -> np.ndarray:
+    """st.adjoint_sweep from an (M + 1, n) source, on a buffer whose rows
+    the sweep writes hold NaN first, so that a read of one shows."""
+    work = np.full((source.shape[0], 2 * source.shape[1]), np.nan)
+    work[:, source.shape[1]:] = source
+    return st.adjoint_sweep(work)
+
+
+def observed_flux_reference(values: np.ndarray, grid: Grid,
+                            timegrid: TimeGrid, window: TimeGrid) -> dict:
+    """observe.observed_flux as the gamma0_traces of the centered time
+    difference of the whole grid on the window's rows."""
+    off = timegrid.index_of(window.t0)
+    return gamma0_traces(
+        centered_difference(values[..., off : off + window.steps + 1, :],
+                            -2, timegrid.dt), grid)
+
+
+def observed_flux_transpose_reference(trace_by_face: dict, grid: Grid,
+                                      timegrid: TimeGrid,
+                                      window: TimeGrid) -> np.ndarray:
+    """observe.observed_flux_transpose on every column: the
+    (timegrid.steps + 1, n_nodes) S scattered face by face, layer by
+    layer, the + part before the - part."""
+    source = np.zeros((timegrid.steps + 1, grid.n_nodes))
+    off = timegrid.index_of(window.t0)
+    rows = source[off : off + window.steps + 1]
+    inv2h, half = 1.0 / (2.0 * grid.h), 1.0 / (2.0 * timegrid.dt)
+    for face in grid.gamma0_faces:
+        weighted = window.dt * grid.face_axis_weights() * trace_by_face[face]
+        for layer, coeff in zip(grid.face_layers[face], FACE_STENCIL):
+            part = coeff * inv2h * half * weighted
+            rows[2:, layer] += part
+            rows[:-2, layer] -= part
+    return source

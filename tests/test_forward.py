@@ -24,7 +24,7 @@ from carleman_lab.forward import (
     time_derivative,
 )
 from carleman_lab.setups import default_setup, inversion_setup
-from helpers import flux_matrices, stepper_matrix
+from helpers import adjoint_rows, flux_matrices, stepper_matrix
 
 
 def decaying_sine_problem(grid):
@@ -176,20 +176,22 @@ def test_twin_solves_identical_coefficient():
     assert np.max(np.abs(q1.values - q2.values)) < 1e-12
 
 
-def test_solve_heat_uses_a_matching_stepper_and_rejects_others():
+def test_stepper_solve_into_reused_buffers_equals_solve_heat():
+    # the reconstruction solves into the same values and sweep buffer at
+    # every trial point: whatever they held, the field comes out bitwise
     g = Grid(1, 16, ["right"])
     tg = TimeGrid(0.0, 2.0, 32)
     c = 1.0 + 0.5 * g.coords[:, 0] ** 2
     prob = HeatProblem(c=c, g=lambda t: 1.0 + 0.1 * t * np.ones(g.n_nodes),
                        q0=np.ones(g.n_nodes))
     own = solve_heat(prob, g, tg).values
-    shared = CrankNicolsonStepper(c, g, tg.dt)
-    np.testing.assert_array_equal(
-        solve_heat(prob, g, tg, stepper=shared).values, own)
-    for other in (CrankNicolsonStepper(c + 1e-9, g, tg.dt),
-                  CrankNicolsonStepper(c, g, 0.5 * tg.dt)):
-        with pytest.raises(GridError, match="stepper"):
-            solve_heat(prob, g, tg, stepper=other)
+    st = CrankNicolsonStepper(c, g, tg.dt)
+    values = np.full((1, tg.steps + 1, g.n_nodes), np.nan)
+    work = np.full((tg.steps + 1, 2 * st.interior.size), np.nan)
+    for stale in (np.nan, 7.0):
+        values[...], work[...] = stale, -stale
+        st.solve(prob.g, prob.q0, tg, values, work)
+        assert values[0].tobytes() == own.tobytes()
 
 
 def test_flux_matrices_match_operator():
@@ -362,7 +364,8 @@ def test_stepper_kernel_matvec_is_bitwise_a_matvec(dimension, n):
     # the sweeps' A v, through csr_matvec, is pinned by the recurrence
     # pins below
     drive = rng.standard_normal((9, st.boundary.size))
-    np.testing.assert_array_equal(st.boundary_rhs(drive),
+    stale = np.full(9 * st.interior.size, np.nan)
+    np.testing.assert_array_equal(st.boundary_rhs(drive, stale),
                                   (B_ref @ drive.T).T)
 
 
@@ -426,7 +429,7 @@ def test_solve_heat_and_gradient_match_reference_recurrence(dimension, n):
     source = np.zeros_like(values)
     j_ref = 0.0
     for face in grid.gamma0_faces:
-        w = grid.face_axis_weights(face)
+        w = grid.face_axis_weights()
         res = (normal_derivative((values[k + 1] - values[k - 1]) * half,
                                  grid, face) - data.flux[face])
         j_ref += 0.5 * window.dt * float(np.sum(res**2 @ w))
@@ -446,9 +449,9 @@ def test_solve_heat_and_gradient_match_reference_recurrence(dimension, n):
     lam_rows = np.zeros((tg.steps, grid.n_nodes))
     lam_rows[:, interior] = lams[::-1]
     shift = c - cfg.prior
-    grad_ref = stability._coefficient_accumulate(lam_rows,
-                                                 values[:-1] + values[1:],
-                                                 grid)
+    work = stability._workspace(inv)
+    grad_ref = forward.coefficient_accumulate(
+        lam_rows, values[:-1] + values[1:], grid, work.terms, work.pair)
     grad_ref *= -0.5 * dt
     grad_ref += stability.ALPHA * stability._h1_apply(shift, grid)
     grad_ref = stability.admissible_projection(grad_ref, grid)
@@ -496,7 +499,7 @@ def test_sweeps_match_reference_recurrence_where_half_dt_is_inexact(
         rhs = lam + 0.5 * dt * (A @ lam) - source[i]
         lam = scipy.linalg.cho_solve_banded((chol, False), rhs)
         lams.append(lam)
-    got = CrankNicolsonStepper(c, grid, dt).adjoint_sweep(source)
+    got = adjoint_rows(CrankNicolsonStepper(c, grid, dt), source)
     assert max_relative(got, np.array(lams[::-1])) <= 1e-14
 
 
@@ -541,7 +544,7 @@ def test_sweeps_raise_on_a_failed_solve(dimension, n, monkeypatch):
     with pytest.raises(forward.SolverError, match="info=-1"):
         solve_heat(inv.base, grid, tg)
     with pytest.raises(forward.SolverError, match="info=-1"):
-        st.adjoint_sweep(np.zeros((tg.steps + 1, st.interior.size)))
+        adjoint_rows(st, np.zeros((tg.steps + 1, st.interior.size)))
 
 
 @pytest.mark.parametrize("dimension,n", PIN_GRIDS)
@@ -597,7 +600,7 @@ def test_loaded_lapack_matches_scipy_linalg(dimension, n):
     gram = stability._h1_gram(inv_grid, idx)
     spd = rng.standard_normal((idx.size, idx.size))
     for matrix in (gram, spd @ spd.T + idx.size * np.eye(idx.size)):
-        chol = stability._cho_factor(matrix)
+        chol = forward.cho_factor(matrix)
         chol_ref, lower = scipy.linalg.cho_factor(matrix)
         assert not lower
         np.testing.assert_array_equal(chol, chol_ref)
@@ -605,7 +608,7 @@ def test_loaded_lapack_matches_scipy_linalg(dimension, n):
                                                   clean=0)[0])
         for _ in range(3):
             rhs = rng.standard_normal(idx.size)
-            x = stability._cho_solve(chol, rhs)
+            x = forward.cho_solve(chol, rhs)
             np.testing.assert_array_equal(
                 x, scipy.linalg.cho_solve((chol_ref, False), rhs))
             np.testing.assert_array_equal(x, potrs(chol_ref, rhs,
@@ -649,8 +652,9 @@ def test_stacked_solve_equals_the_single_solves_bitwise(dimension, n):
     block = CrankNicolsonStepper(cs, grid, tg.dt)
     assert block.members == 5
     assert block.chol.shape[1] == 5 * block.interior.size
-    one = solve_heat(dataclasses.replace(setup.base, c=cs), grid, tg,
-                     stepper=block).values
+    one = np.empty_like(stacked.values)
+    block.solve(setup.base.g, setup.base.q0, tg, one,
+                np.empty((tg.steps + 1, 2 * block.chol.shape[1])))
     assert one.tobytes() == stacked.values.tobytes()
 
 
@@ -662,10 +666,10 @@ def test_stacked_adjoint_sweep_equals_the_single_sweeps(dimension, n):
     block = CrankNicolsonStepper(cs, grid, tg.dt)
     ni = block.interior.size
     source = np.random.default_rng(33).standard_normal((tg.steps + 1, 4 * ni))
-    got = block.adjoint_sweep(source)
+    got = adjoint_rows(block, source)
     for m, c in enumerate(cs):
-        single = CrankNicolsonStepper(c, grid, tg.dt).adjoint_sweep(
-            np.ascontiguousarray(source[:, m * ni:(m + 1) * ni]))
+        single = adjoint_rows(CrankNicolsonStepper(c, grid, tg.dt),
+                              source[:, m * ni:(m + 1) * ni])
         assert got[:, m * ni:(m + 1) * ni].tobytes() == single.tobytes()
 
 

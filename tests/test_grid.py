@@ -272,6 +272,19 @@ def test_normal_derivative_2d_face():
     assert np.max(np.abs(got - 2.0 * (1.0 + yline))) < 1e-9
 
 
+@pytest.mark.parametrize("n", [6, 16, 17])
+def test_face_axis_weights_are_the_trapezoid_weights_of_a_face(n):
+    # one formula for every dimension: a 1D face is one node of weight
+    # 1.0, a 2D face an axis with trapezoid weights h/2, h, ..., h/2
+    assert Grid(1, n, ["right"]).face_axis_weights().tobytes() == \
+        np.ones(1).tobytes()
+    h = 1.0 / n
+    trapezoid = np.full(n + 1, h)
+    trapezoid[[0, -1]] = 0.5 * h
+    assert Grid(2, n, ["east"]).face_axis_weights().tobytes() == \
+        trapezoid.tobytes()
+
+
 def test_conservativity_summation_by_parts():
     # volume integral of div(c grad f) matches the boundary flux integral
     # at second order for f vanishing on the boundary
@@ -282,7 +295,7 @@ def test_conservativity_summation_by_parts():
         f = np.sin(np.pi * x) * np.sin(np.pi * y)
         c = 1.0 + 0.4 * x + 0.2 * y * y
         vol = space_weights(g) @ divergence_flux(c, f, g)
-        bnd = sum(g.face_axis_weights(face)
+        bnd = sum(g.face_axis_weights()
                   @ (c[g.face_nodes(face)] * normal_derivative(f, g, face))
                   for face in g.face_names)
         errs.append(abs(vol - bnd))

@@ -22,6 +22,7 @@ from carleman_lab.observe import (
 )
 from carleman_lab.setups import default_setup
 from carleman_lab.weights import build_weights
+from helpers import observed_flux_reference, observed_flux_transpose_reference
 
 
 def sampled_decaying_sine(n=64, steps=128):
@@ -74,21 +75,56 @@ def test_flux_is_the_trace_of_the_time_derivative(dim):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_observed_flux_transpose_is_the_adjoint(dim):
     # <observed_flux(V), R> in the misfit's boundary quadrature equals
-    # sum(V * transpose(R)); in 2D the two faces share a corner node
+    # sum(V * S) over the interior columns S covers, for V zero on the
+    # boundary as the adjoint's field is; in 2D the faces share a corner
     g = Grid(dim, 6, ["right"] if dim == 1 else ["north", "east"])
     tg = TimeGrid(0.0, 1.3, 30)
     win, _ = tg.window(tg.times[6])
     rng = np.random.default_rng(10 + dim)
+    inside = ~g.boundary_mask
     v = rng.standard_normal((31, g.n_nodes))
+    v[:, ~inside] = 0.0
     r = {face: rng.standard_normal((win.steps - 1, g.face_nodes(face).size))
          for face in g.gamma0_faces}
     flux = observed_flux(v, g, tg, win)
     lhs = sum(float(window_sum(flux[face] * r[face],
-                               g.face_axis_weights(face), win.dt))
+                               g.face_axis_weights(), win.dt))
               for face in g.gamma0_faces)
-    source = observed_flux_transpose(r, g, tg, win)
-    assert source.shape == v.shape
-    assert float(np.sum(v * source)) == pytest.approx(lhs, rel=1e-13)
+    out = np.full((31, np.count_nonzero(inside)), np.nan)
+    source = observed_flux_transpose(r, g, tg, win, out)
+    assert source is out
+    assert float(np.sum(v[:, inside] * source)) == pytest.approx(lhs, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_flux_map_and_transpose_equal_the_whole_grid_formulas(dim):
+    # observed_flux differences only the Gamma0 layer columns, and
+    # observed_flux_transpose writes only the interior columns: bitwise
+    # the whole-grid formulas, on a member stack too, and into a strided
+    # out that held stale values, as the adjoint sweep's buffer does
+    rng = np.random.default_rng(30 + dim)
+    tg = TimeGrid(0.0, 1.3, 30)
+    win, _ = tg.window(tg.times[6])
+    for g in (Grid(dim, 6, ["right"] if dim == 1 else ["north", "east"]),
+              default_setup(dimension=dim, n=32 if dim == 1 else 16).grid):
+        for values in (rng.standard_normal((31, g.n_nodes)),
+                       rng.standard_normal((3, 31, g.n_nodes))):
+            got = observed_flux(values, g, tg, win)
+            want = observed_flux_reference(values, g, tg, win)
+            assert tuple(got) == tuple(want) == g.gamma0_faces
+            for face in g.gamma0_faces:
+                assert got[face].shape == want[face].shape
+                assert got[face].tobytes() == want[face].tobytes()
+        r = {face: rng.standard_normal((win.steps - 1,
+                                        g.face_nodes(face).size))
+             for face in g.gamma0_faces}
+        inside = ~g.boundary_mask
+        ni = np.count_nonzero(inside)
+        buffer = np.full((31, 2 * ni), np.nan)
+        got = observed_flux_transpose(r, g, tg, win, buffer[:, ni:])
+        want = observed_flux_transpose_reference(r, g, tg, win)[:, inside]
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert np.isnan(buffer[:, :ni]).all()
 
 
 def test_twin_observation_distance_zero():

@@ -1,13 +1,17 @@
 """Two-sided stability experiment, the sweep, and the inverse solver."""
 
 import dataclasses
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from carleman_lab import forward, setups, stability
-from carleman_lab.forward import CrankNicolsonStepper, HeatProblem
+from carleman_lab.cli import RunContext
+from carleman_lab.config import load_config
+from carleman_lab.forward import (CrankNicolsonStepper, HeatProblem,
+                                  coefficient_accumulate)
 from carleman_lab.grid import GridError, space_weights
 from carleman_lab.setups import (
     bump_shape,
@@ -17,8 +21,8 @@ from carleman_lab.setups import (
 )
 from carleman_lab.stability import (
     InverseConfig,
-    _coefficient_accumulate,
     _h1_gram,
+    _workspace,
     admissible_mask,
     admissible_projection,
     h1_norm_sq,
@@ -386,8 +390,9 @@ def test_coefficient_accumulate_matches_row_by_row_sweep(dimension):
     # reference: the sum taken row by row, last time row first, as the
     # adjoint recursion visits the rows; the batched sum must match it
     # bit for bit
-    grid = default_setup(dimension=dimension, n=32 if dimension == 1 else 16,
-                         steps=64).grid
+    setup = default_setup(dimension=dimension,
+                          n=32 if dimension == 1 else 16, steps=64)
+    grid = setup.grid
     rng = np.random.default_rng(8)
     lam = rng.standard_normal((64, grid.n_nodes))
     s = rng.standard_normal((64, grid.n_nodes))
@@ -405,16 +410,22 @@ def test_coefficient_accumulate_matches_row_by_row_sweep(dimension):
                 oa[1:] += val
         return out
 
-    batched = _coefficient_accumulate(lam, s, grid)
+    def accumulate(lmb, src, work):
+        return coefficient_accumulate(lmb, src, grid, work.terms, work.pair)
+
+    batched = accumulate(lam, s, _workspace(setup))
     np.testing.assert_array_equal(batched, row_by_row(range(63, -1, -1)))
     # the order is pinned: summing first row first changes the bits
     assert not np.array_equal(batched, row_by_row(range(64)))
-    # a zeroed stack that a run reuses: every call writes the same
-    # slots, so successive calls on other inputs give the allocating bytes
-    terms = np.zeros((64, dimension, 2) + grid.shape)
+    # a workspace that a run reuses: every call writes the same terms
+    # slots, so its pad slots stay zero, and the whole face-product
+    # scratch, so successive calls on other inputs give a fresh
+    # workspace's bytes whatever the scratch held
+    work = _workspace(setup)
     for lmb, src in ((lam, s), (3.0 * s[::-1], lam - 0.5)):
-        want = _coefficient_accumulate(lmb, src, grid)
-        got = _coefficient_accumulate(lmb, src, grid, terms)
+        want = accumulate(lmb, src, _workspace(setup))
+        work.pair[...] = np.nan
+        got = accumulate(lmb, src, work)
         assert got.tobytes() == want.tobytes()
 
 
@@ -469,9 +480,9 @@ def test_reconstruct_runs_the_adjoint_only_at_accepted_points(monkeypatch,
             built.append(1)
             super().__init__(*args, **kwargs)
 
-        def adjoint_sweep(self, source):
+        def adjoint_sweep(self, work):
             adjoints.append(1)
-            return super().adjoint_sweep(source)
+            return super().adjoint_sweep(work)
 
     misfit = stability._misfit
 
@@ -492,15 +503,16 @@ def test_reconstruct_runs_the_adjoint_only_at_accepted_points(monkeypatch,
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_reconstruct_gradients_equal_misfit_and_gradient(monkeypatch,
                                                          dimension):
-    # the run's J and gradient at every accepted point, the latter
-    # formed on the run's reused accumulation stack, are bitwise what
-    # the one-point function gives there
+    # the run's J and gradient at every accepted point, formed in the
+    # run's one workspace, which rejected trials wrote in between, are
+    # bitwise what the one-point function gives there on a fresh one
     inv, truth, data, cfg = _short_run(dimension)
     misfit, gradient = stability._misfit, stability._gradient
-    last, accepted = [], []
+    last, accepted, trials = [], [], []
 
     def recording_misfit(c, *args):
         last[:] = [np.array(c, dtype=float)]
+        trials.append(1)
         return misfit(c, *args)
 
     def recording_gradient(*args):
@@ -512,12 +524,38 @@ def test_reconstruct_gradients_equal_misfit_and_gradient(monkeypatch,
     monkeypatch.setattr(stability, "_gradient", recording_gradient)
     res = reconstruct(data, inv, cfg, truth=truth)
     assert len(accepted) == len(res.log) == res.iterations + 1
+    assert len(trials) > len(accepted)   # some trials were rejected
     assert accepted[-1][0].tobytes() == res.c_hat.tobytes()
     monkeypatch.undo()
     for (point, grad), row in zip(accepted, res.log):
         j_val, want = misfit_and_gradient(point, data, inv, cfg)
         assert grad.tobytes() == want.tobytes()
         assert (j_val, float(np.linalg.norm(want))) == row[1:3]
+
+
+# tracemalloc peak of the 10-iteration reconstruction of bench/cfg2d.json
+# (the recon-2d workload's), numpy 2.4: 3,195,646 B with one workspace,
+# about 3,880,000 B when every evaluation allocated its own field-sized
+# arrays; the bound, 10% above the first, stays below the second
+CFG2D_RECONSTRUCT_PEAK = 3_195_646
+
+
+def test_reconstruct_allocates_its_field_sized_arrays_once(tmp_path):
+    cfg = load_config(pathlib.Path(__file__).resolve().parents[1]
+                      / "bench" / "cfg2d.json")
+    ctx = RunContext(cfg, str(tmp_path), False)
+    inv = inversion_setup(cfg.dimension, cfg.n)
+    truth = make_pair(ctx.background, ctx.gamma, inv.grid).c
+    data = make_observations(inv, truth, sigma=cfg.sigma, seed=cfg.seed)
+    icfg = InverseConfig(prior=ctx.background, max_iters=10)
+    tracemalloc.start()
+    try:
+        res = reconstruct(data, inv, icfg, truth=truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 10
+    assert peak <= 1.1 * CFG2D_RECONSTRUCT_PEAK
 
 
 def test_reconstruct_builds_one_read_only_pattern_per_grid():

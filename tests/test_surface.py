@@ -25,6 +25,9 @@ A defaulted parameter of one of those functions or methods, __init__
 included, must be passed, by position or by keyword, by some call in
 src/ or bench/ whose callee has the function's bare name (the class name
 for __init__), or stand on KEEP_PARAMETERS as module.function.parameter.
+The __init__ that @dataclass writes counts: its parameters are the
+class's fields in order, less those declared field(init=False), and a
+field with a default or a default_factory is a defaulted one.
 A call that unpacks *args passes every position from there on, one that
 unpacks **kwargs every keyword.  A default that only tests override is a
 second code path that no command takes.
@@ -68,11 +71,7 @@ CENSUS_COMMANDS = ("all", "forward", "verify-snapshot", "verify-stability")
 CENSUS_CONFIGS = (None, ROOT / "bench" / "cfg2d.json")
 
 # (importing module, imported module, private name) -> why it is shared
-PRIVATE_IMPORTS = {
-    ("stability", "forward", "_flapack"):
-        "the dense LAPACK Cholesky of the reconstruction's H1 "
-        "preconditioner, until it is banded like the stepper's factor",
-}
+PRIVATE_IMPORTS = {}
 
 
 def _trees() -> dict:
@@ -159,14 +158,19 @@ def _unread(trees) -> list:
 
 def _calls(trees) -> dict:
     """bare callee name -> [(positional count, index of the first *args or
-    None, keyword names, None standing for **kwargs)] of every call."""
+    None, keyword names, None standing for **kwargs)] of every call; a
+    call of cls in a class's body calls that class."""
     calls = defaultdict(list)
     for tree in trees.values():
+        owner = {id(node): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "cls":
+                name = owner.get(id(node), name)
             star = next((i for i, arg in enumerate(node.args)
                          if isinstance(arg, ast.Starred)), None)
             calls[name].append((len(node.args), star,
@@ -201,11 +205,51 @@ def _defaulted_parameters(trees):
                        param)
 
 
+def _is_dataclass(cls) -> bool:
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _field_call(value):
+    """The keywords of a field(...) default, or None for a plain one."""
+    if (isinstance(value, ast.Call)
+            and getattr(value.func, "id", None) == "field"):
+        return {k.arg: k.value for k in value.keywords}
+    return None
+
+
+def _dataclass_parameters(trees):
+    """(module.Class.__init__.parameter, Class, position, parameter) of
+    every defaulted parameter of the __init__ that @dataclass generates
+    for a module-level class of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in trees[path].body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            position = 0
+            for item in cls.body:
+                if not (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    continue
+                keywords = _field_call(item.value) or {}
+                init = keywords.get("init")
+                if isinstance(init, ast.Constant) and init.value is False:
+                    continue
+                defaulted = item.value is not None and (
+                    _field_call(item.value) is None
+                    or {"default", "default_factory"} & set(keywords))
+                if defaulted:
+                    name = item.target.id
+                    yield (f"{path.stem}.{cls.name}.__init__.{name}",
+                           cls.name, position, name)
+                position += 1
+
+
 def _unpassed(trees) -> list:
     """Defaulted parameters that no call passes."""
     calls = _calls(trees)
     return [reported for reported, callee, position, param
-            in _defaulted_parameters(trees)
+            in [*_defaulted_parameters(trees), *_dataclass_parameters(trees)]
             if not any(param in keywords or None in keywords
                        or (position is not None
                            and (count > position
