@@ -61,13 +61,13 @@ KEEP_VALUES = 2**18
 
 
 def conjugate(q_values: np.ndarray, ws: WeightSet,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """psi = e^{-s(eta - eta_ref)} q on the window, zero endpoint rows."""
-    psi = np.empty_like(q_values) if out is None else out
-    psi[..., [0, -1], :] = 0.0
+              out: np.ndarray) -> np.ndarray:
+    """psi = e^{-s(eta - eta_ref)} q on the window, in out, with zero
+    endpoint rows."""
+    out[..., [0, -1], :] = 0.0
     np.multiply(ws.conjugation, q_values[..., 1:-1, :],
-                out=psi[..., 1:-1, :])
-    return psi
+                out=out[..., 1:-1, :])
+    return out
 
 
 def apply_M1(psi: np.ndarray, c: np.ndarray, ws: WeightSet,

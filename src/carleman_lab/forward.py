@@ -3,17 +3,18 @@
 The semidiscrete operator is the flux-form stencil from the grid module,
 split into interior and boundary columns.  Its sparse structure depends
 only on the grid, so it is worked out once per (dimension, n) as a
-read-only pattern, and each conductivity fills in only the values.
-Each step is one CSR kernel call, which forms the explicit half-step,
-and one solve of (I - dt/2 A) v = rhs with the stepper's banded
-Cholesky factor: the interior nodes are numbered row-major, so the band
-is tridiagonal in 1D and n - 1 wide in 2D.  The boundary drive is
-tabulated once per (drive, time grid) and its contribution to every
-step formed in one product.
-
-A (K, n_nodes) stack of conductivities is one block-diagonal system,
-each member's field bitwise its own single solve, swept whole; the
-stability sweep, the one caller of many members, caps its stacks.
+read-only pattern, and laid out once per (dimension, n, K) for stacks
+of K conductivities: the step matrices, the band of B = I - dt/2 A and
+B_bd of K members side by side, one block-diagonal system whose members
+each get their own single solve's bits.  A stepper build is work per
+conductivity only: the face values, one gather per step matrix, one
+scatter into the band and its banded Cholesky factor.  Each step is one
+CSR kernel call, which forms the explicit half-step, and one solve of
+(I - dt/2 A) v = rhs with that factor: the interior nodes are numbered
+row-major, so the band is tridiagonal in 1D and n - 1 wide in 2D.  The
+boundary drive is tabulated once per (drive, time grid, lattice) and
+its contribution to every step formed in one product.  The stability
+sweep, the one caller of many members, caps its stacks.
 
 The stepper's adjoint sweep runs the transposed recurrence on the same
 factor for the reconstruction gradient, so the forward map and its
@@ -85,11 +86,11 @@ class HeatProblem:
     """Conductivity, boundary data and initial state.
 
     g maps a time to a full-length nodal array; only its boundary entries
-    are read.  g must be a pure function of t: solve_heat tabulates it
-    once per time grid and reuses the table for every later solve with
-    the same g.  c may be a (K, n_nodes) stack, K conductivities sharing
-    the rest.  The solver asks nothing of the data's sign; the setups
-    module keeps its own data at or above 1.
+    are read.  g must be a pure function of t: solve_heat tabulates them
+    once per time grid and lattice and reuses the table for every later
+    solve with the same g.  c may be a (K, n_nodes) stack, K
+    conductivities sharing the rest.  The solver asks nothing of the
+    data's sign; the setups module keeps its own data at or above 1.
     """
 
     c: np.ndarray
@@ -132,27 +133,35 @@ class SpaceTimeField:
 
 
 @functools.lru_cache(maxsize=16)
-def _flux_pattern(dimension: int, n: int) -> SimpleNamespace:
-    """Structure of the flux-form operator on a (dimension, n) grid,
-    shared read-only by every conductivity on it.  It is one stencil
-    table: row i is interior node p = interior[i] and lists, in
-    ascending node order, p - s_a for a = 0 .. d-1, p, then p + s_a for
-    a = d-1 .. 0 (s_a = (n+1)^(d-1-a), the node stride of axis a).  An
-    off-diagonal entry carries the grid.lattice face between its nodes,
-    the diagonal its index after the faces.
+def _flux_pattern(dimension: int, n: int, members: int) -> SimpleNamespace:
+    """Structure of the flux-form operator on a (dimension, n) grid, laid
+    out for stacks of members conductivities and shared read-only by
+    them.  It is one stencil table: row i is interior node p = interior[i]
+    and lists, in ascending node order, p - s_a for a = 0 .. d-1, p, then
+    p + s_a for a = d-1 .. 0 (s_a = (n+1)^(d-1-a), the node stride of
+    axis a).  An off-diagonal entry carries the grid.lattice face between
+    its nodes, the diagonal its index after the faces.  A stack is one
+    block-diagonal system, member m's rows after member m - 1's; in a step
+    matrix, member m's column j of block b is (b * members + m) * ni + j
+    (ni interior nodes), so each block of a sweep window holds the members
+    side by side.  The blocks come with the table, not from indices // ni:
+    no other step of a reconstruction divides integers, and paging in
+    numpy's division loop raised its peak RSS by 64 KB (numpy 2.4,
+    x86-64 Linux).
 
     Fields: interior, boundary; diag_faces, the 2d faces at each node in
     the order up[0, p], up[0, p - s_0], up[1, p], up[1, p - s_1] that its
     diagonal sums them in; a_indptr, a_indices and a_gather (into the
-    face values followed by the diagonal) of A_int, the table in interior
-    columns; b_indptr, b_indices and b_faces of B_bd, the table in
-    boundary columns; band_shape, band_slots (flat, Fortran-ordered),
-    band_entries (positions in A_int's data) and band_eye (I's entries
-    there) of the upper band storage of B = I - dt/2 A_int; fwd_ and
-    adj_ indptr, indices, gather (into [dt/2 A_int, dt/2, 1, -1]) and
-    blocks (each entry's column block) of the step matrices [dt/2 A + I
-    | dt/2 I | 0 | dt/2 I] and [-I | dt/2 A + I] on blocks of n_interior
-    columns, A_int's rows with identity entries appended."""
+    face values followed by the diagonal) of one member's A_int, the
+    table in interior columns, and b_faces of its B_bd, the table in
+    boundary columns; bd, the stack's B_bd (indptr, indices); fwd and
+    adj, the stack's (indptr, indices, take) of the step matrices [dt/2 A
+    + I | dt/2 I | 0 | dt/2 I] and [-I | dt/2 A + I] on blocks of ni
+    columns, A_int's rows with identity entries appended, take each
+    entry's position in the (members, nnz + 3) _step_values; band_rows,
+    band_size, band_slots (flat, Fortran-ordered), band_take and band_eye
+    (I's entries there) of the upper band storage of B = I - dt/2 A_int,
+    whose slots coupling two members stay zero."""
     lat = lattice(dimension, n)
     inside = lat.depth > 0
     interior, boundary = np.flatnonzero(inside), np.flatnonzero(~inside)
@@ -165,59 +174,60 @@ def _flux_pattern(dimension: int, n: int) -> SimpleNamespace:
     # a node's number among the interior or among the boundary nodes
     number = np.where(inside, np.cumsum(inside), np.cumsum(~inside)) - 1
     cols, in_a = number[nodes].astype(np.int32), inside[nodes]
+    m = np.arange(members)[:, None]
 
     def csr(keep, *tables):
-        """indptr and the kept entries of each table, row by row."""
-        indptr = np.append(0, np.cumsum(np.sum(keep, axis=1)))
+        """indptr and the kept entries of each table, row by row; member
+        by member if a table has a leading member axis."""
+        keep, *tables = np.broadcast_arrays(keep, *tables)
+        indptr = np.append(0, np.cumsum(np.sum(keep, axis=-1)))
         return (indptr.astype(np.int32), *(table[keep] for table in tables))
 
     a_indptr, a_cols, a_gather = csr(in_a, cols, faces)
     a_rows = np.repeat(np.arange(ni, dtype=np.int32), np.diff(a_indptr))
     upper = np.flatnonzero(a_cols >= a_rows)
-    u = int(np.max(a_cols[upper] - a_rows[upper]))
+    u, width = int(np.max(a_cols[upper] - a_rows[upper])), a_cols.size + 3
     position = np.full(nodes.shape, -1)  # in A_int's data
     position[in_a] = np.arange(a_cols.size)
 
     def extended(a_block, blocks, values):
         """A_int's rows moved a_block blocks right, then identity entries
-        in the given blocks with the given gather values."""
+        in the given blocks with the given values, member by member."""
         eye = np.ones((ni, len(blocks)), dtype=bool)
-        eye_cols = np.add.outer(np.arange(ni), ni * np.array(blocks))
-        tables = (np.hstack((cols + a_block * ni, eye_cols)),
-                  np.hstack((position, a_cols.size + eye * np.array(values))),
-                  np.hstack((np.full(nodes.shape, a_block),
-                             eye * np.array(blocks))))
-        return csr(np.hstack((in_a, eye)), *(t.astype(np.int32) for t in tables))
+        block = np.hstack((np.full(nodes.shape, a_block), eye * blocks))
+        col = np.hstack((cols, eye * np.arange(ni)[:, None]))
+        col = col + ni * (members * block + m[:, :, None])
+        take = np.hstack((position, a_cols.size + eye * np.array(values)))
+        return csr(np.hstack((in_a, eye)), col.astype(np.int32),
+                   take + width * m[:, :, None])
 
-    fwd, adj = extended(0, (1, 3, 0), (0, 0, 1)), extended(1, (1, 0), (1, 2))
-    b_indptr, b_indices, b_faces = csr(~in_a, cols, faces)
     # the columns of up[a, p] and up[a, p - s_a], axis by axis
     diag_columns = [k for a in axes for k in (2 * dimension - a, a)]
     pattern = SimpleNamespace(
         interior=interior, boundary=boundary,
         diag_faces=faces[:, diag_columns].T.copy(),
         a_indptr=a_indptr, a_indices=a_cols, a_gather=a_gather,
-        b_indptr=b_indptr, b_indices=b_indices, b_faces=b_faces,
-        band_shape=(u + 1, ni),
-        band_slots=u * (a_cols[upper] + 1) + a_rows[upper],
-        band_entries=upper,
-        band_eye=(a_cols[upper] == a_rows[upper]).astype(float),
-        fwd_indptr=fwd[0], fwd_indices=fwd[1], fwd_gather=fwd[2],
-        fwd_blocks=fwd[3], adj_indptr=adj[0], adj_indices=adj[1],
-        adj_gather=adj[2], adj_blocks=adj[3],
-    )
+        b_faces=faces[~in_a], bd=csr(np.tile(~in_a, (members, 1, 1)), cols),
+        fwd=extended(0, (1, 3, 0), (0, 0, 1)), adj=extended(1, (1, 0), (1, 2)),
+        band_rows=u + 1, band_size=(u + 1) * ni * members,
+        band_slots=(u * (a_cols[upper] + 1) + a_rows[upper]
+                    + (u + 1) * ni * m).ravel(),
+        band_take=(upper + width * m).ravel(),
+        band_eye=np.tile((a_cols[upper] == a_rows[upper]) * 1.0, members))
     for value in vars(pattern).values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                item.flags.writeable = False
     return pattern
 
 
 def _flux_values(c: np.ndarray, grid: Grid):
-    """The pattern of grid and the CSR values of A_int and B_bd for c:
-    face means c_f / h^2 off the diagonal, and on it the negated face
-    values at the node summed in diag_faces' sequence; for a stack c,
-    formed with the members last (cheap to index) and returned first."""
-    pattern = _flux_pattern(grid.dimension, grid.n)
+    """The pattern of grid and c's stack size, and the CSR values of
+    A_int and B_bd for c: face means c_f / h^2 off the diagonal, and on
+    it the negated face values at the node summed in diag_faces'
+    sequence; for a stack c, formed with the members last (cheap to
+    index) and returned first."""
+    pattern = _flux_pattern(grid.dimension, grid.n, c.size // grid.n_nodes)
     ct = c.T
     cf = (0.5 * (ct[grid.lattice.lo] + ct[grid.lattice.hi])) * (1.0 / grid.h**2)
     neg = -cf
@@ -258,17 +268,24 @@ def coefficient_accumulate(lmb: np.ndarray, s: np.ndarray, grid: Grid,
     return np.add.reduce(terms.reshape(-1, grid.n_nodes), axis=0)
 
 
-def _upper_band(pattern: SimpleNamespace, a_data: np.ndarray,
-                dt: float) -> np.ndarray:
+def _step_values(a_data: np.ndarray, dt: float) -> np.ndarray:
+    """(members, nnz + 3): each member's dt/2 A_int entries, then dt/2, 1
+    and -1; the values the step matrices and the band of B gather."""
+    nnz = a_data.shape[-1]
+    values = np.empty((a_data.size // nnz, nnz + 3))
+    np.multiply(0.5 * dt, a_data, out=values[:, :nnz])
+    values[:, nnz:] = (0.5 * dt, 1.0, -1.0)
+    return values
+
+
+def _upper_band(pattern: SimpleNamespace, values: np.ndarray) -> np.ndarray:
     """ab[u + i - j, j] = B[i, j] for i <= j, B = I - dt/2 A_int formed
-    entry by entry as scipy's I - (dt/2) A does, a_data's members side by
-    side (the slots coupling two stay zero); Fortran-ordered, so pbtrf
-    factors it in place."""
-    (rows, n), at = pattern.band_shape, a_data.T
-    ab = np.zeros((rows * n,) + at.shape[1:])
-    ab[pattern.band_slots] = (
-        pattern.band_eye - 0.5 * dt * at[pattern.band_entries].T).T
-    return ab.T.reshape(-1, rows).T
+    entry by entry as scipy's I - (dt/2) A does, from _step_values, the
+    members side by side; Fortran-ordered, so pbtrf factors it in place."""
+    ab = np.zeros(pattern.band_size)
+    ab[pattern.band_slots] = (pattern.band_eye
+                              - values.ravel()[pattern.band_take])
+    return ab.reshape(-1, pattern.band_rows).T
 
 
 def cho_factor(gram: np.ndarray) -> np.ndarray:
@@ -290,28 +307,14 @@ def cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _flapack.dpotrs(chol, rhs, lower=0)[0]
 
 
-def _block_diagonal(indptr: np.ndarray, indices: np.ndarray,
-                    blocks: np.ndarray, data: np.ndarray, width: int) -> tuple:
-    """One block-diagonal CSR matrix from a pattern and its (nnz, members)
-    data: member m's rows follow member m - 1's, and column b * width + j,
-    b = blocks[entry], moves to (b * members + m) * width + j.  blocks
-    comes with the pattern, not from indices // width: no other step of
-    a reconstruction divides integers, and paging in numpy's division
-    loop raised its peak RSS by 64 KB (numpy 2.4, x86-64 Linux)."""
-    members = data.size // indices.size
-    m = np.arange(members, dtype=np.int32)[:, None]
-    cols = indices + width * ((members - 1) * blocks + m)
-    ptr = np.append((indptr[:-1] + indptr[-1] * m).ravel(), data.size)
-    return ptr.astype(np.int32), cols.ravel().astype(np.int32), data.T.ravel()
-
-
 class CrankNicolsonStepper:
     """CN time sweeps for fixed conductivity, forward and adjoint.
 
-    The values of A_int, B_bd and the band of B = I - dt/2 A_int are
-    filled into the grid's shared pattern; B is factored once with
-    LAPACK pbtrf.  A step is one call of the CSR kernel behind A @ v, on
-    rows of dt/2 A_int then identity entries, and one pbtrs in place.
+    The values of the step matrices, B_bd and the band of B = I - dt/2
+    A_int are gathered into the pattern shared by every stack of its
+    size on the grid; B is factored once with LAPACK pbtrf.  A step is one
+    call of the CSR kernel behind A @ v, on rows of dt/2 A_int then
+    identity entries, and one pbtrs in place.
     The kernel sums a row from 0.0 in stored order, to ((dt/2 A v + dt/2
     b_old) + dt/2 b_new) + v forward and (dt/2 A lam + lam) - src in the
     adjoint: bitwise v + dt/2 ((A v + b_old) + b_new) and (lam + dt/2 A
@@ -325,41 +328,36 @@ class CrankNicolsonStepper:
     """
 
     def __init__(self, c: np.ndarray, grid: Grid, dt: float):
-        self._pattern, self._a_data, self._b_data = _flux_values(
-            np.asarray(c, dtype=float), grid)
-        p = self._pattern
+        p, a_data, b_data = _flux_values(np.asarray(c, dtype=float), grid)
+        # the step matrices and the band read the same dt/2 A_int entries
+        values = _step_values(a_data, dt)
         self.interior, self.boundary = p.interior, p.boundary
-        self.members = self._a_data.size // p.a_indices.size
-        self._n = self.members * self.interior.size
-        # dt/2 A_int as _upper_band rounds it: both halves share its bits;
-        # formed with the members last, as _flux_values forms A_int
-        nnz, ni = p.a_indices.size, self.interior.size
-        values = np.empty((nnz + 3,) + self._a_data.shape[:-1])
-        np.multiply(0.5 * dt, self._a_data.T, out=values[:nnz])
-        values[nnz:].T[...] = (0.5 * dt, 1.0, -1.0)
-        self._forward_step = _block_diagonal(
-            p.fwd_indptr, p.fwd_indices, p.fwd_blocks, values[p.fwd_gather], ni)
-        self._adjoint_step = _block_diagonal(
-            p.adj_indptr, p.adj_indices, p.adj_blocks, values[p.adj_gather], ni)
+        self.members, self._grid_key = len(values), (grid.dimension, grid.n)
+        self._n = self.members * p.interior.size
+        flat = values.ravel()
+        self._forward_step = (*p.fwd[:2], flat[p.fwd[2]])
+        self._adjoint_step = (*p.adj[:2], flat[p.adj[2]])
+        self._boundary_matrix = (*p.bd, b_data.ravel())
         # raw LAPACK: cholesky_banded and cho_solve_banded's argument
         # checks cost more than the factor and the solve at these sizes
-        self.chol, info = _pbtrf(_upper_band(p, self._a_data, dt),
-                                 lower=0, overwrite_ab=1)
+        self.chol, info = _pbtrf(_upper_band(p, values), lower=0,
+                                 overwrite_ab=1)
         if info != 0:
             raise SolverError(f"banded Cholesky factor failed (info={info})")
         self._ldab = self.chol.shape[0]
 
     def boundary_rhs(self, drive: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """B_bd b for every row b of drive, (rows, members * n_interior),
-        in out, a contiguous buffer of that size; member by member
-        bitwise (B_bd @ drive.T).T, through the kernel that product calls."""
-        p, rows, ni = self._pattern, drive.shape[0], self.interior.size
-        out, x = out.reshape(self.members, ni, rows), drive.T.ravel()
+        """B_bd b for every column b of drive, a contiguous (n_boundary,
+        rows) table, in out, a contiguous buffer of rows * members *
+        n_interior values, returned as (rows, members * n_interior):
+        member by member bitwise (B_bd @ drive).T, in one call of the
+        kernel that product calls."""
+        rows = drive.shape[1]
+        out = out.reshape(self._n, rows)
         out[...] = 0.0
-        for b_data, member in zip(self._b_data.reshape(self.members, -1), out):
-            csr_matvecs(ni, self.boundary.size, rows, p.b_indptr,
-                        p.b_indices, b_data, x, member.ravel())
-        return out.reshape(self._n, rows).T
+        csr_matvecs(self._n, self.boundary.size, rows, *self._boundary_matrix,
+                    drive, out)
+        return out.T
 
     def solve_B(self, rhs: np.ndarray) -> np.ndarray:
         """B^-1 rhs, solved into rhs itself.  f2py would solve into a
@@ -416,14 +414,14 @@ class CrankNicolsonStepper:
         """The CN solution for drive g and initial state q0 in values,
         (members, steps + 1, n_nodes), through sweep's buffer work; the
         boundary products are formed in values' storage beforehand."""
-        drive = _drive_table(g, timegrid)[:, self.boundary]
+        drive = _drive_table(g, timegrid, *self._grid_key)
         q0 = np.asarray(q0, dtype=float)
-        if np.max(np.abs(q0[self.boundary] - drive[0])) > 1e-12:
+        if np.max(np.abs(q0[self.boundary] - drive[:, 0])) > 1e-12:
             raise GridError(
                 f"q0 and g({timegrid.times[0]}) disagree on the boundary")
         rhs = self.boundary_rhs(drive, values.reshape(-1)[:work.size // 2])
         inner = self.sweep(np.tile(q0[self.interior], self.members), rhs, work)
-        values[:, :, self.boundary] = drive
+        values[:, :, self.boundary] = drive.T
         values[:, :, self.interior] = inner.reshape(
             -1, self.members, self.interior.size).swapaxes(0, 1)
         if not np.all(np.isfinite(values)):
@@ -431,12 +429,16 @@ class CrankNicolsonStepper:
 
 
 @functools.lru_cache(maxsize=8)
-def _drive_table(g: Callable[[float], np.ndarray],
-                 timegrid: TimeGrid) -> np.ndarray:
-    """Read-only rows g(t) for every t of the time grid, keyed on g and
-    the grid's (t0, t_end, steps).  The cache holds g itself, so a
-    recycled object id can never hit a stale table."""
-    table = np.array([np.asarray(g(t), dtype=float) for t in timegrid.times])
+def _drive_table(g: Callable[[float], np.ndarray], timegrid: TimeGrid,
+                 dimension: int, n: int) -> np.ndarray:
+    """Read-only (n_boundary, steps + 1) table of g(t) on the boundary
+    nodes of the (dimension, n) lattice, a column for every t of the
+    time grid, keyed on g, the grid's (t0, t_end, steps) and the
+    lattice.  The cache holds g itself, so a recycled object id can
+    never hit a stale table."""
+    boundary = np.flatnonzero(lattice(dimension, n).depth == 0)
+    table = np.column_stack([np.asarray(g(t), dtype=float)[boundary]
+                             for t in timegrid.times])
     table.flags.writeable = False
     return table
 

@@ -168,10 +168,11 @@ def stability_sides(pair: CoefficientPair, setup: ExperimentSetup,
     return _family_sides(pair.gamma[None], setup, ws)[0]
 
 
-# interior unknowns per _family_sides stack, base included.  Stepping 13
-# conductivities on a 2-core Xeon (2 MB L2), stacks of ~4,000 beat single
-# sweeps (2D n = 16: 12.0 -> 10.3 ms) and larger ones lose (n = 40: 81.9
-# -> 104.7 ms); 2D n = 32 chunks cut the sweep's traced peak 48.6 -> 19.3 MB
+# interior unknowns per _family_sides stack, base included: 2D n = 32 chunks
+# keep the sweep's traced peak at 17.3 MB, where one stack took 48.6 MB.
+# One solve_heat of 13 conductivities against 13 single ones, 2-core Xeon:
+# 1D n = 32 (403 unknowns) 1.6 against 3.9 ms, but 2D n = 16 (2,925) 16.7
+# against 15.1 ms and n = 40 (19,773) 200 against 171 ms
 BLOCK_UNKNOWNS = 2**12
 
 
@@ -277,15 +278,11 @@ def _h1_gram(grid: Grid, idx: np.ndarray) -> np.ndarray:
 
 
 def relative_h1_error(estimate: np.ndarray, truth: np.ndarray,
-                      prior: np.ndarray, grid: Grid,
-                      gap: float | None = None) -> float:
+                      grid: Grid, gap: float) -> float:
     """H1 norm of estimate - truth relative to that of truth - prior, the
-    error reconstruct logs; the absolute norm when truth is the prior.
-    A caller may pass gap = h1_norm_sq(truth - prior, grid), formed once."""
-    truth = np.asarray(truth, dtype=float)
-    if gap is None:
-        gap = h1_norm_sq(truth - prior, grid)
-    err = h1_norm_sq(estimate - truth, grid)
+    error reconstruct logs, given gap = h1_norm_sq(truth - prior, grid),
+    formed once; the absolute norm when truth is the prior."""
+    err = h1_norm_sq(estimate - np.asarray(truth, dtype=float), grid)
     return math.sqrt(err if gap == 0.0 else err / gap)
 
 
@@ -348,7 +345,7 @@ def _misfit(c_current: np.ndarray, data: ObservationSet,
     return j_total, (stepper, residual, shift)
 
 
-def _gradient(state, setup: ExperimentSetup, config: InverseConfig,
+def _gradient(state, setup: ExperimentSetup,
               work: SimpleNamespace) -> np.ndarray:
     """The second half of misfit_and_gradient: the exact discrete
     gradient of J at the point the last _misfit on work evaluated, by the
@@ -376,7 +373,7 @@ def misfit_and_gradient(c_current: np.ndarray, data: ObservationSet,
     config.validate(setup.grid)
     work = _workspace(setup)
     j_total, state = _misfit(c_current, data, setup, config, work)
-    return j_total, _gradient(state, setup, config, work)
+    return j_total, _gradient(state, setup, work)
 
 
 @dataclass
@@ -399,7 +396,7 @@ def _project(c: np.ndarray, config: InverseConfig, grid: Grid) -> np.ndarray:
 
 def reconstruct(data: ObservationSet, setup: ExperimentSetup,
                 config: InverseConfig,
-                truth: np.ndarray | None = None) -> ReconstructionResult:
+                truth: np.ndarray) -> ReconstructionResult:
     """Projected gradient descent with backtracking.  Three refinements,
     together needed to reach the true coefficient within a small
     iteration budget on the badly conditioned flux misfit: the descent
@@ -422,7 +419,7 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
     work = _workspace(setup)
     c = _project(prior.copy(), config, grid)
     j_val, state = _misfit(c, data, setup, config, work)
-    grad = _gradient(state, setup, config, work)
+    grad = _gradient(state, setup, work)
     step = STEP0
     result = ReconstructionResult(c_hat=c)
     flat_run = 0
@@ -436,12 +433,10 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
         d[idx] = cho_solve(chol, g[idx])
         return d
 
-    gap = None if truth is None else h1_norm_sq(truth - prior, grid)
+    gap = h1_norm_sq(truth - prior, grid)
 
     def h1_err(current):
-        if truth is None:
-            return math.nan
-        return relative_h1_error(current, truth, prior, grid, gap)
+        return relative_h1_error(current, truth, grid, gap)
 
     gnorm = float(np.linalg.norm(grad))
     result.log.append((0, j_val, gnorm, h1_err(c)))
@@ -476,7 +471,7 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
         c_prev, grad_prev = c, grad
         c = trial
         j_val = j_trial
-        grad = _gradient(state, setup, config, work)
+        grad = _gradient(state, setup, work)
         history.append(j_val)
         step = t * GROWTH
         # alternate BB1 and BB2, both taken in the H1 metric

@@ -1,7 +1,7 @@
 """Test-only helpers: the reference weight set, a vector divergence,
-scipy CSR views of the flux-form operator for the bitwise pins, the
-whole-grid flux map and its full-column transpose as references, and an
-adjoint sweep on a fresh buffer."""
+scipy CSR views of the flux-form operator and of a stepper's B_bd for
+the bitwise pins, the whole-grid flux map and its full-column transpose
+as references, and an adjoint sweep on a fresh buffer."""
 
 import numpy as np
 import scipy.sparse
@@ -53,14 +53,15 @@ def flux_matrices(c: np.ndarray, grid: Grid):
     """
     p, a_data, b_data = _flux_values(np.asarray(c, dtype=float), grid)
     return (_csr(a_data, p.a_indices, p.a_indptr, p.interior.size),
-            _csr(b_data, p.b_indices, p.b_indptr, p.boundary.size),
+            _csr(b_data, p.bd[1], p.bd[0], p.boundary.size),
             p.interior, p.boundary)
 
 
-def stepper_matrix(st: CrankNicolsonStepper):
-    """The stepper's A_int as a scipy CSR matrix on its own values."""
-    p = st._pattern
-    return _csr(st._a_data, p.a_indices, p.a_indptr, st.interior.size)
+def stepper_boundary_matrix(st: CrankNicolsonStepper):
+    """The stepper's B_bd, its members' rows one after another, as a
+    scipy CSR matrix on its own values."""
+    indptr, indices, data = st._boundary_matrix
+    return _csr(data, indices, indptr, st.boundary.size)
 
 
 def adjoint_rows(st: CrankNicolsonStepper, source: np.ndarray) -> np.ndarray:

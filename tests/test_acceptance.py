@@ -37,7 +37,7 @@ from carleman_lab.stability import (
     reconstruct,
     stability_sweep,
 )
-from helpers import default_weights, stepper_matrix
+from helpers import default_weights, flux_matrices
 from paper_checks import (
     cit_residual,
     sweep_summary,
@@ -194,7 +194,7 @@ def test_acceptance_7_inverse_solver():
         grid, dt = setup.grid, setup.timegrid.dt
         c_var = 1.0 + 0.3 * np.abs(np.sin(3.0 * grid.coords[:, 0]))
         stepper = CrankNicolsonStepper(c_var, grid, dt)
-        A = stepper_matrix(stepper)
+        A = flux_matrices(c_var, grid)[0]
         rng = np.random.default_rng(7)
         ni = stepper.interior.size
         for _ in range(5):

@@ -58,11 +58,12 @@ def test_conjugate_endpoints_and_linearity():
     ws = default_ws(grid, window)
     suite = make_test_suite(grid, window, count=1, seed=7)
     q = suite[0][1]
-    psi = conjugate(q, ws)
+    psi = conjugate(q, ws, np.empty_like(q))
     np.testing.assert_array_equal(psi[0], 0.0)
     np.testing.assert_array_equal(psi[-1], 0.0)
     # doubling is an exponent shift, exact in floating point
-    np.testing.assert_array_equal(conjugate(2.0 * q, ws), 2.0 * psi)
+    np.testing.assert_array_equal(conjugate(2.0 * q, ws, np.empty_like(q)),
+                                  2.0 * psi)
 
 
 def test_operators_vanish_on_zero():
@@ -80,7 +81,7 @@ def test_m1_decomposition_identity_unit_c():
     grid, window = setup_1d(n=24, steps=64)
     ws = default_ws(grid, window, lam=1.0, s=1.0)
     suite = make_test_suite(grid, window, count=1, seed=11)
-    psi = conjugate(suite[0][1], ws)
+    psi = conjugate(suite[0][1], ws, np.empty_like(suite[0][1]))
     c = np.ones(grid.n_nodes)
     got = apply_M1(psi, c, ws)
 
@@ -106,7 +107,7 @@ def test_m2_dual_evaluation_converges():
         ws = default_ws(grid, window)
         q = make_test_suite(grid, window, count=1, seed=3)[0][1]
         c = np.ones(grid.n_nodes)
-        psi = conjugate(q, ws)
+        psi = conjugate(q, ws, np.empty_like(q))
         m2 = apply_M2(psi, c, ws)
         sw = space_weights(grid)
         dt = window.dt
@@ -300,8 +301,9 @@ def test_operators_on_a_stack_equal_the_per_test_results(dimension):
     # stacked, bit for bit
     grid, _, c, _, ws, suite = stack_case(dimension)
     q = np.stack([vals for _, vals in suite[:7]])
-    psi = conjugate(q, ws)
-    assert_bitwise(psi, np.stack([conjugate(row, ws) for row in q]))
+    psi = conjugate(q, ws, np.empty_like(q))
+    assert_bitwise(psi, np.stack([conjugate(row, ws, np.empty_like(row))
+                                  for row in q]))
     assert_bitwise(apply_M1(psi, c, ws),
                    np.stack([apply_M1(row, c, ws) for row in psi]))
     for sign in (1.0, -1.0):
@@ -325,7 +327,8 @@ def test_operator_tables_are_kept_per_conductivity_and_sign(dimension):
     # shared by two conductivities and both signs gives every call what
     # a ws with empty tables gives
     grid, _, c, _, ws, suite = stack_case(dimension)
-    psi = conjugate(np.stack([vals for _, vals in suite[:3]]), ws)
+    q = np.stack([vals for _, vals in suite[:3]])
+    psi = conjugate(q, ws, np.empty_like(q))
     for cc in (c, 2.0 * c, c):
         assert_bitwise(apply_M1(psi, cc, ws),
                        apply_M1(psi, cc, dataclasses.replace(ws)))

@@ -24,7 +24,7 @@ from carleman_lab.forward import (
     time_derivative,
 )
 from carleman_lab.setups import default_setup, inversion_setup
-from helpers import adjoint_rows, flux_matrices, stepper_matrix
+from helpers import adjoint_rows, flux_matrices, stepper_boundary_matrix
 
 
 def decaying_sine_problem(grid):
@@ -93,11 +93,12 @@ def test_setup_data_stay_at_or_above_one(dimension, n):
                   default_setup(dimension, n, steps=96),
                   default_setup(dimension, n, t0=0.125, t_end=0.25, steps=16),
                   inversion_setup(dimension, n)):
-        boundary = setup.grid.boundary_mask
-        drive = forward._drive_table(setup.base.g, setup.timegrid)
-        assert drive.shape == (setup.timegrid.steps + 1, setup.grid.n_nodes)
+        drive = forward._drive_table(setup.base.g, setup.timegrid,
+                                     dimension, n)
+        assert drive.shape == (np.count_nonzero(setup.grid.boundary_mask),
+                               setup.timegrid.steps + 1)
         assert np.min(setup.base.q0) >= 1.0
-        assert np.min(drive[:, boundary]) >= 1.0
+        assert np.min(drive) >= 1.0
 
 
 def test_compatibility_checked():
@@ -354,6 +355,13 @@ def reference_assembly(c, grid, dt):
     return A_int, B_bd, ab, scipy.linalg.cholesky_banded(ab)
 
 
+def band_of(c, grid, dt):
+    """The upper band of B = I - dt/2 A_int that a stepper for c factors,
+    its members side by side."""
+    p, a_data, _ = forward._flux_values(c, grid)
+    return forward._upper_band(p, forward._step_values(a_data, dt))
+
+
 @pytest.mark.parametrize("dimension,n", PIN_GRIDS)
 def test_stepper_kernel_matvec_is_bitwise_a_matvec(dimension, n):
     grid = pin_grid(dimension, n)
@@ -363,10 +371,10 @@ def test_stepper_kernel_matvec_is_bitwise_a_matvec(dimension, n):
     _, B_ref, _, _ = reference_assembly(c, grid, 2.0 / 128)
     # the sweeps' A v, through csr_matvec, is pinned by the recurrence
     # pins below
-    drive = rng.standard_normal((9, st.boundary.size))
+    drive = rng.standard_normal((st.boundary.size, 9))
     stale = np.full(9 * st.interior.size, np.nan)
     np.testing.assert_array_equal(st.boundary_rhs(drive, stale),
-                                  (B_ref @ drive.T).T)
+                                  (B_ref @ drive).T)
 
 
 @pytest.mark.parametrize("dimension,n", PIN_GRIDS + SMALL_GRIDS)
@@ -378,8 +386,8 @@ def test_pattern_assembly_matches_coo_reference(dimension, n):
         A_ref, B_ref, ab_ref, chol_ref = reference_assembly(c, grid, dt)
         A, B, interior, boundary = flux_matrices(c, grid)
         st = CrankNicolsonStepper(c, grid, dt)
-        for got, ref in ((A, A_ref), (stepper_matrix(st), A_ref),
-                         (B, B_ref)):
+        for got, ref in ((A, A_ref), (B, B_ref),
+                         (stepper_boundary_matrix(st), B_ref)):
             assert got.shape == ref.shape
             np.testing.assert_array_equal(got.indptr, ref.indptr)
             np.testing.assert_array_equal(got.indices, ref.indices)
@@ -388,9 +396,7 @@ def test_pattern_assembly_matches_coo_reference(dimension, n):
                                       np.flatnonzero(~grid.boundary_mask))
         np.testing.assert_array_equal(boundary,
                                       np.flatnonzero(grid.boundary_mask))
-        pattern, a_data, _ = forward._flux_values(c, grid)
-        np.testing.assert_array_equal(
-            forward._upper_band(pattern, a_data, dt), ab_ref)
+        np.testing.assert_array_equal(band_of(c, grid, dt), ab_ref)
         np.testing.assert_array_equal(st.chol, chol_ref)
 
 
@@ -507,9 +513,10 @@ def test_sweeps_match_reference_recurrence_where_half_dt_is_inexact(
 def test_step_matrices_extend_A_int_in_stored_order(dimension, n):
     grid, dt = pin_grid(dimension, n), 2.0 / 96
     rng = np.random.default_rng(27)
-    st = CrankNicolsonStepper(0.5 + 2.0 * rng.random(grid.n_nodes), grid, dt)
-    p, ni = st._pattern, st.interior.size
-    half = 0.5 * dt
+    c = 0.5 + 2.0 * rng.random(grid.n_nodes)
+    st = CrankNicolsonStepper(c, grid, dt)
+    p, a_data = forward._flux_values(c, grid)[:2]
+    ni, half = st.interior.size, 0.5 * dt
     # forward rows [dt/2 A | dt/2 I | dt/2 I | I] read [v | b_old | . |
     # b_new] and v again; adjoint rows [dt/2 A | I | -I] read [src | lam]
     for (indptr, indices, data), a_shift, cols, eye in (
@@ -527,12 +534,12 @@ def test_step_matrices_extend_A_int_in_stored_order(dimension, n):
             np.testing.assert_array_equal(data[row[k:]], eye)
             a_pos.extend(row[:k])
         scaled = data[a_pos]
-        np.testing.assert_array_equal(scaled, half * st._a_data)
+        np.testing.assert_array_equal(scaled, half * a_data)
         # the entries the band of B = I - dt/2 A subtracts from I
-        ab = forward._upper_band(p, st._a_data, dt)
+        ab = band_of(c, grid, dt)
         np.testing.assert_array_equal(
             ab.ravel(order="F")[p.band_slots],
-            p.band_eye - scaled[p.band_entries])
+            p.band_eye - scaled[p.band_take])
 
 
 @pytest.mark.parametrize("dimension,n", PIN_GRIDS)
@@ -656,6 +663,62 @@ def test_stacked_solve_equals_the_single_solves_bitwise(dimension, n):
     block.solve(setup.base.g, setup.base.q0, tg, one,
                 np.empty((tg.steps + 1, 2 * block.chol.shape[1])))
     assert one.tobytes() == stacked.values.tobytes()
+
+
+@pytest.mark.parametrize("members", [1, 2, 5])
+@pytest.mark.parametrize("dimension,n", PIN_GRIDS + [(2, 7)])
+def test_member_blocks_are_each_members_own_tables(dimension, n, members):
+    # member m's rows of the stacked step matrices and B_bd, its block
+    # columns moved back into place, and its columns of the band, are
+    # bitwise the tables of a stepper built for that member alone
+    grid, dt = pin_grid(dimension, n), 2.0 / 96
+    cs = 0.5 + 2.0 * np.random.default_rng(28).random((members,
+                                                       grid.n_nodes))
+
+    block = CrankNicolsonStepper(cs, grid, dt)
+    stacked_band, ni = band_of(cs, grid, dt), block.interior.size
+    for m, c in enumerate(cs):
+        own = CrankNicolsonStepper(c, grid, dt)
+        single = slice(m * ni, (m + 1) * ni)
+        assert stacked_band[:, single].tobytes() == band_of(c, grid,
+                                                            dt).tobytes()
+        np.testing.assert_array_equal(block.chol[:, single], own.chol)
+        for name, steps in (("_forward_step", True), ("_adjoint_step", True),
+                            ("_boundary_matrix", False)):
+            (indptr, indices, data), want = (getattr(block, name),
+                                             getattr(own, name))
+            np.testing.assert_array_equal(
+                indptr[single.start:single.stop + 1] - indptr[single.start],
+                want[0])
+            entries = slice(indptr[single.start], indptr[single.stop])
+            cols = indices[entries]
+            if steps:
+                blocks, rest = np.divmod(cols, members * ni)
+                assert np.all(rest // ni == m)
+                cols = blocks * ni + rest % ni
+            np.testing.assert_array_equal(cols, want[1])
+            assert data[entries].tobytes() == want[2].tobytes()
+
+
+@pytest.mark.parametrize("dimension,n", PIN_GRIDS)
+def test_steppers_of_one_stack_size_share_every_index_array(dimension, n):
+    rng = np.random.default_rng(29)
+    for members in (1, 3):
+        cs = 0.5 + rng.random((members, (n + 1) ** dimension))
+        # a single conductivity is the one-member stack; a second grid
+        # object of the same size and another dt share the tables too
+        first = CrankNicolsonStepper(cs[0] if members == 1 else cs,
+                                     pin_grid(dimension, n), 2.0 / 128)
+        second = CrankNicolsonStepper(cs[::-1], pin_grid(dimension, n),
+                                      2.0 / 96)
+        assert first.interior is second.interior
+        assert first.boundary is second.boundary
+        for name in ("_forward_step", "_adjoint_step", "_boundary_matrix"):
+            ours, theirs = getattr(first, name), getattr(second, name)
+            for index in (0, 1):
+                assert ours[index] is theirs[index]
+                assert not ours[index].flags.writeable
+            assert ours[2] is not theirs[2]
 
 
 @pytest.mark.parametrize("dimension,n", STACK_GRIDS)

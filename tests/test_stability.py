@@ -35,7 +35,7 @@ from carleman_lab.stability import (
     stability_sweep,
     sweep_to_csv,
 )
-from helpers import default_weights, stepper_matrix
+from helpers import default_weights, flux_matrices, stepper_boundary_matrix
 from paper_checks import sweep_summary
 
 
@@ -372,7 +372,7 @@ def test_one_step_adjoint_identity(dimension):
     grid, dt = setup.grid, setup.timegrid.dt
     c = 1.0 + 0.3 * np.abs(np.sin(3.0 * grid.coords.sum(axis=1)))
     st = CrankNicolsonStepper(c, grid, dt)
-    A = stepper_matrix(st)
+    A = flux_matrices(c, grid)[0]
     rng = np.random.default_rng(7)
     ni = st.interior.size
     for _ in range(5):
@@ -566,8 +566,10 @@ def test_reconstruct_builds_one_read_only_pattern_per_grid():
     cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes), max_iters=5)
     assert reconstruct(data, inv, cfg, truth=truth).iterations == 5
     assert forward._flux_pattern.cache_info().misses == 1
-    pattern = forward._flux_pattern(1, 32)
-    arrays = [v for v in vars(pattern).values() if isinstance(v, np.ndarray)]
+    pattern = forward._flux_pattern(1, 32, 1)
+    arrays = [item for value in vars(pattern).values()
+              for item in (value if isinstance(value, tuple) else (value,))
+              if isinstance(item, np.ndarray)]
     assert arrays and not any(a.flags.writeable for a in arrays)
 
     other = inversion_setup(dimension=1, n=16)
@@ -575,12 +577,12 @@ def test_reconstruct_builds_one_read_only_pattern_per_grid():
                               other.timegrid.dt)
     assert forward._flux_pattern.cache_info().misses == 2
     assert st.interior.size == 15
-    assert forward._flux_pattern(1, 16) is not pattern
+    assert forward._flux_pattern(1, 16, 1) is not pattern
     with pytest.raises(ValueError, match="read-only"):
         st.interior[0] = 0
     # the scipy matrix owns its index arrays
-    stepper_matrix(st).indices[:] = -1
-    assert forward._flux_pattern(1, 16).a_indices.min() == 0
+    stepper_boundary_matrix(st).indices[:] = -1
+    assert forward._flux_pattern(1, 16, 1).bd[1].min() == 0
 
 
 def test_zero_data_misfit_is_the_regularization_alone():
@@ -751,7 +753,7 @@ def test_reconstruct_prior_data_returns_prior():
     inv = inversion_setup(dimension=1, n=32)
     prior = np.ones(inv.grid.n_nodes)
     data = make_observations(inv, prior)
-    res = reconstruct(data, inv, InverseConfig(prior=prior))
+    res = reconstruct(data, inv, InverseConfig(prior=prior), truth=prior)
     assert res.converged
     assert res.iterations <= 2
     np.testing.assert_array_equal(res.c_hat, prior)
@@ -777,7 +779,8 @@ def test_reconstruct_stops_on_stagnation(monkeypatch):
     # a flat objective passes the nonmonotone Armijo test on every step
     # without decreasing, which trips the consecutive-nondecrease stop
     inv = inversion_setup(dimension=1, n=32)
-    data = make_observations(inv, bump_truth(inv.grid))
+    truth = bump_truth(inv.grid)
+    data = make_observations(inv, truth)
     calls = []
 
     def flat(c, *args, **kwargs):
@@ -791,7 +794,7 @@ def test_reconstruct_stops_on_stagnation(monkeypatch):
     monkeypatch.setattr(stability, "_misfit", flat)
     monkeypatch.setattr(stability, "_gradient", flat_gradient)
     cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes))
-    res = reconstruct(data, inv, cfg)
+    res = reconstruct(data, inv, cfg, truth=truth)
     assert res.message == "objective stagnated for 10 accepted steps"
     assert res.iterations == 10
     assert not res.converged
@@ -825,8 +828,9 @@ def test_relative_h1_error_endpoints():
     setup = default_setup(dimension=1, n=32)
     v = bump_shape(setup.grid)
     zero = np.zeros_like(v)
-    assert relative_h1_error(v, v, zero, setup.grid) == 0.0
-    assert relative_h1_error(zero, v, zero, setup.grid) == 1.0
+    gap = h1_norm_sq(v - zero, setup.grid)
+    assert relative_h1_error(v, v, setup.grid, gap) == 0.0
+    assert relative_h1_error(zero, v, setup.grid, gap) == 1.0
 
 
 def test_inverse_config_rejects_bad_fields():
@@ -871,7 +875,8 @@ def test_misfit_validates_once_and_before_the_factor(monkeypatch):
 def test_preconditioner_rejects_nonfinite_gradient_and_non_spd_gram(
         monkeypatch):
     inv = inversion_setup(dimension=1, n=32)
-    data = make_observations(inv, bump_truth(inv.grid))
+    truth = bump_truth(inv.grid)
+    data = make_observations(inv, truth)
     cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes), max_iters=3)
 
     gram = stability._h1_gram
@@ -880,11 +885,11 @@ def test_preconditioner_rejects_nonfinite_gradient_and_non_spd_gram(
                       lambda grid, idx: -gram(grid, idx))
         with pytest.raises(np.linalg.LinAlgError,
                            match="not positive definite"):
-            reconstruct(data, inv, cfg)
+            reconstruct(data, inv, cfg, truth=truth)
 
     def nan_gradient(*args):
         return np.full(inv.grid.n_nodes, np.nan)
 
     monkeypatch.setattr(stability, "_gradient", nan_gradient)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        reconstruct(data, inv, cfg)
+        reconstruct(data, inv, cfg, truth=truth)
