@@ -10,9 +10,9 @@ psi = e^{-s(eta - eta_ref)} q (endpoint slices zero by weight decay):
   RHS = s lam II_gamma0 phi e^{-2s(eta-eta_ref)} |d_nu q|^2
         + II e^{-2s(eta-eta_ref)} |d_t q - div(c grad q)|^2
 
-with the first-order factor of M2 carrying a sign switch (the source
-text is typographically ambiguous there; the default follows the
-standard conjugation, and reports record which sign ran).
+with the first-order factor of M2 carrying the sign M2_SIGN (the source
+text is typographically ambiguous there; the lab follows the standard
+conjugation, and reports record the sign as m2_sign).
 
 The operators index time as axis -2 and act on (test, time, node)
 stacks: carleman_sweep checks its suite once and evaluates it in stacks
@@ -54,6 +54,8 @@ from .report import EstimateReport
 from .weights import WeightSet, build_weights
 
 
+# the sign of M2's first-order factor: the standard conjugation
+M2_SIGN = 1.0
 # node values per stacked window field in one carleman_sweep chunk
 CHUNK_VALUES = 2**15
 # node values of weight-free terms carleman_sweep keeps across its cells
@@ -71,9 +73,9 @@ def conjugate(q_values: np.ndarray, ws: WeightSet,
 
 
 def apply_M1(psi: np.ndarray, c: np.ndarray, ws: WeightSet,
-             out: np.ndarray | None = None) -> np.ndarray:
+             out: np.ndarray) -> np.ndarray:
     """Interior-row values of div(c grad psi) + s^2 lam^2 c |grad beta|^2
-    phi^2 psi + s (d_t eta) psi, the zero-order table kept on ws per c."""
+    phi^2 psi + s (d_t eta) psi, in out; zero-order table kept on ws per c."""
     grad_b2, phi = ws.grad_beta_sq, ws.phi
     zero_order = ws.table(("M1 zero order", c.tobytes()), lambda: (
         (ws.s**2 * ws.lam**2) * c[None, :] * grad_b2[None, :] * phi**2
@@ -85,19 +87,19 @@ def apply_M1(psi: np.ndarray, c: np.ndarray, ws: WeightSet,
 
 
 def apply_M2(psi: np.ndarray, c: np.ndarray, ws: WeightSet,
-             sign: float = 1.0, out: np.ndarray | None = None,
-             gradient: np.ndarray | None = None) -> np.ndarray:
-    """Interior-row values of d_t psi +- 2 s lam phi c grad(beta).grad(psi)
-    - 2 s lam^2 phi c |grad beta|^2 psi.  gradient, if given, is the
-    (..., rows, n_nodes, dim) buffer of grad psi.  Tables kept on ws."""
+             out: np.ndarray, gradient: np.ndarray) -> np.ndarray:
+    """Interior-row values of d_t psi + M2_SIGN 2 s lam phi c
+    grad(beta).grad(psi) - 2 s lam^2 phi c |grad beta|^2 psi, in out;
+    gradient is the (..., rows, n_nodes, dim) buffer of grad psi.  Tables
+    kept on ws."""
     grad_b2, phi, key = ws.grad_beta_sq, ws.phi, c.tobytes()
     inner = psi[..., 1:-1, :]
     out = centered_difference(psi, -2, ws.timegrid.dt, out=out)
     grad_psi = discrete_gradient(inner, ws.grid, out=gradient)
     grad_psi *= ws.grad_beta_tilde
     advect = np.sum(grad_psi, axis=-1)
-    advect *= ws.table(("M2 advection", sign, key),
-                       lambda: sign * 2.0 * ws.s * ws.lam * phi * c)
+    advect *= ws.table(("M2 advection", key),
+                       lambda: M2_SIGN * 2.0 * ws.s * ws.lam * phi * c)
     out += advect
     react = ws.table(("M2 reaction", key),
                      lambda: 2.0 * ws.s * ws.lam**2 * phi * c * grad_b2)
@@ -140,7 +142,7 @@ def _workspace(size: int, grid: Grid, window: TimeGrid) -> SimpleNamespace:
 
 
 def _stacked_sides(q: np.ndarray, terms: tuple, c: np.ndarray, ws: WeightSet,
-                   work: SimpleNamespace, m2_sign: float = 1.0) -> list:
+                   work: SimpleNamespace) -> list:
     """One report per test of a checked (K, steps+1, n_nodes) stack and its
     _test_terms: each stencil and quadrature runs once on the stack, in
     the leading slices of work, a _workspace for at least K tests."""
@@ -158,7 +160,7 @@ def _stacked_sides(q: np.ndarray, terms: tuple, c: np.ndarray, ws: WeightSet,
 
     lhs = {
         "m1_sq": squared(apply_M1(psi, c, ws, out=field)),
-        "m2_sq": squared(apply_M2(psi, c, ws, m2_sign, out=field,
+        "m2_sq": squared(apply_M2(psi, c, ws, out=field,
                                   gradient=work.gradient[:k])),
         "grad": ws.s * ws.lam**2 * weighted(grad2, ws.weight_st(1)),
         "zero": ws.s**3 * ws.lam**4 * weighted(zero2, ws.weight_st(3)),
@@ -170,16 +172,16 @@ def _stacked_sides(q: np.ndarray, terms: tuple, c: np.ndarray, ws: WeightSet,
     return [EstimateReport.for_weights(
         "carleman", {key: float(v[i]) for key, v in lhs.items()},
         {key: float(v[i]) for key, v in rhs.items()}, ws,
-        steps=window.steps, m2_sign=m2_sign) for i in range(k)]
+        steps=window.steps, m2_sign=M2_SIGN) for i in range(k)]
 
 
-def carleman_sides(q_values: np.ndarray, c: np.ndarray, ws: WeightSet,
-                   m2_sign: float = 1.0) -> EstimateReport:
+def carleman_sides(q_values: np.ndarray, c: np.ndarray,
+                   ws: WeightSet) -> EstimateReport:
     """Both sides for one test function: the one-test stack."""
     q = _checked("q_values", q_values, ws.grid, ws.timegrid)[None]
     terms = _test_terms(q, c, ws.grid, ws.timegrid)
     work = _workspace(1, ws.grid, ws.timegrid)
-    return _stacked_sides(q, terms, c, ws, work, m2_sign)[0]
+    return _stacked_sides(q, terms, c, ws, work)[0]
 
 
 # -- test-function suite --------------------------------------------------
@@ -210,11 +212,11 @@ def make_test_suite(grid: Grid, window: TimeGrid, count: int = 20,
 
 def carleman_sweep(c: np.ndarray, suite: list, s_list, lam_list, grid: Grid,
                    window: TimeGrid, m_weight: float, x0) -> tuple:
-    """One report per (test, s, lam) with the default M2 sign; summary
-    maps (s, lam) to the max ratio over the suite.  The suite is checked
-    once and evaluated in stacks of at most CHUNK_VALUES node values; a
-    stack's _test_terms are kept for the later cells while all kept
-    terms fit in KEEP_VALUES node values, and formed anew otherwise."""
+    """One report per (test, s, lam); summary maps (s, lam) to the max
+    ratio over the suite.  The suite is checked once and evaluated in
+    stacks of at most CHUNK_VALUES node values; a stack's _test_terms are
+    kept for the later cells while all kept terms fit in KEEP_VALUES node
+    values, and formed anew otherwise."""
     if not suite or not list(s_list) or not list(lam_list):
         raise GridError("empty suite or parameter list")
     tests = [_checked(test_id, q, grid, window) for test_id, q in suite]

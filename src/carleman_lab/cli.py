@@ -57,7 +57,6 @@ from .weights import WeightError, build_weights
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 2, 3
 
-SEED_ENV = "CARLEMAN_LAB_SEED"
 ENDPOINT_DECAY_S = 4.0   # the endpoint-decay bound needs s >= 4
 
 
@@ -313,13 +312,6 @@ _DISPATCH = {
 def run(command, config_path=None, plot=False, out=None) -> int:
     try:
         cfg = load_config(config_path)
-        if SEED_ENV in os.environ:
-            try:
-                cfg.seed = int(os.environ[SEED_ENV])
-                cfg.validate()
-            except ValueError:
-                raise ConfigError(f"{SEED_ENV}={os.environ[SEED_ENV]!r} is "
-                                  "not a non-negative integer")
         out_dir = out if out is not None else cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)
         if not os.access(out_dir, os.W_OK):

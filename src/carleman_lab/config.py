@@ -119,9 +119,9 @@ def _read_json(text) -> dict:
     return raw
 
 
-def load_config(path=None) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     """Parse and validate path laid over the packaged default.json;
-    path=None loads default.json alone."""
+    path None loads default.json alone."""
     raw = _read_json(DEFAULT_JSON.read_text())
     base_dir = "."
     if path is not None:

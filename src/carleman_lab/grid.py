@@ -76,17 +76,15 @@ class TimeGrid:
             raise GridError(f"t={t} is not a node of this time grid")
         return i
 
-    def window(self, t0: float) -> tuple["TimeGrid", int]:
-        """Sub-grid from t0 to t_end sharing the step size.
-
-        Returns the window grid and the offset of its first node in this
-        grid. The window must again have an even number of steps.
-        """
+    def window(self, t0: float) -> "TimeGrid":
+        """Sub-grid from t0 to t_end sharing the step size; it must again
+        have an even number of steps.  index_of(t0) is the offset of its
+        first node in this grid."""
         offset = self.index_of(t0)
         if (self.steps - offset) % 2 != 0 or self.steps - offset < 2:
             raise GridError(f"window ({self.times[offset]}, {self.t_end}) has "
                             f"{self.steps - offset} steps, not an even number >= 2")
-        return TimeGrid(self.times[offset], self.t_end, self.steps - offset), offset
+        return TimeGrid(self.times[offset], self.t_end, self.steps - offset)
 
 
 class Grid:

@@ -58,7 +58,7 @@ def default_setup(dimension: int = 1, n: int = 32, t0: float = 0.5,
     gamma0_faces = ("right",) if dimension == 1 else ("north", "east")
     grid = Grid(dimension, n, gamma0_faces)
     timegrid = TimeGrid(0.0, t_end, steps)
-    window, _ = timegrid.window(t0)
+    window = timegrid.window(t0)
     base = HeatProblem(
         c=np.ones(grid.n_nodes),
         g=default_boundary_data(grid, t_end),

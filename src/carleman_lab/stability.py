@@ -200,7 +200,6 @@ def stability_sweep(family, setup: ExperimentSetup, ws: WeightSet) -> list:
         "rhs_weighted": rep.weighted.rhs_total,
         "rhs_plain": rep.plain.rhs_total,
         "ratio": rep.weighted.ratio,
-        "ratio_plain": rep.plain.ratio,
     } for (label, eps, _), rep in zip(members, reports)]
 
 
@@ -417,7 +416,7 @@ def reconstruct(data: ObservationSet, setup: ExperimentSetup,
     config.validate(grid)
     prior = np.asarray(config.prior, dtype=float)
     work = _workspace(setup)
-    c = _project(prior.copy(), config, grid)
+    c = prior.copy()
     j_val, state = _misfit(c, data, setup, config, work)
     grad = _gradient(state, setup, work)
     step = STEP0

@@ -41,7 +41,7 @@ LAM_LIST = [1.0, 2.0]
 def setup_1d(n=32, steps=128):
     grid = Grid(1, n, ["right"])
     timegrid = TimeGrid(0.0, 2.0, steps)
-    window, _ = timegrid.window(0.5)
+    window = timegrid.window(0.5)
     return grid, window
 
 
@@ -51,6 +51,19 @@ def default_ws(grid, window, lam=1.0, s=1.0):
 
 def variable_c(grid):
     return 1.0 + 0.5 * grid.coords[:, 0]
+
+
+def m1(psi, c, ws):
+    """apply_M1 into a NaN-filled buffer, so that a slot it leaves
+    unwritten shows."""
+    return apply_M1(psi, c, ws, np.full(psi[..., 1:-1, :].shape, np.nan))
+
+
+def m2(psi, c, ws):
+    """apply_M2 into NaN-filled field and gradient buffers."""
+    shape = psi[..., 1:-1, :].shape
+    return apply_M2(psi, c, ws, np.full(shape, np.nan),
+                    np.full(shape + (ws.grid.dimension,), np.nan))
 
 
 def test_conjugate_endpoints_and_linearity():
@@ -71,8 +84,8 @@ def test_operators_vanish_on_zero():
     ws = default_ws(grid, window)
     psi = np.zeros((window.steps + 1, grid.n_nodes))
     c = np.ones(grid.n_nodes)
-    np.testing.assert_array_equal(apply_M1(psi, c, ws), 0.0)
-    np.testing.assert_array_equal(apply_M2(psi, c, ws), 0.0)
+    np.testing.assert_array_equal(m1(psi, c, ws), 0.0)
+    np.testing.assert_array_equal(m2(psi, c, ws), 0.0)
 
 
 def test_m1_decomposition_identity_unit_c():
@@ -83,7 +96,7 @@ def test_m1_decomposition_identity_unit_c():
     suite = make_test_suite(grid, window, count=1, seed=11)
     psi = conjugate(suite[0][1], ws, np.empty_like(suite[0][1]))
     c = np.ones(grid.n_nodes)
-    got = apply_M1(psi, c, ws)
+    got = m1(psi, c, ws)
 
     grad_b2 = np.sum(ws.grad_beta_tilde**2, axis=1)
     phi = np.exp(ws.log_phi)
@@ -103,15 +116,14 @@ def test_m2_dual_evaluation_converges():
     for n, steps in ((16, 64), (32, 128), (64, 256)):
         grid = Grid(1, n, ["right"])
         timegrid = TimeGrid(0.0, 2.0, steps)
-        window, _ = timegrid.window(0.5)
+        window = timegrid.window(0.5)
         ws = default_ws(grid, window)
         q = make_test_suite(grid, window, count=1, seed=3)[0][1]
         c = np.ones(grid.n_nodes)
         psi = conjugate(q, ws, np.empty_like(q))
-        m2 = apply_M2(psi, c, ws)
         sw = space_weights(grid)
         dt = window.dt
-        nodal = dt * float(np.sum((m2 * psi[1:-1]) @ sw))
+        nodal = dt * float(np.sum((m2(psi, c, ws) * psi[1:-1]) @ sw))
 
         phi = np.exp(ws.log_phi)
         gb2 = np.sum(ws.grad_beta_tilde**2, axis=1)
@@ -163,7 +175,7 @@ def test_heat_solution_dominated_by_boundary_term():
         q0=np.sin(np.pi * x),
     )
     field = solve_heat(prob, grid, timegrid)
-    _, offset = timegrid.window(0.5)
+    offset = timegrid.index_of(window.t0)
     q_win = field.values[offset:offset + window.steps + 1]
     ws = default_ws(grid, window)
     rep = carleman_sides(q_win, prob.c, ws)
@@ -237,7 +249,7 @@ def test_sweep_refinement_stability_resolved_grid():
     for n in (128, 256):
         grid = Grid(1, n, ["right"])
         timegrid = TimeGrid(0.0, 2.0, 128)
-        window, _ = timegrid.window(0.5)
+        window = timegrid.window(0.5)
         suite = make_test_suite(grid, window, count=20, seed=42)
         _, summary = carleman_sweep(
             variable_c(grid), suite, S_LIST, LAM_LIST, grid, window,
@@ -248,13 +260,16 @@ def test_sweep_refinement_stability_resolved_grid():
     assert abs(maxima[1] - maxima[0]) < 0.2 * maxima[0]
 
 
-def test_m2_sign_switch_recorded_and_mild():
+def test_m2_sign_switch_recorded_and_mild(monkeypatch):
+    # the other sign of M2's first-order factor, on a WeightSet with
+    # empty tables: M2's advection table does not key on the sign
     grid, window = setup_1d()
     ws = default_ws(grid, window)
     c = variable_c(grid)
     q = make_test_suite(grid, window, count=1, seed=1)[0][1]
-    plus = carleman_sides(q, c, ws, m2_sign=1.0)
-    minus = carleman_sides(q, c, ws, m2_sign=-1.0)
+    plus = carleman_sides(q, c, ws)
+    monkeypatch.setattr(carleman, "M2_SIGN", -1.0)
+    minus = carleman_sides(q, c, dataclasses.replace(ws))
     assert plus.params["m2_sign"] == 1.0
     assert minus.params["m2_sign"] == -1.0
     assert np.isfinite(plus.ratio) and np.isfinite(minus.ratio)
@@ -279,7 +294,7 @@ def stack_case(dimension):
         count = 25
     else:
         grid = Grid(2, 8, ["north", "east"])
-        window, _ = TimeGrid(0.0, 2.0, 64).window(0.5)
+        window = TimeGrid(0.0, 2.0, 64).window(0.5)
         count = 20
     c = 1.0 + 0.5 * grid.coords[:, 0] + 0.25 * grid.coords[:, -1] ** 2
     x0 = [-0.1] * dimension
@@ -296,45 +311,41 @@ def assert_bitwise(got, expected):
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
-def test_operators_on_a_stack_equal_the_per_test_results(dimension):
+def test_operators_on_a_stack_equal_the_per_test_results(dimension,
+                                                         monkeypatch):
     # one call on a (test, time, node) stack is the per-test calls
-    # stacked, bit for bit
-    grid, _, c, _, ws, suite = stack_case(dimension)
+    # stacked, bit for bit, each filling NaN buffers; M2 under both
+    # signs, each on its own WeightSet
+    _, _, c, _, ws, suite = stack_case(dimension)
     q = np.stack([vals for _, vals in suite[:7]])
-    psi = conjugate(q, ws, np.empty_like(q))
+    psi = conjugate(q, ws, np.full(q.shape, np.nan))
     assert_bitwise(psi, np.stack([conjugate(row, ws, np.empty_like(row))
                                   for row in q]))
-    assert_bitwise(apply_M1(psi, c, ws),
-                   np.stack([apply_M1(row, c, ws) for row in psi]))
+    assert_bitwise(m1(psi, c, ws), np.stack([m1(row, c, ws) for row in psi]))
     for sign in (1.0, -1.0):
-        assert_bitwise(apply_M2(psi, c, ws, sign=sign),
-                       np.stack([apply_M2(row, c, ws, sign=sign)
-                                 for row in psi]))
-    # and so are the calls that fill NaN buffers
-    inner = np.full(psi[:, 1:-1].shape, np.nan)
-    assert_bitwise(conjugate(q, ws, out=np.full(q.shape, np.nan)), psi)
-    assert_bitwise(apply_M1(psi, c, ws, out=inner.copy()),
-                   apply_M1(psi, c, ws))
-    gradient = np.full(inner.shape + (grid.dimension,), np.nan)
-    assert_bitwise(apply_M2(psi, c, ws, -1.0, out=inner.copy(),
-                            gradient=gradient),
-                   apply_M2(psi, c, ws, -1.0))
+        monkeypatch.setattr(carleman, "M2_SIGN", sign)
+        signed = dataclasses.replace(ws)
+        assert_bitwise(m2(psi, c, signed),
+                       np.stack([m2(row, c, signed) for row in psi]))
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
-def test_operator_tables_are_kept_per_conductivity_and_sign(dimension):
+def test_operator_tables_are_kept_per_conductivity_and_sign(dimension,
+                                                             monkeypatch):
     # apply_M1 and apply_M2 keep their coefficient tables on ws: one ws
-    # shared by two conductivities and both signs gives every call what
+    # per sign of M2, shared by two conductivities, gives every call what
     # a ws with empty tables gives
-    grid, _, c, _, ws, suite = stack_case(dimension)
+    _, _, c, _, ws, suite = stack_case(dimension)
     q = np.stack([vals for _, vals in suite[:3]])
     psi = conjugate(q, ws, np.empty_like(q))
     for cc in (c, 2.0 * c, c):
-        assert_bitwise(apply_M1(psi, cc, ws),
-                       apply_M1(psi, cc, dataclasses.replace(ws)))
-        for sign in (1.0, -1.0, 1.0):
-            assert_bitwise(apply_M2(psi, cc, ws, sign),
-                           apply_M2(psi, cc, dataclasses.replace(ws), sign))
+        assert_bitwise(m1(psi, cc, ws), m1(psi, cc, dataclasses.replace(ws)))
+    for sign in (1.0, -1.0):
+        monkeypatch.setattr(carleman, "M2_SIGN", sign)
+        signed = dataclasses.replace(ws)
+        for cc in (c, 2.0 * c, c):
+            assert_bitwise(m2(psi, cc, signed),
+                           m2(psi, cc, dataclasses.replace(ws)))
 
 
 def term_values(terms):

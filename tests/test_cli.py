@@ -1,6 +1,7 @@
 """JSON configuration, field expressions, and the command-line driver."""
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import pytest
 
 import carleman_lab
 from carleman_lab import cli, config, energy, observe, poincare, setups
+from carleman_lab.carleman import make_test_suite
 from carleman_lab.cli import (
     RunContext,
     cmd_verify_energy,
@@ -59,6 +61,24 @@ def test_default_config_values():
     assert cfg.x0 == (-0.1,)
     assert cfg.sigma == 0.0
     assert cfg.seed == 42
+
+
+def test_library_defaults_mirror_the_packaged_config():
+    # a keyword default that repeats a default.json value must not drift
+    # from it: the tests that call these functions bare rely on both
+    cfg = load_config(None)
+
+    def defaults(fn):
+        return {name: p.default
+                for name, p in inspect.signature(fn).parameters.items()
+                if p.default is not inspect.Parameter.empty}
+
+    assert defaults(setups.default_setup) == {
+        "dimension": cfg.dimension, "n": cfg.n, "t0": cfg.t0,
+        "t_end": cfg.t_end, "steps": cfg.steps}
+    assert defaults(setups.inversion_setup) == {
+        "dimension": cfg.dimension, "n": cfg.n}
+    assert defaults(make_test_suite)["seed"] == cfg.seed
 
 
 def test_config_file_is_laid_over_the_packaged_defaults(tmp_path,
@@ -412,19 +432,19 @@ def test_all_is_byte_deterministic(tmp_path):
         assert path.read_bytes() == (b / path.name).read_bytes()
 
 
-def test_env_seed_overrides_config(tmp_path, monkeypatch):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run("verify-carleman", out=str(a)) == 0
-    monkeypatch.setenv("CARLEMAN_LAB_SEED", "7")
-    assert run("verify-carleman", out=str(b)) == 0
-    assert (a / "carleman_sweep.csv").read_bytes() != \
-        (b / "carleman_sweep.csv").read_bytes()
-
-
-def test_env_seed_rejects_garbage(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CARLEMAN_LAB_SEED", "abc")
-    assert run("forward", out=str(tmp_path)) == 2
-    assert "CARLEMAN_LAB_SEED" in capsys.readouterr().err
+def test_seed_reaches_only_the_carleman_reports(tmp_path):
+    # the config's seed draws the Carleman test suite; at sigma = 0 no
+    # other stage draws anything, so its four files do not move
+    a, b = tmp_path / "7", tmp_path / "42"
+    for out in (a, b):
+        out.mkdir()
+        cfg = write_config(out, seed=int(out.name))
+        assert run("all", config_path=cfg, out=str(out / "out")) == 0
+    names = sorted(p.name for p in (a / "out").iterdir())
+    differ = [name for name in names if (a / "out" / name).read_bytes()
+              != (b / "out" / name).read_bytes()]
+    assert len(names) == 6
+    assert differ == ["carleman_summary.csv", "carleman_sweep.csv"]
 
 
 # -- exit codes ------------------------------------------------------------
@@ -451,13 +471,6 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     assert run(command, config_path=cfg, out=str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "seed" in err
-
-
-def test_negative_env_seed_is_a_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CARLEMAN_LAB_SEED", "-3")
-    assert run("verify-carleman", out=str(tmp_path)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "CARLEMAN_LAB_SEED" in err
 
 
 def test_unknown_key_is_a_config_error(tmp_path, capsys):

@@ -106,7 +106,6 @@ def test_named_cells_match_whole_cells(capsys):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sampled_config_exits_cleanly(seed, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.SEED_ENV, raising=False)
     monkeypatch.setattr(cli, "InverseConfig", functools.partial(
         stability.InverseConfig, max_iters=RECON_ITERS))
     config = _config(seed)

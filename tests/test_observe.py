@@ -35,7 +35,7 @@ def sampled_decaying_sine(n=64, steps=128):
 
 def test_flux_trace_analytic():
     g, tg, f = sampled_decaying_sine()
-    win, _ = tg.window(0.5)
+    win = tg.window(0.5)
     obs = extract_observations(f, g, win)
     trace = obs.flux["right"]
     assert trace.shape == (win.steps - 1, 1)
@@ -47,7 +47,7 @@ def test_flux_trace_analytic():
 def test_flux_trace_constant_in_time():
     g = Grid(1, 16, ["right"])
     tg = TimeGrid(0.0, 2.0, 16)
-    win, _ = tg.window(0.5)
+    win = tg.window(0.5)
     x = g.coords[:, 0]
     f = SpaceTimeField(values=np.tile(x**2, (17, 1)), grid=g, timegrid=tg)
     obs = extract_observations(f, g, win)
@@ -61,7 +61,8 @@ def test_flux_is_the_trace_of_the_time_derivative(dim):
     # for bit (dt = 1.3/30 is not a power of two)
     g = Grid(dim, 6, ["right"] if dim == 1 else ["north", "east"])
     tg = TimeGrid(0.0, 1.3, 30)
-    win, off = tg.window(tg.times[6])
+    win = tg.window(tg.times[6])
+    off = tg.index_of(win.t0)
     vals = np.random.default_rng(dim).standard_normal((31, g.n_nodes))
     f = SpaceTimeField(values=vals, grid=g, timegrid=tg)
     rows = time_derivative(f).values[off + 1 : off + win.steps]
@@ -79,7 +80,7 @@ def test_observed_flux_transpose_is_the_adjoint(dim):
     # boundary as the adjoint's field is; in 2D the faces share a corner
     g = Grid(dim, 6, ["right"] if dim == 1 else ["north", "east"])
     tg = TimeGrid(0.0, 1.3, 30)
-    win, _ = tg.window(tg.times[6])
+    win = tg.window(tg.times[6])
     rng = np.random.default_rng(10 + dim)
     inside = ~g.boundary_mask
     v = rng.standard_normal((31, g.n_nodes))
@@ -104,7 +105,7 @@ def test_flux_map_and_transpose_equal_the_whole_grid_formulas(dim):
     # out that held stale values, as the adjoint sweep's buffer does
     rng = np.random.default_rng(30 + dim)
     tg = TimeGrid(0.0, 1.3, 30)
-    win, _ = tg.window(tg.times[6])
+    win = tg.window(tg.times[6])
     for g in (Grid(dim, 6, ["right"] if dim == 1 else ["north", "east"]),
               default_setup(dimension=dim, n=32 if dim == 1 else 16).grid):
         for values in (rng.standard_normal((31, g.n_nodes)),
@@ -130,7 +131,7 @@ def test_flux_map_and_transpose_equal_the_whole_grid_formulas(dim):
 def test_twin_observation_distance_zero():
     g = Grid(1, 16, ["right"])
     tg = TimeGrid(0.0, 2.0, 32)
-    win, _ = tg.window(0.5)
+    win = tg.window(0.5)
     x = g.coords[:, 0]
     prob = HeatProblem(
         c=1.0 + 0.5 * x,
@@ -254,7 +255,7 @@ def read_observations(path, grid, window) -> dict:
 
 def test_observation_csv_round_trip(tmp_path):
     g, tg, f = sampled_decaying_sine(n=16, steps=32)
-    win, _ = tg.window(0.5)
+    win = tg.window(0.5)
     obs = extract_observations(f, g, win)
     path = tmp_path / "obs.csv"
     observations_to_csv(obs, path)
@@ -269,7 +270,7 @@ def test_observation_csv_round_trip(tmp_path):
 def test_observation_csv_2d_two_faces(tmp_path):
     g = Grid(2, 8, ["north", "east"])
     tg = TimeGrid(0.0, 2.0, 16)
-    win, _ = tg.window(0.5)
+    win = tg.window(0.5)
     x, y = g.coords[:, 0], g.coords[:, 1]
     vals = (1.0 + tg.times[:, None] ** 2) * (x * y + 1.0)[None, :]
     f = SpaceTimeField(values=vals, grid=g, timegrid=tg)
@@ -314,7 +315,7 @@ def test_distance_of_a_stacked_observation_set_is_per_member(dimension):
     g = Grid(dimension, 8,
              ["right"] if dimension == 1 else ["north", "east"])
     tg = TimeGrid(0.0, 2.0, 16)
-    win, _ = tg.window(0.5)
+    win = tg.window(0.5)
     x = g.coords[:, 0]
     rng = np.random.default_rng(10)
     values = (1.0 + x)[None, None, :] + 0.01 * rng.standard_normal(

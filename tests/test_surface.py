@@ -32,6 +32,10 @@ A call that unpacks *args passes every position from there on, one that
 unpacks **kwargs every keyword.  A default that only tests override is a
 second code path that no command takes.
 
+A parameter whose default is None must, by the same matching, be left
+out by some call in src/ or bench/.  If every call passes it, only tests
+take the None branch, and the parameter is required.
+
 A module of src/carleman_lab imports a _-prefixed name of another only
 where PRIVATE_IMPORTS gives the reason; anything else the two modules
 share is public.
@@ -61,9 +65,6 @@ KEEP_PARAMETERS = {
     "cli.main.argv":
         "the parser's argument list; the console script passes none, and "
         "tests drive the parser through it",
-    "carleman.carleman_sides.m2_sign":
-        "the sign of M2's first-order factor, which the source leaves "
-        "ambiguous; tests evaluate the other sign (ROADMAP item 6)",
 }
 
 # the commands and configs of the field census, each run with --plot
@@ -179,10 +180,10 @@ def _calls(trees) -> dict:
 
 
 def _defaulted_parameters(trees):
-    """(module.function.parameter, callee name, position, parameter name)
-    of every defaulted parameter of a package function or method; position
-    counts the arguments a call gives (self and cls excluded) and is None
-    for a keyword-only parameter."""
+    """(module.function.parameter, callee name, position, parameter name,
+    default node) of every defaulted parameter of a package function or
+    method; position counts the arguments a call gives (self and cls
+    excluded) and is None for a keyword-only parameter."""
     for path in sorted(PACKAGE.glob("*.py")):
         for qualified, name, node in _definitions(trees[path]):
             if not isinstance(node, ast.FunctionDef):
@@ -194,15 +195,15 @@ def _defaulted_parameters(trees):
                 getattr(d, "id", None) == "staticmethod"
                 for d in node.decorator_list)
             first = len(positional) - len(args.defaults)
-            params = [(arg.arg, i - bound) for i, arg in enumerate(positional)
-                      if i >= first]
-            params += [(arg.arg, None) for arg, default
+            params = [(arg.arg, i - bound, args.defaults[i - first])
+                      for i, arg in enumerate(positional) if i >= first]
+            params += [(arg.arg, None, default) for arg, default
                        in zip(args.kwonlyargs, args.kw_defaults)
                        if default is not None]
             callee = cls if name == "__init__" else name
-            for param, position in params:
+            for param, position, default in params:
                 yield (f"{path.stem}.{qualified}.{param}", callee, position,
-                       param)
+                       param, default)
 
 
 def _is_dataclass(cls) -> bool:
@@ -219,9 +220,10 @@ def _field_call(value):
 
 
 def _dataclass_parameters(trees):
-    """(module.Class.__init__.parameter, Class, position, parameter) of
-    every defaulted parameter of the __init__ that @dataclass generates
-    for a module-level class of the package."""
+    """(module.Class.__init__.parameter, Class, position, parameter,
+    default node, None for a default_factory) of every defaulted parameter
+    of the __init__ that @dataclass generates for a module-level class of
+    the package."""
     for path in sorted(PACKAGE.glob("*.py")):
         for cls in trees[path].body:
             if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
@@ -240,21 +242,44 @@ def _dataclass_parameters(trees):
                     or {"default", "default_factory"} & set(keywords))
                 if defaulted:
                     name = item.target.id
+                    default = (keywords.get("default")
+                               if _field_call(item.value) else item.value)
                     yield (f"{path.stem}.{cls.name}.__init__.{name}",
-                           cls.name, position, name)
+                           cls.name, position, name, default)
                 position += 1
+
+
+def _passes(call, position, param) -> bool:
+    """Whether a call, as _calls records it, passes the parameter param
+    at position (None for a keyword-only one)."""
+    count, star, keywords = call
+    return (param in keywords or None in keywords
+            or (position is not None
+                and (count > position
+                     or (star is not None and star <= position))))
+
+
+def _parameters(trees) -> list:
+    return [*_defaulted_parameters(trees), *_dataclass_parameters(trees)]
 
 
 def _unpassed(trees) -> list:
     """Defaulted parameters that no call passes."""
     calls = _calls(trees)
-    return [reported for reported, callee, position, param
-            in [*_defaulted_parameters(trees), *_dataclass_parameters(trees)]
-            if not any(param in keywords or None in keywords
-                       or (position is not None
-                           and (count > position
-                                or (star is not None and star <= position)))
-                       for count, star, keywords in calls[callee])]
+    return [reported for reported, callee, position, param, _
+            in _parameters(trees)
+            if not any(_passes(call, position, param)
+                       for call in calls[callee])]
+
+
+def _none_always_passed(trees) -> list:
+    """Parameters defaulting to None that every call passes."""
+    calls = _calls(trees)
+    return [reported for reported, callee, position, param, default
+            in _parameters(trees)
+            if isinstance(default, ast.Constant) and default.value is None
+            and all(_passes(call, position, param)
+                    for call in calls[callee])]
 
 
 def census(out_dir) -> set:
@@ -312,6 +337,13 @@ def test_every_defaulted_parameter_is_passed():
         + ", ".join(unpassed))
 
 
+def test_every_none_default_is_taken_by_a_call():
+    passed = _none_always_passed(_trees())
+    assert passed == [], (
+        "every call in src/ or bench/ passes these, so only tests take "
+        "their None default; make them required: " + ", ".join(passed))
+
+
 def test_keep_parameters_are_defaulted_and_unpassed():
     # an entry whose parameter is gone or now passed goes too
     trees = _trees()
@@ -323,7 +355,6 @@ def test_every_field_is_read_by_the_commands(tmp_path):
     # the census runs in a fresh interpreter, so that its wrappers stay
     # out of this process's classes
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    env.pop("CARLEMAN_LAB_SEED", None)
     done = subprocess.run([sys.executable, __file__, str(tmp_path)],
                           env=env, check=True, capture_output=True, text=True)
     read = set(json.loads(done.stdout.splitlines()[-1]))
