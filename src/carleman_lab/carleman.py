@@ -187,8 +187,8 @@ def carleman_sides(q_values: np.ndarray, c: np.ndarray,
 # -- test-function suite --------------------------------------------------
 
 
-def make_test_suite(grid: Grid, window: TimeGrid, count: int = 20,
-                    seed: int = 42) -> list:
+def make_test_suite(grid: Grid, window: TimeGrid, count: int,
+                    seed: int) -> list:
     """Separable test functions sin(k pi x)(sin(k2 pi y)) * w(t) with
     random small wavenumbers and random smooth w; boundary columns are
     zeroed so the lateral trace vanishes exactly."""

@@ -309,7 +309,7 @@ _DISPATCH = {
 }
 
 
-def run(command, config_path=None, plot=False, out=None) -> int:
+def run(command, config_path, plot, out) -> int:
     try:
         cfg = load_config(config_path)
         out_dir = out if out is not None else cfg.out_dir

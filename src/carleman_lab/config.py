@@ -155,8 +155,8 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
-def evaluate_field(spec, grid: Grid, base_dir: str = ".") -> np.ndarray:
-    """Nodal values of an expression tree or a node,value CSV."""
+def evaluate_field(spec, grid: Grid, base_dir: str) -> np.ndarray:
+    """Nodal values of an expression tree or a node,value CSV in base_dir."""
     if isinstance(spec, dict) and set(spec) == {"csv"}:
         return _field_from_csv(os.path.join(base_dir, spec["csv"]), grid)
     return _expression(spec, "field", grid.dimension, grid)

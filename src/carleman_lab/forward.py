@@ -151,17 +151,17 @@ def _flux_pattern(dimension: int, n: int, members: int) -> SimpleNamespace:
 
     Fields: interior, boundary; diag_faces, the 2d faces at each node in
     the order up[0, p], up[0, p - s_0], up[1, p], up[1, p - s_1] that its
-    diagonal sums them in; a_indptr, a_indices and a_gather (into the
-    face values followed by the diagonal) of one member's A_int, the
-    table in interior columns, and b_faces of its B_bd, the table in
-    boundary columns; bd, the stack's B_bd (indptr, indices); fwd and
-    adj, the stack's (indptr, indices, take) of the step matrices [dt/2 A
-    + I | dt/2 I | 0 | dt/2 I] and [-I | dt/2 A + I] on blocks of ni
-    columns, A_int's rows with identity entries appended, take each
-    entry's position in the (members, nnz + 3) _step_values; band_rows,
-    band_size, band_slots (flat, Fortran-ordered), band_take and band_eye
-    (I's entries there) of the upper band storage of B = I - dt/2 A_int,
-    whose slots coupling two members stay zero."""
+    diagonal sums them in; a_gather (into the face values followed by
+    the diagonal) of one member's A_int, the table in interior columns,
+    and b_faces of its B_bd, the table in boundary columns; bd, the
+    stack's B_bd (indptr, indices); fwd and adj, the stack's (indptr,
+    indices, take) of the step matrices [dt/2 A + I | dt/2 I | 0 |
+    dt/2 I] and [-I | dt/2 A + I] on blocks of ni columns, A_int's rows
+    with identity entries appended, take each entry's position in the
+    (members, nnz + 3) _step_values; band_rows, band_size, band_slots
+    (flat, Fortran-ordered), band_take and band_eye (I's entries there)
+    of the upper band storage of B = I - dt/2 A_int, whose slots
+    coupling two members stay zero."""
     lat = lattice(dimension, n)
     inside = lat.depth > 0
     interior, boundary = np.flatnonzero(inside), np.flatnonzero(~inside)
@@ -206,8 +206,8 @@ def _flux_pattern(dimension: int, n: int, members: int) -> SimpleNamespace:
     pattern = SimpleNamespace(
         interior=interior, boundary=boundary,
         diag_faces=faces[:, diag_columns].T.copy(),
-        a_indptr=a_indptr, a_indices=a_cols, a_gather=a_gather,
-        b_faces=faces[~in_a], bd=csr(np.tile(~in_a, (members, 1, 1)), cols),
+        a_gather=a_gather, b_faces=faces[~in_a],
+        bd=csr(np.tile(~in_a, (members, 1, 1)), cols),
         fwd=extended(0, (1, 3, 0), (0, 0, 1)), adj=extended(1, (1, 0), (1, 2)),
         band_rows=u + 1, band_size=(u + 1) * ni * members,
         band_slots=(u * (a_cols[upper] + 1) + a_rows[upper]

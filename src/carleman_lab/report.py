@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def fmt(v: float) -> str:
@@ -23,7 +23,7 @@ class EstimateReport:
     name: str
     lhs_terms: dict
     rhs_terms: dict
-    params: dict = field(default_factory=dict)
+    params: dict
 
     @classmethod
     def for_weights(cls, name, lhs_terms, rhs_terms, ws, **params):

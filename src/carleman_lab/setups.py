@@ -53,8 +53,8 @@ def base_initial_state(grid: Grid) -> np.ndarray:
     return functools.reduce(np.add, grid.coords.T, 1.0)
 
 
-def default_setup(dimension: int = 1, n: int = 32, t0: float = 0.5,
-                  t_end: float = 2.0, steps: int = 128) -> ExperimentSetup:
+def default_setup(dimension: int, n: int, t0: float, t_end: float,
+                  steps: int) -> ExperimentSetup:
     gamma0_faces = ("right",) if dimension == 1 else ("north", "east")
     grid = Grid(dimension, n, gamma0_faces)
     timegrid = TimeGrid(0.0, t_end, steps)
@@ -106,7 +106,7 @@ def probing_boundary_data(grid: Grid):
     return g
 
 
-def inversion_setup(dimension: int = 1, n: int = 32) -> ExperimentSetup:
+def inversion_setup(dimension: int, n: int) -> ExperimentSetup:
     """Like default_setup but driven by the probing boundary data and
     observed over a window that opens early enough to catch the
     transient (t0 = 1/16 on (0, 2) with 128 steps); use this for
@@ -119,9 +119,9 @@ def inversion_setup(dimension: int = 1, n: int = 32) -> ExperimentSetup:
 # -- perturbations --------------------------------------------------------
 
 
-def bump_shape(grid: Grid, k: int = 0) -> np.ndarray:
-    """x^2(1-x)^2 flattened at the boundary, optionally modulated by
-    sin(k pi x); tensorized per axis in 2D.  Normalized to sup 1."""
+def bump_shape(grid: Grid, k: int) -> np.ndarray:
+    """x^2(1-x)^2 flattened at the boundary, modulated by sin(k pi x)
+    for k > 0; tensorized per axis in 2D.  Normalized to sup 1."""
     out = np.ones(grid.n_nodes)
     for a in range(grid.dimension):
         x = grid.coords[:, a]

@@ -286,7 +286,7 @@ def relative_h1_error(estimate: np.ndarray, truth: np.ndarray,
 
 
 def make_observations(setup: ExperimentSetup, c_true: np.ndarray,
-                      sigma: float = 0.0, seed: int = 0) -> ObservationSet:
+                      sigma: float, seed: int) -> ObservationSet:
     """Synthetic data: solve with the true coefficient; white noise on
     the flux traces only (interior snapshots stay clean)."""
     field = solve_heat(replace(setup.base, c=c_true), setup.grid,

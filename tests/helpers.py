@@ -1,4 +1,5 @@
-"""Test-only helpers: the reference weight set, a vector divergence,
+"""Test-only helpers: setups on the packaged configuration, the
+reference weight set, a vector divergence, A_int's CSR structure and
 scipy CSR views of the flux-form operator and of a stepper's B_bd for
 the bitwise pins, the whole-grid flux map and its full-column transpose
 as references, and an adjoint sweep on a fresh buffer."""
@@ -6,11 +7,22 @@ as references, and an adjoint sweep on a fresh buffer."""
 import numpy as np
 import scipy.sparse
 
+from carleman_lab.config import load_config
 from carleman_lab.forward import CrankNicolsonStepper, _flux_values
 from carleman_lab.grid import (FACE_STENCIL, Grid, TimeGrid,
                                centered_difference, first_derivative)
 from carleman_lab.observe import gamma0_traces
+from carleman_lab.setups import ExperimentSetup, default_setup
 from carleman_lab.weights import WeightSet, build_weights
+
+
+def packaged_setup(**overrides) -> ExperimentSetup:
+    """default_setup on the grid and window of the packaged default.json
+    (dimension, n, t0, t_end, steps), with the given ones replaced."""
+    cfg = load_config(None)
+    packaged = {key: getattr(cfg, key)
+                for key in ("dimension", "n", "t0", "t_end", "steps")}
+    return default_setup(**{**packaged, **overrides})
 
 
 def default_weights(setup, lam: float = 1.0, s: float = 1.0,
@@ -52,9 +64,21 @@ def flux_matrices(c: np.ndarray, grid: Grid):
     up to round-off (interior rows share the face-mean formula exactly).
     """
     p, a_data, b_data = _flux_values(np.asarray(c, dtype=float), grid)
-    return (_csr(a_data, p.a_indices, p.a_indptr, p.interior.size),
+    a_indptr, a_indices = a_int_structure(p)
+    return (_csr(a_data, a_indices, a_indptr, p.interior.size),
             _csr(b_data, p.bd[1], p.bd[0], p.boundary.size),
             p.interior, p.boundary)
+
+
+def a_int_structure(pattern):
+    """A_int's CSR (indptr, indices), read off the forward step rows of
+    a one-member flux pattern: each row lists A_int's entries in stored
+    order, then three identity entries, whose take points past A_int's
+    nnz values."""
+    indptr, indices, take = pattern.fwd
+    nnz = indices.size - 3 * (indptr.size - 1)
+    return (indptr - np.arange(0, 3 * indptr.size, 3, dtype=indptr.dtype),
+            indices[take < nnz])
 
 
 def stepper_boundary_matrix(st: CrankNicolsonStepper):

@@ -11,7 +11,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from carleman_lab.carleman import carleman_sides, carleman_sweep, make_test_suite
-from carleman_lab.cli import run
 from carleman_lab.energy import (
     bound_terms,
     energy,
@@ -24,7 +23,6 @@ from carleman_lab.grid import Grid, TimeGrid
 from carleman_lab.poincare import proposition_sides
 from carleman_lab.setups import (
     bump_shape,
-    default_setup,
     inversion_setup,
     perturbation_family,
     twin_solve,
@@ -37,7 +35,7 @@ from carleman_lab.stability import (
     reconstruct,
     stability_sweep,
 )
-from helpers import default_weights, flux_matrices
+from helpers import default_weights, flux_matrices, packaged_setup
 from paper_checks import (
     cit_residual,
     sweep_summary,
@@ -86,7 +84,7 @@ def test_acceptance_1_forward_solver():
 def test_acceptance_2_weight_invariants():
     with verdict(2, "weight invariants"):
         for dimension, n in ((1, 32), (2, 16)):
-            setup = default_setup(dimension=dimension, n=n)
+            setup = packaged_setup(dimension=dimension, n=n)
             ws = default_weights(setup)
             assert weight_closed_form(ws, m=1.1).C0 > 0.0
             observed = set(setup.grid.gamma0_faces)
@@ -104,7 +102,7 @@ def test_acceptance_2_weight_invariants():
 def test_acceptance_3_carleman_estimate():
     with verdict(3, "carleman estimate"):
         t_start = time.perf_counter()
-        setup = default_setup()
+        setup = packaged_setup()
         c = np.ones(setup.grid.n_nodes)
         suite = make_test_suite(setup.grid, setup.window, count=20, seed=42)
         s_list, lam_list = (1.0, 2.0, 4.0, 8.0), (1.0, 2.0)
@@ -124,7 +122,7 @@ def test_acceptance_3_carleman_estimate():
 
 def test_acceptance_4_poincare_lemma_proposition():
     with verdict(4, "poincare lemma and proposition"):
-        setup = default_setup()
+        setup = packaged_setup()
         ws = default_weights(setup)
         for _, _, gam in perturbation_family(setup.grid):
             tw = twin_solve(setup, gam)
@@ -134,7 +132,7 @@ def test_acceptance_4_poincare_lemma_proposition():
 
         norms = []
         for n, steps in ((16, 64), (32, 128), (64, 256)):
-            fine = default_setup(n=n, steps=steps)
+            fine = packaged_setup(n=n, steps=steps)
             x = fine.grid.coords[:, 0]
             gam = 0.1 * x**2 * (1.0 - x) ** 2
             tw = twin_solve(fine, gam)
@@ -144,7 +142,7 @@ def test_acceptance_4_poincare_lemma_proposition():
         assert np.log2(norms[0] / norms[1]) >= 1.0
         assert np.log2(norms[1] / norms[2]) >= 1.0
 
-        bump = 0.05 * bump_shape(setup.grid)
+        bump = 0.05 * bump_shape(setup.grid, 0)
         tw_bump = twin_solve(setup, bump)
         scale = proposition_sides(bump, tw_bump.q_tilde, tw_bump.u,
                                   tw_bump.y, ws).combined
@@ -158,8 +156,8 @@ def test_acceptance_4_poincare_lemma_proposition():
 
 def test_acceptance_5_snapshot_and_energy_bounds():
     with verdict(5, "snapshot and energy bounds"):
-        setup = default_setup()
-        gam = 0.05 * bump_shape(setup.grid)
+        setup = packaged_setup()
+        gam = 0.05 * bump_shape(setup.grid, 0)
         tw = twin_solve(setup, gam)
         c = setup.c_tilde + gam
         ws = default_weights(setup, s=4.0)
@@ -176,7 +174,7 @@ def test_acceptance_5_snapshot_and_energy_bounds():
 def test_acceptance_6_stability_two_sided():
     with verdict(6, "stability two-sided experiment"):
         t_start = time.perf_counter()
-        setup = default_setup()
+        setup = packaged_setup()
         ws = default_weights(setup)
         family = perturbation_family(setup.grid)
         assert len(family) == 12
@@ -190,7 +188,7 @@ def test_acceptance_6_stability_two_sided():
 
 def test_acceptance_7_inverse_solver():
     with verdict(7, "inverse solver"):
-        setup = default_setup()
+        setup = packaged_setup()
         grid, dt = setup.grid, setup.timegrid.dt
         c_var = 1.0 + 0.3 * np.abs(np.sin(3.0 * grid.coords[:, 0]))
         stepper = CrankNicolsonStepper(c_var, grid, dt)
@@ -210,7 +208,7 @@ def test_acceptance_7_inverse_solver():
         x = inv.grid.coords[:, 0]
         truth = 1.0 + 0.05 * x**2 * (1.0 - x) ** 2
         prior = np.ones(inv.grid.n_nodes)
-        data = make_observations(inv, truth)
+        data = make_observations(inv, truth, sigma=0.0, seed=0)
         icfg = InverseConfig(prior=prior)
         c0 = prior + admissible_projection(0.02 * np.sin(2.0 * np.pi * x),
                                            inv.grid)
@@ -239,11 +237,13 @@ def test_acceptance_7_inverse_solver():
             assert hi >= 0.8 * lo
 
 
-def test_acceptance_8_cli_determinism(tmp_path):
+def test_acceptance_8_cli_determinism(request):
     with verdict(8, "cli determinism"):
-        first, second = tmp_path / "first", tmp_path / "second"
-        assert run("all", out=str(first)) == 0
-        assert run("all", out=str(second)) == 0
+        # requested inside the verdict, so that a run that raises is a FAIL
+        (code_first, code_second), first, second = request.getfixturevalue(
+            "all_twice")
+        assert code_first == 0
+        assert code_second == 0
         csvs = sorted(p.name for p in first.iterdir()
                       if p.suffix == ".csv")
         assert len(csvs) == 6

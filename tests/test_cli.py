@@ -1,7 +1,6 @@
 """JSON configuration, field expressions, and the command-line driver."""
 
 import dataclasses
-import inspect
 import json
 import math
 import os
@@ -17,7 +16,6 @@ import pytest
 
 import carleman_lab
 from carleman_lab import cli, config, energy, observe, poincare, setups
-from carleman_lab.carleman import make_test_suite
 from carleman_lab.cli import (
     RunContext,
     cmd_verify_energy,
@@ -32,8 +30,8 @@ from carleman_lab.config import (
     load_config,
 )
 from carleman_lab.grid import Grid
-from carleman_lab.setups import default_setup
 from carleman_lab.svg import PlotError, line_plot
+from helpers import packaged_setup
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -61,24 +59,6 @@ def test_default_config_values():
     assert cfg.x0 == (-0.1,)
     assert cfg.sigma == 0.0
     assert cfg.seed == 42
-
-
-def test_library_defaults_mirror_the_packaged_config():
-    # a keyword default that repeats a default.json value must not drift
-    # from it: the tests that call these functions bare rely on both
-    cfg = load_config(None)
-
-    def defaults(fn):
-        return {name: p.default
-                for name, p in inspect.signature(fn).parameters.items()
-                if p.default is not inspect.Parameter.empty}
-
-    assert defaults(setups.default_setup) == {
-        "dimension": cfg.dimension, "n": cfg.n, "t0": cfg.t0,
-        "t_end": cfg.t_end, "steps": cfg.steps}
-    assert defaults(setups.inversion_setup) == {
-        "dimension": cfg.dimension, "n": cfg.n}
-    assert defaults(make_test_suite)["seed"] == cfg.seed
 
 
 def test_config_file_is_laid_over_the_packaged_defaults(tmp_path,
@@ -148,15 +128,15 @@ def test_config_rejects_bad_json(tmp_path):
 
 def test_default_gamma_expression_is_the_quartic_bump():
     cfg = load_config(None)
-    setup = default_setup()
+    setup = packaged_setup()
     x = setup.grid.coords[:, 0]
-    vals = evaluate_field(cfg.gamma, setup.grid)
+    vals = evaluate_field(cfg.gamma, setup.grid, ".")
     np.testing.assert_allclose(vals, 0.05 * x**2 * (1.0 - x) ** 2,
                                atol=1e-15)
 
 
 def test_expression_composition():
-    setup = default_setup()
+    setup = packaged_setup()
     x = setup.grid.coords[:, 0]
     spec = {"kind": "sum", "children": [
         {"kind": "const", "value": 1.0},
@@ -165,14 +145,14 @@ def test_expression_composition():
             {"kind": "x"},
         ]}},
     ]}
-    np.testing.assert_allclose(evaluate_field(spec, setup.grid),
+    np.testing.assert_allclose(evaluate_field(spec, setup.grid, "."),
                                1.0 + np.sin(math.pi * x), rtol=1e-15)
 
 
 def test_expression_y_needs_two_dimensions():
-    setup = default_setup()
+    setup = packaged_setup()
     with pytest.raises(ConfigError, match="1D"):
-        evaluate_field({"kind": "y"}, setup.grid)
+        evaluate_field({"kind": "y"}, setup.grid, ".")
 
 
 _X = {"kind": "x"}
@@ -207,11 +187,11 @@ def test_expression_walker_covers_every_kind(tmp_path, kind):
                     ["right"] if dimension == 1 else ["north", "east"])
         if kind == "y" and dimension == 1:
             with pytest.raises(ConfigError, match="1D"):
-                evaluate_field(cfg.gamma, grid)
+                evaluate_field(cfg.gamma, grid, ".")
             continue
         x = grid.coords[:, 0]
         y = grid.coords[:, -1]
-        np.testing.assert_allclose(evaluate_field(cfg.gamma, grid),
+        np.testing.assert_allclose(evaluate_field(cfg.gamma, grid, "."),
                                    want(x, y), rtol=1e-15, atol=1e-15)
     # one key missing, or one key extra, names the kind
     broken = [dict(node, extra=1.0)] + [
@@ -223,7 +203,7 @@ def test_expression_walker_covers_every_kind(tmp_path, kind):
 
 
 def test_field_from_csv_roundtrip(tmp_path):
-    setup = default_setup()
+    setup = packaged_setup()
     values = 1.0 + 0.1 * np.sin(setup.grid.coords[:, 0])
     path = tmp_path / "field.csv"
     lines = ["node,value"] + [f"{i},{v:.17g}" for i, v in enumerate(values)]
@@ -268,7 +248,7 @@ def test_field_from_csv_rejects_non_finite_values(tmp_path, value):
 
 
 def test_forward_command(tmp_path):
-    assert run("forward", out=str(tmp_path)) == 0
+    assert run("forward", None, False, str(tmp_path)) == 0
     field_lines = (tmp_path / "field.csv").read_text().splitlines()
     assert field_lines[0] == "t_index,node,value"
     assert len(field_lines) == 1 + 129 * 33
@@ -277,7 +257,7 @@ def test_forward_command(tmp_path):
 
 
 def test_verify_carleman_row_count(tmp_path):
-    assert run("verify-carleman", out=str(tmp_path)) == 0
+    assert run("verify-carleman", None, False, str(tmp_path)) == 0
     lines = (tmp_path / "carleman_sweep.csv").read_text().splitlines()
     assert lines[0] == "test_id,s,lambda,term_name,value"
     terms = {ln.split(",")[3] for ln in lines[1:]}
@@ -291,7 +271,7 @@ def test_verify_carleman_row_count(tmp_path):
 
 
 def test_verify_energy_curve(tmp_path):
-    assert run("verify-energy", out=str(tmp_path)) == 0
+    assert run("verify-energy", None, False, str(tmp_path)) == 0
     lines = (tmp_path / "energy_curve.csv").read_text().splitlines()
     assert lines[0] == "t,E"
     assert len(lines) == 1 + 95        # interior window rows at dt=1/64
@@ -300,7 +280,7 @@ def test_verify_energy_curve(tmp_path):
 
 
 def test_verify_snapshot_single_row(tmp_path):
-    assert run("verify-snapshot", out=str(tmp_path)) == 0
+    assert run("verify-snapshot", None, False, str(tmp_path)) == 0
     lines = (tmp_path / "snapshot.csv").read_text().splitlines()
     assert len(lines) == 2
     header = lines[0].split(",")
@@ -376,7 +356,7 @@ def test_run_context_builds_each_weight_set_once(tmp_path, monkeypatch):
 
 
 def test_sweep_stability_with_plot(tmp_path):
-    assert run("sweep-stability", plot=True, out=str(tmp_path)) == 0
+    assert run("sweep-stability", None, True, str(tmp_path)) == 0
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == "member,eps,lhs,rhs_weighted,rhs_plain,ratio"
     assert len(lines) == 1 + 12
@@ -387,7 +367,7 @@ def test_sweep_stability_with_plot(tmp_path):
 
 
 def test_reconstruct_command(tmp_path, capsys):
-    assert run("reconstruct", out=str(tmp_path)) == 0
+    assert run("reconstruct", None, False, str(tmp_path)) == 0
     lines = (tmp_path / "recon_log.csv").read_text().splitlines()
     assert lines[0] == "iter,J,grad_norm,h1_error"
     final_err = float(lines[-1].rsplit(",", 1)[1])
@@ -395,7 +375,7 @@ def test_reconstruct_command(tmp_path, capsys):
 
 
 def test_all_emits_six_report_files(tmp_path, capsys):
-    assert run("all", out=str(tmp_path)) == 0
+    assert run("all", None, False, str(tmp_path)) == 0
     # no weighted LHS of the default config underflows to 0
     assert "underflowed" not in capsys.readouterr().err
     names = sorted(p.name for p in tmp_path.iterdir())
@@ -410,7 +390,7 @@ def test_all_emits_six_report_files(tmp_path, capsys):
 
 
 def test_all_with_plot_writes_one_svg_per_plotting_stage(tmp_path):
-    assert run("all", plot=True, out=str(tmp_path)) == 0
+    assert run("all", None, True, str(tmp_path)) == 0
     names = sorted(p.name for p in tmp_path.iterdir())
     svgs = {"carleman_sweep.svg": len(load_config(None).lambdas),
             "energy_curve.svg": 1, "sweep.svg": 1, "recon_log.svg": 1}
@@ -424,10 +404,10 @@ def test_all_with_plot_writes_one_svg_per_plotting_stage(tmp_path):
             == series
 
 
-def test_all_is_byte_deterministic(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run("all", out=str(a)) == 0
-    assert run("all", out=str(b)) == 0
+def test_all_is_byte_deterministic(all_twice):
+    (code_a, code_b), a, b = all_twice
+    assert code_a == 0
+    assert code_b == 0
     for path in sorted(a.iterdir()):
         assert path.read_bytes() == (b / path.name).read_bytes()
 
@@ -439,7 +419,7 @@ def test_seed_reaches_only_the_carleman_reports(tmp_path):
     for out in (a, b):
         out.mkdir()
         cfg = write_config(out, seed=int(out.name))
-        assert run("all", config_path=cfg, out=str(out / "out")) == 0
+        assert run("all", cfg, False, str(out / "out")) == 0
     names = sorted(p.name for p in (a / "out").iterdir())
     differ = [name for name in names if (a / "out" / name).read_bytes()
               != (b / "out" / name).read_bytes()]
@@ -452,14 +432,14 @@ def test_seed_reaches_only_the_carleman_reports(tmp_path):
 
 def test_odd_steps_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, steps=129)
-    assert run("forward", config_path=cfg, out=str(tmp_path)) == 2
+    assert run("forward", cfg, False, str(tmp_path)) == 2
     assert "even" in capsys.readouterr().err
 
 
 def test_odd_window_names_the_window(tmp_path, capsys):
     # 4 steps on (0, 2) put t0 = 0.5 at node 1, leaving the window 3
     cfg = write_config(tmp_path, steps=4)
-    assert run("forward", config_path=cfg, out=str(tmp_path)) == 2
+    assert run("forward", cfg, False, str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "window (0.5, 2.0) has 3 steps" in err
@@ -468,21 +448,21 @@ def test_odd_window_names_the_window(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["verify-carleman", "reconstruct"])
 def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     cfg = write_config(tmp_path, seed=-1, sigma=1e-3)
-    assert run(command, config_path=cfg, out=str(tmp_path)) == 2
+    assert run(command, cfg, False, str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "seed" in err
 
 
 def test_unknown_key_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, stepz=12)
-    assert run("forward", config_path=cfg, out=str(tmp_path)) == 2
+    assert run("forward", cfg, False, str(tmp_path)) == 2
     assert "stepz" in capsys.readouterr().err
 
 
 def test_non_finite_number_is_a_config_error(tmp_path, capsys):
     # NaN would otherwise run a noiseless reconstruction and exit 0
     cfg = write_config(tmp_path, sigma=math.nan)
-    assert run("reconstruct", config_path=cfg, out=str(tmp_path)) == 2
+    assert run("reconstruct", cfg, False, str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "sigma" in err
 
@@ -494,7 +474,7 @@ def test_y_node_in_1d_is_a_config_error_naming_the_key(tmp_path, capsys, key):
         {"kind": "product", "children": [{"kind": "const", "value": 0.1},
                                          {"kind": "y"}]}]}
     cfg = write_config(tmp_path, **{key: node})
-    assert run("forward", config_path=cfg, out=str(tmp_path)) == 2
+    assert run("forward", cfg, False, str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: 'y' used in a 1D")
 
@@ -502,7 +482,7 @@ def test_y_node_in_1d_is_a_config_error_naming_the_key(tmp_path, capsys, key):
 def test_output_path_collision_is_a_config_error(tmp_path, capsys):
     target = tmp_path / "occupied"
     target.write_text("not a directory")
-    assert run("forward", out=str(target)) == 2
+    assert run("forward", None, False, str(target)) == 2
     capsys.readouterr()
 
 
@@ -516,14 +496,14 @@ def test_weight_parameter_is_a_config_error(tmp_path, capsys, overrides,
     # the weight set is built mid-pipeline, and its parameter checks are
     # still configuration errors
     cfg = write_config(tmp_path, **overrides)
-    assert run("verify-carleman", config_path=cfg, out=str(tmp_path)) == 2
+    assert run("verify-carleman", cfg, False, str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and needle in err
 
 
 def test_boundary_supported_gamma_is_a_numerical_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, gamma={"kind": "const", "value": 0.5})
-    assert run("verify-poincare", config_path=cfg, out=str(tmp_path)) == 3
+    assert run("verify-poincare", cfg, False, str(tmp_path)) == 3
     assert "boundary" in capsys.readouterr().err
 
 

@@ -115,7 +115,7 @@ def test_sampled_config_exits_cleanly(seed, tmp_path, capsys, monkeypatch):
     for command in COMMANDS:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code = cli.run(command, config_path=str(path),
+            code = cli.run(command, config_path=str(path), plot=False,
                            out=str(tmp_path / command))
         out, err = capsys.readouterr()
         assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)

@@ -13,20 +13,20 @@ from carleman_lab.energy import (
 from carleman_lab.forward import SpaceTimeField, time_derivative
 from carleman_lab.grid import GridError, divergence_flux
 from carleman_lab.poincare import check_flat_boundary
-from carleman_lab.setups import bump_shape, default_setup, twin_solve
-from helpers import default_weights
+from carleman_lab.setups import bump_shape, twin_solve
+from helpers import default_weights, packaged_setup
 from paper_checks import signed_divergence
 
 
 def default_twin(eps=0.05, **kwargs):
-    setup = default_setup(**kwargs)
-    gam = eps * bump_shape(setup.grid)
+    setup = packaged_setup(**kwargs)
+    gam = eps * bump_shape(setup.grid, 0)
     tw = twin_solve(setup, gam)
     return setup, gam, tw
 
 
 def test_energy_zero_rate():
-    setup = default_setup()
+    setup = packaged_setup()
     ws = default_weights(setup, s=4.0)
     zero = SpaceTimeField(
         values=np.zeros((setup.timegrid.steps + 1, setup.grid.n_nodes)),
@@ -48,7 +48,7 @@ def test_energy_nonnegative_and_midpoint_positive():
 def test_energy_separability():
     # y = w(t) sin(pi x) factors the curve into w(t)^2 times the curve of
     # the static profile
-    setup = default_setup()
+    setup = packaged_setup()
     ws = default_weights(setup, s=2.0)
     x = setup.grid.coords[:, 0]
     profile = np.sin(np.pi * x)
@@ -85,7 +85,7 @@ def test_energy_two_paths_agree(s):
 
 
 def test_energy_rejects_boundary_trace():
-    setup = default_setup()
+    setup = packaged_setup()
     ws = default_weights(setup, s=4.0)
     vals = np.zeros((setup.timegrid.steps + 1, setup.grid.n_nodes))
     vals[:, 0] = 1e-8
@@ -96,7 +96,7 @@ def test_energy_rejects_boundary_trace():
 
 
 def test_snapshot_bound_zero_gamma():
-    setup = default_setup()
+    setup = packaged_setup()
     zero = np.zeros(setup.grid.n_nodes)
     tw = twin_solve(setup, zero)
     ws = default_weights(setup, s=4.0)
@@ -142,11 +142,11 @@ def test_energy_bound_refinement_at_resolved_grid():
 
 
 def test_energy_quadratic_in_perturbation():
-    setup = default_setup()
+    setup = packaged_setup()
     ws = default_weights(setup, s=4.0)
     vals = {}
     for eps in (0.025, 0.05):
-        gam = eps * bump_shape(setup.grid)
+        gam = eps * bump_shape(setup.grid, 0)
         tw = twin_solve(setup, gam)
         vals[eps] = energy(tw.y, setup.c_tilde + gam, ws).e_tprime
     assert 4.0 * vals[0.025] == pytest.approx(vals[0.05], rel=0.15)

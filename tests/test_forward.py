@@ -24,7 +24,8 @@ from carleman_lab.forward import (
     time_derivative,
 )
 from carleman_lab.setups import default_setup, inversion_setup
-from helpers import adjoint_rows, flux_matrices, stepper_boundary_matrix
+from helpers import (adjoint_rows, a_int_structure, flux_matrices,
+                     packaged_setup, stepper_boundary_matrix)
 
 
 def decaying_sine_problem(grid):
@@ -89,8 +90,8 @@ def test_2d_manufactured_solution():
 def test_setup_data_stay_at_or_above_one(dimension, n):
     # solve_heat asks nothing of the data's sign: the setups' closed
     # forms keep q0 and every tabulated boundary row at or above 1
-    for setup in (default_setup(dimension, n),
-                  default_setup(dimension, n, steps=96),
+    for setup in (packaged_setup(dimension=dimension, n=n),
+                  packaged_setup(dimension=dimension, n=n, steps=96),
                   default_setup(dimension, n, t0=0.125, t_end=0.25, steps=16),
                   inversion_setup(dimension, n)):
         drive = forward._drive_table(setup.base.g, setup.timegrid,
@@ -116,7 +117,7 @@ def test_compatibility_checked():
 def test_compatibility_checked_at_grid_start():
     # q0 matches g(0) = 2 at x = 1, but the grid starts at t = 0.5 where
     # the drive reads 2 + 0.5 sin(pi/4)
-    setup = default_setup(dimension=1, n=32)
+    setup = packaged_setup(dimension=1, n=32)
     with pytest.raises(GridError, match="boundary"):
         solve_heat(setup.base, setup.grid, TimeGrid(0.5, 2.0, 96))
 
@@ -427,7 +428,8 @@ def test_solve_heat_and_gradient_match_reference_recurrence(dimension, n):
 
     # the adjoint recurrence as misfit_and_gradient formed it with
     # scipy's A @ lam, driven by the flux residuals scattered row by row
-    data = stability.make_observations(inv, c + 0.01 * (c - 1.0))
+    data = stability.make_observations(inv, c + 0.01 * (c - 1.0),
+                                       sigma=0.0, seed=0)
     cfg = stability.InverseConfig(prior=np.ones(grid.n_nodes))
     off = tg.index_of(window.t0)
     k = off + np.arange(1, window.steps)
@@ -516,20 +518,21 @@ def test_step_matrices_extend_A_int_in_stored_order(dimension, n):
     c = 0.5 + 2.0 * rng.random(grid.n_nodes)
     st = CrankNicolsonStepper(c, grid, dt)
     p, a_data = forward._flux_values(c, grid)[:2]
+    a_indptr, a_indices = a_int_structure(p)
     ni, half = st.interior.size, 0.5 * dt
     # forward rows [dt/2 A | dt/2 I | dt/2 I | I] read [v | b_old | . |
     # b_new] and v again; adjoint rows [dt/2 A | I | -I] read [src | lam]
     for (indptr, indices, data), a_shift, cols, eye in (
             (st._forward_step, 0, (ni, 3 * ni, 0), (half, half, 1.0)),
             (st._adjoint_step, ni, (ni, 0), (1.0, -1.0))):
-        assert indptr.dtype == indices.dtype == p.a_indptr.dtype
+        assert indptr.dtype == indices.dtype == a_indptr.dtype
         a_pos = []
         for i in range(ni):
-            a = slice(p.a_indptr[i], p.a_indptr[i + 1])
+            a = slice(a_indptr[i], a_indptr[i + 1])
             row = np.arange(indptr[i], indptr[i + 1])
-            k = p.a_indptr[i + 1] - p.a_indptr[i]
+            k = a_indptr[i + 1] - a_indptr[i]
             np.testing.assert_array_equal(
-                indices[row], np.concatenate((p.a_indices[a] + a_shift,
+                indices[row], np.concatenate((a_indices[a] + a_shift,
                                               np.add(cols, i))))
             np.testing.assert_array_equal(data[row[k:]], eye)
             a_pos.extend(row[:k])
@@ -645,7 +648,7 @@ STACK_GRIDS = [(1, 32), (1, 17), (2, 16), (2, 17)]
 
 @pytest.mark.parametrize("dimension,n", STACK_GRIDS)
 def test_stacked_solve_equals_the_single_solves_bitwise(dimension, n):
-    setup = default_setup(dimension, n, steps=64)
+    setup = packaged_setup(dimension=dimension, n=n, steps=64)
     grid, tg = setup.grid, setup.timegrid
     cs = member_stack(setup, 5, 31)
     singles = [solve_heat(dataclasses.replace(setup.base, c=c), grid,
@@ -723,7 +726,7 @@ def test_steppers_of_one_stack_size_share_every_index_array(dimension, n):
 
 @pytest.mark.parametrize("dimension,n", STACK_GRIDS)
 def test_stacked_adjoint_sweep_equals_the_single_sweeps(dimension, n):
-    setup = default_setup(dimension, n, steps=64)
+    setup = packaged_setup(dimension=dimension, n=n, steps=64)
     grid, tg = setup.grid, setup.timegrid
     cs = member_stack(setup, 4, 32)
     block = CrankNicolsonStepper(cs, grid, tg.dt)
@@ -737,7 +740,7 @@ def test_stacked_adjoint_sweep_equals_the_single_sweeps(dimension, n):
 
 
 def test_stacked_solve_checks_every_member():
-    setup = default_setup(1, 16, steps=32)
+    setup = packaged_setup(dimension=1, n=16, steps=32)
     cs = member_stack(setup, 3, 35)
     cs[2, 5] = -1.0
     with pytest.raises(GridError, match="positive"):

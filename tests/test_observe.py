@@ -20,9 +20,9 @@ from carleman_lab.observe import (
     weighted_norm_spacetime,
     window_sum,
 )
-from carleman_lab.setups import default_setup
 from carleman_lab.weights import build_weights
-from helpers import observed_flux_reference, observed_flux_transpose_reference
+from helpers import (observed_flux_reference,
+                     observed_flux_transpose_reference, packaged_setup)
 
 
 def sampled_decaying_sine(n=64, steps=128):
@@ -107,7 +107,7 @@ def test_flux_map_and_transpose_equal_the_whole_grid_formulas(dim):
     tg = TimeGrid(0.0, 1.3, 30)
     win = tg.window(tg.times[6])
     for g in (Grid(dim, 6, ["right"] if dim == 1 else ["north", "east"]),
-              default_setup(dimension=dim, n=32 if dim == 1 else 16).grid):
+              packaged_setup(dimension=dim, n=32 if dim == 1 else 16).grid):
         for values in (rng.standard_normal((31, g.n_nodes)),
                        rng.standard_normal((3, 31, g.n_nodes))):
             got = observed_flux(values, g, tg, win)
@@ -335,7 +335,7 @@ def test_distance_of_a_stacked_observation_set_is_per_member(dimension):
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_gamma0_traces_of_a_member_stack_equal_the_member_traces(dimension):
     # the default 1D grid, and cfg2d's (2D, n=16) north and east faces
-    grid = default_setup(dimension=dimension,
+    grid = packaged_setup(dimension=dimension,
                          n=32 if dimension == 1 else 16).grid
     rng = np.random.default_rng(12)
     stack = rng.standard_normal((3, 9, grid.n_nodes))

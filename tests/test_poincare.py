@@ -13,8 +13,8 @@ from carleman_lab.poincare import (
     proposition_to_csv,
 )
 from carleman_lab.forward import HeatProblem
-from carleman_lab.setups import bump_shape, default_setup, twin_solve
-from helpers import default_weights
+from carleman_lab.setups import bump_shape, twin_solve
+from helpers import default_weights, packaged_setup
 from paper_checks import (
     TransportBase,
     apply_P0,
@@ -34,7 +34,7 @@ def linear_base(setup, ws):
 def test_default_base_nondegenerate_1d_and_2d():
     # the shipped boundary data keep the midpoint slice monotone along
     # the weight gradient with a comfortable margin over the 0.05 floor
-    setup = default_setup()
+    setup = packaged_setup()
     ws = default_weights(setup, lam=1.0, s=4.0)
     tw = twin_solve(setup, np.zeros(setup.grid.n_nodes))
     min_transport = build_transport_base(
@@ -42,7 +42,7 @@ def test_default_base_nondegenerate_1d_and_2d():
     assert min_transport >= 0.05
     assert min_transport == pytest.approx(0.29780, rel=1e-3)
 
-    setup2 = default_setup(dimension=2, n=16, steps=64)
+    setup2 = packaged_setup(dimension=2, n=16, steps=64)
     ws2 = default_weights(setup2, lam=1.0, s=4.0)
     tw2 = twin_solve(setup2, np.zeros(setup2.grid.n_nodes))
     min_transport2 = build_transport_base(
@@ -51,7 +51,7 @@ def test_default_base_nondegenerate_1d_and_2d():
 
 
 def test_apply_p0_quadratic_exact():
-    setup = default_setup()
+    setup = packaged_setup()
     ws = default_weights(setup)
     base = linear_base(setup, ws)
     x = setup.grid.coords[:, 0]
@@ -61,7 +61,7 @@ def test_apply_p0_quadratic_exact():
 
 
 def test_apply_p0_zero_and_homogeneity():
-    setup = default_setup()
+    setup = packaged_setup()
     ws = default_weights(setup)
     base = linear_base(setup, ws)
     grid = setup.grid
@@ -75,7 +75,7 @@ def test_apply_p0_zero_and_homogeneity():
 
 
 def test_apply_p0_rejects_boundary_values():
-    setup = default_setup()
+    setup = packaged_setup()
     ws = default_weights(setup)
     base = linear_base(setup, ws)
     with pytest.raises(GridError, match="vanish"):
@@ -85,7 +85,7 @@ def test_apply_p0_rejects_boundary_values():
 def test_apply_p0_2d_refinement():
     errs = []
     for n in (8, 16, 32):
-        setup = default_setup(dimension=2, n=n, steps=32)
+        setup = packaged_setup(dimension=2, n=n, steps=32)
         ws = default_weights(setup)
         grid = setup.grid
         x, y = grid.coords[:, 0], grid.coords[:, 1]
@@ -100,7 +100,7 @@ def test_apply_p0_2d_refinement():
 
 
 def test_lemma_zero_case():
-    setup = default_setup()
+    setup = packaged_setup()
     ws = default_weights(setup, s=4.0)
     base = linear_base(setup, ws)
     rep = lemma_sides(np.zeros(setup.grid.n_nodes), base, ws)
@@ -112,7 +112,7 @@ def test_lemma_zero_case():
 def test_lemma_bounded_over_s():
     # the s^2 prefactor loses to the sharpening weight; no pointwise
     # decay is asserted, only a fixed empirical ceiling
-    setup = default_setup()
+    setup = packaged_setup()
     x = setup.grid.coords[:, 0]
     g = x * (1.0 - x)
     ratios = {}
@@ -126,7 +126,7 @@ def test_lemma_bounded_over_s():
 
 
 def test_lemma_homogeneity_exact():
-    setup = default_setup()
+    setup = packaged_setup()
     ws = default_weights(setup, s=4.0)
     base = linear_base(setup, ws)
     x = setup.grid.coords[:, 0]
@@ -136,7 +136,7 @@ def test_lemma_homogeneity_exact():
 
 def test_lemma_rejects_degenerate_base():
     # a hand-built base: transport_base would refuse to make it
-    setup = default_setup()
+    setup = packaged_setup()
     ws = default_weights(setup, s=4.0)
     flat = TransportBase(gradient=np.zeros((setup.grid.n_nodes, 1)),
                          min_transport=0.0)
@@ -146,28 +146,28 @@ def test_lemma_rejects_degenerate_base():
 
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_transport_base_of_a_constant_field_raises(dimension):
-    setup = default_setup(dimension=dimension, n=16, steps=64)
+    setup = packaged_setup(dimension=dimension, n=16, steps=64)
     ws = default_weights(setup, s=4.0)
     with pytest.raises(GridError, match="degenerate transport base"):
         build_transport_base(np.ones(setup.grid.n_nodes), ws)
 
 
 def test_flatness_guard():
-    setup = default_setup()
+    setup = packaged_setup()
     grid = setup.grid
     x = grid.coords[:, 0]
-    check_flat_boundary(0.05 * bump_shape(grid), grid)
+    check_flat_boundary(0.05 * bump_shape(grid, 0), grid)
     check_flat_boundary(np.zeros(grid.n_nodes), grid)
     with pytest.raises(GridError, match="normal derivative"):
         check_flat_boundary(x * (1.0 - x), grid)
-    bad = 0.05 * bump_shape(grid)
+    bad = 0.05 * bump_shape(grid, 0)
     bad[0] = 1e-3
     with pytest.raises(GridError, match="vanish"):
         check_flat_boundary(bad, grid)
 
 
 def test_cit_residual_zero_twin_exact():
-    setup = default_setup()
+    setup = packaged_setup()
     zero = np.zeros(setup.grid.n_nodes)
     tw = twin_solve(setup, zero)
     res = cit_residual(zero, setup.c_tilde, tw.q_tilde, tw.u, tw.y,
@@ -178,7 +178,7 @@ def test_cit_residual_zero_twin_exact():
 def test_cit_residual_refinement_order():
     norms = []
     for n, steps in ((16, 64), (32, 128), (64, 256)):
-        setup = default_setup(n=n, steps=steps)
+        setup = packaged_setup(n=n, steps=steps)
         x = setup.grid.coords[:, 0]
         gam = 0.1 * x**2 * (1.0 - x) ** 2
         tw = twin_solve(setup, gam)
@@ -190,7 +190,7 @@ def test_cit_residual_refinement_order():
 
 
 def test_cit_residual_scales_with_data():
-    setup = default_setup()
+    setup = packaged_setup()
     x = setup.grid.coords[:, 0]
     gam = 0.1 * x**2 * (1.0 - x) ** 2
     tw = twin_solve(setup, gam)
@@ -210,7 +210,7 @@ def test_cit_residual_scales_with_data():
 
 
 def test_proposition_zero_gamma():
-    setup = default_setup()
+    setup = packaged_setup()
     zero = np.zeros(setup.grid.n_nodes)
     tw = twin_solve(setup, zero)
     ws = default_weights(setup, s=4.0)
@@ -221,11 +221,11 @@ def test_proposition_zero_gamma():
 
 
 def test_proposition_amplitude_stability():
-    setup = default_setup()
+    setup = packaged_setup()
     ws = default_weights(setup, lam=1.0, s=4.0)
     ratios = {}
     for eps in (0.01, 0.05, 0.1):
-        gam = eps * bump_shape(setup.grid)
+        gam = eps * bump_shape(setup.grid, 0)
         tw = twin_solve(setup, gam)
         rep = proposition_sides(gam, tw.q_tilde, tw.u, tw.y, ws)
         for part in rep.parts().values():
@@ -240,8 +240,8 @@ def test_proposition_amplitude_stability():
 def test_proposition_2d_smoke():
     # 2D weighted masses concentrate near the observed corner at the
     # default anchor; only structure is asserted here
-    setup = default_setup(dimension=2, n=16, steps=64)
-    gam = 0.05 * bump_shape(setup.grid)
+    setup = packaged_setup(dimension=2, n=16, steps=64)
+    gam = 0.05 * bump_shape(setup.grid, 0)
     tw = twin_solve(setup, gam)
     ws = default_weights(setup, lam=1.0, s=4.0)
     rep = proposition_sides(gam, tw.q_tilde, tw.u, tw.y, ws)
@@ -254,9 +254,9 @@ def test_proposition_2d_smoke():
 def test_proposition_evaluates_each_weighted_norm_once(dimension,
                                                        monkeypatch):
     # the three parts report 18 terms over 11 (field, weight power) pairs
-    setup = (default_setup() if dimension == 1
-             else default_setup(dimension=2, n=16, steps=64))
-    gam = 0.05 * bump_shape(setup.grid)
+    setup = (packaged_setup() if dimension == 1
+             else packaged_setup(dimension=2, n=16, steps=64))
+    gam = 0.05 * bump_shape(setup.grid, 0)
     tw = twin_solve(setup, gam)
     ws = default_weights(setup, lam=1.0, s=4.0)
     ref = proposition_sides(gam, tw.q_tilde, tw.u, tw.y, ws)
@@ -276,17 +276,17 @@ def test_proposition_evaluates_each_weighted_norm_once(dimension,
 
 
 def test_lower_bound_chain():
-    setup = default_setup()
+    setup = packaged_setup()
     ws = default_weights(setup, lam=1.0, s=4.0)
-    gam = 0.05 * bump_shape(setup.grid)
+    gam = 0.05 * bump_shape(setup.grid, 0)
     lhs, lower = coefficient_lower_bound(gam, ws)
     assert lhs >= lower * (1.0 - 1e-12)
     assert lower > 0.0
 
 
 def test_proposition_csv(tmp_path):
-    setup = default_setup()
-    gam = 0.05 * bump_shape(setup.grid)
+    setup = packaged_setup()
+    gam = 0.05 * bump_shape(setup.grid, 0)
     tw = twin_solve(setup, gam)
     ws = default_weights(setup, s=4.0)
     rep = proposition_sides(gam, tw.q_tilde, tw.u, tw.y, ws)

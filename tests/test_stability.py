@@ -15,7 +15,6 @@ from carleman_lab.forward import (CrankNicolsonStepper, HeatProblem,
 from carleman_lab.grid import GridError, space_weights
 from carleman_lab.setups import (
     bump_shape,
-    default_setup,
     inversion_setup,
     perturbation_family,
 )
@@ -35,7 +34,8 @@ from carleman_lab.stability import (
     stability_sweep,
     sweep_to_csv,
 )
-from helpers import default_weights, flux_matrices, stepper_boundary_matrix
+from helpers import (default_weights, flux_matrices, packaged_setup,
+                     stepper_boundary_matrix)
 from paper_checks import sweep_summary
 
 
@@ -53,17 +53,17 @@ def bump_truth(grid, eps=0.05):
 
 
 def test_admissible_mask_counts():
-    s1 = default_setup(dimension=1, n=32)
+    s1 = packaged_setup(dimension=1, n=32)
     mask = admissible_mask(s1.grid)
     assert int(mask.sum()) == 31          # end nodes pinned
     assert not mask[0] and not mask[-1]
-    s2 = default_setup(dimension=2, n=16, steps=64)
+    s2 = packaged_setup(dimension=2, n=16, steps=64)
     mask2 = admissible_mask(s2.grid)
     assert int(mask2.sum()) == 13 * 13    # two rings pinned
 
 
 def test_admissible_projection_idempotent():
-    s1 = default_setup(dimension=1, n=32)
+    s1 = packaged_setup(dimension=1, n=32)
     rng = np.random.default_rng(3)
     v = rng.standard_normal(s1.grid.n_nodes)
     p = admissible_projection(v, s1.grid)
@@ -73,8 +73,8 @@ def test_admissible_projection_idempotent():
 
 
 def test_make_pair_projects_and_checks_positivity():
-    setup = default_setup(dimension=1, n=32)
-    g = 0.05 * bump_shape(setup.grid) + 0.01
+    setup = packaged_setup(dimension=1, n=32)
+    g = 0.05 * bump_shape(setup.grid, 0) + 0.01
     pair = make_pair(np.ones(setup.grid.n_nodes), g, setup.grid)
     assert pair.gamma[0] == 0.0 and pair.gamma[-1] == 0.0
     np.testing.assert_array_equal(pair.gamma[1:-1], g[1:-1])
@@ -88,7 +88,7 @@ def test_make_pair_projects_and_checks_positivity():
 
 
 def test_stability_sides_zero_gamma():
-    setup = default_setup(dimension=1, n=32)
+    setup = packaged_setup(dimension=1, n=32)
     ws = default_weights(setup)
     pair = make_pair(np.ones(setup.grid.n_nodes),
                      np.zeros(setup.grid.n_nodes), setup.grid)
@@ -99,10 +99,10 @@ def test_stability_sides_zero_gamma():
 
 
 def test_stability_sides_default_bump():
-    setup = default_setup(dimension=1, n=32)
+    setup = packaged_setup(dimension=1, n=32)
     ws = default_weights(setup)
     pair = make_pair(np.ones(setup.grid.n_nodes),
-                     0.05 * bump_shape(setup.grid), setup.grid)
+                     0.05 * bump_shape(setup.grid, 0), setup.grid)
     rep = stability_sides(pair, setup, ws)
     assert set(rep.weighted.rhs_terms) == {"flux", "u_grad_lap", "u_lap",
                                            "u_grad"}
@@ -115,9 +115,9 @@ def test_stability_sides_default_bump():
 def test_stability_sides_swap_exact():
     # swapping (c, ctilde) negates u and y but leaves every squared
     # quantity bitwise unchanged
-    setup = default_setup(dimension=1, n=32)
+    setup = packaged_setup(dimension=1, n=32)
     ws = default_weights(setup)
-    gamma = 0.05 * bump_shape(setup.grid)
+    gamma = 0.05 * bump_shape(setup.grid, 0)
     pair = make_pair(np.ones(setup.grid.n_nodes), gamma, setup.grid)
     swapped = make_pair(pair.c, -gamma, setup.grid)
     rep = stability_sides(pair, setup, ws)
@@ -128,12 +128,12 @@ def test_stability_sides_swap_exact():
 
 
 def test_stability_sides_linear_regime():
-    setup = default_setup(dimension=1, n=32)
+    setup = packaged_setup(dimension=1, n=32)
     ws = default_weights(setup)
     ratios = {}
     for eps in (0.01, 0.005):
         pair = make_pair(np.ones(setup.grid.n_nodes),
-                         eps * bump_shape(setup.grid), setup.grid)
+                         eps * bump_shape(setup.grid, 0), setup.grid)
         rep = stability_sides(pair, setup, ws)
         ratios[eps] = (rep.weighted.ratio, rep.plain.ratio)
     for k in range(2):
@@ -145,7 +145,7 @@ def test_stability_sides_linear_regime():
 
 
 def test_stability_sweep_family():
-    setup = default_setup(dimension=1, n=32)
+    setup = packaged_setup(dimension=1, n=32)
     ws = default_weights(setup)
     fam = perturbation_family(setup.grid)
     assert len(fam) == 12
@@ -163,7 +163,7 @@ def test_stability_sweep_family():
 
 
 def test_stability_sweep_excludes_zero_member():
-    setup = default_setup(dimension=1, n=32)
+    setup = packaged_setup(dimension=1, n=32)
     ws = default_weights(setup)
     fam = perturbation_family(setup.grid)[:2]
     fam.append(("zero", 0.0, np.zeros(setup.grid.n_nodes)))
@@ -184,7 +184,7 @@ def test_stability_sweep_solves_base_field_once(monkeypatch):
 
     monkeypatch.setattr(stability, "solve_heat", recording)
     monkeypatch.setattr(setups, "solve_heat", recording)
-    setup = default_setup(dimension=1, n=32)
+    setup = packaged_setup(dimension=1, n=32)
     fam = perturbation_family(setup.grid)[:3]
     records = stability_sweep(fam, setup, default_weights(setup))
     assert len(records) == 3
@@ -204,7 +204,7 @@ def test_twin_derivative_is_formed_on_first_read(monkeypatch):
         return original(field)
 
     monkeypatch.setattr(setups, "time_derivative", recording)
-    setup = default_setup(dimension=1, n=32)
+    setup = packaged_setup(dimension=1, n=32)
     fam = perturbation_family(setup.grid)[:3]
     records = stability_sweep(fam, setup, default_weights(setup))
     assert len(records) == 3 and formed == []
@@ -219,9 +219,9 @@ def test_twin_derivative_is_formed_on_first_read(monkeypatch):
 
 def sweep_case(dimension):
     if dimension == 1:
-        setup = default_setup(dimension=1, n=32)
+        setup = packaged_setup(dimension=1, n=32)
     else:
-        setup = default_setup(dimension=2, n=16, steps=64)
+        setup = packaged_setup(dimension=2, n=16, steps=64)
     return setup, default_weights(setup)
 
 
@@ -303,7 +303,7 @@ def test_stability_sweep_memory_is_capped_on_a_large_2d_grid():
     # weights): the family in one stack peaked at 48.6 MB, the capped
     # chunks at 19.3 MB; the default 1D and cfg2d sweeps read 1.75 and
     # 13.87 MB either way
-    setup = default_setup(dimension=2, n=32)
+    setup = packaged_setup(dimension=2, n=32)
     ws, fam = default_weights(setup), perturbation_family(setup.grid)
     tracemalloc.start()
     try:
@@ -341,7 +341,7 @@ def test_stability_sweep_extracts_base_observations_once(monkeypatch):
         return original(field, grid, window)
 
     monkeypatch.setattr(stability, "extract_observations", recording)
-    setup = default_setup(dimension=1, n=32)
+    setup = packaged_setup(dimension=1, n=32)
     fam = perturbation_family(setup.grid)[:3]
     records = stability_sweep(fam, setup, default_weights(setup))
     assert len(records) == 3
@@ -351,7 +351,7 @@ def test_stability_sweep_extracts_base_observations_once(monkeypatch):
 
 
 def test_sweep_to_csv(tmp_path):
-    setup = default_setup(dimension=1, n=32)
+    setup = packaged_setup(dimension=1, n=32)
     ws = default_weights(setup)
     records = stability_sweep(perturbation_family(setup.grid)[:3],
                               setup, ws)
@@ -368,7 +368,7 @@ def test_sweep_to_csv(tmp_path):
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_one_step_adjoint_identity(dimension):
     # <B^-1 E x, y> = <x, E B^-1 y> for the CN update, B and E symmetric
-    setup = default_setup(dimension=dimension, n=32 if dimension == 1 else 16)
+    setup = packaged_setup(dimension=dimension, n=32 if dimension == 1 else 16)
     grid, dt = setup.grid, setup.timegrid.dt
     c = 1.0 + 0.3 * np.abs(np.sin(3.0 * grid.coords.sum(axis=1)))
     st = CrankNicolsonStepper(c, grid, dt)
@@ -390,7 +390,7 @@ def test_coefficient_accumulate_matches_row_by_row_sweep(dimension):
     # reference: the sum taken row by row, last time row first, as the
     # adjoint recursion visits the rows; the batched sum must match it
     # bit for bit
-    setup = default_setup(dimension=dimension,
+    setup = packaged_setup(dimension=dimension,
                           n=32 if dimension == 1 else 16, steps=64)
     grid = setup.grid
     rng = np.random.default_rng(8)
@@ -432,7 +432,7 @@ def test_coefficient_accumulate_matches_row_by_row_sweep(dimension):
 def test_reconstruct_evaluates_each_point_once_with_one_factor(monkeypatch):
     inv = inversion_setup(dimension=1, n=32)
     truth = bump_truth(inv.grid)
-    data = make_observations(inv, truth)
+    data = make_observations(inv, truth, sigma=0.0, seed=0)
     built = []
 
     class CountingStepper(CrankNicolsonStepper):
@@ -466,7 +466,7 @@ def _short_run(dimension):
     inv = inversion_setup(dimension=dimension, n=32 if dimension == 1 else 16)
     truth = bump_truth(inv.grid)
     cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes), max_iters=3)
-    return inv, truth, make_observations(inv, truth), cfg
+    return inv, truth, make_observations(inv, truth, sigma=0.0, seed=0), cfg
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -562,7 +562,7 @@ def test_reconstruct_builds_one_read_only_pattern_per_grid():
     forward._flux_pattern.cache_clear()
     inv = inversion_setup(dimension=1, n=32)
     truth = bump_truth(inv.grid)
-    data = make_observations(inv, truth)
+    data = make_observations(inv, truth, sigma=0.0, seed=0)
     cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes), max_iters=5)
     assert reconstruct(data, inv, cfg, truth=truth).iterations == 5
     assert forward._flux_pattern.cache_info().misses == 1
@@ -588,13 +588,13 @@ def test_reconstruct_builds_one_read_only_pattern_per_grid():
 def test_zero_data_misfit_is_the_regularization_alone():
     # zero drive and state: every solve the misfit and its gradient run
     # on swapped conductivities gives zero flux
-    setup = default_setup(dimension=1, n=8)
+    setup = packaged_setup(dimension=1, n=8)
     grid, zero = setup.grid, np.zeros(setup.grid.n_nodes)
     setup = dataclasses.replace(setup, base=dataclasses.replace(
         setup.base, g=lambda t: zero, q0=zero))
-    gamma = 0.05 * bump_shape(grid)
+    gamma = 0.05 * bump_shape(grid, 0)
     c = 1.0 + admissible_projection(gamma, grid)
-    data = make_observations(setup, c)
+    data = make_observations(setup, c, sigma=0.0, seed=0)
     assert all(not np.any(flux) for flux in data.flux.values())
     cfg = InverseConfig(prior=np.ones(grid.n_nodes))
     j_val, grad = misfit_and_gradient(c, data, setup, cfg)
@@ -605,7 +605,7 @@ def test_zero_data_misfit_is_the_regularization_alone():
 def test_admissible_mask_is_cached_read_only():
     grid = inversion_setup(dimension=2, n=16).grid
     mask = admissible_mask(grid)
-    assert admissible_mask(default_setup(dimension=2, n=16).grid) is mask
+    assert admissible_mask(packaged_setup(dimension=2, n=16).grid) is mask
     assert not mask.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         mask[0] = True
@@ -616,7 +616,7 @@ def test_misfit_zero_at_truth(monkeypatch):
     monkeypatch.setattr(stability, "ALPHA", 0.0)
     inv = inversion_setup(dimension=1, n=32)
     truth = bump_truth(inv.grid)
-    data = make_observations(inv, truth)
+    data = make_observations(inv, truth, sigma=0.0, seed=0)
     cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes))
     j_prior, _ = misfit_and_gradient(np.ones(inv.grid.n_nodes), data, inv,
                                      cfg)
@@ -630,7 +630,7 @@ def test_misfit_gradient_matches_finite_differences(dimension):
     inv = inversion_setup(dimension=dimension, n=32 if dimension == 1 else 16)
     x = inv.grid.coords[:, 0]
     truth = bump_truth(inv.grid)
-    data = make_observations(inv, truth)
+    data = make_observations(inv, truth, sigma=0.0, seed=0)
     cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes))
     c0 = np.ones(inv.grid.n_nodes) + admissible_projection(
         0.02 * np.sin(2.0 * np.pi * x), inv.grid)
@@ -656,7 +656,7 @@ def test_misfit_vanishes_exactly_at_the_truth():
     setup = dataclasses.replace(base, base=dataclasses.replace(
         base.base, g=setups.probing_boundary_data(base.grid)))
     truth = bump_truth(setup.grid)
-    data = make_observations(setup, truth)
+    data = make_observations(setup, truth, sigma=0.0, seed=0)
     j_val, _ = misfit_and_gradient(truth, data, setup,
                                    InverseConfig(prior=truth))
     assert j_val == 0.0
@@ -664,7 +664,7 @@ def test_misfit_vanishes_exactly_at_the_truth():
 
 def test_misfit_regularizer_vanishes_at_prior(monkeypatch):
     inv = inversion_setup(dimension=1, n=32)
-    data = make_observations(inv, bump_truth(inv.grid))
+    data = make_observations(inv, bump_truth(inv.grid), sigma=0.0, seed=0)
     prior = np.ones(inv.grid.n_nodes)
     j = {}
     for alpha in (0.0, 0.5):
@@ -675,7 +675,7 @@ def test_misfit_regularizer_vanishes_at_prior(monkeypatch):
 
 
 def test_h1_gram_matches_quadratic_form():
-    setup = default_setup(dimension=1, n=32)
+    setup = packaged_setup(dimension=1, n=32)
     idx = np.flatnonzero(admissible_mask(setup.grid))
     gram = _h1_gram(setup.grid, idx)
     rng = np.random.default_rng(5)
@@ -689,7 +689,7 @@ def test_h1_gram_matches_quadratic_form():
 def test_h1_apply_and_norm_equal_the_per_axis_sums(dimension, n):
     # H v and v H v against the form written axis by axis: trapezoid
     # mass plus h^d / h^2 times the squared differences along each axis
-    grid = default_setup(dimension=dimension, n=n).grid
+    grid = packaged_setup(dimension=dimension, n=n).grid
     v = np.random.default_rng(n).standard_normal(grid.n_nodes)
     coef = grid.h**grid.dimension / grid.h**2
     vg = grid.reshape(v)
@@ -711,7 +711,7 @@ def test_h1_apply_and_norm_equal_the_per_axis_sums(dimension, n):
 def test_h1_gram_equals_edge_loop(dimension, n):
     # the Gram matrix as a double loop over lattice edges fills it,
     # bit for bit: the preconditioner's factor depends on its bits
-    grid = default_setup(dimension=dimension, n=n).grid
+    grid = packaged_setup(dimension=dimension, n=n).grid
     idx = np.flatnonzero(admissible_mask(grid))
     pos = -np.ones(grid.n_nodes, dtype=int)
     pos[idx] = np.arange(idx.size)
@@ -738,7 +738,7 @@ def test_h1_gram_equals_edge_loop(dimension, n):
 def test_reconstruct_noiseless_bump():
     inv = inversion_setup(dimension=1, n=32)
     truth = bump_truth(inv.grid)
-    data = make_observations(inv, truth)
+    data = make_observations(inv, truth, sigma=0.0, seed=0)
     cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes), max_iters=200)
     res = reconstruct(data, inv, cfg, truth=truth)
     assert res.iterations <= 200
@@ -752,7 +752,7 @@ def test_reconstruct_noiseless_bump():
 def test_reconstruct_prior_data_returns_prior():
     inv = inversion_setup(dimension=1, n=32)
     prior = np.ones(inv.grid.n_nodes)
-    data = make_observations(inv, prior)
+    data = make_observations(inv, prior, sigma=0.0, seed=0)
     res = reconstruct(data, inv, InverseConfig(prior=prior), truth=prior)
     assert res.converged
     assert res.iterations <= 2
@@ -780,7 +780,7 @@ def test_reconstruct_stops_on_stagnation(monkeypatch):
     # without decreasing, which trips the consecutive-nondecrease stop
     inv = inversion_setup(dimension=1, n=32)
     truth = bump_truth(inv.grid)
-    data = make_observations(inv, truth)
+    data = make_observations(inv, truth, sigma=0.0, seed=0)
     calls = []
 
     def flat(c, *args, **kwargs):
@@ -814,7 +814,7 @@ def test_make_observations_seeded():
 def test_reconstruction_log_csv(tmp_path):
     inv = inversion_setup(dimension=1, n=32)
     truth = bump_truth(inv.grid)
-    res = reconstruct(make_observations(inv, truth), inv,
+    res = reconstruct(make_observations(inv, truth, sigma=0.0, seed=0), inv,
                       InverseConfig(prior=np.ones(inv.grid.n_nodes),
                                     max_iters=3), truth=truth)
     path = tmp_path / "log.csv"
@@ -825,8 +825,8 @@ def test_reconstruction_log_csv(tmp_path):
 
 
 def test_relative_h1_error_endpoints():
-    setup = default_setup(dimension=1, n=32)
-    v = bump_shape(setup.grid)
+    setup = packaged_setup(dimension=1, n=32)
+    v = bump_shape(setup.grid, 0)
     zero = np.zeros_like(v)
     gap = h1_norm_sq(v - zero, setup.grid)
     assert relative_h1_error(v, v, setup.grid, gap) == 0.0
@@ -834,7 +834,7 @@ def test_relative_h1_error_endpoints():
 
 
 def test_inverse_config_rejects_bad_fields():
-    setup = default_setup(dimension=1, n=32)
+    setup = packaged_setup(dimension=1, n=32)
     prior = np.ones(setup.grid.n_nodes)
     for bad in (InverseConfig(prior=prior, max_iters=0),
                 InverseConfig(prior=1e-4 * prior)):
@@ -844,7 +844,7 @@ def test_inverse_config_rejects_bad_fields():
 
 def test_misfit_validates_once_and_before_the_factor(monkeypatch):
     inv = inversion_setup(dimension=1, n=32)
-    data = make_observations(inv, bump_truth(inv.grid))
+    data = make_observations(inv, bump_truth(inv.grid), sigma=0.0, seed=0)
     cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes))
     built, checked = [], []
 
@@ -876,7 +876,7 @@ def test_preconditioner_rejects_nonfinite_gradient_and_non_spd_gram(
         monkeypatch):
     inv = inversion_setup(dimension=1, n=32)
     truth = bump_truth(inv.grid)
-    data = make_observations(inv, truth)
+    data = make_observations(inv, truth, sigma=0.0, seed=0)
     cfg = InverseConfig(prior=np.ones(inv.grid.n_nodes), max_iters=3)
 
     gram = stability._h1_gram

@@ -3,8 +3,9 @@ package imports another module's private names.
 
 A module-level function or class of src/carleman_lab, or a method or
 property of one of its classes, must be referred to by code in src/ or
-bench/ outside its own definition; KEEP exempts no function.  Code means the syntax tree: a name, an attribute, an import or
-a keyword argument.  The (module, function) and (module, class, method)
+bench/ outside its own definition; KEEP exempts no function.  Code
+means the syntax tree: a name, an attribute, an import or a keyword
+argument.  The (module, function) and (module, class, method)
 tables FUNCTIONS and METHODS of bench/tracer.py count too, because the
 tracer looks their names up with getattr.  Docstrings and comments do
 not count, and neither do tests: a name only tests call is a test helper
@@ -23,18 +24,26 @@ field is not reading it.
 
 A defaulted parameter of one of those functions or methods, __init__
 included, must be passed, by position or by keyword, by some call in
-src/ or bench/ whose callee has the function's bare name (the class name
-for __init__), or stand on KEEP_PARAMETERS as module.function.parameter.
-The __init__ that @dataclass writes counts: its parameters are the
-class's fields in order, less those declared field(init=False), and a
-field with a default or a default_factory is a defaulted one.
-A call that unpacks *args passes every position from there on, one that
-unpacks **kwargs every keyword.  A default that only tests override is a
-second code path that no command takes.
+src/ or bench/ that reaches the function, or stand on KEEP_PARAMETERS
+as module.function.parameter; and it must be left out by some such
+call.  A default that only tests override is a second code path that
+no command takes, and one that every call overrides is a second copy
+of a value that its callers hold (default.json's settings, for one):
+only tests take it, and the parameter is required.  The __init__ that
+@dataclass writes counts: its parameters are the class's fields in
+order, less those declared field(init=False), and a field with a
+default or a default_factory is a defaulted one.  A call that unpacks
+*args may pass, and may leave out, every position from there on; one
+that unpacks **kwargs every keyword.
 
-A parameter whose default is None must, by the same matching, be left
-out by some call in src/ or bench/.  If every call passes it, only tests
-take the None branch, and the parameter is required.
+A call reaches a function when its callee resolves to it.  A callee
+named through what the calling module binds (a def or class of its
+own, an import of a module or a name, at any depth, and cls in a
+class's body) resolves to the module that defines it, following the
+imports of the package modules it passes through: bench/run.py's own
+run() and subprocess.run() do not reach cli.run.  A callee that no
+binding resolves (a method of a local, a builtin) reaches every
+function and method of its bare name (the class name for __init__).
 
 A module of src/carleman_lab imports a _-prefixed name of another only
 where PRIVATE_IMPORTS gives the reason; anything else the two modules
@@ -81,6 +90,10 @@ def _trees() -> dict:
             for path in sorted((ROOT / top).rglob("*.py"))}
 
 
+def _package_paths(trees) -> list:
+    return sorted(path for path in trees if path.parent == PACKAGE)
+
+
 def _references(path, tree):
     """(name, line) of every name, attribute, imported name and keyword
     argument in tree; for bench/tracer.py also every name in its
@@ -117,7 +130,7 @@ def _definitions(tree):
 
 
 def _package_definitions(trees):
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in _package_paths(trees):
         for qualified, name, node in _definitions(trees[path]):
             if not (name.startswith("__") and name.endswith("__")):
                 yield path, qualified, name, node
@@ -157,34 +170,92 @@ def _unread(trees) -> list:
                     for other, line in where[name])]
 
 
-def _calls(trees) -> dict:
-    """bare callee name -> [(positional count, index of the first *args or
-    None, keyword names, None standing for **kwargs)] of every call; a
-    call of cls in a class's body calls that class."""
-    calls = defaultdict(list)
-    for tree in trees.values():
+def _module(path) -> str:
+    """The dotted name a module is imported by: carleman_lab.<stem> in
+    the package, the bare stem in bench/ (its scripts import one another
+    that way)."""
+    return f"carleman_lab.{path.stem}" if path.parent == PACKAGE else path.stem
+
+
+def _bindings(path, tree) -> dict:
+    """name -> dotted path of every name the module binds by def, class
+    or import, at any depth."""
+    module = _module(path)
+    bound = {node.name: f"{module}.{node.name}" for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                first = alias.name.partition(".")[0]
+                bound[alias.asname or first] = (alias.name if alias.asname
+                                                else first)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = module.rsplit(".", node.level)[0]
+                base = f"{parent}.{base}" if base else parent
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{base}.{alias.name}"
+    return bound
+
+
+def _home(dotted, bindings) -> str:
+    """dotted followed through the imports of the modules it passes, to
+    the module that defines the name."""
+    parts = dotted.split(".")
+    for i in range(1, len(parts)):
+        module = ".".join(parts[:i])
+        if module in bindings:
+            target = bindings[module].get(parts[i], f"{module}.{parts[i]}")
+            if target == f"{module}.{parts[i]}":
+                return dotted
+            return _home(".".join([target, *parts[i + 1:]]), bindings)
+    return dotted
+
+
+def _calls(trees) -> list:
+    """(dotted callee or None, bare callee name, positional count, index
+    of the first *args or None, keyword names with None standing for
+    **kwargs) of every call.  A callee reached through a name the module
+    binds (a def, a class or an import, and cls in a class's body) is
+    resolved to the module that defines it; any other (a method of a
+    local, a builtin) is None and matches by its bare name."""
+    bindings = {_module(path): _bindings(path, tree)
+                for path, tree in trees.items()}
+    calls = []
+    for path, tree in trees.items():
+        module = _module(path)
+        bound = bindings[module]
         owner = {id(node): cls.name for cls in ast.walk(tree)
                  if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            if name == "cls":
-                name = owner.get(id(node), name)
+            func, attrs = node.func, []
+            while isinstance(func, ast.Attribute):
+                attrs.insert(0, func.attr)
+                func = func.value
+            root = getattr(func, "id", None)
+            dotted = None
+            if root == "cls" and id(node) in owner and not attrs:
+                dotted = f"{module}.{owner[id(node)]}"
+            elif root in bound:
+                dotted = _home(".".join([bound[root], *attrs]), bindings)
+            name = attrs[-1] if attrs else root
             star = next((i for i, arg in enumerate(node.args)
                          if isinstance(arg, ast.Starred)), None)
-            calls[name].append((len(node.args), star,
-                                {k.arg for k in node.keywords}))
+            calls.append((dotted, name, len(node.args), star,
+                          {k.arg for k in node.keywords}))
     return calls
 
 
 def _defaulted_parameters(trees):
-    """(module.function.parameter, callee name, position, parameter name,
-    default node) of every defaulted parameter of a package function or
-    method; position counts the arguments a call gives (self and cls
-    excluded) and is None for a keyword-only parameter."""
-    for path in sorted(PACKAGE.glob("*.py")):
+    """(module.function.parameter, dotted callee, bare callee, position,
+    parameter name) of every defaulted parameter of a package function
+    or method; position counts the arguments a call gives (self and cls
+    excluded) and is None for a keyword-only parameter.  An __init__ is
+    called as its class."""
+    for path in _package_paths(trees):
         for qualified, name, node in _definitions(trees[path]):
             if not isinstance(node, ast.FunctionDef):
                 continue
@@ -195,15 +266,16 @@ def _defaulted_parameters(trees):
                 getattr(d, "id", None) == "staticmethod"
                 for d in node.decorator_list)
             first = len(positional) - len(args.defaults)
-            params = [(arg.arg, i - bound, args.defaults[i - first])
+            params = [(arg.arg, i - bound)
                       for i, arg in enumerate(positional) if i >= first]
-            params += [(arg.arg, None, default) for arg, default
+            params += [(arg.arg, None) for arg, default
                        in zip(args.kwonlyargs, args.kw_defaults)
                        if default is not None]
-            callee = cls if name == "__init__" else name
-            for param, position, default in params:
-                yield (f"{path.stem}.{qualified}.{param}", callee, position,
-                       param, default)
+            dotted, bare = ((cls, cls) if name == "__init__"
+                            else (qualified, name))
+            for param, position in params:
+                yield (f"{path.stem}.{qualified}.{param}",
+                       f"{_module(path)}.{dotted}", bare, position, param)
 
 
 def _is_dataclass(cls) -> bool:
@@ -220,11 +292,10 @@ def _field_call(value):
 
 
 def _dataclass_parameters(trees):
-    """(module.Class.__init__.parameter, Class, position, parameter,
-    default node, None for a default_factory) of every defaulted parameter
-    of the __init__ that @dataclass generates for a module-level class of
-    the package."""
-    for path in sorted(PACKAGE.glob("*.py")):
+    """(module.Class.__init__.parameter, dotted class, Class, position,
+    parameter) of every defaulted parameter of the __init__ that
+    @dataclass generates for a module-level class of the package."""
+    for path in _package_paths(trees):
         for cls in trees[path].body:
             if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
                 continue
@@ -242,44 +313,58 @@ def _dataclass_parameters(trees):
                     or {"default", "default_factory"} & set(keywords))
                 if defaulted:
                     name = item.target.id
-                    default = (keywords.get("default")
-                               if _field_call(item.value) else item.value)
                     yield (f"{path.stem}.{cls.name}.__init__.{name}",
-                           cls.name, position, name, default)
+                           f"{_module(path)}.{cls.name}", cls.name,
+                           position, name)
                 position += 1
 
 
-def _passes(call, position, param) -> bool:
-    """Whether a call, as _calls records it, passes the parameter param
-    at position (None for a keyword-only one)."""
-    count, star, keywords = call
+def _may_pass(call, position, param) -> bool:
+    """Whether a call, as _calls records it, can pass the parameter param
+    at position (None for a keyword-only one): it names it, or it
+    unpacks **kwargs, or it reaches the position or unpacks *args at or
+    before it."""
+    _, _, count, star, keywords = call
     return (param in keywords or None in keywords
             or (position is not None
                 and (count > position
                      or (star is not None and star <= position))))
 
 
-def _parameters(trees) -> list:
-    return [*_defaulted_parameters(trees), *_dataclass_parameters(trees)]
+def _must_pass(call, position, param) -> bool:
+    """Whether a call passes param whatever its unpacked arguments hold:
+    it names it, or it gives the position before any *args."""
+    _, _, count, star, keywords = call
+    return param in keywords or (
+        position is not None
+        and (count if star is None else star) > position)
+
+
+def _parameter_calls(trees):
+    """(module.function.parameter, position, parameter, [calls]) of every
+    defaulted parameter, with the calls that reach its function: those
+    resolved to it, and those no binding resolves whose bare name is
+    the function's."""
+    calls = _calls(trees)
+    for reported, dotted, name, position, param in (
+            *_defaulted_parameters(trees), *_dataclass_parameters(trees)):
+        yield reported, position, param, [
+            call for call in calls
+            if call[0] == dotted or (call[0] is None and call[1] == name)]
 
 
 def _unpassed(trees) -> list:
-    """Defaulted parameters that no call passes."""
-    calls = _calls(trees)
-    return [reported for reported, callee, position, param, _
-            in _parameters(trees)
-            if not any(_passes(call, position, param)
-                       for call in calls[callee])]
+    """Defaulted parameters that no call can pass."""
+    return [reported for reported, position, param, calls
+            in _parameter_calls(trees)
+            if not any(_may_pass(call, position, param) for call in calls)]
 
 
-def _none_always_passed(trees) -> list:
-    """Parameters defaulting to None that every call passes."""
-    calls = _calls(trees)
-    return [reported for reported, callee, position, param, default
-            in _parameters(trees)
-            if isinstance(default, ast.Constant) and default.value is None
-            and all(_passes(call, position, param)
-                    for call in calls[callee])]
+def _always_passed(trees) -> list:
+    """Defaulted parameters that every call passes."""
+    return [reported for reported, position, param, calls
+            in _parameter_calls(trees)
+            if all(_must_pass(call, position, param) for call in calls)]
 
 
 def census(out_dir) -> set:
@@ -337,11 +422,11 @@ def test_every_defaulted_parameter_is_passed():
         + ", ".join(unpassed))
 
 
-def test_every_none_default_is_taken_by_a_call():
-    passed = _none_always_passed(_trees())
+def test_every_default_is_left_out_by_a_call():
+    passed = _always_passed(_trees())
     assert passed == [], (
         "every call in src/ or bench/ passes these, so only tests take "
-        "their None default; make them required: " + ", ".join(passed))
+        "their default; make them required: " + ", ".join(passed))
 
 
 def test_keep_parameters_are_defaulted_and_unpassed():
@@ -349,6 +434,46 @@ def test_keep_parameters_are_defaulted_and_unpassed():
     trees = _trees()
     assert sorted(set(KEEP_PARAMETERS) - set(_unpassed(trees))) == []
     assert all(reason.strip() for reason in KEEP_PARAMETERS.values())
+
+
+def _parse(sources) -> dict:
+    return {path: ast.parse(text) for path, text in sources.items()}
+
+
+def test_calls_reach_the_function_their_module_imports():
+    # one.f and two.f share a name: three calls one's through its import
+    # and two's through the module, and bench/tool.py calls a def of its
+    # own; by bare name the three calls would pass both rules for both
+    sources = {
+        PACKAGE / "one.py": "def f(a, b=1):\n    return a + b\n",
+        PACKAGE / "two.py": "def f(a, b=1):\n    return a - b\n",
+        PACKAGE / "three.py": ("from . import two\nfrom .one import f\n\n\n"
+                               "def g():\n    return f(0, 2) + two.f(0)\n"),
+        ROOT / "bench" / "tool.py": "def f(a):\n    return a\n\n\nf(3)\n",
+    }
+    trees = _parse(sources)
+    assert _unpassed(trees) == ["two.f.b"]
+    assert _always_passed(trees) == ["one.f.b"]
+
+
+def test_unpacking_calls_may_pass_and_may_leave_out():
+    # a call that unpacks *args or **kwargs may give b and may not, so
+    # neither rule names it; written out, the same calls pass it always
+    sources = {
+        PACKAGE / "one.py": ("def f(a, b=1):\n    return a + b\n\n\n"
+                             "def g(a, *, b=1):\n    return a - b\n"),
+        PACKAGE / "two.py": ("from .one import f, g\n\n\n"
+                             "def h(rest, options):\n"
+                             "    return f(0, *rest) + g(0, **options)\n"),
+    }
+    trees = _parse(sources)
+    assert _unpassed(trees) == []
+    assert _always_passed(trees) == []
+    sources[PACKAGE / "two.py"] = sources[PACKAGE / "two.py"].replace(
+        "f(0, *rest) + g(0, **options)", "f(0, 2, *rest) + g(0, b=2)")
+    trees = _parse(sources)
+    assert _unpassed(trees) == []
+    assert _always_passed(trees) == ["one.f.b", "one.g.b"]
 
 
 def test_every_field_is_read_by_the_commands(tmp_path):
@@ -382,7 +507,7 @@ def test_keep_list_names_are_defined():
 def _private_imports(trees):
     """(module, imported module, name) of every _-prefixed name a module
     of the package imports from another of its modules."""
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in _package_paths(trees):
         for node in ast.walk(trees[path]):
             if not isinstance(node, ast.ImportFrom):
                 continue
